@@ -107,9 +107,7 @@ fn pipeline_single_trip(route: &Route, log: &SensorLog) -> BenchReport {
 }
 
 fn fleet_batch(route: &Route, logs: &[SensorLog], workers: usize) -> BenchReport {
-    // Track-level parallelism off: measure pure worker-pool scaling.
-    let estimator =
-        GradientEstimator::new(EstimatorConfig { parallel_tracks: false, ..Default::default() });
+    let estimator = GradientEstimator::new(EstimatorConfig::default());
     let engine = FleetEngine::new(estimator, workers);
     run_bench(
         &format!("fleet_batch_{}_trips_{workers}_workers", logs.len()),

@@ -117,7 +117,7 @@ fn main() {
             "warm estimation path with a live trace ring allocated"
         );
         assert!(r.fast_vs_generic_max_abs_diff < 1e-12, "fast LOWESS path diverged");
-        assert!(r.generic_bit_identical, "warm scratch broke bit-identity");
+        assert!(r.warm_bit_identical, "warm scratch broke bit-identity");
         assert!(r.recorded_bit_identical, "recorder changed the estimate");
         assert!(r.traced_bit_identical, "trace ring changed the estimate");
         assert!(r.trace_overflow_dropped > 0, "overflowing ring did not count drops");

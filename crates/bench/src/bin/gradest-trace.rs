@@ -33,8 +33,7 @@ fn main() {
     // sized for a readable timeline rather than for throughput.
     let logs: Vec<_> = (0..TRIPS as u64).map(|i| red_road_drive(700 + i).log).collect();
     let road_ids: Vec<u64> = (0..TRIPS as u64).map(|i| i % 2).collect();
-    let estimator =
-        GradientEstimator::new(EstimatorConfig { parallel_tracks: false, ..Default::default() });
+    let estimator = GradientEstimator::new(EstimatorConfig::default());
     let engine = FleetEngine::new(estimator, 2);
     let cloud = CloudAggregator::new(5.0);
 

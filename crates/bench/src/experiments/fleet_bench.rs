@@ -70,11 +70,7 @@ fn contention_tracks() -> Vec<(u64, GradientTrack)> {
 /// Runs the fleet scaling benchmark on a `trips`-trip batch.
 pub fn run(seed: u64, trips: usize, workers: usize) -> FleetBench {
     let logs = simulate_batch(seed, trips);
-    // Per-trip track parallelism off: this benchmark isolates the
-    // worker-pool scaling, and nested fan-out would oversubscribe the
-    // pool on small machines.
-    let config = EstimatorConfig { parallel_tracks: false, ..Default::default() };
-    let estimator = GradientEstimator::new(config);
+    let estimator = GradientEstimator::new(EstimatorConfig::default());
 
     let single_trip = run_bench("pipeline_estimate_single_trip", 3, 1, || {
         let est = estimator.estimate(&logs[0], None);

@@ -174,8 +174,7 @@ pub fn run(seed: u64, target_km: f64, samples: usize) -> GeoIndexBench {
 
     // One recorded network-matching fleet batch so the obs report pins
     // the `network-match-trip` span count alongside `geo-index-build`.
-    let estimator =
-        GradientEstimator::new(EstimatorConfig { parallel_tracks: false, ..Default::default() });
+    let estimator = GradientEstimator::new(EstimatorConfig::default());
     let engine = FleetEngine::new(estimator, 2);
     let out = engine.process_batch_network_recorded(&logs, &net, &index, &rec);
     assert_eq!(out.len(), logs.len());

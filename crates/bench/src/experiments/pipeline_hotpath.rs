@@ -1,18 +1,15 @@
-//! Single-trip hot-path benchmark: uniform-grid LOWESS + warm
-//! [`EstimatorScratch`] vs the pre-optimization shape of the pipeline.
+//! Single-trip hot-path benchmark: the warm [`EstimatorScratch`]
+//! pipeline on the standard red-road trip.
 //!
 //! Not a paper artifact — an engineering benchmark for the per-trip
 //! kernels everything else (fleet batches, the cloud experiments) sits
 //! on. Emits `BENCH_pipeline.json` with:
 //!
-//! * baseline latency — cold [`GradientEstimator::estimate`] per trip
-//!   with the generic LOWESS path forced (the allocation and smoothing
-//!   behaviour before this optimization round);
-//! * optimized latency — warm-scratch
-//!   [`GradientEstimator::estimate_into`] with the uniform-grid fast
-//!   path, plus its per-stage wall-clock split;
-//! * correctness gates — fast-vs-generic fused-track divergence (must be
-//!   < 1e-12) and warm-vs-cold bit-identity on the generic path;
+//! * latency — warm-scratch [`GradientEstimator::estimate_into`], plus
+//!   its per-stage wall-clock split;
+//! * correctness gates — uniform-grid LOWESS against the generic
+//!   reference fit on the trip's steering series (must agree within
+//!   1e-12) and warm-vs-cold bit-identity of the estimate;
 //! * warm-path allocations per trip, when the `gradest-experiments`
 //!   binary's counting allocator is installed (`None` elsewhere, e.g.
 //!   under `cargo test`).
@@ -23,7 +20,10 @@ use crate::scenarios::red_road_drive;
 use gradest_core::pipeline::{
     EstimatorConfig, EstimatorScratch, GradientEstimate, GradientEstimator, StageNanos,
 };
+use gradest_math::lowess::{lowess_into, lowess_reference, LowessConfig, LowessScratch};
 use gradest_obs::{RunRecorder, RunReport, Tee, TraceRing};
+use gradest_sensors::alignment::{steering_rate_profile_into, WRoadScratch};
+use gradest_sensors::columnar::ImuColumns;
 use serde::{Deserialize, Serialize};
 
 /// Pipeline hot-path benchmark result (`BENCH_pipeline.json`).
@@ -31,21 +31,19 @@ use serde::{Deserialize, Serialize};
 pub struct PipelineHotpathBench {
     /// IMU samples in the benchmark trip.
     pub imu_samples: usize,
-    /// Cold-estimator, generic-LOWESS latency (pre-change baseline).
-    pub baseline_cold_generic: BenchReport,
-    /// Warm-scratch, fast-LOWESS latency (the optimized hot path).
+    /// Warm-scratch latency (the production hot path).
     pub optimized_warm_fast: BenchReport,
-    /// Baseline median latency over optimized median latency.
-    pub speedup: f64,
-    /// Optimized trips per second (single worker).
+    /// Warm trips per second (single worker).
     pub trips_per_sec: f64,
-    /// Per-stage wall-clock split of one optimized warm trip.
+    /// Per-stage wall-clock split of one warm trip.
     pub stage_ns: StageNanos,
-    /// Max |Δθ| between the fast-path and generic-path fused tracks.
+    /// Max |Δ| between `lowess_into` (uniform-grid fast path) and
+    /// `lowess_reference` over the trip's raw steering series, with the
+    /// pipeline's smoothing window.
     pub fast_vs_generic_max_abs_diff: f64,
-    /// Whether warm-scratch estimation with the fast path disabled is
-    /// bit-identical to the cold generic reference.
-    pub generic_bit_identical: bool,
+    /// Whether warm-scratch [`GradientEstimator::estimate_into`] is
+    /// bit-identical to a cold [`GradientEstimator::estimate`].
+    pub warm_bit_identical: bool,
     /// Heap allocations during one warm-path trip; `None` when no
     /// counting allocator is installed in this process.
     pub allocs_per_trip_warm: Option<u64>,
@@ -79,19 +77,10 @@ pub struct PipelineHotpathBench {
 }
 
 /// Runs the hot-path benchmark over the standard red-road trip.
-///
-/// Both configurations run the tracks serially: this benchmark isolates
-/// the per-trip kernels, and the fleet engine parallelises across trips,
-/// not within them. (Thread spawns would also allocate, clouding the
-/// warm-path allocation gate.)
 pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
-    // The warm-path module set is no longer eyeball-synchronised: the
-    // lint call graph derives which modules `estimate_into` actually
-    // reaches and cross-checks that against both the pipeline's
-    // declared `WARM_PATH_MODULES` const and the lint's alloc-gated
-    // list. Any drift fails the smoke gate before timing happens.
-    // (Source scan of the checked-out workspace: skipped gracefully by
-    // the drift check if the sources are not present at runtime.)
+    // The lint call graph derives which modules `estimate_into` actually
+    // reaches; every one of them must sit under the lint's alloc-gated
+    // list, or the smoke gate fails before timing happens.
     let repo_root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let (sources, unreadable) = gradest_lint::workspace_sources(&repo_root);
     assert!(unreadable.is_empty(), "unreadable workspace sources: {unreadable:?}");
@@ -101,8 +90,7 @@ pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
     let drift = gradest_lint::warm_drift_findings(&graph, &warm);
     assert!(
         drift.is_empty(),
-        "warm-path module drift between the call graph, pipeline::WARM_PATH_MODULES, \
-         and gradest_lint::WARM_ALLOC_GATED_MODULES:\n{}",
+        "warm-path modules outside gradest_lint::WARM_ALLOC_GATED_MODULES:\n{}",
         drift
             .iter()
             .map(|(p, d)| format!("  {}:{}: {}", p.display(), d.line, d.msg))
@@ -113,46 +101,54 @@ pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
     let drive = red_road_drive(seed);
     let log = &drive.log;
     let map = Some(&drive.route);
-    let fast =
-        GradientEstimator::new(EstimatorConfig { parallel_tracks: false, ..Default::default() });
-    let generic = GradientEstimator::new(EstimatorConfig {
-        parallel_tracks: false,
-        force_generic_lowess: true,
-        ..Default::default()
-    });
+    let estimator = GradientEstimator::new(EstimatorConfig::default());
 
-    // Correctness gates before timing anything.
-    let generic_est = generic.estimate(log, map);
-    let fast_est = fast.estimate(log, map);
-    let fast_vs_generic_max_abs_diff = fast_est
-        .fused
-        .theta
-        .iter()
-        .zip(&generic_est.fused.theta)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
+    // Correctness gates before timing anything. LOWESS: the uniform-grid
+    // fast path against the generic reference on the trip's raw
+    // steering series, with the window the pipeline smooths it with.
+    let mut cols = ImuColumns::default();
+    cols.fill_from(&log.imu);
+    let mut w_raw = Vec::new();
+    steering_rate_profile_into(
+        &cols.t,
+        &cols.gyro_z,
+        &log.gps,
+        map,
+        &mut WRoadScratch::default(),
+        &mut w_raw,
+    );
+    let span_s = cols.t.last().copied().unwrap_or(0.0) - cols.t.first().copied().unwrap_or(0.0);
+    let window_s = estimator.config().lane_change.smoothing_window_s;
+    let lowess_cfg = LowessConfig {
+        fraction: (window_s / span_s.max(1e-9)).clamp(1e-4, 1.0),
+        robust_iterations: 0,
+    };
+    let mut fast_w = Vec::new();
+    lowess_into(&cols.t, &w_raw, lowess_cfg, &mut LowessScratch::new(), &mut fast_w)
+        .expect("steering series on increasing times");
+    let reference_w =
+        lowess_reference(&cols.t, &w_raw, lowess_cfg).expect("steering series on increasing times");
+    assert_eq!(fast_w.len(), reference_w.len());
+    let fast_vs_generic_max_abs_diff =
+        fast_w.iter().zip(&reference_w).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
+    // Estimate: warm scratch against a cold, freshly allocated run.
+    let cold = estimator.estimate(log, map);
     let mut scratch = EstimatorScratch::new();
     let mut out = GradientEstimate::default();
-    generic.estimate_into(log, map, &mut scratch, &mut out);
-    generic.estimate_into(log, map, &mut scratch, &mut out);
-    let generic_bit_identical = out == generic_est;
+    estimator.estimate_into(log, map, &mut scratch, &mut out);
+    estimator.estimate_into(log, map, &mut scratch, &mut out);
+    let warm_bit_identical = out == cold;
 
-    let baseline_cold_generic = run_bench("pipeline_cold_generic_lowess", samples, 1, || {
-        let est = generic.estimate(log, map);
-        assert!(!est.fused.is_empty());
-    });
-
-    // Warm the scratch and output once, then time steady-state trips.
-    fast.estimate_into(log, map, &mut scratch, &mut out);
+    // The scratch and output are warm; time steady-state trips.
     let optimized_warm_fast = run_bench("pipeline_warm_fast_lowess", samples, 1, || {
-        fast.estimate_into(log, map, &mut scratch, &mut out);
+        estimator.estimate_into(log, map, &mut scratch, &mut out);
         assert!(!out.fused.is_empty());
     });
     let stage_ns = scratch.stages();
 
     let allocs_per_trip_warm = if alloc_counter::is_installed() {
         let before = alloc_counter::allocations();
-        fast.estimate_into(log, map, &mut scratch, &mut out);
+        estimator.estimate_into(log, map, &mut scratch, &mut out);
         Some(alloc_counter::allocations() - before)
     } else {
         None
@@ -163,10 +159,10 @@ pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
     // instrumented path must stay bit-identical and allocation-free.
     let rec = RunRecorder::new();
     let mut rec_out = GradientEstimate::default();
-    fast.estimate_into_recorded(log, map, &mut scratch, &mut rec_out, &rec);
+    estimator.estimate_into_recorded(log, map, &mut scratch, &mut rec_out, &rec);
     let allocs_per_trip_warm_recorded = if alloc_counter::is_installed() {
         let before = alloc_counter::allocations();
-        fast.estimate_into_recorded(log, map, &mut scratch, &mut rec_out, &rec);
+        estimator.estimate_into_recorded(log, map, &mut scratch, &mut rec_out, &rec);
         Some(alloc_counter::allocations() - before)
     } else {
         None
@@ -180,14 +176,14 @@ pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
     let ring = TraceRing::with_capacity(4096);
     let traced = Tee::new(&rec, &ring);
     let mut traced_out = GradientEstimate::default();
-    fast.estimate_into_recorded(log, map, &mut scratch, &mut traced_out, &traced);
+    estimator.estimate_into_recorded(log, map, &mut scratch, &mut traced_out, &traced);
     let events_warmup = ring.len() as u64;
     let allocs_per_trip_warm_traced = if alloc_counter::is_installed() {
         let before = alloc_counter::allocations();
-        fast.estimate_into_recorded(log, map, &mut scratch, &mut traced_out, &traced);
+        estimator.estimate_into_recorded(log, map, &mut scratch, &mut traced_out, &traced);
         Some(alloc_counter::allocations() - before)
     } else {
-        fast.estimate_into_recorded(log, map, &mut scratch, &mut traced_out, &traced);
+        estimator.estimate_into_recorded(log, map, &mut scratch, &mut traced_out, &traced);
         None
     };
     let traced_bit_identical = traced_out == out;
@@ -198,10 +194,10 @@ pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
     // excess by bumping its drop counter — never by reallocating.
     let tiny = TraceRing::with_capacity(8);
     let tee_tiny = Tee::new(&rec, &tiny);
-    fast.estimate_into_recorded(log, map, &mut scratch, &mut traced_out, &tee_tiny);
+    estimator.estimate_into_recorded(log, map, &mut scratch, &mut traced_out, &tee_tiny);
     let overflow_allocs = if alloc_counter::is_installed() {
         let before = alloc_counter::allocations();
-        fast.estimate_into_recorded(log, map, &mut scratch, &mut traced_out, &tee_tiny);
+        estimator.estimate_into_recorded(log, map, &mut scratch, &mut traced_out, &tee_tiny);
         Some(alloc_counter::allocations() - before)
     } else {
         None
@@ -214,17 +210,13 @@ pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
     let trace_overflow_dropped = tiny.dropped();
     assert!(tiny.len() <= 8, "tiny ring grew past its capacity");
 
-    let speedup =
-        baseline_cold_generic.median_ns_per_op / optimized_warm_fast.median_ns_per_op.max(1.0);
     PipelineHotpathBench {
         imu_samples: log.imu.len(),
         trips_per_sec: optimized_warm_fast.ops_per_sec,
-        baseline_cold_generic,
         optimized_warm_fast,
-        speedup,
         stage_ns,
         fast_vs_generic_max_abs_diff,
-        generic_bit_identical,
+        warm_bit_identical,
         allocs_per_trip_warm,
         recorded_bit_identical,
         allocs_per_trip_warm_recorded,
@@ -238,29 +230,21 @@ pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
 
 /// Prints the timing table and writes `BENCH_pipeline.json`.
 pub fn print_report(r: &PipelineHotpathBench) {
-    let rows: Vec<Vec<String>> = [&r.baseline_cold_generic, &r.optimized_warm_fast]
-        .iter()
-        .map(|b| {
-            vec![
-                b.name.clone(),
-                format!("{:.2}", b.median_ns_per_op / 1e6),
-                format!("{:.2}", b.ops_per_sec),
-            ]
-        })
-        .collect();
+    let b = &r.optimized_warm_fast;
+    let rows = vec![vec![
+        b.name.clone(),
+        format!("{:.2}", b.median_ns_per_op / 1e6),
+        format!("{:.2}", b.ops_per_sec),
+    ]];
     let allocs = match r.allocs_per_trip_warm {
         Some(n) => n.to_string(),
         None => "not measured".to_string(),
     };
     print_table(
         &format!(
-            "Pipeline hot path — {} IMU samples: {:.2}x, max |Δθ| {:.2e}, \
-             generic bit-identical={}, warm allocs/trip={}",
-            r.imu_samples,
-            r.speedup,
-            r.fast_vs_generic_max_abs_diff,
-            r.generic_bit_identical,
-            allocs
+            "Pipeline hot path — {} IMU samples: LOWESS fast vs reference max |Δ| {:.2e}, \
+             warm vs cold bit-identical={}, warm allocs/trip={}",
+            r.imu_samples, r.fast_vs_generic_max_abs_diff, r.warm_bit_identical, allocs
         ),
         &["bench", "ms/trip", "trips/s"],
         &rows,
@@ -312,8 +296,7 @@ mod tests {
             "fast path diverged: {}",
             r.fast_vs_generic_max_abs_diff
         );
-        assert!(r.generic_bit_identical, "warm generic path differs from cold reference");
-        assert!(r.speedup > 0.0);
+        assert!(r.warm_bit_identical, "warm estimate differs from the cold one");
         // No counting allocator under `cargo test`.
         assert_eq!(r.allocs_per_trip_warm, None);
         assert_eq!(r.allocs_per_trip_warm_recorded, None);

@@ -133,7 +133,8 @@ impl CloudAggregator {
 
     /// Ingests one vehicle's track for a road. Each estimate lands in the
     /// arc cell containing its position and joins the running convex
-    /// combination. Estimates with non-positive variance are skipped.
+    /// combination. Estimates whose variance is not finite and positive,
+    /// or whose θ or arc position is not finite, are skipped.
     ///
     /// Takes `&self`: concurrent uploads are safe, and uploads to
     /// different roads rarely contend (they serialise only when both
@@ -158,7 +159,15 @@ impl CloudAggregator {
             let mut shard = self.stripe(road_id).write();
             let acc = shard.entry(road_id).or_default();
             for ((s, theta), var) in track.s.iter().zip(&track.theta).zip(&track.variance) {
-                if *var <= 0.0 || !theta.is_finite() || !s.is_finite() || *s < 0.0 {
+                // A NaN variance fails `> 0.0` (it would turn the cell's
+                // sums to NaN for good); an infinite one fails
+                // `is_finite` (it would count as coverage with no weight).
+                let valid = *var > 0.0
+                    && var.is_finite()
+                    && theta.is_finite()
+                    && s.is_finite()
+                    && *s >= 0.0;
+                if !valid {
                     continue;
                 }
                 let idx = (*s / self.grid_ds) as usize;
@@ -348,6 +357,27 @@ mod tests {
         t.variance.push(-1.0); // corrupted upload
         cloud.upload(3, &t);
         assert!(cloud.road_profile(3).is_none());
+    }
+
+    #[test]
+    fn non_finite_variances_leave_the_profile_untouched() {
+        let clean = track(0.03, 2e-4, 12);
+        // `push` refuses such variances, so corrupt the columns directly
+        // (a decoded upload carries whatever bits the phone sent).
+        let mut hostile = track(-0.5, 1.0, 12);
+        for (i, var) in hostile.variance.iter_mut().enumerate() {
+            *var = if i % 2 == 0 { f64::NAN } else { f64::INFINITY };
+        }
+        let both = CloudAggregator::new(5.0);
+        both.upload(4, &clean);
+        both.upload(4, &hostile);
+        let alone = CloudAggregator::new(5.0);
+        alone.upload(4, &clean);
+        let bits = |t: &GradientTrack| {
+            [&t.s, &t.theta, &t.variance].map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        let (got, want) = (both.road_profile(4).unwrap(), alone.road_profile(4).unwrap());
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

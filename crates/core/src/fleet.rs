@@ -61,11 +61,6 @@ pub struct FleetEngine {
 impl FleetEngine {
     /// Creates an engine with an explicit worker count (clamped to at
     /// least one).
-    ///
-    /// Note the per-trip pipeline itself fans its four EKF tracks onto
-    /// scoped threads when `parallel_tracks` is set; for large batches
-    /// on a saturated pool, disabling it in the estimator config avoids
-    /// oversubscription (results are identical either way).
     pub fn new(estimator: GradientEstimator, workers: usize) -> Self {
         FleetEngine { estimator, workers: workers.max(1) }
     }
@@ -263,25 +258,28 @@ impl FleetEngine {
                         if rec.enabled() {
                             rec.event(TraceEvent::FleetJobStart { job: i as u32 });
                         }
-                        let est = if let Some(matcher) = net_matcher.as_mut() {
+                        let matched;
+                        let route = if let Some(matcher) = net_matcher.as_mut() {
                             let tm = if rec.enabled() { Some(Instant::now()) } else { None };
-                            let matched = matcher.match_trip(&logs[i].gps);
+                            matched = matcher.match_trip(&logs[i].gps);
                             if let Some(tm) = tm {
                                 rec.record_span(Span::NetworkMatchTrip, saturating_ns(tm));
                             }
-                            estimator.estimate_with_recorded(
-                                &logs[i],
-                                matched.route.as_ref(),
-                                &mut scratch,
-                                rec,
-                            )
+                            matched.route.as_ref()
                         } else {
-                            let route = match map {
+                            match map {
                                 MapMode::Shared(r) => r,
                                 MapMode::Network(..) => None,
-                            };
-                            estimator.estimate_with_recorded(&logs[i], route, &mut scratch, rec)
+                            }
                         };
+                        let mut est = GradientEstimate::default();
+                        estimator.estimate_into_recorded(
+                            &logs[i],
+                            route,
+                            &mut scratch,
+                            &mut est,
+                            rec,
+                        );
                         if let Some((road_ids, cloud)) = cloud {
                             cloud.upload_recorded(road_ids[i], &est.fused, rec);
                         }

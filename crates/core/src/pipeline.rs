@@ -11,7 +11,7 @@
 //! 4. track fusion by convex combination.
 
 use crate::diagnostics::{FilterHealth, InnovationMonitor, MonitorConfig};
-use crate::ekf::{EkfConfig, GradientEkf};
+use crate::ekf::EkfConfig;
 use crate::ekf_lanes::{EkfLanes, MAX_LANES};
 use crate::fusion::fuse_tracks_into;
 use crate::lane_change::{Bump, LaneChangeConfig, LaneChangeDetection, LaneChangeDetector};
@@ -96,26 +96,6 @@ pub struct EstimatorConfig {
     /// accuracy; the paper's filter is forward-only — disable for strict
     /// paper fidelity or causal comparisons).
     pub rts_smoothing: bool,
-    /// Run the per-source EKF tracks on scoped threads. Only consulted
-    /// by the scalar fallback path (see
-    /// [`Self::force_scalar_tracks`]): the default fused SoA sweep
-    /// advances every lane in one pass and has nothing to fan out. On
-    /// the fallback, tracks are independent filters over shared
-    /// read-only inputs collected in source order, so the output is
-    /// bit-identical to the serial path; ignored when the host reports
-    /// a single available core, where the spawns are pure overhead.
-    pub parallel_tracks: bool,
-    /// Run the per-source scalar [`GradientEkf`] tracks one source at a
-    /// time instead of the fused four-lane SoA sweep
-    /// ([`crate::ekf_lanes`]). The fused sweep is bit-identical lane
-    /// for lane, so this switch exists for A/B validation; configs
-    /// with more sources than lanes fall back to it automatically.
-    pub force_scalar_tracks: bool,
-    /// Disable the uniform-grid LOWESS fast path in steering smoothing
-    /// (see [`gradest_math::lowess::LowessConfig::force_generic`]): the
-    /// generic path is the bit-exact reference, the fast path agrees
-    /// within ~1e-12 and is several times faster on uniform IMU grids.
-    pub force_generic_lowess: bool,
 }
 
 impl Default for EstimatorConfig {
@@ -132,9 +112,18 @@ impl Default for EstimatorConfig {
             accel_blend_tau_s: 3.0,
             disable_lane_correction: false,
             rts_smoothing: true,
-            parallel_tracks: true,
-            force_scalar_tracks: false,
-            force_generic_lowess: false,
+        }
+    }
+}
+
+impl EstimatorConfig {
+    /// Measurement variance of one velocity source's EKF updates.
+    fn source_variance(&self, source: VelocitySource) -> f64 {
+        match source {
+            VelocitySource::Gps => self.r_gps,
+            VelocitySource::Speedometer => self.r_speedometer,
+            VelocitySource::CanBus => self.r_can,
+            VelocitySource::Accelerometer => self.r_accelerometer,
         }
     }
 }
@@ -161,37 +150,6 @@ pub struct TrackScratch {
     // touched by un-recorded runs.
     monitor: Option<InnovationMonitor>,
 }
-
-/// Modules the warm [`GradientEstimator::estimate_into`] call graph
-/// traverses — the set whose `_into` functions the hot-path benchmark
-/// measures at zero allocations.
-///
-/// `gradest-lint` enforces its no-alloc `_into` rule over exactly this
-/// set (its `WARM_ALLOC_GATED_MODULES` is the source of truth); the
-/// `pipeline_hotpath` experiment asserts the two lists agree, so a
-/// module added to the warm path without lint coverage (or vice versa)
-/// fails the smoke gate instead of silently escaping the discipline.
-pub const WARM_PATH_MODULES: &[&str] = &[
-    "core::pipeline",
-    "core::ekf",
-    "core::ekf_lanes",
-    "core::fusion",
-    "core::lane_change",
-    "core::steering",
-    "core::smoother",
-    "core::track",
-    "geo::index",
-    "math::lowess",
-    "math::interp",
-    "math::signal",
-    "obs::metrics",
-    "obs::recorder",
-    "obs::timeseries",
-    "obs::trace",
-    "sensors::alignment",
-    "sensors::columnar",
-    "serve::protocol",
-];
 
 /// Reusable working memory for [`GradientEstimator::estimate_into`].
 ///
@@ -246,14 +204,28 @@ pub struct GradientEstimate {
 }
 
 /// The end-to-end estimator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// [`Self::new`] is the only constructor, so every estimator holds a
+/// configuration the fused track sweep can run.
+#[derive(Debug, Clone, PartialEq)]
 pub struct GradientEstimator {
     config: EstimatorConfig,
 }
 
 impl GradientEstimator {
     /// Creates an estimator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.sources` names more than [`MAX_LANES`] (4)
+    /// sources — one lane of the fused track sweep each. There are four
+    /// [`VelocitySource`]s, so only a repeated source can exceed it.
     pub fn new(config: EstimatorConfig) -> Self {
+        assert!(
+            config.sources.len() <= MAX_LANES,
+            "at most {MAX_LANES} velocity sources, got {}",
+            config.sources.len()
+        );
         GradientEstimator { config }
     }
 
@@ -268,52 +240,17 @@ impl GradientEstimator {
     /// steering profile; pass `None` on unmapped roads (lane-change
     /// detection then relies entirely on the Eq-1 displacement test).
     ///
-    /// Allocating convenience over [`Self::estimate_with`] — it builds a
+    /// Allocating convenience over [`Self::estimate_into`] — it builds a
     /// fresh [`EstimatorScratch`] per call. Batch callers should hold one
     /// scratch per worker instead.
     ///
     /// # Panics
     ///
-    /// Panics if the log carries fewer than two IMU samples.
+    /// Panics if the log carries fewer than two IMU samples, or if its
+    /// IMU timestamps are not strictly increasing.
     pub fn estimate(&self, log: &SensorLog, map: Option<&Route>) -> GradientEstimate {
-        let mut scratch = EstimatorScratch::new();
-        self.estimate_with(log, map, &mut scratch)
-    }
-
-    /// [`Self::estimate`] with caller-owned working memory: all pipeline
-    /// intermediates live in `scratch`, so repeated calls on a warm
-    /// scratch allocate only for the returned estimate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the log carries fewer than two IMU samples.
-    pub fn estimate_with(
-        &self,
-        log: &SensorLog,
-        map: Option<&Route>,
-        scratch: &mut EstimatorScratch,
-    ) -> GradientEstimate {
         let mut out = GradientEstimate::default();
-        self.estimate_into(log, map, scratch, &mut out);
-        out
-    }
-
-    /// [`Self::estimate_with`] reporting to an observability
-    /// [`Recorder`]: stage and per-track spans, EKF innovation and
-    /// fusion-weight statistics, lane-change decision counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the log carries fewer than two IMU samples.
-    pub fn estimate_with_recorded<R: Recorder>(
-        &self,
-        log: &SensorLog,
-        map: Option<&Route>,
-        scratch: &mut EstimatorScratch,
-        rec: &R,
-    ) -> GradientEstimate {
-        let mut out = GradientEstimate::default();
-        self.estimate_into_recorded(log, map, scratch, &mut out, rec);
+        self.estimate_into(log, map, &mut EstimatorScratch::new(), &mut out);
         out
     }
 
@@ -329,7 +266,7 @@ impl GradientEstimator {
     ///
     /// # Panics
     ///
-    /// Panics if the log carries fewer than two IMU samples.
+    /// Same as [`Self::estimate`].
     pub fn estimate_into(
         &self,
         log: &SensorLog,
@@ -349,7 +286,7 @@ impl GradientEstimator {
     ///
     /// # Panics
     ///
-    /// Panics if the log carries fewer than two IMU samples.
+    /// Same as [`Self::estimate`].
     pub fn estimate_into_recorded<R: Recorder>(
         &self,
         log: &SensorLog,
@@ -393,7 +330,6 @@ impl GradientEstimator {
             &imu_cols.t,
             w_raw,
             cfg.lane_change.smoothing_window_s,
-            cfg.force_generic_lowess,
             lowess,
             profile,
         );
@@ -418,11 +354,10 @@ impl GradientEstimator {
         steering_angle_series_into(profile, detections, alpha);
         let t2 = Instant::now();
 
-        // 3. One EKF per source. The tracks are independent filters over
-        //    shared read-only inputs writing disjoint scratch slots, so
-        //    they fan out onto scoped threads when configured; slot order
-        //    is source order, keeping the result bit-identical to the
-        //    serial path.
+        // 3. One EKF per source, all advanced together by the fused SoA
+        //    sweep ([`crate::ekf_lanes`]): one pass over the columnar IMU
+        //    with one transcendental set per sample instead of one per
+        //    sample per source. `new` caps the sources at the lane count.
         let n_src = cfg.sources.len();
         if track_scratch.len() < n_src {
             track_scratch.resize_with(n_src, TrackScratch::default);
@@ -441,58 +376,16 @@ impl GradientEstimator {
                 matched_s.push(if fix.valid { matcher.match_s(fix.position) } else { f64::NAN });
             }
         }
-        let matched_s: &[f64] = matched_s;
-        // The fused SoA sweep ([`crate::ekf_lanes`]) advances every source
-        // in one pass over the columnar IMU — one transcendental set per
-        // sample instead of one per sample per source. Per lane it runs
-        // the exact scalar operation sequence, so the estimate is
-        // bit-identical to the per-source path below, which remains as an
-        // A/B switch and as the fallback for configs with more sources
-        // than lanes.
-        if !cfg.force_scalar_tracks && (1..=MAX_LANES).contains(&n_src) {
-            self.run_ekf_lanes_into(
-                log,
-                imu_cols,
-                profile,
-                alpha,
-                dt,
-                matched_s,
-                &mut track_scratch[..n_src],
-                rec,
-            );
-        } else {
-            let run_source = |source: VelocitySource, ts: &mut TrackScratch| {
-                let r = match source {
-                    VelocitySource::Gps => cfg.r_gps,
-                    VelocitySource::Speedometer => cfg.r_speedometer,
-                    VelocitySource::CanBus => cfg.r_can,
-                    VelocitySource::Accelerometer => cfg.r_accelerometer,
-                };
-                let timer = SpanTimer::start(rec);
-                self.measurement_series_into(log, source, &mut ts.measurements);
-                self.run_ekf_track_into(log, r, source, profile, alpha, dt, matched_s, ts, rec);
-                timer.finish(rec, track_span(source));
-            };
-            // `available_parallelism` is only consulted when the parallel
-            // path is plausible at all — it can allocate on some
-            // platforms, and the serial warm path must stay
-            // allocation-free.
-            let parallel = cfg.parallel_tracks
-                && n_src > 1
-                && std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) > 1;
-            if parallel {
-                std::thread::scope(|scope| {
-                    for (ts, &source) in track_scratch[..n_src].iter_mut().zip(&cfg.sources) {
-                        let run = &run_source;
-                        scope.spawn(move || run(source, ts));
-                    }
-                });
-            } else {
-                for (ts, &source) in track_scratch[..n_src].iter_mut().zip(&cfg.sources) {
-                    run_source(source, ts);
-                }
-            }
-        }
+        self.run_ekf_lanes_into(
+            log,
+            imu_cols,
+            profile,
+            alpha,
+            dt,
+            matched_s,
+            &mut track_scratch[..n_src],
+            rec,
+        );
         let t3 = Instant::now();
 
         // 4. Fuse on a common grid.
@@ -609,9 +502,16 @@ impl GradientEstimator {
         }
     }
 
-    /// Runs one EKF over the trip for one measurement stream, producing an
-    /// arc-indexed track in `ts.track` (reading `ts.measurements`, staging
-    /// the filter history in `ts.history`/`ts.smoothed`).
+    /// Fused SoA track stage: runs up to [`MAX_LANES`] source tracks
+    /// through one [`EkfLanes`] filter in a single pass over the columnar
+    /// IMU, then smooths all lanes with one interleaved backward RTS
+    /// recursion, leaving one arc-indexed track per source in
+    /// `lanes[l].track`. Per lane this executes the operation sequence of
+    /// one scalar [`crate::ekf::GradientEkf`] per source (same
+    /// predict/update arithmetic, same cursor advances, same anchor
+    /// order), so each lane's track is bit-identical to that filter's;
+    /// `fused_lanes_bit_identical_to_scalar_tracks` pins the lanes
+    /// against such per-source filters run in the tests.
     ///
     /// Arc positioning integrates the EKF velocity (odometry) and, when
     /// map-matched GPS arc positions are available (`matched_s`, one entry
@@ -619,144 +519,6 @@ impl GradientEstimator {
     /// odometer to them — the phone records a position with every
     /// estimate, so pure dead-reckoning drift (≈1 % of distance from the
     /// speedometer's scale error) would be an artificial handicap.
-    #[allow(clippy::too_many_arguments)]
-    fn run_ekf_track_into<R: Recorder>(
-        &self,
-        log: &SensorLog,
-        r: f64,
-        source: VelocitySource,
-        profile: &SmoothedProfile,
-        alpha: &[f64],
-        dt: f64,
-        matched_s: &[f64],
-        ts: &mut TrackScratch,
-        rec: &R,
-    ) {
-        let TrackScratch { measurements, history, smoothed, track, monitor } = ts;
-        let measurements: &[(f64, f64)] = measurements;
-        let v0 = measurements.first().map(|m| m.1).unwrap_or(10.0);
-        let mut ekf = GradientEkf::new(self.config.ekf, v0);
-        let mut updates = 0u64;
-        // NIS consistency monitoring only runs when a recorder listens;
-        // the monitor is built once (first recorded trip) and reset
-        // thereafter, so warm recorded trips stay allocation-free.
-        let mut mon = if rec.enabled() {
-            let mon =
-                monitor.get_or_insert_with(|| InnovationMonitor::new(MonitorConfig::default()));
-            mon.reset();
-            Some(mon)
-        } else {
-            None
-        };
-        track.label.clear();
-        track.label.push_str(source.label());
-        track.s.clear();
-        track.theta.clear();
-        track.variance.clear();
-        history.clear();
-        let mut s = 0.0;
-        let mut m_idx = 0usize;
-        let mut gps_idx = 0usize;
-        // Measurement times are non-decreasing, so the α lookup advances a
-        // cursor instead of re-running `partition_point` per measurement;
-        // the cursor lands on the same index the binary search would.
-        let mut a_idx = 0usize;
-        for imu in &log.imu {
-            let f = ekf.predict_returning_jacobian(imu.accel_long, dt);
-            let x_pred = gradest_math::Vec2::new(ekf.velocity(), ekf.theta());
-            let p_pred = ekf.covariance();
-            while m_idx < measurements.len() && measurements[m_idx].0 <= imu.t {
-                let (mt, mv) = measurements[m_idx];
-                // Eq 2: longitudinal velocity during detected lane changes.
-                let corrected = if self.config.disable_lane_correction {
-                    mv
-                } else {
-                    // α is exactly 0.0 outside detection windows, and
-                    // `mv * cos(0) == mv` bit-for-bit — skip the cosine.
-                    let a = alpha_at_cursor(profile, alpha, mt, &mut a_idx);
-                    if a == 0.0 {
-                        mv
-                    } else {
-                        mv * a.cos()
-                    }
-                };
-                if rec.enabled() {
-                    // Innovation as the update will see it: measurement
-                    // minus the predicted velocity state.
-                    let innovation = corrected - ekf.velocity();
-                    rec.observe(Histogram::EkfInnovation, innovation);
-                    if let Some(mon) = mon.as_deref_mut() {
-                        let before = mon.health();
-                        mon.record(innovation, ekf.innovation_variance(r));
-                        let after = mon.health();
-                        if after != before {
-                            record_health_transition(rec, source, before, after);
-                        }
-                    }
-                }
-                ekf.update(corrected, r);
-                updates += 1;
-                m_idx += 1;
-            }
-            s += ekf.velocity() * dt;
-            // Anchor the odometer to the pre-matched GPS arc positions.
-            while gps_idx < log.gps.len() && log.gps[gps_idx].t <= imu.t {
-                let valid = log.gps[gps_idx].valid;
-                let fix_idx = gps_idx;
-                gps_idx += 1;
-                if !valid {
-                    continue;
-                }
-                if let Some(&s_gps) = matched_s.get(fix_idx) {
-                    s += 0.35 * (s_gps - s);
-                }
-            }
-            // Track arc positions must not regress.
-            if let Some(&last) = track.s.last() {
-                s = s.max(last);
-            }
-            track.push(s, ekf.theta(), ekf.theta_variance().max(1e-12));
-            if self.config.rts_smoothing {
-                history.push(RtsStep {
-                    x_pred,
-                    p_pred,
-                    x_filt: gradest_math::Vec2::new(ekf.velocity(), ekf.theta()),
-                    p_filt: ekf.covariance(),
-                    f,
-                });
-            }
-        }
-        if self.config.rts_smoothing {
-            rts_smooth_into(history, smoothed);
-            for (i, (x, p)) in smoothed.iter().enumerate() {
-                track.theta[i] = x.y;
-                track.variance[i] = p.m[1][1].max(1e-12);
-            }
-        }
-        if rec.enabled() {
-            rec.incr(Counter::EkfPredicts, log.imu.len() as u64);
-            rec.incr(update_counter(source), updates);
-            if let Some(mon) = mon {
-                if updates > 0 {
-                    rec.observe(Histogram::EkfMeanNis, mon.mean_nis());
-                }
-                let verdict = mon.health();
-                rec.incr(track_health_counter(verdict), 1);
-                if verdict == FilterHealth::Diverged {
-                    rec.event(TraceEvent::TrackDiverged { source: trace_source(source) });
-                }
-            }
-        }
-    }
-
-    /// Fused SoA track stage: runs up to [`MAX_LANES`] source tracks
-    /// through one [`EkfLanes`] filter in a single pass over the columnar
-    /// IMU, then smooths all lanes with one interleaved backward RTS
-    /// recursion. Per lane this executes [`Self::run_ekf_track_into`]'s
-    /// exact operation sequence (same predict/update arithmetic, same
-    /// cursor advances, same anchor order), so each lane's track is
-    /// bit-identical to the scalar path — asserted by
-    /// `fused_lanes_bit_identical_to_scalar_tracks`.
     ///
     /// The shared sweep halves the dominating per-sample cost: the
     /// `sin`/`cos` pair and the GPS cursor advance are computed once per
@@ -781,8 +543,7 @@ impl GradientEstimator {
         rec: &R,
     ) {
         let cfg = &self.config;
-        let n_src = lanes.len();
-        debug_assert!((1..=MAX_LANES).contains(&n_src));
+        debug_assert!(lanes.len() <= MAX_LANES);
         let n_imu = imu_cols.len();
         // Per-lane staging: measurement series, buffer resets, monitor
         // reset, and the R / initial-velocity capture the sweep reads.
@@ -793,12 +554,7 @@ impl GradientEstimator {
             let timer = SpanTimer::start(rec);
             self.measurement_series_into(log, source, &mut ts.measurements);
             srcs[l] = source;
-            rs[l] = match source {
-                VelocitySource::Gps => cfg.r_gps,
-                VelocitySource::Speedometer => cfg.r_speedometer,
-                VelocitySource::CanBus => cfg.r_can,
-                VelocitySource::Accelerometer => cfg.r_accelerometer,
-            };
+            rs[l] = cfg.source_variance(source);
             v0[l] = ts.measurements.first().map(|m| m.1).unwrap_or(10.0);
             if rec.enabled() {
                 let mon = ts
@@ -1201,6 +957,7 @@ fn alpha_at_cursor(profile: &SmoothedProfile, alpha: &[f64], t: f64, cursor: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ekf::GradientEkf;
     use gradest_geo::generate::{red_road, straight_road, two_lane_straight};
     use gradest_geo::Route;
     use gradest_sensors::suite::{SensorConfig, SensorSuite};
@@ -1217,86 +974,278 @@ mod tests {
         GradientEstimator::new(EstimatorConfig::default()).estimate(&log, Some(route))
     }
 
-    #[test]
-    fn parallel_tracks_bit_identical_to_serial() {
-        let route = Route::new(vec![straight_road(800.0, 2.0)]).unwrap();
-        let traj = simulate_trip(&route, &TripConfig::default(), 5);
-        let log = SensorSuite::new(SensorConfig::default()).run(&traj, 5);
-        let serial = GradientEstimator::new(EstimatorConfig {
-            parallel_tracks: false,
-            ..Default::default()
-        })
-        .estimate(&log, Some(&route));
-        let parallel =
-            GradientEstimator::new(EstimatorConfig::default()).estimate(&log, Some(&route));
-        assert_eq!(serial, parallel);
+    /// Per-source scalar track loop, the oracle the fused lane sweep
+    /// is pinned to: one [`GradientEkf`] over the trip for one source's
+    /// staged `ts.measurements`, producing that source's arc-indexed
+    /// track in `ts.track` with the recorder output the sweep emits per
+    /// lane.
+    #[allow(clippy::too_many_arguments)]
+    fn scalar_track_into<R: Recorder>(
+        cfg: &EstimatorConfig,
+        log: &SensorLog,
+        source: VelocitySource,
+        profile: &SmoothedProfile,
+        alpha: &[f64],
+        dt: f64,
+        matched_s: &[f64],
+        ts: &mut TrackScratch,
+        rec: &R,
+    ) {
+        let r = cfg.source_variance(source);
+        let TrackScratch { measurements, history, smoothed, track, monitor } = ts;
+        let measurements: &[(f64, f64)] = measurements;
+        let v0 = measurements.first().map(|m| m.1).unwrap_or(10.0);
+        let mut ekf = GradientEkf::new(cfg.ekf, v0);
+        let mut updates = 0u64;
+        // NIS consistency monitoring only runs when a recorder listens;
+        // the monitor is built once (first recorded trip) and reset
+        // thereafter, so warm recorded trips stay allocation-free.
+        let mut mon = if rec.enabled() {
+            let mon =
+                monitor.get_or_insert_with(|| InnovationMonitor::new(MonitorConfig::default()));
+            mon.reset();
+            Some(mon)
+        } else {
+            None
+        };
+        track.label.clear();
+        track.label.push_str(source.label());
+        track.s.clear();
+        track.theta.clear();
+        track.variance.clear();
+        history.clear();
+        let mut s = 0.0;
+        let mut m_idx = 0usize;
+        let mut gps_idx = 0usize;
+        // Measurement times are non-decreasing, so the α lookup advances a
+        // cursor instead of re-running `partition_point` per measurement;
+        // the cursor lands on the same index the binary search would.
+        let mut a_idx = 0usize;
+        for imu in &log.imu {
+            let f = ekf.predict_returning_jacobian(imu.accel_long, dt);
+            let x_pred = gradest_math::Vec2::new(ekf.velocity(), ekf.theta());
+            let p_pred = ekf.covariance();
+            while m_idx < measurements.len() && measurements[m_idx].0 <= imu.t {
+                let (mt, mv) = measurements[m_idx];
+                // Eq 2: longitudinal velocity during detected lane changes.
+                let corrected = if cfg.disable_lane_correction {
+                    mv
+                } else {
+                    // α is exactly 0.0 outside detection windows, and
+                    // `mv * cos(0) == mv` bit-for-bit — skip the cosine.
+                    let a = alpha_at_cursor(profile, alpha, mt, &mut a_idx);
+                    if a == 0.0 {
+                        mv
+                    } else {
+                        mv * a.cos()
+                    }
+                };
+                if rec.enabled() {
+                    // Innovation as the update will see it: measurement
+                    // minus the predicted velocity state.
+                    let innovation = corrected - ekf.velocity();
+                    rec.observe(Histogram::EkfInnovation, innovation);
+                    if let Some(mon) = mon.as_deref_mut() {
+                        let before = mon.health();
+                        mon.record(innovation, ekf.innovation_variance(r));
+                        let after = mon.health();
+                        if after != before {
+                            record_health_transition(rec, source, before, after);
+                        }
+                    }
+                }
+                ekf.update(corrected, r);
+                updates += 1;
+                m_idx += 1;
+            }
+            s += ekf.velocity() * dt;
+            // Anchor the odometer to the pre-matched GPS arc positions.
+            while gps_idx < log.gps.len() && log.gps[gps_idx].t <= imu.t {
+                let valid = log.gps[gps_idx].valid;
+                let fix_idx = gps_idx;
+                gps_idx += 1;
+                if !valid {
+                    continue;
+                }
+                if let Some(&s_gps) = matched_s.get(fix_idx) {
+                    s += 0.35 * (s_gps - s);
+                }
+            }
+            // Track arc positions must not regress.
+            if let Some(&last) = track.s.last() {
+                s = s.max(last);
+            }
+            track.push(s, ekf.theta(), ekf.theta_variance().max(1e-12));
+            if cfg.rts_smoothing {
+                history.push(RtsStep {
+                    x_pred,
+                    p_pred,
+                    x_filt: gradest_math::Vec2::new(ekf.velocity(), ekf.theta()),
+                    p_filt: ekf.covariance(),
+                    f,
+                });
+            }
+        }
+        if cfg.rts_smoothing {
+            rts_smooth_into(history, smoothed);
+            for (i, (x, p)) in smoothed.iter().enumerate() {
+                track.theta[i] = x.y;
+                track.variance[i] = p.m[1][1].max(1e-12);
+            }
+        }
+        if rec.enabled() {
+            rec.incr(Counter::EkfPredicts, log.imu.len() as u64);
+            rec.incr(update_counter(source), updates);
+            if let Some(mon) = mon {
+                if updates > 0 {
+                    rec.observe(Histogram::EkfMeanNis, mon.mean_nis());
+                }
+                let verdict = mon.health();
+                rec.incr(track_health_counter(verdict), 1);
+                if verdict == FilterHealth::Diverged {
+                    rec.event(TraceEvent::TrackDiverged { source: trace_source(source) });
+                }
+            }
+        }
     }
 
-    #[test]
-    fn fused_lanes_bit_identical_to_scalar_tracks() {
-        // The fused SoA sweep must reproduce the per-source scalar path
-        // bit for bit: with a map and lane changes, without a map, and
-        // with a subset of sources (partial lane occupancy).
-        let scalar_cfg = EstimatorConfig {
-            force_scalar_tracks: true,
-            parallel_tracks: false,
-            ..Default::default()
-        };
+    /// Recomputes every configured source's raw track with the scalar
+    /// oracle from the inputs `estimate_into` staged in `scratch`
+    /// (smoothed profile, steering angle α, map-matched GPS arcs).
+    fn scalar_oracle_tracks<R: Recorder>(
+        estimator: &GradientEstimator,
+        log: &SensorLog,
+        scratch: &EstimatorScratch,
+        rec: &R,
+    ) -> Vec<GradientTrack> {
+        estimator
+            .config
+            .sources
+            .iter()
+            .map(|&source| {
+                let mut ts = TrackScratch::default();
+                estimator.measurement_series_into(log, source, &mut ts.measurements);
+                scalar_track_into(
+                    &estimator.config,
+                    log,
+                    source,
+                    &scratch.profile,
+                    &scratch.alpha,
+                    log.imu_dt(),
+                    &scratch.matched_s,
+                    &mut ts,
+                    rec,
+                );
+                ts.track
+            })
+            .collect()
+    }
+
+    /// A track as raw bit patterns, so equality is bit-identity.
+    fn track_bits(t: &GradientTrack) -> (String, Vec<u64>, Vec<u64>, Vec<u64>) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (t.label.clone(), bits(&t.s), bits(&t.theta), bits(&t.variance))
+    }
+
+    /// A red-road trip with lane changes, so the Eq-2 correction runs.
+    fn lane_change_trip() -> (Route, SensorLog) {
         let route = Route::new(vec![red_road()]).unwrap();
         let trip = TripConfig {
-            driver: DriverProfile { lane_change_rate_per_km: 0.5, ..Default::default() },
+            driver: DriverProfile { lane_change_rate_per_km: 2.0, ..Default::default() },
             ..Default::default()
         };
         let traj = simulate_trip(&route, &trip, 23);
         let log = SensorSuite::new(SensorConfig::default()).run(&traj, 23);
-        let fused = GradientEstimator::new(EstimatorConfig::default()).estimate(&log, Some(&route));
-        let scalar = GradientEstimator::new(scalar_cfg.clone()).estimate(&log, Some(&route));
-        assert_eq!(fused, scalar);
+        (route, log)
+    }
 
-        let fused_no_map = GradientEstimator::new(EstimatorConfig::default()).estimate(&log, None);
-        let scalar_no_map = GradientEstimator::new(scalar_cfg.clone()).estimate(&log, None);
-        assert_eq!(fused_no_map, scalar_no_map);
-
-        let sources = vec![VelocitySource::CanBus, VelocitySource::Accelerometer];
-        let fused_sub = GradientEstimator::new(EstimatorConfig {
-            sources: sources.clone(),
+    /// The lane occupancies the oracle tests cover: all four sources
+    /// with a map and without one, and a two-source subset.
+    fn oracle_cases(route: &Route) -> [(GradientEstimator, Option<&Route>); 3] {
+        let all = GradientEstimator::new(EstimatorConfig::default());
+        let subset = GradientEstimator::new(EstimatorConfig {
+            sources: vec![VelocitySource::CanBus, VelocitySource::Accelerometer],
             ..Default::default()
-        })
-        .estimate(&log, Some(&route));
-        let scalar_sub = GradientEstimator::new(EstimatorConfig { sources, ..scalar_cfg })
-            .estimate(&log, Some(&route));
-        assert_eq!(fused_sub, scalar_sub);
+        });
+        [(all.clone(), Some(route)), (all, None), (subset, Some(route))]
+    }
+
+    #[test]
+    fn fused_lanes_bit_identical_to_scalar_tracks() {
+        let (route, log) = lane_change_trip();
+        for (estimator, map) in oracle_cases(&route) {
+            let mut scratch = EstimatorScratch::new();
+            let mut out = GradientEstimate::default();
+            estimator.estimate_into(&log, map, &mut scratch, &mut out);
+            assert!(!out.detections.is_empty(), "the Eq-2 correction must be exercised");
+            let oracle = scalar_oracle_tracks(&estimator, &log, &scratch, &NoopRecorder);
+            let n_src = estimator.config.sources.len();
+            assert_eq!(oracle.len(), n_src);
+            for (lane, scalar) in scratch.tracks[..n_src].iter().zip(&oracle) {
+                assert!(!scalar.is_empty());
+                assert_eq!(track_bits(&lane.track), track_bits(scalar), "track {}", scalar.label);
+            }
+        }
     }
 
     #[test]
     fn fused_lanes_record_the_same_counters_as_scalar_tracks() {
-        let route = Route::new(vec![straight_road(800.0, 2.0)]).unwrap();
-        let traj = simulate_trip(&route, &TripConfig::default(), 5);
-        let log = SensorSuite::new(SensorConfig::default()).run(&traj, 5);
-        let reports = [false, true].map(|force_scalar| {
-            let estimator = GradientEstimator::new(EstimatorConfig {
-                force_scalar_tracks: force_scalar,
-                parallel_tracks: false,
-                ..Default::default()
-            });
-            let rec = gradest_obs::RunRecorder::new();
+        let (route, log) = lane_change_trip();
+        for (estimator, map) in oracle_cases(&route) {
+            let lanes_rec = gradest_obs::RunRecorder::new();
             let mut scratch = EstimatorScratch::new();
-            estimator.estimate_with_recorded(&log, Some(&route), &mut scratch, &rec);
-            rec.report()
-        });
-        let [fused, scalar] = reports;
-        for counter in [
-            "ekf-predicts",
-            "ekf-updates-gps",
-            "ekf-updates-speedometer",
-            "ekf-updates-can-bus",
-            "ekf-updates-accelerometer",
-            "tracks-healthy",
-            "tracks-degraded",
-            "tracks-diverged",
-        ] {
-            assert_eq!(fused.counter(counter), scalar.counter(counter), "counter {counter}");
+            let mut out = GradientEstimate::default();
+            estimator.estimate_into_recorded(&log, map, &mut scratch, &mut out, &lanes_rec);
+            let scalar_rec = gradest_obs::RunRecorder::new();
+            scalar_oracle_tracks(&estimator, &log, &scratch, &scalar_rec);
+            let (lanes, scalar) = (lanes_rec.report(), scalar_rec.report());
+            assert!(scalar.counter("ekf-predicts").unwrap_or(0) > 0);
+            for counter in [
+                "ekf-predicts",
+                "ekf-updates:gps",
+                "ekf-updates:speedometer",
+                "ekf-updates:can-bus",
+                "ekf-updates:accelerometer",
+                "tracks-healthy",
+                "tracks-degraded",
+                "tracks-diverged",
+            ] {
+                assert_eq!(lanes.counter(counter), scalar.counter(counter), "counter {counter}");
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 velocity sources")]
+    fn more_sources_than_lanes_panics_at_construction() {
+        let mut sources = VelocitySource::ALL.to_vec();
+        sources.push(VelocitySource::Gps);
+        let _ = GradientEstimator::new(EstimatorConfig { sources, ..Default::default() });
+    }
+
+    #[test]
+    fn no_sources_give_the_empty_estimate() {
+        let route = Route::new(vec![straight_road(400.0, 2.0)]).unwrap();
+        let traj = simulate_trip(&route, &TripConfig::default(), 6);
+        let log = SensorSuite::new(SensorConfig::default()).run(&traj, 6);
+        let estimator =
+            GradientEstimator::new(EstimatorConfig { sources: vec![], ..Default::default() });
+        let est = estimator.estimate(&log, Some(&route));
+        assert!(est.tracks.is_empty());
+        assert_eq!(est.fused.label, "fused");
+        assert!(est.fused.is_empty());
+        assert_eq!(est.distance_m, 0.0);
+        // A warm scratch that last ran four lanes gives the same answer.
+        let mut scratch = EstimatorScratch::new();
+        let mut out = GradientEstimate::default();
+        GradientEstimator::new(EstimatorConfig::default()).estimate_into(
+            &log,
+            Some(&route),
+            &mut scratch,
+            &mut out,
+        );
+        estimator.estimate_into(&log, Some(&route), &mut scratch, &mut out);
+        assert_eq!(out, est);
     }
 
     #[test]
@@ -1307,8 +1256,10 @@ mod tests {
         let estimator = GradientEstimator::new(EstimatorConfig::default());
         let cold = estimator.estimate(&log, Some(&route));
         let mut scratch = EstimatorScratch::new();
-        let first = estimator.estimate_with(&log, Some(&route), &mut scratch);
-        let warm = estimator.estimate_with(&log, Some(&route), &mut scratch);
+        let mut first = GradientEstimate::default();
+        estimator.estimate_into(&log, Some(&route), &mut scratch, &mut first);
+        let mut warm = GradientEstimate::default();
+        estimator.estimate_into(&log, Some(&route), &mut scratch, &mut warm);
         assert_eq!(cold, first);
         assert_eq!(cold, warm);
         assert!(scratch.stages().total() > 0);
@@ -1323,7 +1274,8 @@ mod tests {
         let plain = estimator.estimate(&log, Some(&route));
         let rec = gradest_obs::RunRecorder::new();
         let mut scratch = EstimatorScratch::new();
-        let recorded = estimator.estimate_with_recorded(&log, Some(&route), &mut scratch, &rec);
+        let mut recorded = GradientEstimate::default();
+        estimator.estimate_into_recorded(&log, Some(&route), &mut scratch, &mut recorded, &rec);
         assert_eq!(plain, recorded, "recording must not perturb the estimate");
         let report = rec.report();
         assert_eq!(report.counter("trips-processed"), Some(1));
@@ -1378,18 +1330,33 @@ mod tests {
 
     #[test]
     fn fast_lowess_tracks_generic_reference() {
+        // The steering profile the pipeline smooths on its uniform IMU
+        // grid agrees with the generic LOWESS reference within 1e-12.
         let route = Route::new(vec![straight_road(1200.0, 2.0)]).unwrap();
         let traj = simulate_trip(&route, &TripConfig::default(), 12);
         let log = SensorSuite::new(SensorConfig::default()).run(&traj, 12);
-        let fast = GradientEstimator::new(EstimatorConfig::default()).estimate(&log, Some(&route));
-        let generic = GradientEstimator::new(EstimatorConfig {
-            force_generic_lowess: true,
-            ..Default::default()
-        })
-        .estimate(&log, Some(&route));
-        assert_eq!(fast.fused.len(), generic.fused.len());
-        for (a, b) in fast.fused.theta.iter().zip(&generic.fused.theta) {
-            assert!((a - b).abs() < 1e-12, "fast {a} vs generic {b}");
+        let cfg = EstimatorConfig::default();
+        let mut scratch = EstimatorScratch::new();
+        let mut out = GradientEstimate::default();
+        GradientEstimator::new(cfg.clone()).estimate_into(
+            &log,
+            Some(&route),
+            &mut scratch,
+            &mut out,
+        );
+        let t = &scratch.imu_cols.t;
+        assert!(gradest_math::lowess::detect_uniform_step(t).is_some());
+        let span = t[t.len() - 1] - t[0];
+        let fraction = (cfg.lane_change.smoothing_window_s / span).clamp(1e-4, 1.0);
+        let reference = gradest_math::lowess::lowess_reference(
+            t,
+            &scratch.w_raw,
+            gradest_math::lowess::LowessConfig { fraction, robust_iterations: 0 },
+        )
+        .unwrap();
+        assert_eq!(scratch.profile.w.len(), reference.len());
+        for (a, b) in scratch.profile.w.iter().zip(&reference) {
+            assert!((a - b).abs() < 1e-12, "fast {a} vs reference {b}");
         }
     }
 

@@ -53,19 +53,19 @@ impl SmoothedProfile {
 /// Columnar core of [`smooth_profile`]: `t`/`w_raw` are parallel slices
 /// (see [`gradest_sensors::ImuColumns`]), the LOWESS working buffers come
 /// from `scratch`, and the result overwrites `out` — a warm caller pays no
-/// allocation. `force_generic` disables the uniform-grid LOWESS fast path
-/// (reference arithmetic, bit for bit).
+/// allocation. LOWESS takes its uniform-grid fast path whenever `t` is a
+/// uniform grid (see [`gradest_math::lowess::lowess_into`]).
 ///
 /// Inputs shorter than 3 samples pass through unsmoothed.
 ///
 /// # Panics
 ///
-/// Panics if `t` and `w_raw` differ in length.
+/// Panics if `t` and `w_raw` differ in length, or if `t` (3 or more
+/// samples) is not strictly increasing.
 pub fn smooth_profile_into(
     t: &[f64],
     w_raw: &[f64],
     window_s: f64,
-    force_generic: bool,
     scratch: &mut LowessScratch,
     out: &mut SmoothedProfile,
 ) {
@@ -79,9 +79,9 @@ pub fn smooth_profile_into(
     }
     let span = t[t.len() - 1] - t[0]; // lint:allow(hot-index) t.len() >= 3 after the early return above
     let fraction = (window_s / span.max(1e-9)).clamp(1e-4, 1.0);
-    let config = LowessConfig { fraction, robust_iterations: 0, force_generic };
-    // lint:allow(no-panic) inputs validated above: equal lengths, >= 3 samples, fraction clamped finite
-    lowess_into(t, w_raw, config, scratch, &mut out.w).expect("validated uniform series");
+    let config = LowessConfig { fraction, robust_iterations: 0 };
+    // lint:allow(no-panic) equal lengths, >= 3 samples and a clamped fraction checked above; increasing times are the documented precondition
+    lowess_into(t, w_raw, config, scratch, &mut out.w).expect("strictly increasing times");
 }
 
 /// Smooths a raw `(t, w_steer)` series with LOWESS.
@@ -97,7 +97,7 @@ pub fn smooth_profile(raw: &[(f64, f64)], window_s: f64) -> SmoothedProfile {
     let w: Vec<f64> = raw.iter().map(|p| p.1).collect();
     let mut out = SmoothedProfile { t: Vec::new(), w: Vec::new() };
     LOWESS_SCRATCH.with(|scratch| {
-        smooth_profile_into(&t, &w, window_s, false, &mut scratch.borrow_mut(), &mut out);
+        smooth_profile_into(&t, &w, window_s, &mut scratch.borrow_mut(), &mut out);
     });
     out
 }

@@ -11,7 +11,9 @@
 //! tuning, sensor rates), regenerate the expectation by running the
 //! test and copying the printed `actual` block.
 
-use gradest_core::pipeline::{EstimatorConfig, EstimatorScratch, GradientEstimator};
+use gradest_core::pipeline::{
+    EstimatorConfig, EstimatorScratch, GradientEstimate, GradientEstimator,
+};
 use gradest_geo::generate::red_road;
 use gradest_geo::Route;
 use gradest_obs::{
@@ -33,13 +35,13 @@ fn canonical_trip() -> (TraceSnapshot, RunRecorder) {
     let traj = simulate_trip(&route, &cfg, 7);
     let log = SensorSuite::new(SensorConfig::default()).run(&traj, 7);
 
-    let estimator =
-        GradientEstimator::new(EstimatorConfig { parallel_tracks: false, ..Default::default() });
+    let estimator = GradientEstimator::new(EstimatorConfig::default());
     let run = RunRecorder::new();
     let ring = TraceRing::with_capacity(1024);
     let rec = Tee::new(&run, &ring);
     let mut scratch = EstimatorScratch::new();
-    let est = estimator.estimate_with_recorded(&log, Some(&route), &mut scratch, &rec);
+    let mut est = GradientEstimate::default();
+    estimator.estimate_into_recorded(&log, Some(&route), &mut scratch, &mut est, &rec);
     assert!(!est.fused.is_empty(), "canonical trip produced an empty estimate");
     (ring.snapshot(), run)
 }

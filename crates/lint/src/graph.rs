@@ -950,31 +950,6 @@ fn collect_pub_items(toks: &[Tok], excluded: &[bool], file: usize, out: &mut Vec
     }
 }
 
-/// Parses the string-literal elements of a `pub const NAME: &[&str]`
-/// slice in `toks`, returning `(line_of_const, values)` when found.
-pub fn parse_str_slice_const(lexed: &Lexed, name: &str) -> Option<(u32, Vec<String>)> {
-    let toks = &lexed.tokens;
-    let pos = toks
-        .iter()
-        .position(|t| t.kind == TokKind::Ident && t.text == name)
-        .filter(|&i| i > 0 && toks[i - 1].text == "const")?;
-    // Skip past the `=` so the `[` in the `&[&str]` type annotation
-    // is not mistaken for the initializer's bracket.
-    let eq = (pos..toks.len()).find(|&i| toks[i].text == "=" && toks[i].kind == TokKind::Punct)?;
-    let open = (eq..toks.len()).find(|&i| toks[i].text == "[" && toks[i].kind == TokKind::Punct)?;
-    let mut vals = Vec::new();
-    for t in toks.iter().skip(open + 1) {
-        match t.kind {
-            TokKind::Str => {
-                vals.push(t.text.trim_matches('"').to_string());
-            }
-            TokKind::Punct if t.text == "]" => break,
-            _ => {}
-        }
-    }
-    Some((toks[pos].line, vals))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1121,14 +1096,6 @@ mod tests {
         )]);
         assert_eq!(g.fns.len(), 1);
         assert!(g.calls.is_empty());
-    }
-
-    #[test]
-    fn str_slice_const_parses() {
-        let lexed = lex("pub const WARM_PATH_MODULES: &[&str] = &[\n    \"core::pipeline\",\n    \"math::lowess\",\n];");
-        let (line, vals) = parse_str_slice_const(&lexed, "WARM_PATH_MODULES").expect("const");
-        assert_eq!(line, 1);
-        assert_eq!(vals, vec!["core::pipeline", "math::lowess"]);
     }
 
     #[test]

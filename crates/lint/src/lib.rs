@@ -22,8 +22,9 @@
 //!   so the fallback compiles everywhere the intrinsics path does.
 //!
 //! The module lists are exported as constants so other crates (the
-//! bench harness's `pipeline_hotpath_smoke` gate) can assert they
-//! agree with the runtime alloc-gated call set — one source of truth.
+//! bench harness's `pipeline_hotpath_smoke` gate) can check the
+//! call-graph-derived warm modules against the same alloc-gated list —
+//! one list, one source of truth.
 //!
 //! Run it with `cargo run -p gradest-lint`; see DESIGN.md §8.
 
@@ -187,9 +188,9 @@ pub struct AnalyzeOptions {
     /// Warm alloc-gated module list (no-alloc taint roots). Defaults to
     /// [`WARM_ALLOC_GATED_MODULES`].
     pub warm_modules: Vec<String>,
-    /// Derive warm-path module reachability from the graph and check it
-    /// against `pipeline::WARM_PATH_MODULES` (auto-skipped when the
-    /// pipeline file or const is absent, e.g. under fixture roots).
+    /// Derive warm-path module reachability from the graph and check
+    /// that `warm_modules` gates every derived module (auto-skipped when
+    /// the warm entry points are absent).
     pub check_warm_drift: bool,
     /// Emit note-severity unused-`pub` findings for internal crates.
     pub unused_pub: bool,
@@ -313,23 +314,23 @@ fn scope_for_list(rel: &Path, hot: &[String], warm: &[String]) -> Scope {
     }
 }
 
-/// Generated-vs-declared warm-path check: derives the modules the warm
-/// entry points actually reach from the call graph and compares
-/// three ways — derived ⊆ declared (`pipeline::WARM_PATH_MODULES`),
-/// and declared == the lint's own gated list. Skipped (empty) when the
-/// pipeline file, the const, or the entry points are absent.
+/// Warm-path coverage check: derives the modules the warm entry points
+/// ([`WARM_ENTRY_FNS`]) reach from the call graph and reports every
+/// derived module outside `warm_modules` — derived ⊆ gated. Each
+/// finding sits on the first reachable warm-shaped function of the
+/// ungated module. Empty when the entry points are absent (fixture
+/// roots).
+///
+/// Only this direction is checked. A module counts as derived only when
+/// a *warm-shaped* fn there is reachable, so modules the warm path
+/// enters through plain methods (`EkfLanes::predict`) or trait dispatch
+/// (the recorders behind the generic `Recorder`) are gated without
+/// being derived: the gated list is the authority, and the derivation
+/// catches modules missing from it.
 pub fn warm_drift_findings(
     graph: &graph::Graph,
     warm_modules: &[String],
 ) -> Vec<(PathBuf, Diagnostic)> {
-    let Some(pipeline) = graph.files.iter().position(|f| f.module == "core::pipeline") else {
-        return Vec::new();
-    };
-    let Some((const_line, declared)) =
-        graph::parse_str_slice_const(&graph.files[pipeline].lexed, "WARM_PATH_MODULES")
-    else {
-        return Vec::new();
-    };
     let mut entries: Vec<usize> = Vec::new();
     for (module, name) in WARM_ENTRY_FNS {
         entries.extend(graph.fns_in_module_named(module, name));
@@ -341,64 +342,39 @@ pub fn warm_drift_findings(
     // Derived set: modules containing a warm-shaped function reachable
     // from the entry points. Restricted to warm-shaped fns so batch
     // helpers a warm fn can name (error paths, cold setup) don't drag
-    // their modules into the per-trip list.
-    let reach = graph.reach(&entries);
-    let derived: std::collections::BTreeSet<String> = reach
-        .keys()
-        .filter(|&&f| graph.fns[f].warm_shape)
-        .map(|&f| graph.files[graph.fns[f].file].module.clone())
-        .filter(|m| m.split("::").count() == 2)
-        .collect();
+    // their modules into the per-trip list. The first such fn (by file
+    // position) locates the finding.
+    let mut derived: std::collections::BTreeMap<String, (usize, u32)> =
+        std::collections::BTreeMap::new();
+    for &f in graph.reach(&entries).keys() {
+        let func = &graph.fns[f];
+        let module = &graph.files[func.file].module;
+        if !func.warm_shape || module.split("::").count() != 2 {
+            continue;
+        }
+        let site = (func.file, func.line);
+        derived
+            .entry(module.clone())
+            .and_modify(|first| *first = (*first).min(site))
+            .or_insert(site);
+    }
 
-    let path = graph.files[pipeline].path.clone();
-    let mut out = Vec::new();
-    for m in &derived {
-        if !declared.iter().any(|d| d == m) {
-            out.push((
-                path.clone(),
-                Diagnostic {
-                    rule: rules::RULE_WARM_PATH_DRIFT,
-                    line: const_line,
-                    msg: format!(
-                        "call graph derives warm module `{m}` (a `_into`/scratch fn there is \
-                         reachable from the warm entry points) but WARM_PATH_MODULES does not \
-                         declare it"
-                    ),
-                },
-            ));
-        }
-    }
-    for d in &declared {
-        if !warm_modules.iter().any(|m| m == d) {
-            out.push((
-                path.clone(),
-                Diagnostic {
-                    rule: rules::RULE_WARM_PATH_DRIFT,
-                    line: const_line,
-                    msg: format!(
-                        "WARM_PATH_MODULES declares `{d}` but the lint's \
-                         WARM_ALLOC_GATED_MODULES does not gate it"
-                    ),
-                },
-            ));
-        }
-    }
-    for m in warm_modules {
-        if !declared.iter().any(|d| d == m) {
-            out.push((
-                path.clone(),
-                Diagnostic {
-                    rule: rules::RULE_WARM_PATH_DRIFT,
-                    line: const_line,
-                    msg: format!(
-                        "the lint gates `{m}` for warm allocations but \
-                         WARM_PATH_MODULES does not declare it"
-                    ),
-                },
-            ));
-        }
-    }
-    out
+    derived
+        .into_iter()
+        .filter(|(m, _)| !warm_modules.contains(m))
+        .map(|(m, (file, line))| {
+            let diag = Diagnostic {
+                rule: rules::RULE_WARM_PATH_DRIFT,
+                line,
+                msg: format!(
+                    "call graph derives warm module `{m}` (a `_into`/scratch fn here is \
+                     reachable from the warm entry points) but WARM_ALLOC_GATED_MODULES does \
+                     not gate it"
+                ),
+            };
+            (graph.files[file].path.clone(), diag)
+        })
+        .collect()
 }
 
 /// Identifier corpus over the whole repo (tests, benches, examples

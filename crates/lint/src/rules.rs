@@ -37,9 +37,10 @@ pub const RULE_TRANSITIVE_PANIC: &str = "transitive-panic";
 /// resolution decided the outcome, so the call needs a disambiguating
 /// path qualifier (or an audited allow).
 pub const RULE_AMBIGUOUS_CALL: &str = "ambiguous-call";
-/// Rule: `pipeline::WARM_PATH_MODULES` disagrees with the module set
-/// derived from the call graph (or with the lint's own gated list).
-/// Not suppressible: fix the list, not the messenger.
+/// Rule: the call graph derives a warm-path module (a warm-shaped fn
+/// reachable from the warm entry points) that the alloc-gated module
+/// list does not cover. Not suppressible: fix the list, not the
+/// messenger.
 pub const RULE_WARM_PATH_DRIFT: &str = "warm-path-drift";
 /// Note-severity rule: a `pub` item in an internal crate with no
 /// reference anywhere else in the repository.

@@ -5,9 +5,9 @@
 //! exercised end-to-end exactly as the CLI runs them.
 //!
 //! The final tests pin the real repository: the workspace must analyze
-//! clean, and the warm-path drift check must actually engage (parse
-//! the declared const, find the entry points, derive a non-trivial
-//! module set) rather than silently skipping.
+//! clean, and the warm-path drift check must actually engage (find the
+//! entry points, derive a non-trivial module set) rather than silently
+//! skipping.
 
 use gradest_lint::report::{diff, Report};
 use gradest_lint::rules::{
@@ -21,9 +21,9 @@ fn case_root(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/graph").join(name)
 }
 
-/// Runs a fixture case with defaults minus the audits that need a real
-/// workspace (notes, drift — drift auto-skips anyway without the
-/// const, but keeping it on exercises the skip path).
+/// Runs a fixture case with defaults minus the unused-`pub` notes,
+/// which need a real workspace. The drift check stays on: the cases'
+/// warm entry points reach only gated modules, so it must stay quiet.
 fn run_case(name: &str) -> Vec<FileDiagnostics> {
     let opts = AnalyzeOptions { unused_pub: false, ..AnalyzeOptions::default() };
     analyze(&case_root(name), &opts)
@@ -96,25 +96,37 @@ fn justified_leaf_suppression_silences_the_chain() {
 }
 
 #[test]
-fn warm_path_drift_fires_on_missing_declared_module() {
-    // The fixture's const declares only core::pipeline while the graph
-    // derives math::lowess; the gated list for the comparison covers
-    // both so only the declaration gap is reported.
+fn warm_path_drift_fires_on_ungated_derived_module() {
+    // The entry point in core::pipeline reaches a warm-shaped helper in
+    // math::lowess; gating only core::pipeline must flag math::lowess,
+    // on the helper's own line.
+    let opts = AnalyzeOptions {
+        unused_pub: false,
+        warm_modules: vec!["core::pipeline".to_string()],
+        ..AnalyzeOptions::default()
+    };
+    let findings = analyze(&case_root("drift"), &opts);
+    let all = flat(&findings);
+    let drift: Vec<_> = all.iter().filter(|(_, r, _)| *r == RULE_WARM_PATH_DRIFT).collect();
+    assert_eq!(drift.len(), 1, "{all:?}");
+    let (path, _, msg) = drift[0];
+    assert_eq!(path, "crates/math/src/lowess.rs");
+    assert!(msg.contains("`math::lowess`") && msg.contains("does not gate"), "{msg}");
+    let line = findings
+        .iter()
+        .flat_map(|f| &f.diagnostics)
+        .find(|d| d.rule == RULE_WARM_PATH_DRIFT)
+        .map(|d| d.line);
+    assert_eq!(line, Some(2), "finding sits on `smooth_into`");
+
+    // Gating both derived modules silences it.
     let opts = AnalyzeOptions {
         unused_pub: false,
         warm_modules: vec!["core::pipeline".to_string(), "math::lowess".to_string()],
         ..AnalyzeOptions::default()
     };
     let all = flat(&analyze(&case_root("drift"), &opts));
-    let drift: Vec<_> = all.iter().filter(|(_, r, _)| *r == RULE_WARM_PATH_DRIFT).collect();
-    assert!(
-        drift.iter().any(|(p, _, m)| {
-            p == "crates/core/src/pipeline.rs"
-                && m.contains("`math::lowess`")
-                && m.contains("does not declare")
-        }),
-        "{all:?}"
-    );
+    assert!(all.iter().all(|(_, r, _)| *r != RULE_WARM_PATH_DRIFT), "{all:?}");
 }
 
 #[test]
@@ -194,23 +206,12 @@ fn real_workspace_is_clean_and_drift_check_engages() {
         .collect();
     assert!(errors.is_empty(), "workspace must stay lint-clean: {errors:#?}");
 
-    // The drift check must be live, not silently skipped: the const
-    // parses, the entry points resolve, and the derivation covers a
-    // meaningful slice of the gated list.
+    // The drift check must be live, not silently skipped: the entry
+    // points resolve, and the derivation covers a meaningful slice of
+    // the gated list — every derived module inside it.
     let (sources, unreadable) = gradest_lint::workspace_sources(&root);
     assert!(unreadable.is_empty());
     let graph = gradest_lint::graph::Graph::build(sources);
-    let pipeline = graph
-        .files
-        .iter()
-        .position(|f| f.module == "core::pipeline")
-        .expect("core::pipeline present");
-    let (_, declared) = gradest_lint::graph::parse_str_slice_const(
-        &graph.files[pipeline].lexed,
-        "WARM_PATH_MODULES",
-    )
-    .expect("WARM_PATH_MODULES parses");
-    assert!(!declared.is_empty());
     let mut entries = Vec::new();
     for (module, name) in gradest_lint::WARM_ENTRY_FNS {
         entries.extend(graph.fns_in_module_named(module, name));
@@ -225,6 +226,20 @@ fn real_workspace_is_clean_and_drift_check_engages() {
         .collect();
     assert!(derived.len() >= 3, "derivation should reach several warm modules, got {derived:?}");
     for m in &derived {
-        assert!(declared.iter().any(|d| d == m), "derived {m} missing from declared list");
+        assert!(
+            gradest_lint::WARM_ALLOC_GATED_MODULES.contains(&m.as_str()),
+            "derived {m} missing from the gated list"
+        );
     }
+    // Removing any derived module from the gated list must surface as
+    // drift on the real workspace, not only on fixtures.
+    let first = derived.iter().next().expect("nonempty").clone();
+    let ungated: Vec<String> = gradest_lint::WARM_ALLOC_GATED_MODULES
+        .iter()
+        .filter(|m| **m != first)
+        .map(|m| m.to_string())
+        .collect();
+    let drift = gradest_lint::warm_drift_findings(&graph, &ungated);
+    assert_eq!(drift.len(), 1, "{drift:?}");
+    assert!(drift[0].1.msg.contains(&format!("`{first}`")), "{}", drift[0].1.msg);
 }

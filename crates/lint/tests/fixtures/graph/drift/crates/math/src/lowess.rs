@@ -1,5 +1,4 @@
-//! Fixture: warm-shaped helper in a module absent from the declared
-//! list.
+//! Fixture: warm-shaped helper in a module absent from the gated list.
 pub fn smooth_into(out: &mut [f64]) {
     for x in out.iter_mut() {
         *x *= 0.5;

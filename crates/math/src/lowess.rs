@@ -17,18 +17,13 @@ pub struct LowessConfig {
     pub fraction: f64,
     /// Number of robustifying iterations (0 = plain LOWESS).
     pub robust_iterations: usize,
-    /// Disable the uniform-grid fast path even when the abscissae form a
-    /// uniform grid (see [`detect_uniform_step`]). The generic and fast
-    /// paths agree within ~1e-12; forcing the generic path gives the
-    /// reference answer bit-for-bit.
-    pub force_generic: bool,
 }
 
 impl Default for LowessConfig {
     fn default() -> Self {
         // fraction 0.1 keeps lane-change bumps (~seconds wide at 50 Hz)
         // intact while killing sample-level sensor noise.
-        LowessConfig { fraction: 0.1, robust_iterations: 0, force_generic: false }
+        LowessConfig { fraction: 0.1, robust_iterations: 0 }
     }
 }
 
@@ -44,19 +39,12 @@ impl LowessConfig {
             fraction > 0.0 && fraction <= 1.0,
             "LOWESS fraction must be in (0, 1], got {fraction}"
         );
-        LowessConfig { fraction, robust_iterations: 0, force_generic: false }
+        LowessConfig { fraction, robust_iterations: 0 }
     }
 
     /// Sets the number of robustifying iterations.
     pub fn robust(mut self, iterations: usize) -> Self {
         self.robust_iterations = iterations;
-        self
-    }
-
-    /// Forces the generic per-point path (disables the uniform-grid fast
-    /// path).
-    pub fn generic_only(mut self) -> Self {
-        self.force_generic = true;
         self
     }
 }
@@ -152,6 +140,11 @@ impl LowessScratch {
 /// `scratch`, so repeated calls allocate nothing once the buffers have
 /// grown to the series length.
 ///
+/// The grid picks the path: on a uniform grid (see
+/// [`detect_uniform_step`]) interior windows share one precomputed
+/// weight table and agree with [`lowess_reference`] within ~1e-12;
+/// any other grid runs the reference fit itself, bit for bit.
+///
 /// # Errors
 ///
 /// Same as [`lowess`].
@@ -159,6 +152,33 @@ pub fn lowess_into(
     xs: &[f64],
     ys: &[f64],
     config: LowessConfig,
+    scratch: &mut LowessScratch,
+    fitted: &mut Vec<f64>,
+) -> MathResult<()> {
+    lowess_core(xs, ys, config, detect_uniform_step(xs), scratch, fitted)
+}
+
+/// The generic per-point LOWESS fit on any grid — the reference the
+/// uniform-grid fast path of [`lowess_into`] is tested against. Same
+/// robust-iteration loop, no shared weight tables.
+///
+/// # Errors
+///
+/// Same as [`lowess`].
+pub fn lowess_reference(xs: &[f64], ys: &[f64], config: LowessConfig) -> MathResult<Vec<f64>> {
+    let mut fitted = Vec::new();
+    lowess_core(xs, ys, config, None, &mut LowessScratch::new(), &mut fitted)?;
+    Ok(fitted)
+}
+
+/// Validation plus the robust-iteration loop shared by [`lowess_into`]
+/// and [`lowess_reference`]. `uniform_step` is the grid step of `xs`
+/// when the fast path may run, `None` for the generic fit everywhere.
+fn lowess_core(
+    xs: &[f64],
+    ys: &[f64],
+    config: LowessConfig,
+    uniform_step: Option<f64>,
     scratch: &mut LowessScratch,
     fitted: &mut Vec<f64>,
 ) -> MathResult<()> {
@@ -193,8 +213,7 @@ pub fn lowess_into(
     // Uniform-grid fast path: interior windows all share one tricube
     // weight vector, precomputed once. Edge points (and every point on
     // non-uniform grids) keep the generic per-point fit.
-    let uniform = if config.force_generic { None } else { detect_uniform_step(xs) };
-    let fast_h = match uniform {
+    let fast_h = match uniform_step {
         Some(step) if n > window => {
             let h = window / 2;
             precompute_uniform_tables(step, window, h, scratch);
@@ -647,10 +666,9 @@ mod tests {
             &[(300usize, 0.11, 0usize), (300, 0.12, 0), (257, 0.2, 2), (300, 0.0667, 3)]
         {
             let (xs, ys) = wavy(n, 0.0625);
-            let cfg =
-                LowessConfig { fraction: frac, robust_iterations: iters, force_generic: false };
+            let cfg = LowessConfig { fraction: frac, robust_iterations: iters };
             let fast = lowess(&xs, &ys, cfg).unwrap();
-            let generic = lowess(&xs, &ys, cfg.generic_only()).unwrap();
+            let generic = lowess_reference(&xs, &ys, cfg).unwrap();
             let diff = max_abs_diff(&fast, &generic);
             assert!(diff < 1e-12, "n={n} frac={frac} iters={iters}: diff {diff}");
         }
@@ -674,9 +692,9 @@ mod tests {
             (0..4000).map(|i| (i as f64 * 0.37).sin() + 0.5 * (i as f64 * 1.7).cos()).collect();
         // Odd and even windows.
         for frac in [0.01125, 0.0125] {
-            let cfg = LowessConfig { fraction: frac, robust_iterations: 0, force_generic: false };
+            let cfg = LowessConfig { fraction: frac, robust_iterations: 0 };
             let fast = lowess(&xs, &ys, cfg).unwrap();
-            let generic = lowess(&xs, &ys, cfg.generic_only()).unwrap();
+            let generic = lowess_reference(&xs, &ys, cfg).unwrap();
             let diff = max_abs_diff(&fast, &generic);
             assert!(diff < 1e-12, "frac={frac}: diff {diff}");
         }
@@ -706,11 +724,14 @@ mod tests {
             (0..n).map(|i| i as f64 * 0.02 + 0.004 * ((i * 7919 % 13) as f64 / 13.0)).collect();
         assert!(detect_uniform_step(&xs).is_none());
         let ys: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
-        let cfg = LowessConfig::with_fraction(0.15);
-        // Fast path not taken: the two configurations are bit-identical.
-        let auto = lowess(&xs, &ys, cfg).unwrap();
-        let generic = lowess(&xs, &ys, cfg.generic_only()).unwrap();
-        assert_eq!(auto, generic);
+        // Fast path not taken: plain and robust fits equal the reference
+        // bit for bit.
+        for cfg in [LowessConfig::with_fraction(0.15), LowessConfig::with_fraction(0.15).robust(2)]
+        {
+            let auto = lowess(&xs, &ys, cfg).unwrap();
+            let reference = lowess_reference(&xs, &ys, cfg).unwrap();
+            assert_eq!(auto, reference);
+        }
     }
 
     #[test]

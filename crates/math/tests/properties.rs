@@ -1,7 +1,7 @@
 //! Property-based tests for the numeric kernels.
 
 use gradest_math::angle::{angle_diff, wrap_pi, wrap_two_pi};
-use gradest_math::lowess::{detect_uniform_step, lowess, LowessConfig};
+use gradest_math::lowess::{detect_uniform_step, lowess, lowess_reference, LowessConfig};
 use gradest_math::signal::{cumsum_scaled, integrate_cumulative, moving_average};
 use gradest_math::stats::{mean, percentile, EmpiricalCdf};
 use gradest_math::{DMatrix, Mat2, Mat3, Vec2};
@@ -240,9 +240,9 @@ proptest! {
         let dt = mantissa as f64 * 2f64.powi(exponent);
         let xs: Vec<f64> = (0..ys.len()).map(|i| x0 as f64 + i as f64 * dt).collect();
         prop_assert!(detect_uniform_step(&xs).is_some());
-        let cfg = LowessConfig { fraction: frac, robust_iterations: iters, force_generic: false };
+        let cfg = LowessConfig { fraction: frac, robust_iterations: iters };
         let fast = lowess(&xs, &ys, cfg).unwrap();
-        let generic = lowess(&xs, &ys, cfg.generic_only()).unwrap();
+        let generic = lowess_reference(&xs, &ys, cfg).unwrap();
         for (f, g) in fast.iter().zip(&generic) {
             prop_assert!((f - g).abs() < 1e-12, "fast {f} vs generic {g}");
         }
@@ -255,16 +255,16 @@ proptest! {
         frac in 0.1..1.0f64,
     ) {
         // Jitter far above the uniformity tolerance: detection must
-        // refuse, and the auto path must equal the forced-generic path
+        // refuse, and the auto path must equal the generic reference
         // bit for bit (proving the fallback really runs the generic fit).
         let n = ys.len();
         let xs: Vec<f64> = (0..n)
             .map(|i| i as f64 * 0.02 + jitter_scale * 0.02 * ((i * 7919 % 17) as f64 / 17.0))
             .collect();
         prop_assert!(detect_uniform_step(&xs).is_none());
-        let cfg = LowessConfig { fraction: frac, robust_iterations: 1, force_generic: false };
+        let cfg = LowessConfig { fraction: frac, robust_iterations: 1 };
         let auto = lowess(&xs, &ys, cfg).unwrap();
-        let generic = lowess(&xs, &ys, cfg.generic_only()).unwrap();
+        let generic = lowess_reference(&xs, &ys, cfg).unwrap();
         prop_assert_eq!(auto, generic);
     }
 }

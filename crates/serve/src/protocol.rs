@@ -331,8 +331,9 @@ impl UploadScratch {
 ///
 /// [`DecodeError::Truncated`] when the payload ends early,
 /// [`DecodeError::Malformed`] on trailing bytes, a GPS validity byte
-/// other than 0/1, or a log with fewer than two IMU samples (the
-/// estimator's documented precondition — validated here so the worker
+/// other than 0/1, a log with fewer than two IMU samples, or IMU
+/// timestamps that are not finite and strictly increasing (the
+/// estimator's documented preconditions — validated here so the worker
 /// never feeds the pipeline a log that would panic it).
 pub fn decode_upload_into(payload: &[u8], scratch: &mut UploadScratch) -> Result<(), DecodeError> {
     let log = &mut scratch.log;
@@ -387,7 +388,18 @@ pub fn decode_upload_into(payload: &[u8], scratch: &mut UploadScratch) -> Result
     if log.imu.len() < 2 {
         return Err(DecodeError::Malformed("fewer than two imu samples"));
     }
+    if !imu_times_increasing(&log.imu) {
+        return Err(DecodeError::Malformed("imu times not finite and strictly increasing"));
+    }
     Ok(())
+}
+
+/// Whether the IMU timestamps are finite and strictly increasing. A
+/// strictly increasing series holds no NaN, and only its ends can be
+/// infinite, so the ends plus the pairwise order cover finiteness.
+fn imu_times_increasing(imu: &[ImuSample]) -> bool {
+    let finite = |s: Option<&ImuSample>| s.is_none_or(|s| s.t.is_finite());
+    finite(imu.first()) && finite(imu.last()) && imu.windows(2).all(|w| w[0].t < w[1].t)
 }
 
 /// Decodes an ACK reply payload.

@@ -13,13 +13,23 @@ use gradest_serve::protocol::{
 };
 use proptest::prelude::*;
 
+/// Well-formed logs: IMU times strictly increasing (positive steps
+/// from a random start), every other stream unconstrained.
 fn log_strategy() -> impl Strategy<Value = SensorLog> {
-    let imu = prop::collection::vec(
-        (0.0..100.0f64, -5.0..5.0f64, -5.0..5.0f64, -1.0..1.0f64).prop_map(
-            |(t, accel_long, accel_lat, gyro_z)| ImuSample { t, accel_long, accel_lat, gyro_z },
-        ),
-        2..40,
-    );
+    let imu = (
+        0.0..100.0f64,
+        prop::collection::vec((1e-3..1.0f64, -5.0..5.0f64, -5.0..5.0f64, -1.0..1.0f64), 2..40),
+    )
+        .prop_map(|(t0, steps)| {
+            let mut t = t0;
+            steps
+                .into_iter()
+                .map(|(dt, accel_long, accel_lat, gyro_z)| {
+                    t += dt;
+                    ImuSample { t, accel_long, accel_lat, gyro_z }
+                })
+                .collect::<Vec<_>>()
+        });
     let gps = prop::collection::vec(
         (0.0..100.0f64, -1e4..1e4f64, -1e4..1e4f64, 0.0..40.0f64, -4.0..4.0f64, any::<bool>())
             .prop_map(|(t, x, y, speed_mps, heading, valid)| GpsSample {
@@ -56,6 +66,34 @@ proptest! {
         decode_upload_into(&wire[HEADER_BYTES..], &mut scratch).expect("well-formed frame");
         prop_assert_eq!(scratch.road_id, road_id);
         prop_assert_eq!(&scratch.log, &log);
+    }
+
+    /// An IMU stream whose times repeat, go backwards, or are not
+    /// finite decodes to `Malformed` — the estimator would panic on it.
+    #[test]
+    fn bad_imu_times_are_malformed(
+        log in log_strategy(),
+        at in 0.0..1.0f64,
+        kind in 0..5u8,
+    ) {
+        let mut log = log;
+        let last = log.imu.len() - 1;
+        let i = (last as f64 * at) as usize;
+        match kind {
+            0 => log.imu[i + 1].t = log.imu[i].t,
+            1 => log.imu.swap(i, i + 1),
+            2 => log.imu[i].t = f64::NAN,
+            3 => log.imu[i].t = f64::NEG_INFINITY,
+            // In order, so only the finiteness check can catch it.
+            _ => log.imu[last].t = f64::INFINITY,
+        }
+        let mut wire = Vec::new();
+        encode_upload_frame(3, &log, &mut wire);
+        let mut scratch = UploadScratch::new();
+        prop_assert!(matches!(
+            decode_upload_into(&wire[HEADER_BYTES..], &mut scratch),
+            Err(DecodeError::Malformed(_))
+        ));
     }
 
     /// Every prefix of a valid payload is a typed error, never a panic.

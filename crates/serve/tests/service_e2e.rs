@@ -261,6 +261,47 @@ fn hostile_frames_get_typed_errors_and_the_server_survives() {
 }
 
 #[test]
+fn out_of_order_imu_times_are_rejected_without_killing_workers() {
+    // A log whose IMU clock repeats, runs backwards, or is not finite
+    // would panic the estimator inside the drain gate. Decode must
+    // reject it, so every worker survives to ACK a valid upload and the
+    // drain stays clean.
+    let net = parallel_roads_network(1);
+    let cfg = ServeConfig { workers: 2, ..Default::default() };
+    let server = start(&cfg, "127.0.0.1:0", &net, Arc::new(NoopRecorder)).expect("bind loopback");
+    let valid = trip_log(&net, 0, 21);
+    let bad_times: [fn(&mut SensorLog); 4] = [
+        |log| log.imu[5].t = log.imu[4].t,
+        |log| log.imu.swap(3, 4),
+        |log| log.imu[2].t = f64::NAN,
+        |log| log.imu[0].t = f64::NEG_INFINITY,
+    ];
+    // At least one hostile frame per worker, each on its own connection
+    // (a malformed upload closes its connection).
+    assert!(bad_times.len() >= cfg.workers);
+    for corrupt in bad_times {
+        let mut log = valid.clone();
+        corrupt(&mut log);
+        let mut hostile = Client::connect(server.addr(), TIMEOUT).expect("connect");
+        match hostile.upload(0, &log).expect("reply to a hostile upload") {
+            ServerReply::Err { code } => assert_eq!(code, 4, "malformed code"),
+            other => panic!("unexpected reply: {other:?}"),
+        }
+    }
+
+    let mut client = Client::connect(server.addr(), TIMEOUT).expect("connect");
+    match client.upload(0, &valid).expect("upload after hostile frames") {
+        ServerReply::Ack { road_id } => assert_eq!(road_id, 0),
+        other => panic!("unexpected reply: {other:?}"),
+    }
+    drop(client);
+    let report = server.shutdown();
+    assert!(report.is_clean(), "drain after hostile frames: {report:?}");
+    assert_eq!(report.stats.frames_rejected, bad_times.len() as u64);
+    assert_eq!(report.stats.uploads_acked, 1);
+}
+
+#[test]
 fn full_accept_queue_answers_busy() {
     let net = parallel_roads_network(1);
     // One worker and a one-slot queue: the third concurrent idle

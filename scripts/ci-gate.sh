@@ -38,13 +38,14 @@
 #                                        the report from step 3; a clean tree
 #                                        must produce zero NEW findings
 #                                        (round-trips the JSON report schema)
-#   7. pipeline_hotpath_smoke          — zero warm-path allocations (plain AND
-#                                        recorded), fast-vs-generic LOWESS
-#                                        agreement, recorder bit-identity,
-#                                        call-graph-derived warm-path module
-#                                        drift check (graph reachability vs
-#                                        pipeline::WARM_PATH_MODULES vs the
-#                                        lint's alloc-gated list)
+#   7. pipeline_hotpath_smoke          — zero warm-path allocations (plain,
+#                                        recorded AND traced), LOWESS fast path
+#                                        vs lowess_reference agreement,
+#                                        warm-vs-cold and recorder
+#                                        bit-identity, call-graph-derived
+#                                        warm-path drift check (every derived
+#                                        module inside the lint's alloc-gated
+#                                        list)
 #   8. geo index property tests        — packed R-tree nearest/bbox queries
 #                                        pinned against brute-force oracles
 #                                        on randomized segment sets
@@ -172,10 +173,10 @@ if [[ "$MODE" != quick ]]; then
     cargo run --release -q -p gradest-lint -- --baseline target/lint/LINT_REPORT.json
 
   # Hot-path smoke: one trip through the pipeline benchmark; the binary
-  # asserts zero warm-path allocations (with and without a live
-  # recorder), fast-vs-generic LOWESS agreement, warm-scratch and
-  # recorded bit-identity, and zero drift between the call-graph-derived
-  # warm-path module set, pipeline::WARM_PATH_MODULES, and the linter's
+  # asserts zero warm-path allocations (plain, recorded, and traced),
+  # LOWESS fast path vs lowess_reference agreement on the trip's
+  # steering series, warm-vs-cold and recorded bit-identity, and that
+  # every call-graph-derived warm-path module sits in the linter's
   # alloc-gated list.
   run_step "pipeline_hotpath_smoke" \
     cargo run --release -p gradest-bench --bin gradest-experiments -- pipeline_hotpath_smoke
