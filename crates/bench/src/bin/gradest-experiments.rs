@@ -120,6 +120,12 @@ fn main() {
         assert!(r.warm_bit_identical, "warm scratch broke bit-identity");
         assert!(r.recorded_bit_identical, "recorder changed the estimate");
         assert!(r.traced_bit_identical, "trace ring changed the estimate");
+        assert_eq!(
+            r.allocs_per_trip_warm_timeseries,
+            Some(0),
+            "warm estimation path with a live time-series ring allocated"
+        );
+        assert!(r.timeseries_bit_identical, "time-series ring changed the estimate");
         assert!(r.trace_overflow_dropped > 0, "overflowing ring did not count drops");
         pipeline_hotpath::print_report(&r);
         ran += 1;

@@ -12,7 +12,10 @@
 //!   1e-12) and warm-vs-cold bit-identity of the estimate;
 //! * warm-path allocations per trip, when the `gradest-experiments`
 //!   binary's counting allocator is installed (`None` elsewhere, e.g.
-//!   under `cargo test`).
+//!   under `cargo test`);
+//! * the cost of observing — the warm trip timed under each recording
+//!   sink, with its overhead ratio against the `NoopRecorder` row
+//!   (report-only: no `bench-gate` row reads it).
 
 use crate::perfbench::{alloc_counter, run_bench, BenchReport};
 use crate::report::{print_table, save_json};
@@ -21,7 +24,7 @@ use gradest_core::pipeline::{
     EstimatorConfig, EstimatorScratch, GradientEstimate, GradientEstimator, StageNanos,
 };
 use gradest_math::lowess::{lowess_into, lowess_reference, LowessConfig, LowessScratch};
-use gradest_obs::{RunRecorder, RunReport, Tee, TraceRing};
+use gradest_obs::{RunRecorder, RunReport, Tee, TimeSeriesRecorder, TraceRing};
 use gradest_sensors::alignment::{steering_rate_profile_into, WRoadScratch};
 use gradest_sensors::columnar::ImuColumns;
 use serde::{Deserialize, Serialize};
@@ -74,6 +77,29 @@ pub struct PipelineHotpathBench {
     /// same trip ran against it — overflow must shed load by counting,
     /// not by growing.
     pub trace_overflow_dropped: u64,
+    /// Whether the warm path with a live [`TimeSeriesRecorder`]
+    /// reproduced the plain warm-path estimate bit for bit.
+    pub timeseries_bit_identical: bool,
+    /// Heap allocations during one warm trip with a live
+    /// [`TimeSeriesRecorder`]; must match
+    /// [`Self::allocs_per_trip_warm`]. `None` without a counting
+    /// allocator.
+    pub allocs_per_trip_warm_timeseries: Option<u64>,
+    /// Cost of observing: one row per recording sink, timed with the
+    /// same settings as [`Self::optimized_warm_fast`] (the
+    /// `NoopRecorder` row). Report-only; `bench-gate` gates none of it.
+    pub observe_cost: Vec<ObserveCost>,
+}
+
+/// The warm trip timed under one live recording sink.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ObserveCost {
+    /// The sink the trip recorded into.
+    pub recorder: String,
+    /// Warm-trip latency with that sink attached.
+    pub warm: BenchReport,
+    /// `warm` median over the `NoopRecorder` median (1.0 = free).
+    pub overhead_vs_noop: f64,
 }
 
 /// Runs the hot-path benchmark over the standard red-road trip.
@@ -210,6 +236,49 @@ pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
     let trace_overflow_dropped = tiny.dropped();
     assert!(tiny.len() <= 8, "tiny ring grew past its capacity");
 
+    // Time-series pass: the live ring the service records into. Its
+    // windows are allocated at construction, so the warm trip must not
+    // touch the heap, and the estimate stays bit-identical.
+    let series = TimeSeriesRecorder::default();
+    let mut series_out = GradientEstimate::default();
+    estimator.estimate_into_recorded(log, map, &mut scratch, &mut series_out, &series);
+    let allocs_per_trip_warm_timeseries = if alloc_counter::is_installed() {
+        let before = alloc_counter::allocations();
+        estimator.estimate_into_recorded(log, map, &mut scratch, &mut series_out, &series);
+        Some(alloc_counter::allocations() - before)
+    } else {
+        None
+    };
+    let timeseries_bit_identical = series_out == out;
+
+    // Cost of observing: the same warm trip and perfbench settings as
+    // the NoopRecorder row, once per sink. Fresh sinks, so `obs` still
+    // describes exactly the recorded pass above.
+    let observed = |recorder: &str, warm: BenchReport| ObserveCost {
+        recorder: recorder.to_string(),
+        overhead_vs_noop: warm.median_ns_per_op / optimized_warm_fast.median_ns_per_op,
+        warm,
+    };
+    let mut cost_out = GradientEstimate::default();
+    let run_sink = RunRecorder::new();
+    let run_row = run_bench("pipeline_warm_run_recorder", samples, 1, || {
+        estimator.estimate_into_recorded(log, map, &mut scratch, &mut cost_out, &run_sink);
+    });
+    let series_sink = TimeSeriesRecorder::default();
+    let series_row = run_bench("pipeline_warm_timeseries_recorder", samples, 1, || {
+        estimator.estimate_into_recorded(log, map, &mut scratch, &mut cost_out, &series_sink);
+    });
+    let (tee_run, tee_ring) = (RunRecorder::new(), TraceRing::with_capacity(4096));
+    let tee_sink = Tee::new(&tee_run, &tee_ring);
+    let tee_row = run_bench("pipeline_warm_traced", samples, 1, || {
+        estimator.estimate_into_recorded(log, map, &mut scratch, &mut cost_out, &tee_sink);
+    });
+    let observe_cost = vec![
+        observed("RunRecorder", run_row),
+        observed("TimeSeriesRecorder", series_row),
+        observed("Tee(RunRecorder, TraceRing)", tee_row),
+    ];
+
     PipelineHotpathBench {
         imu_samples: log.imu.len(),
         trips_per_sec: optimized_warm_fast.ops_per_sec,
@@ -225,6 +294,9 @@ pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
         allocs_per_trip_warm_traced,
         trace_events_per_trip,
         trace_overflow_dropped,
+        timeseries_bit_identical,
+        allocs_per_trip_warm_timeseries,
+        observe_cost,
     }
 }
 
@@ -280,6 +352,32 @@ pub fn print_report(r: &PipelineHotpathBench) {
         r.trace_events_per_trip,
         r.trace_overflow_dropped,
     );
+    let mut cost_rows = vec![vec![
+        "NoopRecorder".to_string(),
+        format!("{:.3}", b.median_ns_per_op / 1e6),
+        "1.000".to_string(),
+    ]];
+    cost_rows.extend(r.observe_cost.iter().map(|c| {
+        vec![
+            c.recorder.clone(),
+            format!("{:.3}", c.warm.median_ns_per_op / 1e6),
+            format!("{:.3}", c.overhead_vs_noop),
+        ]
+    }));
+    print_table(
+        &format!(
+            "Cost of observing (warm trip, {} samples; TimeSeriesRecorder bit-identical={}, \
+             allocs/trip={})",
+            b.samples,
+            r.timeseries_bit_identical,
+            match r.allocs_per_trip_warm_timeseries {
+                Some(n) => n.to_string(),
+                None => "not measured".to_string(),
+            },
+        ),
+        &["recorder", "ms/trip", "x noop"],
+        &cost_rows,
+    );
     save_json("BENCH_pipeline", r);
 }
 
@@ -313,6 +411,13 @@ mod tests {
         // per-track span-end events.
         assert!(r.trace_events_per_trip >= 2, "trace ring saw {} events", r.trace_events_per_trip);
         assert!(r.trace_overflow_dropped > 0, "capacity-8 ring should have dropped events");
+        assert!(r.timeseries_bit_identical, "time-series warm path diverged from plain warm path");
+        assert_eq!(r.allocs_per_trip_warm_timeseries, None);
+        let sinks: Vec<&str> = r.observe_cost.iter().map(|c| c.recorder.as_str()).collect();
+        assert_eq!(sinks, ["RunRecorder", "TimeSeriesRecorder", "Tee(RunRecorder, TraceRing)"]);
+        for c in &r.observe_cost {
+            assert!(c.overhead_vs_noop > 0.0, "{}: ratio {}", c.recorder, c.overhead_vs_noop);
+        }
     }
 
     #[test]
