@@ -329,7 +329,7 @@ pub fn prometheus_text(report: &RunReport, health: Option<&FleetHealth>) -> Stri
             &mut out,
             "gradest_fleet_nis_band",
             "gauge",
-            "Tracks per mean-NIS decade band.",
+            "Tracks per mean-NIS band (sketch resolution at 10 and 100).",
         );
         for (band, n) in [
             ("lt_1", fh.nis_band_lt_1),

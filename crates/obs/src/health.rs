@@ -5,23 +5,30 @@
 //! GPS can poison a cloud cell for everyone. The pipeline's
 //! `InnovationMonitor` produces a per-track verdict
 //! (healthy/inconsistent/diverged) plus a windowed mean NIS; the
-//! recorded entry points fold those into `RunRecorder` counters and the
-//! `ekf-mean-nis` histogram. [`FleetHealth::from_run`] reads that back
-//! as one fleet-level report: track verdict counts, health-transition
-//! churn, NIS bands, and GPS dropout rates — the per-segment confidence
-//! context a map consumer needs next to the gradient number.
+//! recorded entry points fold those into counters and the
+//! `ekf-mean-nis` histogram. [`FleetHealth::from_series`] reads them
+//! back over any window range of a [`TimeSeries`] as one fleet-level
+//! report: track verdict counts, health-transition churn, NIS bands,
+//! and GPS dropout rates — the per-segment confidence context a map
+//! consumer needs next to the gradient number. It reads the ring
+//! through the same helpers as the `obs::quality` drift monitors.
 
 use crate::metrics::{Counter, Histogram};
-use crate::run::{RunRecorder, DECADE_MIN_EXP};
+use crate::quality::{gaps_per_trip, nis_above};
+use crate::run::{RunRecorder, RUN_T_NS};
+use crate::timeseries::TimeSeries;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
-/// Aggregated fleet quality over everything one [`RunRecorder`] saw.
+/// Aggregated fleet quality over a window range.
 ///
-/// All fields derive from counters and decade buckets, so building the
-/// report is cheap and the underlying recorder keeps no raw
-/// observations. Serializable (named fields only) for embedding in
-/// bench JSON and the Prometheus export.
+/// All fields derive from counters and the `ekf-mean-nis` sketch, so
+/// building the report is cheap and the ring keeps no raw
+/// observations. The NIS bands have sketch resolution: the edge at 1
+/// is exact (`2^0` is a bucket edge); observations within
+/// `SKETCH_RELATIVE_ERROR` of 10 or 100 may land in either neighbouring
+/// band. Serializable (named fields only) for embedding in bench JSON
+/// and the Prometheus export.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FleetHealth {
     /// Trips processed.
@@ -42,57 +49,55 @@ pub struct FleetHealth {
     pub gps_gap_rate_per_trip: f64,
     /// Tracks contributing a windowed mean NIS sample.
     pub nis_tracks: u64,
-    /// Mean of the per-track mean NIS samples (~1 for honest filters).
+    /// Mean of the finite per-track mean NIS samples (~1 for honest
+    /// filters; 0 when there are none).
     pub nis_mean: f64,
-    /// Tracks with mean NIS below 1 (conservative covariance).
+    /// Tracks with mean NIS below 1 (conservative covariance); NaN
+    /// samples count here. Exact edge.
     pub nis_band_lt_1: u64,
-    /// Tracks with mean NIS in `[1, 10)` (consistent band).
+    /// Tracks with mean NIS in `[1, 10)` (consistent band); the upper
+    /// edge has sketch resolution.
     pub nis_band_1_to_10: u64,
-    /// Tracks with mean NIS in `[10, 100)` (optimistic covariance).
+    /// Tracks with mean NIS in `[10, 100)` (optimistic covariance);
+    /// both edges have sketch resolution.
     pub nis_band_10_to_100: u64,
-    /// Tracks with mean NIS at or above 100 (divergence territory).
+    /// Tracks with mean NIS at or above 100 (divergence territory,
+    /// `+∞` included); the edge has sketch resolution.
     pub nis_band_ge_100: u64,
 }
 
 impl FleetHealth {
-    /// Fold a recorder's health counters and NIS decade buckets into a
-    /// fleet report. Works on a recorder from one trip or a whole
-    /// fleet batch — the counters already aggregate across workers.
-    pub fn from_run(rec: &RunRecorder) -> FleetHealth {
-        let trips = rec.counter_value(Counter::TripsProcessed);
-        let gps_gaps = rec.counter_value(Counter::GpsGaps);
-        let (nis_tracks, nis_mean) = rec.histogram_stats(Histogram::EkfMeanNis).unwrap_or((0, 0.0));
-        let decades = rec.histogram_decades(Histogram::EkfMeanNis);
-        // Decade bucket i covers magnitudes with exponent
-        // i + DECADE_MIN_EXP, so the NIS bands are contiguous slices:
-        // exponents <= -1, exactly 0, exactly 1, and >= 2.
-        let band = |lo_exp: i32, hi_exp: i32| -> u64 {
-            decades
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| {
-                    let exp = *i as i32 + DECADE_MIN_EXP;
-                    exp >= lo_exp && exp <= hi_exp
-                })
-                .map(|(_, n)| *n)
-                .sum()
-        };
+    /// Fold the health counters and the NIS sketch over the `lookback`
+    /// windows of `series` ending at `now_ns`'s window into a fleet
+    /// report.
+    pub fn from_series(series: &TimeSeries, lookback: usize, now_ns: u64) -> FleetHealth {
+        let count = |c: Counter| series.delta(c, lookback, now_ns);
+        let nis = series.hist_summary(Histogram::EkfMeanNis, lookback, now_ns);
+        let above = |threshold: f64| nis_above(series, threshold, lookback, now_ns);
+        let (above_1, above_10, above_100) = (above(1.0), above(10.0), above(100.0));
         FleetHealth {
-            trips,
-            tracks_healthy: rec.counter_value(Counter::TracksHealthy),
-            tracks_degraded: rec.counter_value(Counter::TracksDegraded),
-            tracks_diverged: rec.counter_value(Counter::TracksDiverged),
-            health_degraded_transitions: rec.counter_value(Counter::EkfHealthDegraded),
-            health_recovered_transitions: rec.counter_value(Counter::EkfHealthRecovered),
-            gps_gaps,
-            gps_gap_rate_per_trip: if trips > 0 { gps_gaps as f64 / trips as f64 } else { 0.0 },
-            nis_tracks,
-            nis_mean,
-            nis_band_lt_1: band(i32::MIN + 1, -1),
-            nis_band_1_to_10: band(0, 0),
-            nis_band_10_to_100: band(1, 1),
-            nis_band_ge_100: band(2, i32::MAX),
+            trips: count(Counter::TripsProcessed),
+            tracks_healthy: count(Counter::TracksHealthy),
+            tracks_degraded: count(Counter::TracksDegraded),
+            tracks_diverged: count(Counter::TracksDiverged),
+            health_degraded_transitions: count(Counter::EkfHealthDegraded),
+            health_recovered_transitions: count(Counter::EkfHealthRecovered),
+            gps_gaps: count(Counter::GpsGaps),
+            gps_gap_rate_per_trip: gaps_per_trip(series, lookback, now_ns).unwrap_or(0.0),
+            nis_tracks: nis.count,
+            nis_mean: nis.mean().unwrap_or(0.0),
+            nis_band_lt_1: nis.count.saturating_sub(above_1),
+            nis_band_1_to_10: above_1.saturating_sub(above_10),
+            nis_band_10_to_100: above_10.saturating_sub(above_100),
+            nis_band_ge_100: above_100,
         }
+    }
+
+    /// Fleet health over everything one [`RunRecorder`] saw — one trip
+    /// or a whole fleet batch, since the recorder already aggregates
+    /// across workers.
+    pub fn from_run(rec: &RunRecorder) -> FleetHealth {
+        FleetHealth::from_series(rec.series(), 1, RUN_T_NS)
     }
 
     /// Total tracks that reported a final verdict.
@@ -188,6 +193,46 @@ mod tests {
         assert_eq!(h.nis_band_10_to_100, 1);
         assert_eq!(h.nis_band_ge_100, 1);
         assert!((h.healthy_fraction() - 13.0 / 16.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bands_follow_the_sketch_edges() {
+        let rec = RunRecorder::new();
+        // 1.0 is a bucket edge: exact. 9.6 shares a bucket with 10 and
+        // 104 one with 100, so both move a band (within the sketch
+        // error); NaN counts below 1, +inf at or above 100.
+        for v in [0.999, 1.0, 9.6, 104.0, f64::NAN, f64::INFINITY] {
+            rec.observe(Histogram::EkfMeanNis, v);
+        }
+        let h = FleetHealth::from_run(&rec);
+        assert_eq!(h.nis_tracks, 6);
+        assert_eq!(
+            (h.nis_band_lt_1, h.nis_band_1_to_10, h.nis_band_10_to_100, h.nis_band_ge_100),
+            (2, 1, 2, 1)
+        );
+        assert!((h.nis_mean - (0.999 + 1.0 + 9.6 + 104.0) / 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn window_range_matches_a_run_recorder() {
+        let ts = TimeSeries::new(crate::timeseries::TimeSeriesConfig { window_ns: 10, windows: 4 });
+        let rec = RunRecorder::new();
+        for (w, (trips, gaps, nis)) in
+            [(1, 0, 0.3), (2, 3, 4.0), (1, 1, 55.0)].into_iter().enumerate()
+        {
+            let t = w as u64 * 10;
+            for (c, by) in [(Counter::TripsProcessed, trips), (Counter::GpsGaps, gaps)] {
+                ts.incr_at(t, c, by);
+                rec.incr(c, by);
+            }
+            ts.observe_at(t, Histogram::EkfMeanNis, nis);
+            rec.observe(Histogram::EkfMeanNis, nis);
+        }
+        assert_eq!(FleetHealth::from_series(&ts, 3, 20), FleetHealth::from_run(&rec));
+        // The last two windows only.
+        let recent = FleetHealth::from_series(&ts, 2, 20);
+        assert_eq!((recent.trips, recent.gps_gaps, recent.nis_tracks), (3, 4, 2));
+        assert!((recent.gps_gap_rate_per_trip - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

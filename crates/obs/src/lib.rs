@@ -11,24 +11,29 @@
 //!   over, the statically zero-cost [`NoopRecorder`], and the
 //!   [`SpanTimer`] helper that only reads the clock when the recorder
 //!   is enabled.
-//! - [`run`]: [`RunRecorder`], a fixed-slot atomic aggregator safe to
-//!   share across worker threads, and the [`RunReport`] it emits
-//!   (JSON for `BENCH_*.json` and `bench-gate.sh`, rendered tables
-//!   for humans, an integers-only snapshot string for tests).
+//! - [`run`]: [`RunRecorder`], the clock-free whole-run front end of
+//!   the time-series ring (one window that never rotates), safe to
+//!   share across worker threads, and [`RunReport`], the view of any
+//!   window range (JSON for `BENCH_*.json` and `bench-gate.sh`,
+//!   rendered tables for humans, an integers-only snapshot string for
+//!   tests).
 //! - [`trace`]: the flight recorder — a bounded, allocation-free
 //!   [`TraceRing`] of typed [`TraceEvent`]s (trip/lane-change/EKF
 //!   health/fusion-weight/GPS-gap/fleet/cloud), plus [`Tee`] to fan a
 //!   run out to metrics and trace simultaneously.
-//! - [`health`]: [`FleetHealth`], folding per-track monitor verdicts
-//!   and dropout counters from a [`RunRecorder`] into a fleet-level
-//!   quality report (healthy/degraded/diverged tracks, NIS bands).
+//! - [`health`]: [`FleetHealth`], folding per-track monitor verdicts,
+//!   dropout counters, and the mean-NIS sketch over any window range
+//!   into a fleet-level quality report (healthy/degraded/diverged
+//!   tracks, NIS bands), through the same ring reads as [`quality`].
 //! - [`export`]: standard telemetry formats — Perfetto/Chrome
 //!   `trace_event` JSON for trace snapshots and Prometheus text
 //!   exposition for reports and fleet health.
-//! - [`timeseries`]: the live-telemetry ring — fixed windows of
-//!   counters-as-rates and log-linear quantile sketches behind
-//!   [`TimeSeries`]/[`TimeSeriesRecorder`], answering "what is p99
-//!   frame latency *right now*" for the `STATUS` frame.
+//! - [`timeseries`]: the one aggregator — a ring of fixed windows
+//!   holding counters and one sketch cell per span and histogram
+//!   (exact count/sum/sum of squares/min/max plus log-linear quantile
+//!   buckets) behind [`TimeSeries`]; [`TimeSeriesRecorder`] is its
+//!   wall-clock front end, answering "what is p99 frame latency
+//!   *right now*" for the `STATUS` frame.
 //! - [`quality`]: fleet-wide estimation-quality drift monitors —
 //!   EWMA + Page–Hinkley detectors over mean fusion weight, NIS
 //!   out-of-band fraction, and GPS-dropout rate, emitting

@@ -287,8 +287,8 @@ impl Counter {
     }
 }
 
-/// A distribution of observed values (summary statistics plus fixed
-/// decade buckets — see `RunRecorder`).
+/// A distribution of observed values (exact summary statistics plus a
+/// log-linear sketch — see `obs::timeseries`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Histogram {
     /// EKF velocity innovation `v̂ − v` at each measurement update, m/s.

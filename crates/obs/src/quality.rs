@@ -240,11 +240,10 @@ impl QualityMonitors {
         let mut edges = 0usize;
 
         let weight = ts.hist_mean(self.cfg.weight_hist, lookback, end_ns);
-        let nis =
-            ts.hist_fraction_above(Histogram::EkfMeanNis, self.cfg.nis_bound, lookback, end_ns);
-        let trips = ts.delta(Counter::TripsProcessed, lookback, end_ns);
-        let gaps = ts.delta(Counter::GpsGaps, lookback, end_ns);
-        let gps = if trips == 0 { None } else { Some(gaps as f64 / trips as f64) };
+        let total = ts.hist_count(Histogram::EkfMeanNis, lookback, end_ns);
+        let nis = (total > 0)
+            .then(|| nis_above(ts, self.cfg.nis_bound, lookback, end_ns) as f64 / total as f64);
+        let gps = gaps_per_trip(ts, lookback, end_ns);
 
         for (i, value) in [weight, nis, gps].into_iter().enumerate() {
             let Some(value) = value else {
@@ -296,6 +295,24 @@ impl Default for QualityMonitors {
     }
 }
 
+/// GPS dropouts per processed trip over the `lookback` windows ending
+/// at `now_ns`'s window, `None` when no trip ran — the
+/// [`QualitySignal::GpsDropoutRate`] statistic and
+/// `FleetHealth::gps_gap_rate_per_trip`.
+pub(crate) fn gaps_per_trip(ts: &TimeSeries, lookback: usize, now_ns: u64) -> Option<f64> {
+    let trips = ts.delta(Counter::TripsProcessed, lookback, now_ns);
+    let gaps = ts.delta(Counter::GpsGaps, lookback, now_ns);
+    (trips > 0).then(|| gaps as f64 / trips as f64)
+}
+
+/// Mean-NIS observations the sketch places above `threshold` over the
+/// `lookback` windows ending at `now_ns`'s window — the
+/// [`QualitySignal::NisOutOfBand`] count at `nis_bound` and
+/// `FleetHealth`'s bands at 1/10/100.
+pub(crate) fn nis_above(ts: &TimeSeries, threshold: f64, lookback: usize, now_ns: u64) -> u64 {
+    ts.hist_count_above(Histogram::EkfMeanNis, threshold, lookback, now_ns)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,7 +354,7 @@ mod tests {
             assert_eq!(mon.tick(&ts, (w + 1) * W, &rec), 0, "window {w}");
         }
         assert!(!mon.any_drifting());
-        assert_eq!(rec.counter_value(Counter::QualityAlertsRaised), 0);
+        assert_eq!(rec.report().counter(Counter::QualityAlertsRaised.name()), None);
         let report = mon.report();
         assert_eq!(report.signals.len(), 3);
         assert!(!report.any_drifting());
@@ -368,7 +385,7 @@ mod tests {
         let raised_at = raised_at.expect("sustained degradation must raise an alert");
         assert!(raised_at <= 14, "alert latency too high: window {raised_at}");
         assert!(mon.any_drifting());
-        assert!(run.counter_value(Counter::QualityAlertsRaised) >= 1);
+        assert!(run.report().counter(Counter::QualityAlertsRaised.name()) >= Some(1));
         let seq = trace.snapshot().sequence_string();
         assert!(seq.contains("quality-alert"), "alert edge must land in the trace:\n{seq}");
         let report = mon.report();

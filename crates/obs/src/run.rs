@@ -1,93 +1,31 @@
-//! [`RunRecorder`] — the aggregating recorder behind every
-//! `RunReport` — and the report types it emits.
+//! [`RunRecorder`] — the whole-run recorder — and the [`RunReport`]
+//! view every bench embeds.
 //!
-//! The recorder is a fixed block of atomics (spans, counters) plus one
-//! small mutex cell per histogram: no allocation after construction, no
-//! contention hot spots beyond the histogram cells, and safe to share
-//! across fleet workers by reference. Reports are read *after* the
-//! recorded work completes, which is why relaxed atomics suffice
-//! throughout.
+//! A `RunRecorder` is the clock-free front end of the one aggregator,
+//! `obs::timeseries`: a [`TimeSeries`] whose single window never
+//! rotates, recorded at one fixed timestamp. [`RunReport::from_series`]
+//! reads any window range of any series into the serializable report,
+//! so combining runs is a wider window range, not a report merge.
+//! Report building allocates, so it lives here rather than in the
+//! warm-gated ring module.
 
 use crate::metrics::{Counter, Histogram, Span};
 use crate::recorder::Recorder;
+use crate::timeseries::{TimeSeries, TimeSeriesConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-/// Decade histogram buckets cover `10^-9 ..= 10^9` by power of ten.
-/// Bucket `i` counts magnitudes in `[10^(i + DECADE_MIN_EXP),
-/// 10^(i + DECADE_MIN_EXP + 1))` — exposed for consumers that band
-/// distributions, like `obs::health`'s NIS bands.
-pub const DECADE_MIN_EXP: i32 = -9;
-/// Upper decade exponent (inclusive).
-const MAX_EXP: i32 = 9;
-/// Bucket count: one per decade exponent in `DECADE_MIN_EXP..=MAX_EXP`.
-pub const DECADE_BUCKETS: usize = 19;
+/// The timestamp every `RunRecorder` record carries: with a window as
+/// wide as the clock, it always lands in window 0.
+pub(crate) const RUN_T_NS: u64 = 0;
 
-/// Internal aliases keeping the original short names readable.
-const MIN_EXP: i32 = DECADE_MIN_EXP;
-/// See [`DECADE_BUCKETS`].
-const BUCKETS: usize = DECADE_BUCKETS;
-
-/// Bucket index for `|value|`'s decade; zero and subnormal magnitudes
-/// land in the lowest bucket, huge magnitudes saturate into the top.
-fn decade_bucket(value: f64) -> usize {
-    let exp = value.abs().log10().floor();
-    let exp = if exp.is_finite() { exp as i32 } else { MIN_EXP };
-    (exp.clamp(MIN_EXP, MAX_EXP) - MIN_EXP) as usize
-}
-
-/// Mutable aggregation state of one histogram.
-#[derive(Debug)]
-struct HistCell {
-    count: u64,
-    sum: f64,
-    sum_sq: f64,
-    min: f64,
-    max: f64,
-    buckets: [u64; BUCKETS],
-}
-
-impl HistCell {
-    fn new() -> Self {
-        HistCell {
-            count: 0,
-            sum: 0.0,
-            sum_sq: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            buckets: [0; BUCKETS],
-        }
-    }
-}
-
-/// An aggregating [`Recorder`]: fixed atomic slots per [`Span`] and
-/// [`Counter`], a mutex cell per [`Histogram`]. Construct once per run,
-/// share by reference, then [`RunRecorder::report`] after the work
-/// joins.
+/// An aggregating [`Recorder`] over a whole run: a [`TimeSeries`] whose
+/// one window spans all of time, so nothing ever rotates out and no
+/// clock is read. Construct once per run, share by reference across
+/// worker threads, then [`RunRecorder::report`] after the work joins.
 #[derive(Debug)]
 pub struct RunRecorder {
-    // Every atomic below is a standalone statistic slot written with
-    // Relaxed operations from any recording thread; a report is only
-    // taken after those threads join (or between trips on one thread),
-    // so the join's happens-before edge is the only ordering needed and
-    // per-slot atomicity is enough.
-    // sync: span hit counts (Relaxed slot, see above).
-    span_count: [AtomicU64; Span::COUNT],
-    // sync: span summed durations (Relaxed slot, see above).
-    span_total_ns: [AtomicU64; Span::COUNT],
-    // sync: span minimum durations (Relaxed slot, see above).
-    span_min_ns: [AtomicU64; Span::COUNT],
-    // sync: span maximum durations (Relaxed slot, see above).
-    span_max_ns: [AtomicU64; Span::COUNT],
-    // sync: event counters (Relaxed slot, see above).
-    counters: [AtomicU64; Counter::COUNT],
-    // sync: each mutex guards one histogram's aggregation cell
-    // (count/sum/min/max/buckets must move together); cells are
-    // independent, so recording threads only contend when observing
-    // the same histogram. A poisoned cell is skipped, never unwrapped.
-    hists: [Mutex<HistCell>; Histogram::COUNT],
+    series: TimeSeries,
 }
 
 impl Default for RunRecorder {
@@ -97,103 +35,19 @@ impl Default for RunRecorder {
 }
 
 impl RunRecorder {
-    /// A recorder with every slot zeroed.
+    /// A recorder with nothing recorded. All memory is allocated here.
     pub fn new() -> Self {
+        // Two windows is the ring minimum; only window 0 is ever used.
         RunRecorder {
-            span_count: std::array::from_fn(|_| AtomicU64::new(0)),
-            span_total_ns: std::array::from_fn(|_| AtomicU64::new(0)),
-            span_min_ns: std::array::from_fn(|_| AtomicU64::new(u64::MAX)),
-            span_max_ns: std::array::from_fn(|_| AtomicU64::new(0)),
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            hists: std::array::from_fn(|_| Mutex::new(HistCell::new())),
+            series: TimeSeries::new(TimeSeriesConfig { window_ns: u64::MAX, windows: 2 }),
         }
     }
 
-    /// Aggregate everything recorded so far into a [`RunReport`].
-    /// Ids never touched are omitted, so the report doubles as the
-    /// "which metrics did this workload emit" set the snapshot test
-    /// pins.
+    /// Everything recorded so far as a [`RunReport`]. Ids never touched
+    /// are omitted, so the report doubles as the "which metrics did
+    /// this workload emit" set the snapshot test pins.
     pub fn report(&self) -> RunReport {
-        let mut spans = Vec::new();
-        for s in Span::ALL {
-            let i = s as usize;
-            // sync: report-side Relaxed reads (field contract above).
-            let count = self.span_count[i].load(Ordering::Relaxed);
-            let total_ns = self.span_total_ns[i].load(Ordering::Relaxed);
-            let min_ns = self.span_min_ns[i].load(Ordering::Relaxed);
-            let max_ns = self.span_max_ns[i].load(Ordering::Relaxed);
-            if count == 0 {
-                continue;
-            }
-            spans.push(SpanReport {
-                name: s.name().to_string(),
-                depth: s.depth() as u64,
-                count,
-                total_ns,
-                mean_ns: total_ns / count,
-                min_ns,
-                max_ns,
-            });
-        }
-        let mut counters = Vec::new();
-        for c in Counter::ALL {
-            // sync: report-side read; Relaxed per the field contract.
-            let value = self.counters[c as usize].load(Ordering::Relaxed);
-            if value == 0 {
-                continue;
-            }
-            counters.push(CounterReport { name: c.name().to_string(), value });
-        }
-        let mut histograms = Vec::new();
-        for h in Histogram::ALL {
-            if let Ok(cell) = self.hists[h as usize].lock() {
-                if cell.count == 0 {
-                    continue;
-                }
-                let n = cell.count as f64;
-                let mean = cell.sum / n;
-                let var = (cell.sum_sq / n) - mean * mean;
-                histograms.push(HistogramReport {
-                    name: h.name().to_string(),
-                    count: cell.count,
-                    mean,
-                    stddev: var.max(0.0).sqrt(),
-                    min: cell.min,
-                    max: cell.max,
-                    decades: cell.buckets,
-                });
-            }
-        }
-        RunReport { spans, counters, histograms }
-    }
-
-    /// Current value of one counter (0 if never incremented). Cheaper
-    /// than building a full report when one value drives a decision —
-    /// `obs::health` folds several of these into `FleetHealth`.
-    pub fn counter_value(&self, counter: Counter) -> u64 {
-        // sync: report-side read; Relaxed per the field contract.
-        self.counters[counter as usize].load(Ordering::Relaxed)
-    }
-
-    /// Observation count and mean of one histogram, or `None` if it was
-    /// never observed.
-    pub fn histogram_stats(&self, hist: Histogram) -> Option<(u64, f64)> {
-        match self.hists[hist as usize].lock() {
-            Ok(cell) if cell.count > 0 => Some((cell.count, cell.sum / cell.count as f64)),
-            _ => None,
-        }
-    }
-
-    /// Copy of one histogram's decade buckets: slot `i` counts
-    /// magnitudes with decade exponent `i + DECADE_MIN_EXP` (clamped at
-    /// the ends). Lets consumers band a distribution — e.g. NIS bands
-    /// `<1`, `1–10`, `10–100`, `≥100` — without the recorder keeping
-    /// raw observations.
-    pub fn histogram_decades(&self, hist: Histogram) -> [u64; DECADE_BUCKETS] {
-        match self.hists[hist as usize].lock() {
-            Ok(cell) => cell.buckets,
-            Err(_) => [0; DECADE_BUCKETS],
-        }
+        RunReport::from_series(&self.series, 1, RUN_T_NS)
     }
 
     /// A deterministic, integers-only rendering of what was recorded:
@@ -202,59 +56,38 @@ impl RunRecorder {
     /// produce byte-identical strings. This is the surface the obs
     /// snapshot test pins.
     pub fn snapshot_string(&self) -> String {
+        let report = self.report();
         let mut out = String::new();
-        for s in Span::ALL {
-            // sync: report-side read; Relaxed per the field contract.
-            let count = self.span_count[s as usize].load(Ordering::Relaxed);
-            if count > 0 {
-                let _ = writeln!(out, "span {} count={count}", s.name());
-            }
+        for s in &report.spans {
+            let _ = writeln!(out, "span {} count={}", s.name, s.count);
         }
-        for c in Counter::ALL {
-            // sync: report-side read; Relaxed per the field contract.
-            let value = self.counters[c as usize].load(Ordering::Relaxed);
-            if value > 0 {
-                let _ = writeln!(out, "counter {} = {value}", c.name());
-            }
+        for c in &report.counters {
+            let _ = writeln!(out, "counter {} = {}", c.name, c.value);
         }
-        for h in Histogram::ALL {
-            if let Ok(cell) = self.hists[h as usize].lock() {
-                if cell.count > 0 {
-                    let _ = writeln!(out, "hist {} count={}", h.name(), cell.count);
-                }
-            }
+        for h in &report.histograms {
+            let _ = writeln!(out, "hist {} count={}", h.name, h.count);
         }
         out
+    }
+
+    /// The backing series, for the other whole-run view
+    /// (`FleetHealth::from_run`): lookback 1 at [`RUN_T_NS`] covers it.
+    pub(crate) fn series(&self) -> &TimeSeries {
+        &self.series
     }
 }
 
 impl Recorder for RunRecorder {
     fn record_span(&self, span: Span, ns: u64) {
-        let i = span as usize;
-        // sync: Relaxed statistic slots (RunRecorder field contract).
-        self.span_count[i].fetch_add(1, Ordering::Relaxed);
-        self.span_total_ns[i].fetch_add(ns, Ordering::Relaxed);
-        self.span_min_ns[i].fetch_min(ns, Ordering::Relaxed);
-        self.span_max_ns[i].fetch_max(ns, Ordering::Relaxed);
+        self.series.span_at(RUN_T_NS, span, ns);
     }
 
     fn incr(&self, counter: Counter, by: u64) {
-        // sync: Relaxed counter slot; see the RunRecorder field comment.
-        self.counters[counter as usize].fetch_add(by, Ordering::Relaxed);
+        self.series.incr_at(RUN_T_NS, counter, by);
     }
 
     fn observe(&self, hist: Histogram, value: f64) {
-        let bucket = decade_bucket(value);
-        if let Ok(mut cell) = self.hists[hist as usize].lock() {
-            cell.count += 1;
-            cell.sum += value;
-            cell.sum_sq += value * value;
-            cell.min = cell.min.min(value);
-            cell.max = cell.max.max(value);
-            if let Some(slot) = cell.buckets.get_mut(bucket) {
-                *slot += 1;
-            }
-        }
+        self.series.observe_at(RUN_T_NS, hist, value);
     }
 }
 
@@ -267,7 +100,7 @@ pub struct SpanReport {
     pub depth: u64,
     /// Times the span completed.
     pub count: u64,
-    /// Summed duration, nanoseconds.
+    /// Summed duration, nanoseconds (exact below 2^53 ns).
     pub total_ns: u64,
     /// Mean duration, nanoseconds.
     pub mean_ns: u64,
@@ -291,22 +124,17 @@ pub struct CounterReport {
 pub struct HistogramReport {
     /// Stable histogram name (see `Histogram::name`).
     pub name: String,
-    /// Number of observations.
+    /// Number of observations, non-finite ones included.
     pub count: u64,
-    /// Arithmetic mean of observed values.
+    /// Arithmetic mean of the finite observations (NaN if none).
     pub mean: f64,
-    /// Population standard deviation of observed values.
+    /// Population standard deviation of the finite observations (NaN
+    /// if none).
     pub stddev: f64,
-    /// Smallest observed value.
+    /// Smallest finite observation (`+∞` if none).
     pub min: f64,
-    /// Largest observed value.
+    /// Largest finite observation (`−∞` if none).
     pub max: f64,
-    /// Decade-band counts (see [`RunRecorder::histogram_decades`]):
-    /// slot `i` counts magnitudes with decade exponent
-    /// `i + DECADE_MIN_EXP`, clamped at the ends. Carried in reports so
-    /// multi-run merges keep banded distributions (NIS health bands)
-    /// instead of collapsing to summary moments.
-    pub decades: [u64; DECADE_BUCKETS],
 }
 
 /// Everything one run recorded, in serializable form. Only ids that
@@ -322,6 +150,54 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The report over the `lookback` windows of `series` ending at
+    /// `now_ns`'s window. Span counts, totals, and extremes, counter
+    /// values, and histogram counts and extremes are exact; histogram
+    /// mean and stddev come from the summed moments. Ids with nothing
+    /// recorded in the range are omitted.
+    pub fn from_series(series: &TimeSeries, lookback: usize, now_ns: u64) -> RunReport {
+        let spans = Span::ALL
+            .iter()
+            .filter_map(|&s| {
+                let stats = series.span_summary(s, lookback, now_ns);
+                // Durations are integers: the f64 sum and extremes are
+                // exact below 2^53 ns.
+                let total_ns = stats.sum as u64;
+                (stats.count > 0).then(|| SpanReport {
+                    name: s.name().to_string(),
+                    depth: s.depth() as u64,
+                    count: stats.count,
+                    total_ns,
+                    mean_ns: total_ns / stats.count,
+                    min_ns: stats.min as u64,
+                    max_ns: stats.max as u64,
+                })
+            })
+            .collect();
+        let counters = Counter::ALL
+            .iter()
+            .filter_map(|&c| {
+                let value = series.delta(c, lookback, now_ns);
+                (value > 0).then(|| CounterReport { name: c.name().to_string(), value })
+            })
+            .collect();
+        let histograms = Histogram::ALL
+            .iter()
+            .filter_map(|&h| {
+                let stats = series.hist_summary(h, lookback, now_ns);
+                (stats.count > 0).then(|| HistogramReport {
+                    name: h.name().to_string(),
+                    count: stats.count,
+                    mean: stats.mean().unwrap_or(f64::NAN),
+                    stddev: stats.stddev().unwrap_or(f64::NAN),
+                    min: stats.min,
+                    max: stats.max,
+                })
+            })
+            .collect();
+        RunReport { spans, counters, histograms }
+    }
+
     /// Look up a span's statistics by report name.
     pub fn span(&self, name: &str) -> Option<&SpanReport> {
         self.spans.iter().find(|s| s.name == name)
@@ -349,76 +225,6 @@ impl RunReport {
     /// Returns the parser's message when `s` is not a report.
     pub fn from_json(s: &str) -> Result<RunReport, String> {
         serde_json::from_str(s).map_err(|e| e.to_string())
-    }
-
-    /// Combine two reports as if one recorder had seen both runs:
-    /// span/counter/histogram entries with the same name are folded
-    /// (counts and totals add, extremes take the wider bound, means and
-    /// standard deviations recompute count-weighted), names unique to
-    /// either side pass through. Order: `self`'s entries first, then
-    /// `other`'s extras — both already in taxonomy order, so merging
-    /// reports from the same build preserves it.
-    ///
-    /// This is the multi-run aggregation primitive: fleet health over
-    /// several batches, bench-gate averaging across repeats.
-    pub fn merge(&self, other: &RunReport) -> RunReport {
-        let mut spans: Vec<SpanReport> = self.spans.clone();
-        for os in &other.spans {
-            if let Some(s) = spans.iter_mut().find(|s| s.name == os.name) {
-                s.count += os.count;
-                s.total_ns += os.total_ns;
-                s.mean_ns = s.total_ns.checked_div(s.count).unwrap_or(0);
-                s.min_ns = s.min_ns.min(os.min_ns);
-                s.max_ns = s.max_ns.max(os.max_ns);
-            } else {
-                spans.push(os.clone());
-            }
-        }
-        let mut counters: Vec<CounterReport> = self.counters.clone();
-        for oc in &other.counters {
-            if let Some(c) = counters.iter_mut().find(|c| c.name == oc.name) {
-                c.value += oc.value;
-            } else {
-                counters.push(oc.clone());
-            }
-        }
-        let mut histograms: Vec<HistogramReport> = self.histograms.clone();
-        for oh in &other.histograms {
-            if let Some(h) = histograms.iter_mut().find(|h| h.name == oh.name) {
-                // Empty-vs-nonempty is asymmetric: an empty side has
-                // no observations, so its moments, extremes, and
-                // decade bands are placeholders that must not dilute
-                // the populated side (folding them used to zero the
-                // band counts and corrupt min/max).
-                if oh.count == 0 {
-                    continue;
-                }
-                if h.count == 0 {
-                    *h = oh.clone();
-                    continue;
-                }
-                let (n1, n2) = (h.count as f64, oh.count as f64);
-                let n = n1 + n2;
-                // Recover E[x] and E[x²] per side, combine
-                // count-weighted, and rebuild mean/stddev — exact
-                // for the population statistics the reports carry.
-                let mean = (n1 * h.mean + n2 * oh.mean) / n;
-                let e2_1 = h.stddev * h.stddev + h.mean * h.mean;
-                let e2_2 = oh.stddev * oh.stddev + oh.mean * oh.mean;
-                let e2 = (n1 * e2_1 + n2 * e2_2) / n;
-                h.mean = mean;
-                h.stddev = (e2 - mean * mean).max(0.0).sqrt();
-                h.count += oh.count;
-                h.min = h.min.min(oh.min);
-                h.max = h.max.max(oh.max);
-                for (band, extra) in h.decades.iter_mut().zip(oh.decades.iter()) {
-                    *band += extra;
-                }
-            } else {
-                histograms.push(oh.clone());
-            }
-        }
-        RunReport { spans, counters, histograms }
     }
 
     /// Human-readable rendering: the span tree (indented by depth)
@@ -511,16 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn decade_buckets_clamp() {
-        assert_eq!(decade_bucket(0.0), 0);
-        assert_eq!(decade_bucket(1e-30), 0);
-        assert_eq!(decade_bucket(1.5), (0 - MIN_EXP) as usize);
-        assert_eq!(decade_bucket(-1.5), (0 - MIN_EXP) as usize);
-        assert_eq!(decade_bucket(1e30), BUCKETS - 1);
-        assert_eq!(decade_bucket(f64::NAN), 0);
-    }
-
-    #[test]
     fn snapshot_string_is_integers_only() {
         let rec = RunRecorder::new();
         rec.record_span(Span::Steering, 12345);
@@ -555,152 +351,6 @@ mod tests {
         let text = rec.report().render();
         assert!(text.contains("\ntrip "));
         assert!(text.contains("    track:gps"), "depth-2 span indented:\n{text}");
-    }
-
-    #[test]
-    fn counter_value_and_histogram_accessors() {
-        let rec = RunRecorder::new();
-        assert_eq!(rec.counter_value(Counter::GpsGaps), 0);
-        rec.incr(Counter::GpsGaps, 3);
-        assert_eq!(rec.counter_value(Counter::GpsGaps), 3);
-
-        assert_eq!(rec.histogram_stats(Histogram::EkfMeanNis), None);
-        rec.observe(Histogram::EkfMeanNis, 0.5); // decade -1
-        rec.observe(Histogram::EkfMeanNis, 1.5); // decade 0
-        rec.observe(Histogram::EkfMeanNis, 250.0); // decade 2
-        let (count, mean) = rec.histogram_stats(Histogram::EkfMeanNis).expect("observed");
-        assert_eq!(count, 3);
-        assert!((mean - 252.0 / 3.0).abs() < 1e-12);
-        let decades = rec.histogram_decades(Histogram::EkfMeanNis);
-        assert_eq!(decades[(-1 - DECADE_MIN_EXP) as usize], 1);
-        assert_eq!(decades[(0 - DECADE_MIN_EXP) as usize], 1);
-        assert_eq!(decades[(2 - DECADE_MIN_EXP) as usize], 1);
-        assert_eq!(decades.iter().sum::<u64>(), 3);
-    }
-
-    #[test]
-    fn merge_disjoint_metric_sets_concatenates() {
-        let a = RunRecorder::new();
-        a.record_span(Span::Trip, 100);
-        a.incr(Counter::TripsProcessed, 1);
-        a.observe(Histogram::EkfInnovation, 1.0);
-        let b = RunRecorder::new();
-        b.record_span(Span::CloudUpload, 50);
-        b.incr(Counter::CloudUploads, 2);
-        b.observe(Histogram::GpsGapSeconds, 4.0);
-
-        let merged = a.report().merge(&b.report());
-        assert_eq!(merged.spans.len(), 2);
-        assert_eq!(merged.span("trip").map(|s| s.count), Some(1));
-        assert_eq!(merged.span("cloud-upload").map(|s| s.count), Some(1));
-        assert_eq!(merged.counter("trips-processed"), Some(1));
-        assert_eq!(merged.counter("cloud-uploads"), Some(2));
-        assert_eq!(merged.histogram("ekf-innovation").map(|h| h.count), Some(1));
-        assert_eq!(merged.histogram("gps-gap-seconds").map(|h| h.count), Some(1));
-    }
-
-    #[test]
-    fn merge_overlapping_metric_sets_folds() {
-        let a = RunRecorder::new();
-        a.record_span(Span::Trip, 100);
-        a.record_span(Span::Trip, 300);
-        a.incr(Counter::TripsProcessed, 2);
-        a.observe(Histogram::EkfInnovation, 1.0);
-        a.observe(Histogram::EkfInnovation, 3.0);
-        let b = RunRecorder::new();
-        b.record_span(Span::Trip, 500);
-        b.incr(Counter::TripsProcessed, 1);
-        b.incr(Counter::GpsGaps, 4);
-        b.observe(Histogram::EkfInnovation, 5.0);
-
-        let merged = a.report().merge(&b.report());
-        let trip = merged.span("trip").expect("trip span merged");
-        assert_eq!(trip.count, 3);
-        assert_eq!(trip.total_ns, 900);
-        assert_eq!(trip.mean_ns, 300);
-        assert_eq!(trip.min_ns, 100);
-        assert_eq!(trip.max_ns, 500);
-        assert_eq!(merged.counter("trips-processed"), Some(3));
-        assert_eq!(merged.counter("gps-gaps"), Some(4));
-        let h = merged.histogram("ekf-innovation").expect("merged hist");
-        assert_eq!(h.count, 3);
-        assert!((h.mean - 3.0).abs() < 1e-12);
-        assert_eq!(h.min, 1.0);
-        assert_eq!(h.max, 5.0);
-        // Population stddev of {1, 3, 5} is sqrt(8/3) — the merge must
-        // match a single recorder that saw all three observations.
-        let all = RunRecorder::new();
-        for v in [1.0, 3.0, 5.0] {
-            all.observe(Histogram::EkfInnovation, v);
-        }
-        let direct = all.report();
-        let dh = direct.histogram("ekf-innovation").expect("direct hist");
-        assert!((h.stddev - dh.stddev).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let a = RunRecorder::new();
-        a.record_span(Span::Fusion, 10);
-        a.incr(Counter::CloudUploads, 1);
-        a.observe(Histogram::FusionWeightGps, 0.5);
-        let report = a.report();
-        assert_eq!(report.merge(&RunReport::default()), report);
-        assert_eq!(RunReport::default().merge(&report), report);
-    }
-
-    #[test]
-    fn merge_folds_decade_bands_elementwise() {
-        let a = RunRecorder::new();
-        a.observe(Histogram::EkfMeanNis, 0.5); // decade -1
-        a.observe(Histogram::EkfMeanNis, 1.5); // decade 0
-        let b = RunRecorder::new();
-        b.observe(Histogram::EkfMeanNis, 2.5); // decade 0
-        b.observe(Histogram::EkfMeanNis, 250.0); // decade 2
-
-        let merged = a.report().merge(&b.report());
-        let h = merged.histogram(Histogram::EkfMeanNis.name()).expect("merged hist");
-        assert_eq!(h.decades[(-1 - DECADE_MIN_EXP) as usize], 1);
-        assert_eq!(h.decades[(0 - DECADE_MIN_EXP) as usize], 2);
-        assert_eq!(h.decades[(2 - DECADE_MIN_EXP) as usize], 1);
-        assert_eq!(h.decades.iter().sum::<u64>(), 4);
-    }
-
-    #[test]
-    fn merge_empty_histogram_entry_is_asymmetric() {
-        // Regression: an entry that exists but recorded nothing used to
-        // have its placeholder extremes folded in (and, once bands were
-        // carried, would have diluted them). Empty-vs-nonempty must
-        // keep the populated side untouched in both directions.
-        let a = RunRecorder::new();
-        a.observe(Histogram::EkfMeanNis, 0.5); // decade -1
-        a.observe(Histogram::EkfMeanNis, 250.0); // decade 2
-        let populated = a.report();
-
-        let empty_entry = RunReport {
-            histograms: vec![HistogramReport {
-                name: Histogram::EkfMeanNis.name().to_string(),
-                count: 0,
-                mean: 0.0,
-                stddev: 0.0,
-                min: f64::INFINITY,
-                max: f64::NEG_INFINITY,
-                decades: [0; DECADE_BUCKETS],
-            }],
-            ..RunReport::default()
-        };
-
-        let kept = populated.merge(&empty_entry);
-        assert_eq!(
-            kept.histogram(Histogram::EkfMeanNis.name()),
-            populated.histogram(Histogram::EkfMeanNis.name())
-        );
-
-        let adopted = empty_entry.merge(&populated);
-        assert_eq!(
-            adopted.histogram(Histogram::EkfMeanNis.name()),
-            populated.histogram(Histogram::EkfMeanNis.name())
-        );
     }
 
     #[test]

@@ -1,31 +1,38 @@
-//! Windowed live telemetry: a fixed-interval ring of windows holding
-//! counters-as-rates and log-linear histogram sketches.
+//! The one telemetry aggregator: a fixed-interval ring of windows
+//! holding counters and log-linear distribution sketches.
 //!
-//! `RunReport` answers "what happened over the whole run"; this module
-//! answers "what is happening *right now*". A [`TimeSeries`] keeps the
-//! last `windows` intervals of `window_ns` each (default 1 s × 120) and
-//! supports [`TimeSeries::rate`], [`TimeSeries::delta`], and
-//! [`TimeSeries::span_quantile`]/[`TimeSeries::hist_quantile`] over any
-//! suffix of that ring — the queries behind the `STATUS` frame, the
-//! quality drift monitors (`obs::quality`), and SLO burn rates
-//! (`obs::slo`).
+//! A [`TimeSeries`] keeps the last `windows` intervals of `window_ns`
+//! each (default 1 s × 120) and answers [`TimeSeries::rate`],
+//! [`TimeSeries::delta`], [`TimeSeries::span_quantile`]/
+//! [`TimeSeries::hist_quantile`] and the exact [`Summary`] reads over
+//! any suffix of that ring — the queries behind the `STATUS` frame, the
+//! quality drift monitors (`obs::quality`), SLO burn rates
+//! (`obs::slo`), and the whole-run views `RunReport` and `FleetHealth`.
+//! Two front ends record into it: [`TimeSeriesRecorder`] stamps records
+//! from a wall clock, and `RunRecorder` records at one fixed timestamp
+//! into a window that never rotates.
 //!
-//! Distributions use a DDSketch-style log-linear layout: fixed buckets
-//! at geometric boundaries `2^(k/4)`, so a quantile estimate is within
+//! Every span duration and histogram value lands in one `SketchCell`:
+//! exact summary statistics (count, sum, sum of squares, min, max) next
+//! to a DDSketch-style log-linear layout with fixed buckets at geometric
+//! boundaries `2^(k/4)`, so a quantile estimate is within
 //! [`SKETCH_RELATIVE_ERROR`] of the true value for magnitudes inside
 //! [`SKETCH_MIN_MAGNITUDE`]`..`[`SKETCH_MAX_MAGNITUDE`] (values outside
 //! clamp into the edge buckets). Negative values mirror into a second
 //! store, so signed histograms (EKF innovations) keep a total order.
+//! Merging windows is exact: counts, sums, and bucket counts add.
 //!
-//! The record path follows the same discipline as `RunRecorder`: all
-//! window memory is allocated once at construction, recording mutates
-//! fixed slots under one mutex, and rotation resets slots in place —
-//! zero allocations after warm-up, which the service soak's alloc probe
-//! asserts with a live [`TimeSeriesRecorder`] attached. Core methods
-//! are keyed by explicit nanosecond timestamps (`*_at`), so rotation
-//! and boundary behaviour are deterministic under test; the
-//! [`TimeSeriesRecorder`] wrapper supplies wall-clock timestamps from
-//! its construction epoch.
+//! Non-finite observations have one policy: they count, NaN lands in
+//! the zero bucket, `±∞` clamps into the top bucket of its sign, and
+//! the sums, extremes, and mean/stddev denominators cover finite values
+//! only.
+//!
+//! All window memory is allocated once at construction, recording
+//! mutates fixed slots under one mutex, and rotation resets slots in
+//! place — zero allocations after warm-up, which the hot-path smoke and
+//! the service soak's alloc probe assert. Core methods are keyed by
+//! explicit nanosecond timestamps (`*_at`), so rotation and boundary
+//! behaviour are deterministic under test.
 
 use crate::metrics::{Counter, Histogram, Span};
 use crate::recorder::{saturating_ns, Recorder};
@@ -62,10 +69,12 @@ pub const SKETCH_MAX_MAGNITUDE: f64 = 1.7592186044416e13; // 2^44
 /// the midpoint error is maximal) still compare inside the bound.
 pub const SKETCH_RELATIVE_ERROR: f64 = 0.090507732665258; // 2^(1/8) - 1, rounded up
 
-/// Bucket index for a positive, in-range magnitude.
+/// Bucket index for a positive magnitude; anything past
+/// [`SKETCH_MAX_MAGNITUDE`], `+∞` included, clamps into the top bucket.
+/// The clamp happens in floating point, before the integer cast.
 fn sketch_bucket(mag: f64) -> usize {
-    let idx = (mag.log2() * SUB_PER_OCTAVE as f64).floor() as i64 - MIN_OCTAVE * SUB_PER_OCTAVE;
-    idx.clamp(0, SKETCH_BUCKETS as i64 - 1) as usize
+    let idx = (mag.log2() * SUB_PER_OCTAVE as f64).floor() - (MIN_OCTAVE * SUB_PER_OCTAVE) as f64;
+    idx.clamp(0.0, (SKETCH_BUCKETS - 1) as f64) as usize
 }
 
 /// Representative magnitude of one bucket: the geometric midpoint of
@@ -75,12 +84,77 @@ fn bucket_magnitude(idx: usize) -> f64 {
     ((2.0 * k as f64 + 1.0) / (2.0 * SUB_PER_OCTAVE as f64)).exp2()
 }
 
-/// One distribution's state inside one window: summary moments plus
-/// the signed log-linear stores.
+/// Exact summary statistics of one distribution over a window range.
+/// Merging two is exact up to float summation order: counts and sums
+/// add, extremes widen. Span durations are integers, so their `sum` is
+/// exact while it stays below 2^53 ns (about 104 days of summed time).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Summary {
+    /// Observations, non-finite ones included.
+    pub count: u64,
+    /// Finite observations: the denominator of the mean and stddev.
+    pub finite: u64,
+    /// Sum of the finite observations.
+    pub sum: f64,
+    /// Sum of the squared finite observations.
+    pub sum_sq: f64,
+    /// Smallest finite observation (`+∞` when there is none).
+    pub min: f64,
+    /// Largest finite observation (`−∞` when there is none).
+    pub max: f64,
+}
+
+impl Summary {
+    /// Nothing observed.
+    const EMPTY: Summary = Summary {
+        count: 0,
+        finite: 0,
+        sum: 0.0,
+        sum_sq: 0.0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+    };
+
+    fn observe(&mut self, value: f64) {
+        self.count += 1;
+        if value.is_finite() {
+            self.finite += 1;
+            self.sum += value;
+            self.sum_sq += value * value;
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+        }
+    }
+
+    fn merge(&mut self, other: &Summary) {
+        self.count += other.count;
+        self.finite += other.finite;
+        self.sum += other.sum;
+        self.sum_sq += other.sum_sq;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
+    /// Mean of the finite observations, `None` when there are none.
+    pub fn mean(&self) -> Option<f64> {
+        (self.finite > 0).then(|| self.sum / self.finite as f64)
+    }
+
+    /// Population standard deviation of the finite observations, from
+    /// the summed moments (`E[x²] − E[x]²`, clamped at zero).
+    pub fn stddev(&self) -> Option<f64> {
+        let mean = self.mean()?;
+        let var = self.sum_sq / self.finite as f64 - mean * mean;
+        Some(var.max(0.0).sqrt())
+    }
+}
+
+/// One distribution's state inside one window — the only aggregation
+/// cell, for span durations and histogram values alike: exact
+/// [`Summary`] statistics plus the signed log-linear stores.
 #[derive(Debug)]
 struct SketchCell {
-    count: u64,
-    sum: f64,
+    summary: Summary,
     /// Zeros, sub-resolution magnitudes, and NaNs.
     zero: u64,
     /// Counts of negative observations by `|value|` bucket.
@@ -92,8 +166,7 @@ struct SketchCell {
 impl SketchCell {
     fn new() -> Self {
         SketchCell {
-            count: 0,
-            sum: 0.0,
+            summary: Summary::EMPTY,
             zero: 0,
             neg: [0; SKETCH_BUCKETS],
             pos: [0; SKETCH_BUCKETS],
@@ -101,18 +174,14 @@ impl SketchCell {
     }
 
     fn reset(&mut self) {
-        self.count = 0;
-        self.sum = 0.0;
+        self.summary = Summary::EMPTY;
         self.zero = 0;
         self.neg = [0; SKETCH_BUCKETS];
         self.pos = [0; SKETCH_BUCKETS];
     }
 
     fn observe(&mut self, value: f64) {
-        self.count += 1;
-        if value.is_finite() {
-            self.sum += value;
-        }
+        self.summary.observe(value);
         let mag = value.abs();
         if mag.is_nan() || mag < SKETCH_MIN_MAGNITUDE {
             // Zero, sub-resolution-tiny, or NaN: counts, but carries no
@@ -198,8 +267,8 @@ pub struct TimeSeries {
     cfg: TimeSeriesConfig,
     // sync: one mutex guards the whole ring — rotation must atomically
     // reset a slot and move the cursor. Contention is bounded by the
-    // service worker count (single digits); a poisoned ring is
-    // skipped, never unwrapped, matching RunRecorder's cells.
+    // recording thread count (service or fleet workers, single digits);
+    // a poisoned ring is skipped, never unwrapped.
     state: Mutex<RingState>,
 }
 
@@ -320,58 +389,60 @@ impl TimeSeries {
         merged.quantile(q)
     }
 
-    /// Mean of a histogram over the last `lookback` windows (exact —
-    /// from the summed moments, not the sketch).
+    /// Exact summary of a histogram over the last `lookback` windows.
+    pub fn hist_summary(&self, hist: Histogram, lookback: usize, now_ns: u64) -> Summary {
+        let mut summary = Summary::EMPTY;
+        self.fold_windows(lookback, now_ns, |w| summary.merge(&w.hists[hist as usize].summary));
+        summary
+    }
+
+    /// Exact summary of a span's durations (nanoseconds) over the last
+    /// `lookback` windows.
+    pub fn span_summary(&self, span: Span, lookback: usize, now_ns: u64) -> Summary {
+        let mut summary = Summary::EMPTY;
+        self.fold_windows(lookback, now_ns, |w| summary.merge(&w.spans[span as usize].summary));
+        summary
+    }
+
+    /// Mean of a histogram's finite observations over the last
+    /// `lookback` windows (exact — from the summed moments, not the
+    /// sketch).
     pub fn hist_mean(&self, hist: Histogram, lookback: usize, now_ns: u64) -> Option<f64> {
-        let mut count = 0u64;
-        let mut sum = 0.0f64;
-        self.fold_windows(lookback, now_ns, |w| {
-            let cell = &w.hists[hist as usize];
-            count += cell.count;
-            sum += cell.sum;
-        });
-        if count == 0 {
-            None
-        } else {
-            Some(sum / count as f64)
-        }
+        self.hist_summary(hist, lookback, now_ns).mean()
     }
 
     /// Observation count of a histogram over the last `lookback`
     /// windows.
     pub fn hist_count(&self, hist: Histogram, lookback: usize, now_ns: u64) -> u64 {
-        let mut count = 0u64;
-        self.fold_windows(lookback, now_ns, |w| count += w.hists[hist as usize].count);
-        count
+        self.hist_summary(hist, lookback, now_ns).count
     }
 
-    /// Fraction of a histogram's observations whose sketch estimate
-    /// exceeds `threshold`, over the last `lookback` windows. Bucket
+    /// How many of a histogram's observations over the last `lookback`
+    /// windows have a sketch estimate above `threshold`. Bucket
     /// resolution applies: observations within one bucket of the
-    /// threshold may land on either side.
-    pub fn hist_fraction_above(
+    /// threshold may land on either side, except at powers of two,
+    /// which are bucket edges.
+    pub fn hist_count_above(
         &self,
         hist: Histogram,
         threshold: f64,
         lookback: usize,
         now_ns: u64,
-    ) -> Option<f64> {
+    ) -> u64 {
         let mut merged = MergedSketch::new();
         self.fold_windows(lookback, now_ns, |w| merged.add(&w.hists[hist as usize]));
-        merged.fraction_above(threshold)
+        merged.count_above(threshold)
     }
 
     /// Duration count of a span over the last `lookback` windows.
     pub fn span_count(&self, span: Span, lookback: usize, now_ns: u64) -> u64 {
-        let mut count = 0u64;
-        self.fold_windows(lookback, now_ns, |w| count += w.spans[span as usize].count);
-        count
+        self.span_summary(span, lookback, now_ns).count
     }
 
     /// Fraction of a span's durations whose sketch estimate exceeds
     /// `threshold_ns`, over the last `lookback` windows — the
     /// latency-SLO error ratio (`obs::slo`). Bucket resolution applies
-    /// as for [`TimeSeries::hist_fraction_above`].
+    /// as for [`TimeSeries::hist_count_above`].
     pub fn span_fraction_above(
         &self,
         span: Span,
@@ -381,7 +452,7 @@ impl TimeSeries {
     ) -> Option<f64> {
         let mut merged = MergedSketch::new();
         self.fold_windows(lookback, now_ns, |w| merged.add(&w.spans[span as usize]));
-        merged.fraction_above(threshold_ns)
+        (merged.count > 0).then(|| merged.count_above(threshold_ns) as f64 / merged.count as f64)
     }
 
     /// Runs `f` over every live window in the `lookback`-window suffix
@@ -457,7 +528,7 @@ impl MergedSketch {
     }
 
     fn add(&mut self, cell: &SketchCell) {
-        self.count += cell.count;
+        self.count += cell.summary.count;
         self.zero += cell.zero;
         for (acc, n) in self.neg.iter_mut().zip(cell.neg.iter()) {
             *acc += *n as u64;
@@ -500,12 +571,8 @@ impl MergedSketch {
         Some(bucket_magnitude(SKETCH_BUCKETS - 1))
     }
 
-    /// Fraction of observations whose bucket estimate exceeds
-    /// `threshold`.
-    fn fraction_above(&self, threshold: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
+    /// Observations whose bucket estimate exceeds `threshold`.
+    fn count_above(&self, threshold: f64) -> u64 {
         let mut above = 0u64;
         for b in 0..SKETCH_BUCKETS {
             if -bucket_magnitude(b) > threshold {
@@ -518,15 +585,15 @@ impl MergedSketch {
         if 0.0 > threshold {
             above += self.zero;
         }
-        Some(above as f64 / self.count as f64)
+        above
     }
 }
 
 /// Wall-clock front end: a [`TimeSeries`] stamped from a construction
 /// epoch, usable anywhere a [`Recorder`] is (typically the `b` side of
-/// an `obs::Tee`, or composed by `gradest-serve` next to the run
+/// an `obs::Tee`, as `gradest-serve` pairs it with the caller's
 /// recorder). Trace events pass through untouched — this sink only
-/// aggregates.
+/// aggregates. `RunRecorder` is the clock-free counterpart.
 #[derive(Debug)]
 pub struct TimeSeriesRecorder {
     epoch: Instant,
@@ -664,7 +731,7 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_fraction_above() {
+    fn mean_and_count_above() {
         let ts = ring(1_000, 4);
         for v in [0.5, 1.0, 3.0, 5.0] {
             ts.observe_at(10, Histogram::EkfMeanNis, v);
@@ -672,9 +739,25 @@ mod tests {
         let mean = ts.hist_mean(Histogram::EkfMeanNis, 1, 10).expect("mean");
         assert!((mean - 2.375).abs() < 1e-12);
         assert_eq!(ts.hist_count(Histogram::EkfMeanNis, 1, 10), 4);
-        let frac = ts.hist_fraction_above(Histogram::EkfMeanNis, 2.5, 1, 10).expect("frac");
-        assert!((frac - 0.5).abs() < 1e-12, "2 of 4 above 2.5, got {frac}");
-        assert_eq!(ts.hist_fraction_above(Histogram::GpsGapSeconds, 1.0, 1, 10), None);
+        assert_eq!(ts.hist_count_above(Histogram::EkfMeanNis, 2.5, 1, 10), 2);
+        // 1.0 sits on a bucket edge, so the threshold at 1 is exact.
+        assert_eq!(ts.hist_count_above(Histogram::EkfMeanNis, 1.0, 1, 10), 3);
+        assert_eq!(ts.hist_count_above(Histogram::GpsGapSeconds, 1.0, 1, 10), 0);
+        assert_eq!(ts.hist_mean(Histogram::GpsGapSeconds, 1, 10), None);
+    }
+
+    #[test]
+    fn summaries_merge_across_windows() {
+        let ts = ring(1_000, 4);
+        ts.span_at(100, Span::Trip, 300);
+        ts.span_at(1_100, Span::Trip, 100);
+        ts.span_at(2_100, Span::Trip, 500);
+        let s = ts.span_summary(Span::Trip, 3, 2_100);
+        assert_eq!((s.count, s.finite, s.sum, s.min, s.max), (3, 3, 900.0, 100.0, 500.0));
+        assert_eq!(ts.span_summary(Span::Trip, 2, 2_100).sum, 600.0);
+        let stddev = s.stddev().expect("finite observations");
+        assert!((stddev - (80_000.0f64 / 3.0).sqrt()).abs() < 1e-9);
+        assert_eq!(ts.span_summary(Span::Fusion, 3, 2_100).mean(), None);
     }
 
     #[test]
@@ -683,6 +766,20 @@ mod tests {
         ts.observe_at(0, Histogram::FusionWeightGps, 1e-9);
         ts.observe_at(0, Histogram::FusionWeightGps, f64::NAN);
         assert_eq!(ts.hist_quantile(Histogram::FusionWeightGps, 1.0, 1, 0), Some(0.0));
+    }
+
+    #[test]
+    fn non_finite_values_skip_the_moments() {
+        let ts = ring(1_000, 2);
+        for v in [f64::NAN, f64::NEG_INFINITY, -2.0, f64::INFINITY] {
+            ts.observe_at(0, Histogram::EkfInnovation, v);
+        }
+        let s = ts.hist_summary(Histogram::EkfInnovation, 1, 0);
+        assert_eq!((s.count, s.finite, s.sum, s.sum_sq), (4, 1, -2.0, 4.0));
+        assert_eq!((s.min, s.max), (-2.0, -2.0));
+        assert_eq!(sketch_bucket(f64::INFINITY), SKETCH_BUCKETS - 1);
+        assert_eq!(sketch_bucket(SKETCH_MAX_MAGNITUDE * 4.0), SKETCH_BUCKETS - 1);
+        assert_eq!(sketch_bucket(SKETCH_MIN_MAGNITUDE), 0);
     }
 
     #[test]

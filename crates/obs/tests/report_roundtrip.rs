@@ -28,7 +28,6 @@ fn valid_json() -> String {
             stddev: 0.1,
             min: 0.2,
             max: 0.9,
-            decades: [0; gradest_obs::run::DECADE_BUCKETS],
         }],
     }
     .to_json()
@@ -154,18 +153,13 @@ fn counter_strategy() -> impl Strategy<Value = CounterReport> {
 
 fn histogram_strategy() -> impl Strategy<Value = HistogramReport> {
     (name_strategy(), 1..1_000_000u64, finite_f64(), finite_f64(), finite_f64()).prop_map(
-        |(name, count, mean, spread, x)| {
-            let mut decades = [0u64; gradest_obs::run::DECADE_BUCKETS];
-            decades[(count % gradest_obs::run::DECADE_BUCKETS as u64) as usize] = count;
-            HistogramReport {
-                name,
-                count,
-                mean,
-                stddev: spread.abs(),
-                min: x.min(mean),
-                max: x.max(mean),
-                decades,
-            }
+        |(name, count, mean, spread, x)| HistogramReport {
+            name,
+            count,
+            mean,
+            stddev: spread.abs(),
+            min: x.min(mean),
+            max: x.max(mean),
         },
     )
 }

@@ -1,13 +1,17 @@
 //! Property tests for `obs::timeseries`: the log-linear sketch's
 //! quantile estimates stay inside the advertised relative-error bound
-//! against an exact nearest-rank oracle, and the ring's rotation /
+//! against an exact nearest-rank oracle, the ring's rotation /
 //! `delta()` bookkeeping matches a straightforward per-window model
-//! across window boundaries.
+//! across window boundaries, and a `RunReport` over any window range
+//! matches a plain-vector oracle and a single `RunRecorder`.
 
 use gradest_obs::timeseries::{
     TimeSeries, TimeSeriesConfig, SKETCH_MAX_MAGNITUDE, SKETCH_MIN_MAGNITUDE, SKETCH_RELATIVE_ERROR,
 };
-use gradest_obs::{Counter, Histogram};
+use gradest_obs::{
+    Counter, CounterReport, Histogram, HistogramReport, Recorder, RunRecorder, RunReport, Span,
+    SpanReport,
+};
 use proptest::prelude::*;
 
 /// Positive magnitudes inside the sketch's representable range (with a
@@ -141,4 +145,179 @@ proptest! {
         prop_assert_eq!(ts.late_drops(), 1);
         prop_assert_eq!(ts.delta(Counter::TripsProcessed, WINDOWS, now), 1);
     }
+}
+
+/// Window width and count of the ring the report oracle records into.
+const REPORT_WINDOW_NS: u64 = 1_000;
+const REPORT_WINDOWS: usize = 6;
+
+/// One record: window, kind (0 span, 1 counter, 2 histogram), taxonomy
+/// id, integer payload (span duration, counter step, in-window offset),
+/// and histogram value.
+type Record = (u64, usize, usize, u64, f64);
+
+/// Finite signed values across eighteen decades, plus exact zeros.
+fn finite_value() -> impl Strategy<Value = f64> {
+    (0..3usize, -9.0..9.0f64, 1.0..10.0f64).prop_map(|(kind, exp, mantissa)| match kind {
+        0 => mantissa * 10.0f64.powf(exp),
+        1 => -mantissa * 10.0f64.powf(exp),
+        _ => 0.0,
+    })
+}
+
+fn record_strategy() -> impl Strategy<Value = Record> {
+    (0..REPORT_WINDOWS as u64, 0..3usize, 0..64usize, 0..10_000_000_000u64, finite_value())
+}
+
+/// Feeds one record to the ring at its window and to a recorder.
+fn replay(ts: &TimeSeries, run: &RunRecorder, &(w, kind, id, n, x): &Record) {
+    let t = w * REPORT_WINDOW_NS + n % REPORT_WINDOW_NS;
+    match kind {
+        0 => {
+            let span = Span::ALL[id % Span::COUNT];
+            ts.span_at(t, span, n);
+            run.record_span(span, n);
+        }
+        1 => {
+            let counter = Counter::ALL[id % Counter::COUNT];
+            ts.incr_at(t, counter, n % 1_000 + 1);
+            run.incr(counter, n % 1_000 + 1);
+        }
+        _ => {
+            let hist = Histogram::ALL[id % Histogram::COUNT];
+            ts.observe_at(t, hist, x);
+            run.observe(hist, x);
+        }
+    }
+}
+
+/// The report over the records in windows `first..`, from plain
+/// vectors: exact sums and extremes, mean and population stddev from
+/// the textbook moments.
+fn oracle_report(records: &[Record], first: u64) -> RunReport {
+    let mut spans = vec![Vec::new(); Span::COUNT];
+    let mut counters = vec![0u64; Counter::COUNT];
+    let mut hists = vec![Vec::new(); Histogram::COUNT];
+    for &(_, kind, id, n, x) in records.iter().filter(|r| r.0 >= first) {
+        match kind {
+            0 => spans[id % Span::COUNT].push(n),
+            1 => counters[id % Counter::COUNT] += n % 1_000 + 1,
+            _ => hists[id % Histogram::COUNT].push(x),
+        }
+    }
+    RunReport {
+        spans: Span::ALL
+            .iter()
+            .zip(&spans)
+            .filter(|(_, d)| !d.is_empty())
+            .map(|(s, d)| {
+                let total_ns: u64 = d.iter().sum();
+                SpanReport {
+                    name: s.name().to_string(),
+                    depth: s.depth() as u64,
+                    count: d.len() as u64,
+                    total_ns,
+                    mean_ns: total_ns / d.len() as u64,
+                    min_ns: d.iter().copied().min().unwrap_or(0),
+                    max_ns: d.iter().copied().max().unwrap_or(0),
+                }
+            })
+            .collect(),
+        counters: Counter::ALL
+            .iter()
+            .zip(&counters)
+            .filter(|(_, v)| **v > 0)
+            .map(|(c, v)| CounterReport { name: c.name().to_string(), value: *v })
+            .collect(),
+        histograms: Histogram::ALL
+            .iter()
+            .zip(&hists)
+            .filter(|(_, v)| !v.is_empty())
+            .map(|(h, v)| {
+                let n = v.len() as f64;
+                let mean = v.iter().sum::<f64>() / n;
+                let var = v.iter().map(|x| x * x).sum::<f64>() / n - mean * mean;
+                HistogramReport {
+                    name: h.name().to_string(),
+                    count: v.len() as u64,
+                    mean,
+                    stddev: var.max(0.0).sqrt(),
+                    min: v.iter().copied().fold(f64::INFINITY, f64::min),
+                    max: v.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+                }
+            })
+            .collect(),
+    }
+}
+
+/// Spans, counters, and histogram counts/extremes must agree exactly;
+/// histogram mean and stddev within 1e-9 relative (they are float sums
+/// taken in a different order).
+fn assert_reports_match(actual: &RunReport, expected: &RunReport) {
+    assert_eq!(actual.spans, expected.spans);
+    assert_eq!(actual.counters, expected.counters);
+    assert_eq!(actual.histograms.len(), expected.histograms.len());
+    let close = |a: f64, b: f64| a == b || (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
+    for (a, e) in actual.histograms.iter().zip(&expected.histograms) {
+        assert_eq!((&a.name, a.count, a.min, a.max), (&e.name, e.count, e.min, e.max));
+        assert!(close(a.mean, e.mean), "{}: mean {} vs {}", a.name, a.mean, e.mean);
+        assert!(close(a.stddev, e.stddev), "{}: stddev {} vs {}", a.name, a.stddev, e.stddev);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A report over any window range of a multi-window ring equals the
+    /// plain-vector oracle over the records in that range, and the
+    /// report over the whole ring equals what one `RunRecorder` fed
+    /// the same records reports — combining runs is a wider range.
+    #[test]
+    fn window_range_reports_match_the_oracle_and_one_recorder(
+        records in prop::collection::vec(record_strategy(), 0..120),
+        lookback in 1..=REPORT_WINDOWS,
+    ) {
+        let ts = TimeSeries::new(TimeSeriesConfig {
+            window_ns: REPORT_WINDOW_NS,
+            windows: REPORT_WINDOWS,
+        });
+        let run = RunRecorder::new();
+        for r in &records {
+            replay(&ts, &run, r);
+        }
+        let now = (REPORT_WINDOWS as u64 - 1) * REPORT_WINDOW_NS;
+        prop_assert_eq!(ts.late_drops(), 0);
+        let whole = RunReport::from_series(&ts, REPORT_WINDOWS, now);
+        assert_reports_match(&whole, &oracle_report(&records, 0));
+        assert_reports_match(&whole, &run.report());
+        let first = (REPORT_WINDOWS - lookback) as u64;
+        let recent = RunReport::from_series(&ts, lookback, now);
+        assert_reports_match(&recent, &oracle_report(&records, first));
+    }
+}
+
+/// Non-finite observations count, but only finite ones enter the sums,
+/// extremes, and mean denominators; `±∞` clamps into the top bucket of
+/// its sign instead of overflowing the bucket index.
+#[test]
+fn non_finite_observations_follow_one_policy() {
+    let run = RunRecorder::new();
+    let ts = TimeSeries::new(TimeSeriesConfig::default());
+    for v in [1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 3.0] {
+        run.observe(Histogram::EkfInnovation, v);
+        ts.observe_at(10, Histogram::EkfInnovation, v);
+    }
+    let report = run.report();
+    let h = report.histogram("ekf-innovation").expect("observed");
+    assert_eq!((h.count, h.mean, h.min, h.max), (5, 2.0, 1.0, 3.0));
+    assert_eq!(ts.hist_count(Histogram::EkfInnovation, 1, 10), 5);
+    assert_eq!(ts.hist_mean(Histogram::EkfInnovation, 1, 10), Some(2.0));
+    let top = ts.hist_quantile(Histogram::EkfInnovation, 1.0, 1, 10).expect("q=1");
+    let bottom = ts.hist_quantile(Histogram::EkfInnovation, 0.0, 1, 10).expect("q=0");
+    let bound = SKETCH_RELATIVE_ERROR * SKETCH_MAX_MAGNITUDE;
+    assert!((top - SKETCH_MAX_MAGNITUDE).abs() <= bound, "q=1 gave {top}");
+    assert!((bottom + SKETCH_MAX_MAGNITUDE).abs() <= bound, "q=0 gave {bottom}");
+    // The ring is still live afterwards (no poisoned lock).
+    ts.observe_at(10, Histogram::EkfInnovation, 2.0);
+    assert_eq!(ts.hist_count(Histogram::EkfInnovation, 1, 10), 6);
 }

@@ -23,16 +23,16 @@
 //! # Live telemetry
 //!
 //! Next to the caller-supplied recorder, every server carries a
-//! [`TimeSeriesRecorder`] (DESIGN.md §15): each span, counter, and
-//! histogram a worker records also lands in a windowed ring, and each
-//! handled frame ticks the ring plus the [`QualityMonitors`] drift
-//! detectors. The `STATUS` frame serves a JSON snapshot of the
-//! resulting live state — per-SLO burn rates and escalation
-//! ([`SloTable`]), per-signal drift flags, window quantiles of the
-//! frame path, dropped-record counts, and uptime — without touching
-//! the cumulative `RunRecorder` report. The time-series record path is
-//! allocation-free (fixed ring slots), so attaching it does not relax
-//! the warm-frame 0-alloc gate.
+//! [`TimeSeriesRecorder`] (DESIGN.md §15), paired with it through a
+//! [`Tee`]: each span, counter, and histogram a worker records also
+//! lands in a windowed ring, and each handled frame ticks the ring
+//! plus the [`QualityMonitors`] drift detectors. The `STATUS` frame
+//! serves a JSON snapshot of the resulting live state — per-SLO burn
+//! rates and escalation ([`SloTable`]), per-signal drift flags, window
+//! quantiles of the frame path, dropped-record counts, and uptime —
+//! without touching the caller's recorder. The time-series record
+//! path is allocation-free (fixed ring slots), so attaching it does
+//! not relax the warm-frame 0-alloc gate.
 //!
 //! # Shutdown
 //!
@@ -60,8 +60,8 @@ use gradest_core::track::GradientTrack;
 use gradest_geo::tile::{decode_tile_bounds, edges_in_tile_into};
 use gradest_geo::{NetworkIndex, QueryScratch, RoadNetwork};
 use gradest_obs::{
-    saturating_ns, Counter, Histogram, QualityConfig, QualityMonitors, Recorder, SloTable, Span,
-    SpanTimer, TimeSeries, TimeSeriesConfig, TimeSeriesRecorder, TraceEvent,
+    saturating_ns, Counter, QualityConfig, QualityMonitors, Recorder, SloTable, Span, SpanTimer,
+    Tee, TimeSeries, TimeSeriesConfig, TimeSeriesRecorder, TraceEvent,
 };
 use std::fmt::Write as _;
 use std::io::Read;
@@ -176,46 +176,15 @@ struct Stats {
     warm_frames_measured: AtomicU64,
 }
 
-/// The server's composite sink: fans every record out to the
-/// caller-supplied recorder *and* the live time-series ring. Always
-/// enabled — the ring powers the `STATUS` frame regardless of whether
-/// the caller wants cumulative metrics.
-struct ServiceRecorder<R> {
-    inner: Arc<R>,
-    ts: TimeSeriesRecorder,
-}
-
-impl<R: Recorder + Send + Sync> Recorder for ServiceRecorder<R> {
-    fn record_span(&self, span: Span, ns: u64) {
-        self.inner.record_span(span, ns);
-        self.ts.record_span(span, ns);
-    }
-
-    fn incr(&self, counter: Counter, by: u64) {
-        self.inner.incr(counter, by);
-        self.ts.incr(counter, by);
-    }
-
-    fn observe(&self, hist: Histogram, value: f64) {
-        self.inner.observe(hist, value);
-        self.ts.observe(hist, value);
-    }
-
-    fn event(&self, ev: TraceEvent) {
-        self.inner.event(ev);
-    }
-
-    fn dropped_events(&self) -> u64 {
-        self.inner.dropped_events() + self.ts.dropped_events()
-    }
-}
-
 struct Shared<R> {
     cloud: CloudAggregator,
     index: NetworkIndex,
     gate: DrainGate,
     stats: Stats,
-    rec: ServiceRecorder<R>,
+    /// The caller-supplied recorder.
+    inner: Arc<R>,
+    /// The live ring behind `STATUS` and the drift monitors.
+    ts: TimeSeriesRecorder,
     estimator: GradientEstimator,
     read_timeout: Duration,
     started: Instant,
@@ -228,6 +197,14 @@ struct Shared<R> {
 }
 
 impl<R: Recorder + Send + Sync> Shared<R> {
+    /// The sink every worker records through: the caller's recorder
+    /// teed with the live ring (which ignores trace events). Always
+    /// enabled — the ring powers the `STATUS` frame regardless of
+    /// whether the caller wants cumulative metrics.
+    fn rec(&self) -> Tee<&R, &TimeSeriesRecorder> {
+        Tee::new(&*self.inner, &self.ts)
+    }
+
     fn stats_snapshot(&self) -> ServerStats {
         // sync: Relaxed statistic reads (see Stats).
         let measured = self.stats.warm_frames_measured.load(Ordering::Relaxed);
@@ -267,7 +244,7 @@ impl<R: Recorder + Send + Sync> Shared<R> {
             // Telemetry loss across every attached sink (trace-ring
             // overflow, time-series late windows) — scrape this to know
             // when the rest of the exposition under-counts.
-            ("gradest_trace_dropped_events_total", self.rec.dropped_events()),
+            ("gradest_trace_dropped_events_total", self.rec().dropped_events()),
         ];
         for (name, value) in counters {
             let _ = writeln!(out, "# TYPE {name} counter");
@@ -295,11 +272,11 @@ impl<R: Recorder + Send + Sync> Shared<R> {
     /// by whichever worker gets there first; idempotent within a
     /// window.
     fn tick_telemetry(&self) {
-        let now = self.rec.ts.now_ns();
-        let series = self.rec.ts.series();
+        let now = self.ts.now_ns();
+        let series = self.ts.series();
         series.advance_to(now);
         if let Ok(mut quality) = self.quality.lock() {
-            quality.tick(series, now, &self.rec);
+            quality.tick(series, now, &self.rec());
         }
     }
 
@@ -307,8 +284,8 @@ impl<R: Recorder + Send + Sync> Shared<R> {
     /// states, drift monitors, frame-path window quantiles, telemetry
     /// loss, and uptime. Report-side allocation only.
     fn status_json(&self) -> String {
-        let now = self.rec.ts.now_ns();
-        let series = self.rec.ts.series();
+        let now = self.ts.now_ns();
+        let series = self.ts.series();
         let windows = series.config().windows;
         let mut out = String::new();
         out.push('{');
@@ -317,7 +294,7 @@ impl<R: Recorder + Send + Sync> Shared<R> {
         let _ = write!(out, ",\"window_seconds\":");
         push_json_f64(&mut out, series.window_secs());
         let _ = write!(out, ",\"windows\":{windows}");
-        let _ = write!(out, ",\"dropped_events\":{}", self.rec.dropped_events());
+        let _ = write!(out, ",\"dropped_events\":{}", self.rec().dropped_events());
         let worst = self.slo.worst_state(series, now);
         let _ = write!(out, ",\"state\":\"{}\"", worst.name());
         let (drifting, quality) = match self.quality.lock() {
@@ -434,14 +411,15 @@ pub fn start<R: Recorder + Send + Sync + 'static>(
     let local = listener.local_addr()?;
     let build_start = Instant::now();
     let index = NetworkIndex::build(net);
-    let service_rec = ServiceRecorder { inner: rec, ts: TimeSeriesRecorder::new(cfg.timeseries) };
-    service_rec.record_span(Span::GeoIndexBuild, saturating_ns(build_start));
+    let ts = TimeSeriesRecorder::new(cfg.timeseries);
+    Tee::new(&*rec, &ts).record_span(Span::GeoIndexBuild, saturating_ns(build_start));
     let shared = Arc::new(Shared {
         cloud: CloudAggregator::new(cfg.grid_ds),
         index,
         gate: DrainGate::new(),
         stats: Stats::default(),
-        rec: service_rec,
+        inner: rec,
+        ts,
         estimator: GradientEstimator::new(cfg.estimator.clone()),
         read_timeout: cfg.read_timeout,
         started: Instant::now(),
@@ -492,12 +470,12 @@ impl<R: Recorder + Send + Sync + 'static> ServerHandle<R> {
     /// The live time-series ring (for in-process oracles: pass
     /// [`ServerHandle::telemetry_now_ns`] as the query timestamp).
     pub fn timeseries(&self) -> &TimeSeries {
-        self.shared.rec.ts.series()
+        self.shared.ts.series()
     }
 
     /// "Now" on the telemetry clock (nanoseconds since server start).
     pub fn telemetry_now_ns(&self) -> u64 {
-        self.shared.rec.ts.now_ns()
+        self.shared.ts.now_ns()
     }
 
     /// Fused profile of one road from the server's aggregator (test /
@@ -510,8 +488,10 @@ impl<R: Recorder + Send + Sync + 'static> ServerHandle<R> {
     pub fn shutdown(mut self) -> DrainReport {
         let in_flight_at_stop = self.shared.gate.in_flight();
         self.shared.gate.stop();
-        if self.shared.rec.enabled() {
-            self.shared.rec.event(TraceEvent::ServiceDrain { in_flight: in_flight_at_stop as u32 });
+        if self.shared.rec().enabled() {
+            self.shared
+                .rec()
+                .event(TraceEvent::ServiceDrain { in_flight: in_flight_at_stop as u32 });
         }
         // Wake the accept thread out of its blocking accept().
         if let Ok(stream) = TcpStream::connect(self.addr) {
@@ -558,9 +538,9 @@ fn accept_loop<R: Recorder + Send + Sync>(
         }
         // sync: Relaxed statistic (see Stats).
         let conn = shared.stats.connections.fetch_add(1, Ordering::Relaxed) as u32;
-        shared.rec.incr(Counter::ServiceConnections, 1);
-        if shared.rec.enabled() {
-            shared.rec.event(TraceEvent::ServiceConnOpened { conn });
+        shared.rec().incr(Counter::ServiceConnections, 1);
+        if shared.rec().enabled() {
+            shared.rec().event(TraceEvent::ServiceConnOpened { conn });
         }
         let _ = stream.set_read_timeout(Some(shared.read_timeout));
         let _ = stream.set_write_timeout(Some(shared.read_timeout));
@@ -569,9 +549,9 @@ fn accept_loop<R: Recorder + Send + Sync>(
             Err(TrySendError::Full((conn, mut stream))) => {
                 // sync: Relaxed statistic (see Stats).
                 shared.stats.busy_rejects.fetch_add(1, Ordering::Relaxed);
-                shared.rec.incr(Counter::ServiceBusyRejects, 1);
-                if shared.rec.enabled() {
-                    shared.rec.event(TraceEvent::ServiceBusy { conn, reason: BUSY_QUEUE_FULL });
+                shared.rec().incr(Counter::ServiceBusyRejects, 1);
+                if shared.rec().enabled() {
+                    shared.rec().event(TraceEvent::ServiceBusy { conn, reason: BUSY_QUEUE_FULL });
                 }
                 encode_busy_frame(BUSY_QUEUE_FULL, &mut busy_buf);
                 let _ = stream.write_all(&busy_buf);
@@ -643,9 +623,9 @@ fn reject_frame<R: Recorder + Send + Sync>(
 ) {
     // sync: Relaxed statistic (see Stats).
     shared.stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-    shared.rec.incr(Counter::ServiceFramesRejected, 1);
-    if shared.rec.enabled() {
-        shared.rec.event(TraceEvent::ServiceFrameRejected { conn, code: err.code() });
+    shared.rec().incr(Counter::ServiceFramesRejected, 1);
+    if shared.rec().enabled() {
+        shared.rec().event(TraceEvent::ServiceFrameRejected { conn, code: err.code() });
     }
     encode_err_frame(err.code(), reply);
     let _ = stream.write_all(reply);
@@ -672,7 +652,7 @@ fn handle_conn<R: Recorder + Send + Sync>(
         if stream.read_exact(&mut scratch.payload).is_err() {
             break;
         }
-        let frame_timer = SpanTimer::start(&shared.rec);
+        let frame_timer = SpanTimer::start(&shared.rec());
         let ok = match header.tag {
             TAG_UPLOAD => handle_upload(shared, conn, &mut stream, scratch, warm_frames),
             TAG_TILE_QUERY => handle_tile_query(shared, conn, &mut stream, scratch),
@@ -684,15 +664,15 @@ fn handle_conn<R: Recorder + Send + Sync>(
                 stream.write_all(&scratch.reply).is_ok()
             }
             TAG_STATUS => {
-                let status_timer = SpanTimer::start(&shared.rec);
+                let status_timer = SpanTimer::start(&shared.rec());
                 let text = shared.status_json();
                 crate::protocol::begin_frame(TAG_STATUS_TEXT, &mut scratch.reply);
                 scratch.reply.extend_from_slice(text.as_bytes());
                 finish_frame(&mut scratch.reply);
-                status_timer.finish(&shared.rec, Span::ServiceStatus);
+                status_timer.finish(&shared.rec(), Span::ServiceStatus);
                 // sync: Relaxed statistic (see Stats).
                 shared.stats.status_queries.fetch_add(1, Ordering::Relaxed);
-                shared.rec.incr(Counter::ServiceStatusQueries, 1);
+                shared.rec().incr(Counter::ServiceStatusQueries, 1);
                 stream.write_all(&scratch.reply).is_ok()
             }
             tag => {
@@ -706,18 +686,18 @@ fn handle_conn<R: Recorder + Send + Sync>(
                 false
             }
         };
-        frame_timer.finish(&shared.rec, Span::ServiceFrame);
+        frame_timer.finish(&shared.rec(), Span::ServiceFrame);
         if !ok {
             break;
         }
         // sync: Relaxed statistic (see Stats).
         shared.stats.frames_ok.fetch_add(1, Ordering::Relaxed);
-        shared.rec.incr(Counter::ServiceFramesOk, 1);
+        shared.rec().incr(Counter::ServiceFramesOk, 1);
         frames += 1;
         shared.tick_telemetry();
     }
-    if shared.rec.enabled() {
-        shared.rec.event(TraceEvent::ServiceConnClosed { conn, frames });
+    if shared.rec().enabled() {
+        shared.rec().event(TraceEvent::ServiceConnClosed { conn, frames });
     }
 }
 
@@ -732,9 +712,9 @@ fn handle_upload<R: Recorder + Send + Sync>(
     if !shared.gate.begin() {
         // sync: Relaxed statistic (see Stats).
         shared.stats.busy_rejects.fetch_add(1, Ordering::Relaxed);
-        shared.rec.incr(Counter::ServiceBusyRejects, 1);
-        if shared.rec.enabled() {
-            shared.rec.event(TraceEvent::ServiceBusy { conn, reason: BUSY_DRAINING });
+        shared.rec().incr(Counter::ServiceBusyRejects, 1);
+        if shared.rec().enabled() {
+            shared.rec().event(TraceEvent::ServiceBusy { conn, reason: BUSY_DRAINING });
         }
         encode_busy_frame(BUSY_DRAINING, &mut scratch.reply);
         let _ = stream.write_all(&scratch.reply);
@@ -742,9 +722,9 @@ fn handle_upload<R: Recorder + Send + Sync>(
     }
     let probe = ALLOC_PROBE.get().copied();
     let allocs_before = probe.map(|p| p()).unwrap_or(0);
-    let decode_timer = SpanTimer::start(&shared.rec);
+    let decode_timer = SpanTimer::start(&shared.rec());
     let decoded = decode_upload_into(&scratch.payload, &mut scratch.upload);
-    decode_timer.finish(&shared.rec, Span::ServiceDecode);
+    decode_timer.finish(&shared.rec(), Span::ServiceDecode);
     if let Err(err) = decoded {
         shared.gate.end();
         reject_frame(shared, conn, stream, &mut scratch.reply, err);
@@ -755,7 +735,7 @@ fn handle_upload<R: Recorder + Send + Sync>(
         None,
         &mut scratch.est,
         &mut scratch.out,
-        &shared.rec,
+        &shared.rec(),
     );
     if let Some(p) = probe {
         let diff = p().saturating_sub(allocs_before);
@@ -768,7 +748,7 @@ fn handle_upload<R: Recorder + Send + Sync>(
         }
         *warm_frames += 1;
     }
-    shared.cloud.upload_recorded(scratch.upload.road_id, &scratch.out.fused, &shared.rec);
+    shared.cloud.upload_recorded(scratch.upload.road_id, &scratch.out.fused, &shared.rec());
     shared.gate.end();
     // sync: Relaxed statistic (see Stats).
     shared.stats.uploads_acked.fetch_add(1, Ordering::Relaxed);
@@ -794,7 +774,7 @@ fn handle_tile_query<R: Recorder + Send + Sync>(
         );
         return false;
     };
-    let tile_timer = SpanTimer::start(&shared.rec);
+    let tile_timer = SpanTimer::start(&shared.rec());
     edges_in_tile_into(&shared.index, bounds, &mut scratch.query, &mut scratch.tile_edges);
     crate::protocol::begin_frame(TAG_TILE, &mut scratch.reply);
     // TileWriter writes the bare payload; splice it after the header
@@ -812,9 +792,9 @@ fn handle_tile_query<R: Recorder + Send + Sync>(
     }
     scratch.reply.extend_from_slice(&scratch.payload);
     finish_frame(&mut scratch.reply);
-    tile_timer.finish(&shared.rec, Span::ServiceTileQuery);
+    tile_timer.finish(&shared.rec(), Span::ServiceTileQuery);
     // sync: Relaxed statistic (see Stats).
     shared.stats.tile_queries.fetch_add(1, Ordering::Relaxed);
-    shared.rec.incr(Counter::ServiceTileQueries, 1);
+    shared.rec().incr(Counter::ServiceTileQueries, 1);
     stream.write_all(&scratch.reply).is_ok()
 }

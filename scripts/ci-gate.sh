@@ -58,7 +58,15 @@
 #                                        length-lying frames must produce typed
 #                                        errors, never panic, never allocate
 #                                        past the frame cap
-#  11. service_soak_smoke              — gradest-serve on an ephemeral loopback
+#  11. obs aggregator property tests   — the time-series ring against exact
+#                                        oracles: a RunReport over any window
+#                                        range matches a plain-vector oracle
+#                                        and one RunRecorder fed the same
+#                                        records, sketch quantiles stay in
+#                                        the error bound, non-finite values
+#                                        follow one policy, and reports
+#                                        round-trip through JSON
+#  12. service_soak_smoke              — gradest-serve on an ephemeral loopback
 #                                        port under 64 simulated phones: ≥500
 #                                        trips/s sustained, tiles bit-identical
 #                                        to direct aggregation, typed BUSY
@@ -199,6 +207,13 @@ if [[ "$MODE" != quick ]]; then
   # panic.
   run_step "serve protocol robustness" \
     cargo test -q -p gradest-serve --test protocol_robustness
+
+  # Telemetry-aggregator oracles: RunReport over window ranges of the
+  # time-series ring pinned against plain vectors and a single
+  # RunRecorder, the sketch's quantile bound, the non-finite policy,
+  # and the report JSON round trip.
+  run_step "obs aggregator property tests" \
+    cargo test -q -p gradest-obs --test timeseries_props --test report_roundtrip
 
   # Service soak smoke: gradest-serve on an ephemeral loopback port,
   # 64 simulated phones. The binary asserts sustained throughput,

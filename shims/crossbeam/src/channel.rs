@@ -196,7 +196,12 @@ impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         if self.inner.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last sender gone: wake all blocked receivers so they can
-            // observe the disconnect.
+            // observe the disconnect. Receivers check the count under
+            // the queue lock and release it only by parking, so passing
+            // through the lock first means each one has either seen the
+            // zero or is parked to get this wakeup; without it the
+            // notify can fall between a check and its wait and be lost.
+            drop(self.inner.lock());
             self.inner.ready.notify_all();
         }
     }
@@ -265,7 +270,9 @@ impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         if self.inner.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last receiver gone: wake bounded senders blocked on space so
-            // they can observe the disconnect.
+            // they can observe the disconnect. Through the queue lock for
+            // the same reason as `Sender::drop`.
+            drop(self.inner.lock());
             self.inner.space.notify_all();
         }
     }
