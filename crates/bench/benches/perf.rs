@@ -9,7 +9,8 @@
 
 use gradest_bench::perfbench::{run_bench, BenchReport};
 use gradest_core::cloud::CloudAggregator;
-use gradest_core::ekf::{EkfConfig, GradientEkf};
+use gradest_core::ekf::EkfConfig;
+use gradest_core::ekf_lanes::{EkfLanes, MAX_LANES};
 use gradest_core::fleet::FleetEngine;
 use gradest_core::fusion::fuse_tracks;
 use gradest_core::lane_change::LaneChangeDetector;
@@ -24,12 +25,12 @@ use gradest_sim::trip::{simulate_trip, TripConfig};
 use std::hint::black_box;
 
 fn ekf_step() -> BenchReport {
-    let mut ekf = GradientEkf::new(EkfConfig::default(), 15.0);
+    let mut ekf = EkfLanes::new(EkfConfig::default(), [15.0; MAX_LANES]);
     run_bench("ekf_predict_update", 7, 100_000, || {
         for _ in 0..100_000 {
             ekf.predict(black_box(0.5), 0.02);
-            ekf.update(black_box(15.0), 0.05);
-            black_box(ekf.theta());
+            ekf.update(0, black_box(15.0), 0.05);
+            black_box(ekf.theta(0));
         }
     })
 }

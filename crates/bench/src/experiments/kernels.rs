@@ -5,9 +5,8 @@
 //! when the trip-level numbers move, these localize the change to a
 //! kernel. Emits `BENCH_kernels.json` with:
 //!
-//! * `ekf_scalar_x4` / `ekf_lanes_x4` — one predict/update step of four
-//!   sensor tracks, as four sequential [`GradientEkf`] filters (the
-//!   pre-fusion track-stage shape) vs one SoA [`EkfLanes`] sweep;
+//! * `ekf_lanes_x4` — one predict/update step of four sensor tracks as
+//!   one SoA [`EkfLanes`] sweep;
 //! * `lowess_uniform_window` — a full uniform-grid LOWESS smoothing
 //!   pass over a red-road-sized steering series (the blocked
 //!   first-pass convolution dominates);
@@ -17,7 +16,7 @@
 use crate::perfbench::{run_bench, BenchReport};
 use crate::report::{print_table, save_json};
 use crate::scenarios::red_road_drive;
-use gradest_core::{EkfConfig, EkfLanes, GradientEkf, MAX_LANES};
+use gradest_core::{EkfConfig, EkfLanes, MAX_LANES};
 use gradest_math::lowess::{lowess_into, LowessConfig, LowessScratch};
 use gradest_sensors::alignment::{steering_rate_profile_into, WRoadScratch};
 use gradest_sensors::columnar::ImuColumns;
@@ -30,13 +29,8 @@ pub struct KernelBench {
     /// EKF steps per timed sample (one step = predict + periodic
     /// updates for all four tracks).
     pub ekf_steps: u64,
-    /// Four sequential scalar filters per step — the track stage's
-    /// shape before the SoA fusion.
-    pub ekf_scalar_x4: BenchReport,
     /// One four-lane SoA sweep per step.
     pub ekf_lanes_x4: BenchReport,
-    /// Scalar-x4 median over lanes-x4 median.
-    pub ekf_lanes_speedup: f64,
     /// Samples in the LOWESS input series.
     pub lowess_samples: usize,
     /// One full uniform-grid smoothing pass per op.
@@ -61,26 +55,6 @@ pub fn run(seed: u64, samples: usize) -> KernelBench {
     // step — the 10 Hz speedometer/CAN cadence against a 50 Hz IMU.
     let ekf_steps: u64 = 4096;
     let accel = |k: u64| ((k as f64) * 0.013).sin() * 0.8;
-    let ekf_scalar_x4 = run_bench("ekf_scalar_x4_step", samples, ekf_steps, || {
-        let mut filters = [
-            GradientEkf::new(EkfConfig::default(), 12.0),
-            GradientEkf::new(EkfConfig::default(), 13.0),
-            GradientEkf::new(EkfConfig::default(), 14.0),
-            GradientEkf::new(EkfConfig::default(), 15.0),
-        ];
-        for k in 0..ekf_steps {
-            let a = accel(k);
-            for (l, ekf) in filters.iter_mut().enumerate() {
-                ekf.predict(a, dt);
-                if k % 5 == l as u64 % 5 {
-                    ekf.update(12.0 + l as f64, 0.25);
-                }
-            }
-        }
-        for ekf in &filters {
-            black_box(ekf.theta());
-        }
-    });
     let ekf_lanes_x4 = run_bench("ekf_lanes_x4_step", samples, ekf_steps, || {
         let mut lanes = EkfLanes::new(EkfConfig::default(), [12.0, 13.0, 14.0, 15.0]);
         for k in 0..ekf_steps {
@@ -126,13 +100,9 @@ pub fn run(seed: u64, samples: usize) -> KernelBench {
         black_box(w.last().copied());
     });
 
-    let ekf_lanes_speedup =
-        ekf_scalar_x4.median_ns_per_op / ekf_lanes_x4.median_ns_per_op.max(f64::MIN_POSITIVE);
     KernelBench {
         ekf_steps,
-        ekf_scalar_x4,
         ekf_lanes_x4,
-        ekf_lanes_speedup,
         lowess_samples,
         lowess_uniform_window,
         steering_samples: cols.len(),
@@ -142,22 +112,20 @@ pub fn run(seed: u64, samples: usize) -> KernelBench {
 
 /// Prints the kernel table and writes `BENCH_kernels.json`.
 pub fn print_report(r: &KernelBench) {
-    let rows: Vec<Vec<String>> =
-        [&r.ekf_scalar_x4, &r.ekf_lanes_x4, &r.lowess_uniform_window, &r.steering_profile]
-            .iter()
-            .map(|b| {
-                vec![
-                    b.name.clone(),
-                    format!("{:.1}", b.median_ns_per_op),
-                    format!("{:.0}", b.ops_per_sec),
-                ]
-            })
-            .collect();
+    let rows: Vec<Vec<String>> = [&r.ekf_lanes_x4, &r.lowess_uniform_window, &r.steering_profile]
+        .iter()
+        .map(|b| {
+            vec![
+                b.name.clone(),
+                format!("{:.1}", b.median_ns_per_op),
+                format!("{:.0}", b.ops_per_sec),
+            ]
+        })
+        .collect();
     print_table(
         &format!(
-            "Kernel microbenches — EKF SoA speedup {:.2}x over 4 scalar filters \
-             ({} steps/sample, {} LOWESS samples)",
-            r.ekf_lanes_speedup, r.ekf_steps, r.lowess_samples
+            "Kernel microbenches ({} EKF steps/sample, {} LOWESS samples)",
+            r.ekf_steps, r.lowess_samples
         ),
         &["kernel", "ns/op", "op/s"],
         &rows,
@@ -172,13 +140,10 @@ mod tests {
     #[test]
     fn kernel_bench_runs_and_reports() {
         let r = run(402, 1);
-        assert_eq!(r.ekf_scalar_x4.ops_per_sample, r.ekf_steps);
         assert_eq!(r.ekf_lanes_x4.ops_per_sample, r.ekf_steps);
-        assert!(r.ekf_lanes_speedup > 0.0);
         assert!(r.lowess_samples > 1000);
         assert_eq!(r.steering_samples, r.lowess_samples);
-        for b in [&r.ekf_scalar_x4, &r.ekf_lanes_x4, &r.lowess_uniform_window, &r.steering_profile]
-        {
+        for b in [&r.ekf_lanes_x4, &r.lowess_uniform_window, &r.steering_profile] {
             assert!(b.median_ns_per_op > 0.0, "{} measured nothing", b.name);
         }
     }

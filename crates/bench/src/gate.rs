@@ -92,9 +92,7 @@ pub const FLEET_METRICS: &[MetricSpec] = &[
 ];
 
 /// Gated metrics of the `kernel_microbench` experiment
-/// (`BENCH_kernels.json`): the isolated inner-loop medians. The scalar
-/// EKF reference bench is reported but not gated — it exists as the
-/// comparison point, not as a hot path.
+/// (`BENCH_kernels.json`): the isolated inner-loop medians.
 pub const KERNEL_METRICS: &[MetricSpec] = &[
     MetricSpec {
         name: "kernels/ekf_lanes_x4_step",

@@ -231,11 +231,13 @@ mod tests {
 
     #[test]
     fn detects_a_broken_sensor_through_the_ekf() {
-        use crate::ekf::{EkfConfig, GradientEkf};
+        use crate::ekf::EkfConfig;
+        use crate::ekf_lanes::{EkfLanes, MAX_LANES};
         use gradest_math::GRAVITY;
-        // EKF on a 2° road; the speed sensor develops a 5 m/s fault.
+        // EKF (lane 0) on a 2° road; the speed sensor develops a 5 m/s
+        // fault.
         let theta = 2.0f64.to_radians();
-        let mut ekf = GradientEkf::new(EkfConfig::default(), 15.0);
+        let mut ekf = EkfLanes::new(EkfConfig::default(), [15.0; MAX_LANES]);
         let mut m = mon();
         let r: f64 = 0.05;
         let mut worst = FilterHealth::Healthy;
@@ -244,9 +246,8 @@ mod tests {
             if i % 5 == 0 {
                 let fault = if i > 3000 { 5.0 } else { 0.0 };
                 let meas = 15.0 + fault;
-                let s = ekf.covariance().m[0][0] + r;
-                m.record(meas - ekf.velocity(), s);
-                ekf.update(meas, r);
+                m.record(meas - ekf.velocity(0), ekf.innovation_variance(0, r));
+                ekf.update(0, meas, r);
                 if m.health() != FilterHealth::Healthy {
                     worst = m.health();
                 }

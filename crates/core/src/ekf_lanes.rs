@@ -1,36 +1,40 @@
-//! Four-lane structure-of-arrays (SoA) gradient EKF.
+//! Four-lane structure-of-arrays (SoA) gradient EKF — the one
+//! implementation of the [`ekf`](crate::ekf) model.
 //!
-//! The pipeline runs one independent [`GradientEkf`](crate::ekf::GradientEkf)
-//! per velocity source over the *same* IMU stream. Iterating the four
-//! filters separately walks the IMU columns four times and re-evaluates
-//! `sinθ`/`cosθ` twice per filter step (once for the state propagation,
-//! once for the Jacobian). This module keeps the four filters' state,
-//! covariance, and Jacobian terms as `[f64; 4]` lanes so one pass over
+//! The pipeline runs one independent filter per velocity source over
+//! the *same* IMU stream. Iterating four filters separately would walk
+//! the IMU columns four times and re-evaluate `sinθ`/`cosθ` twice per
+//! filter step (once for the state propagation, once for the Jacobian).
+//! This module keeps the four filters' state, covariance, and Jacobian
+//! terms as `[f64; 4]` lanes so one pass over
 //! [`ImuColumns`](gradest_sensors::columnar::ImuColumns) advances every
 //! track, with the transcendentals evaluated exactly once per lane-step.
+//! The online estimator runs its three sources on lanes 0–2.
 //!
 //! ## Bit-identity contract
 //!
-//! Every lane reproduces the scalar [`GradientEkf`](crate::ekf::GradientEkf)
-//! **bit for bit**: the per-lane arithmetic is a literal transcription of
-//! the scalar `Mat2`/`Vec2` operation sequence (down to the `1.0 * x`
-//! factors and `+ 0.0` terms from the identity/zero matrix entries, whose
-//! removal would flip signed zeros). Unit tests and the
-//! `ekf_lanes_proptest` suite pin this equivalence on randomized trips.
+//! Every lane reproduces the scalar `Mat2`/`Vec2` form of the filter
+//! **bit for bit**: the per-lane arithmetic is a literal transcription
+//! of the scalar operation sequence (down to the `1.0 * x` factors and
+//! `+ 0.0` terms from the identity/zero matrix entries, whose removal
+//! would flip signed zeros). The unit and property tests below pin this
+//! equivalence at 0 ULP against that scalar form, kept as a test oracle.
 //!
-//! ## `simd` feature gate
+//! # Example
 //!
-//! The covariance propagation (the pure mul/add half of the predict) has
-//! an SSE2 twin behind `--features simd` on `x86_64`, processing lanes in
-//! pairs of `__m128d`. SSE2 `f64` multiply/add round exactly like their
-//! scalar counterparts, so the intrinsics path is bit-identical too —
-//! the feature trades nothing but instruction count. The scalar fallback
-//! is always compiled on non-x86_64 targets and whenever the feature is
-//! off, and every intrinsics block must carry an adjacent
-//! `#[cfg(not(...))]` scalar twin (enforced by `gradest-lint`'s
-//! `simd-twin` rule). Anything with `max`/`clamp` semantics stays in the
-//! shared scalar code: SSE2 `_mm_max_pd` disagrees with `f64::max` on
-//! NaN, so floors and clamps never enter the intrinsics path.
+//! ```
+//! use gradest_core::ekf::EkfConfig;
+//! use gradest_core::ekf_lanes::{EkfLanes, MAX_LANES};
+//!
+//! let mut ekf = EkfLanes::new(EkfConfig::default(), [15.0; MAX_LANES]);
+//! // Constant speed on a 3° climb: accelerometer reads g·sin(3°).
+//! let a_meas = 9.80665 * 3.0f64.to_radians().sin();
+//! for _ in 0..1500 {
+//!     ekf.predict(a_meas, 0.02);
+//!     ekf.update(0, 15.0, 0.1); // lane 0: true speed from e.g. CAN
+//! }
+//! assert!((ekf.theta(0).to_degrees() - 3.0).abs() < 0.3);
+//! ```
 
 use crate::ekf::EkfConfig;
 use gradest_math::{Mat2, Vec2, GRAVITY};
@@ -68,8 +72,8 @@ pub struct EkfLanes {
 
 impl EkfLanes {
     /// Creates four filters with per-lane initial speeds and zero initial
-    /// gradient — lane `l` starts exactly like
-    /// `GradientEkf::new(config, v0[l])`.
+    /// gradient: lane `l` starts at state `(v0[l], 0)` with covariance
+    /// `diag(p0_velocity, p0_theta)` and an identity Jacobian.
     pub fn new(config: EkfConfig, v0: [f64; MAX_LANES]) -> Self {
         EkfLanes {
             config,
@@ -82,6 +86,19 @@ impl EkfLanes {
             f10: [0.0; MAX_LANES],
             f11: [1.0; MAX_LANES],
         }
+    }
+
+    /// Restarts one lane from speed `v0`, leaving it exactly as
+    /// [`Self::new`] leaves a lane; the other lanes are untouched.
+    pub(crate) fn reset_lane(&mut self, lane: usize, v0: f64) {
+        self.v[lane] = v0;
+        self.th[lane] = 0.0;
+        self.p00[lane] = self.config.p0_velocity;
+        self.p01[lane] = 0.0;
+        self.p11[lane] = self.config.p0_theta;
+        self.f01[lane] = 0.0;
+        self.f10[lane] = 0.0;
+        self.f11[lane] = 1.0;
     }
 
     /// Lane `l`'s velocity estimate, m/s.
@@ -102,8 +119,11 @@ impl EkfLanes {
         self.p11[lane]
     }
 
-    /// Lane `l`'s predicted innovation variance `S = P_vv + r` — same
-    /// contract as `GradientEkf::innovation_variance`.
+    /// Lane `l`'s predicted innovation variance `S = P_vv + r` for a
+    /// velocity measurement of variance `r` — the same `S`
+    /// [`Self::update`] uses for its Kalman gain, exposed so consistency
+    /// monitors (`diagnostics::InnovationMonitor`) can normalize
+    /// innovations without duplicating filter internals.
     #[inline]
     pub fn innovation_variance(&self, lane: usize, r: f64) -> f64 {
         self.p00[lane] + r
@@ -128,12 +148,10 @@ impl EkfLanes {
         Mat2::new(1.0, self.f01[lane], self.f10[lane], self.f11[lane])
     }
 
-    /// Predict step for all four lanes: one `a_meas`/`dt` shared across
-    /// lanes, transcendentals evaluated once per lane, covariance
-    /// propagated by [`propagate_cov`] (scalar or SSE2 twin).
-    ///
-    /// Lane-for-lane bit-identical to
-    /// `GradientEkf::predict_returning_jacobian(a_meas, dt)`.
+    /// Predict step for all four lanes: propagate each state through
+    /// Eq (5) with one measured longitudinal acceleration `a_meas` over
+    /// `dt` seconds, transcendentals evaluated once per lane, then
+    /// propagate the covariances (`P ← F·P·Fᵀ + Q`).
     ///
     /// # Panics
     ///
@@ -178,8 +196,10 @@ impl EkfLanes {
     }
 
     /// Update step for one lane: correct with a measured velocity
-    /// `v_meas` of variance `r`. Bit-identical to
-    /// `GradientEkf::update(v_meas, r)` on that lane.
+    /// `v_meas` of variance `r` (m/s)². `H = [1, 0]`; the Kalman gain
+    /// routes the innovation `Δ = v̂ − v` into both states through the
+    /// cross covariance, and the variances are floored to keep the
+    /// filter responsive to gradient changes over long drives.
     // The `0.0 - 0.0` operands below are deliberate (clippy's eq_op):
     // they are the identity-matrix entries the scalar path subtracts,
     // transcribed literally so signed zeros round identically.
@@ -207,13 +227,9 @@ impl EkfLanes {
     }
 }
 
-/// Scalar covariance propagation: `P ← F·P·Fᵀ + Q`, re-symmetrized —
-/// the literal expansion of the scalar filter's two `Mat2`
-/// multiplications with `F = [[1, f01], [f10, f11]]`.
-///
-/// This is the scalar twin of the SSE2 version below; both perform the
-/// identical IEEE-754 operation sequence per lane.
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+/// Covariance propagation: `P ← F·P·Fᵀ + Q`, re-symmetrized — the
+/// literal expansion of the scalar filter's two `Mat2` multiplications
+/// with `F = [[1, f01], [f10, f11]]`.
 #[allow(clippy::too_many_arguments)]
 fn propagate_cov(
     p00: &mut [f64; MAX_LANES],
@@ -249,71 +265,10 @@ fn propagate_cov(
     }
 }
 
-/// SSE2 covariance propagation: same operation sequence as the scalar
-/// twin above, two lanes per `__m128d`. Packed `f64` multiply/add are
-/// IEEE-754 exact, so this is bit-identical to the scalar path.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(clippy::too_many_arguments)]
-#[allow(unsafe_code)] // intrinsics below; see the SAFETY comment
-fn propagate_cov(
-    p00: &mut [f64; MAX_LANES],
-    p01: &mut [f64; MAX_LANES],
-    p11: &mut [f64; MAX_LANES],
-    f01: &[f64; MAX_LANES],
-    f10: &[f64; MAX_LANES],
-    f11: &[f64; MAX_LANES],
-    qv_dt: f64,
-    qt_dt: f64,
-) {
-    use std::arch::x86_64::{
-        _mm_add_pd, _mm_cvtsd_f64, _mm_mul_pd, _mm_set1_pd, _mm_set_pd, _mm_unpackhi_pd,
-    };
-    // SAFETY: SSE2 is part of the x86_64 baseline instruction set, so
-    // these intrinsics are unconditionally available on this target (the
-    // cfg above never compiles them elsewhere). Every operand is passed
-    // and returned by value — no pointers, no alignment requirements.
-    unsafe {
-        let one = _mm_set1_pd(1.0);
-        let zero = _mm_set1_pd(0.0);
-        let half = _mm_set1_pd(0.5);
-        let qv = _mm_set1_pd(qv_dt);
-        let qt = _mm_set1_pd(qt_dt);
-        for pair in 0..2 {
-            let lo = pair * 2;
-            let hi = lo + 1;
-            let a00 = _mm_set_pd(p00[hi], p00[lo]);
-            let a01 = _mm_set_pd(p01[hi], p01[lo]);
-            let a11 = _mm_set_pd(p11[hi], p11[lo]);
-            let b = _mm_set_pd(f01[hi], f01[lo]);
-            let g10 = _mm_set_pd(f10[hi], f10[lo]);
-            let g11 = _mm_set_pd(f11[hi], f11[lo]);
-            let m00 = _mm_add_pd(_mm_mul_pd(one, a00), _mm_mul_pd(b, a01));
-            let m01 = _mm_add_pd(_mm_mul_pd(one, a01), _mm_mul_pd(b, a11));
-            let m10 = _mm_add_pd(_mm_mul_pd(g10, a00), _mm_mul_pd(g11, a01));
-            let m11 = _mm_add_pd(_mm_mul_pd(g10, a01), _mm_mul_pd(g11, a11));
-            let r00 = _mm_add_pd(_mm_mul_pd(m00, one), _mm_mul_pd(m01, b));
-            let r01 = _mm_add_pd(_mm_mul_pd(m00, g10), _mm_mul_pd(m01, g11));
-            let r10 = _mm_add_pd(_mm_mul_pd(m10, one), _mm_mul_pd(m11, b));
-            let r11 = _mm_add_pd(_mm_mul_pd(m10, g10), _mm_mul_pd(m11, g11));
-            let n00 = _mm_add_pd(r00, qv);
-            let n01 = _mm_add_pd(r01, zero);
-            let n10 = _mm_add_pd(r10, zero);
-            let n11 = _mm_add_pd(r11, qt);
-            let off = _mm_mul_pd(half, _mm_add_pd(n01, n10));
-            p00[lo] = _mm_cvtsd_f64(n00);
-            p00[hi] = _mm_cvtsd_f64(_mm_unpackhi_pd(n00, n00));
-            p01[lo] = _mm_cvtsd_f64(off);
-            p01[hi] = _mm_cvtsd_f64(_mm_unpackhi_pd(off, off));
-            p11[lo] = _mm_cvtsd_f64(n11);
-            p11[hi] = _mm_cvtsd_f64(_mm_unpackhi_pd(n11, n11));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ekf::GradientEkf;
+    use crate::ekf::oracle::GradientEkf;
 
     /// Drives lane `l` of an [`EkfLanes`] and a scalar [`GradientEkf`]
     /// through the same deterministic predict/update schedule and
@@ -399,14 +354,40 @@ mod tests {
         }
     }
 
+    fn bits(m: Mat2) -> [[u64; 2]; 2] {
+        m.m.map(|row| row.map(f64::to_bits))
+    }
+
     #[test]
     fn initial_state_matches_scalar_constructor() {
         let cfg = EkfConfig::default();
-        let lanes = EkfLanes::new(cfg, [5.0, 6.0, 7.0, 8.0]);
-        for (l, v0) in [5.0, 6.0, 7.0, 8.0].iter().enumerate() {
-            let s = GradientEkf::new(cfg, *v0);
-            assert_eq!(lanes.state(l), Vec2::new(s.velocity(), s.theta()));
-            assert_eq!(lanes.covariance(l), s.covariance());
+        let v0s = [5.0, 6.0, 7.0, 8.0];
+        let fresh = EkfLanes::new(cfg, v0s);
+        // Lanes restarted after some steps must look freshly built too,
+        // and a restart leaves the other lanes alone.
+        let mut reset = EkfLanes::new(cfg, [10.0; MAX_LANES]);
+        for step in 0..50 {
+            reset.predict(0.4 * (step as f64 * 0.3).sin(), 0.02);
+            reset.update(step % MAX_LANES, 11.0, 0.1);
+        }
+        let before = reset.clone();
+        reset.reset_lane(1, v0s[1]);
+        for l in [0, 2, 3] {
+            assert_eq!(reset.state(l), before.state(l));
+            assert_eq!(bits(reset.covariance(l)), bits(before.covariance(l)));
+            assert_eq!(bits(reset.jacobian(l)), bits(before.jacobian(l)));
+        }
+        for (l, &v0) in v0s.iter().enumerate() {
+            reset.reset_lane(l, v0);
+        }
+        for lanes in [&fresh, &reset] {
+            for (l, &v0) in v0s.iter().enumerate() {
+                let s = GradientEkf::new(cfg, v0);
+                assert_eq!(lanes.velocity(l).to_bits(), s.velocity().to_bits());
+                assert_eq!(lanes.theta(l).to_bits(), s.theta().to_bits());
+                assert_eq!(bits(lanes.covariance(l)), bits(s.covariance()));
+                assert_eq!(bits(lanes.jacobian(l)), bits(Mat2::identity()));
+            }
         }
     }
 
@@ -424,6 +405,145 @@ mod tests {
             assert!(p.is_finite());
             assert_eq!(p.m[0][1].to_bits(), p.m[1][0].to_bits());
             assert!(lanes.theta_variance(l) > 0.0);
+        }
+    }
+}
+
+/// Property suite pinning the lanes to four scalar filters: randomized
+/// trips (mixed accelerations, per-lane update cadences and noise),
+/// every state and covariance entry compared at 0 ULP.
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::ekf::oracle::GradientEkf;
+    use proptest::prelude::*;
+
+    /// Maps a float to an order-preserving integer so ULP distance is a
+    /// plain absolute difference (the classic sign-magnitude flip).
+    fn ordered_bits(x: f64) -> u64 {
+        let u = x.to_bits();
+        if u >> 63 == 1 {
+            !u
+        } else {
+            u | 0x8000_0000_0000_0000
+        }
+    }
+
+    /// ULP distance; `-0.0` and `0.0` compare equal, NaN never matches.
+    fn ulps(a: f64, b: f64) -> u64 {
+        if a == b {
+            0
+        } else if a.is_nan() || b.is_nan() {
+            u64::MAX
+        } else {
+            ordered_bits(a).abs_diff(ordered_bits(b))
+        }
+    }
+
+    /// Splitmix-style LCG matching the workspace's other property tests.
+    fn lcg(s: &mut u64) -> f64 {
+        *s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((*s >> 33) as f64 / u32::MAX as f64) - 0.5
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Randomized trip: shared acceleration stream, per-lane update
+        /// cadence/noise, full-state comparison after every step.
+        #[test]
+        fn lanes_match_four_scalar_filters_stepwise(
+            seed in 0u64..10_000,
+            v0s in prop::collection::vec(0.0..30.0f64, MAX_LANES),
+            steps in 100usize..600,
+        ) {
+            let v0 = [v0s[0], v0s[1], v0s[2], v0s[3]];
+            let mut lanes = EkfLanes::new(EkfConfig::default(), v0);
+            let mut scalars: Vec<GradientEkf> =
+                v0.iter().map(|&v| GradientEkf::new(EkfConfig::default(), v)).collect();
+            let mut s = seed;
+            let dt = 0.02;
+            for k in 0..steps {
+                let a = 4.0 * lcg(&mut s);
+                lanes.predict(a, dt);
+                for ekf in scalars.iter_mut() {
+                    ekf.predict(a, dt);
+                }
+                for (l, ekf) in scalars.iter_mut().enumerate() {
+                    // Staggered cadences so the lanes desynchronize: lane l
+                    // updates every l+3 steps with its own draw of noise.
+                    if k % (l + 3) == 0 {
+                        let v_meas = (10.0 + 8.0 * lcg(&mut s)).max(0.0);
+                        let r = 0.01 + lcg(&mut s).abs();
+                        lanes.update(l, v_meas, r);
+                        ekf.update(v_meas, r);
+                    }
+                    let p_lane = lanes.covariance(l);
+                    let p_ref = ekf.covariance();
+                    let pairs = [
+                        ("v", lanes.velocity(l), ekf.velocity()),
+                        ("theta", lanes.theta(l), ekf.theta()),
+                        ("p00", p_lane.m[0][0], p_ref.m[0][0]),
+                        ("p01", p_lane.m[0][1], p_ref.m[0][1]),
+                        ("p10", p_lane.m[1][0], p_ref.m[1][0]),
+                        ("p11", p_lane.m[1][1], p_ref.m[1][1]),
+                    ];
+                    for (what, got, want) in pairs {
+                        prop_assert_eq!(
+                            ulps(got, want),
+                            0,
+                            "step {} lane {} {}: lanes {:?} vs scalar {:?}",
+                            k, l, what, got, want
+                        );
+                    }
+                }
+            }
+        }
+
+        /// The derived read-outs the pipeline consumes (θ variance and the
+        /// innovation variance used for NIS gating) agree at trip end.
+        #[test]
+        fn derived_readouts_match_after_a_trip(
+            seed in 0u64..10_000,
+            r_gate in 0.01..0.5f64,
+        ) {
+            let v0 = [8.0, 12.0, 16.0, 20.0];
+            let mut lanes = EkfLanes::new(EkfConfig::default(), v0);
+            let mut scalars: Vec<GradientEkf> =
+                v0.iter().map(|&v| GradientEkf::new(EkfConfig::default(), v)).collect();
+            let mut s = seed;
+            let dt = 0.02;
+            for k in 0u64..800 {
+                let a = 3.0 * lcg(&mut s);
+                lanes.predict(a, dt);
+                for ekf in scalars.iter_mut() {
+                    ekf.predict(a, dt);
+                }
+                for (l, ekf) in scalars.iter_mut().enumerate() {
+                    if k % 5 == l as u64 % 5 {
+                        let v_meas = (12.0 + 6.0 * lcg(&mut s)).max(0.0);
+                        lanes.update(l, v_meas, 0.25);
+                        ekf.update(v_meas, 0.25);
+                    }
+                }
+            }
+            for (l, ekf) in scalars.iter().enumerate() {
+                prop_assert_eq!(
+                    ulps(lanes.theta_variance(l), ekf.theta_variance()),
+                    0,
+                    "lane {} theta_variance diverged",
+                    l
+                );
+                prop_assert_eq!(
+                    ulps(lanes.innovation_variance(l, r_gate), ekf.innovation_variance(r_gate)),
+                    0,
+                    "lane {} innovation_variance diverged",
+                    l
+                );
+                let x = lanes.state(l);
+                prop_assert_eq!(ulps(x.x, ekf.velocity()), 0);
+                prop_assert_eq!(ulps(x.y, ekf.theta()), 0);
+            }
         }
     }
 }

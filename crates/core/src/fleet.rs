@@ -65,12 +65,6 @@ impl FleetEngine {
         FleetEngine { estimator, workers: workers.max(1) }
     }
 
-    /// Creates an engine sized to the machine's available parallelism.
-    pub fn with_default_workers(estimator: GradientEstimator) -> Self {
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        FleetEngine::new(estimator, workers)
-    }
-
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
@@ -86,21 +80,6 @@ impl FleetEngine {
     pub fn process_batch(&self, logs: &[SensorLog], map: Option<&Route>) -> Vec<GradientEstimate> {
         let mut out = Vec::with_capacity(logs.len());
         self.process_streaming(logs, map, |_, est| out.push(est));
-        out
-    }
-
-    /// [`Self::process_batch`] reporting to an observability
-    /// [`Recorder`]: the per-trip pipeline records through it, and the
-    /// pool adds batch/worker spans, job counters, hold-back depth, and
-    /// per-worker utilization.
-    pub fn process_batch_recorded<R: Recorder>(
-        &self,
-        logs: &[SensorLog],
-        map: Option<&Route>,
-        rec: &R,
-    ) -> Vec<GradientEstimate> {
-        let mut out = Vec::with_capacity(logs.len());
-        self.run_pool(logs, MapMode::Shared(map), None, rec, |_, est| out.push(est));
         out
     }
 
@@ -121,8 +100,10 @@ impl FleetEngine {
     }
 
     /// [`Self::process_batch_network`] reporting to an observability
-    /// [`Recorder`]: each trip's match time is recorded under the
-    /// `network-match-trip` span alongside the usual pool activity.
+    /// [`Recorder`]: the per-trip pipeline records through it, and the
+    /// pool adds batch/worker spans, job counters, hold-back depth, and
+    /// per-worker utilization. Each trip's match time is recorded under
+    /// the `network-match-trip` span.
     pub fn process_batch_network_recorded<R: Recorder>(
         &self,
         logs: &[SensorLog],
@@ -147,46 +128,20 @@ impl FleetEngine {
         self.run_pool(logs, MapMode::Shared(map), None, &NoopRecorder, on_result);
     }
 
-    /// [`Self::process_streaming`] reporting to an observability
-    /// [`Recorder`] (see [`Self::process_batch_recorded`]).
-    pub fn process_streaming_recorded<R, F>(
-        &self,
-        logs: &[SensorLog],
-        map: Option<&Route>,
-        rec: &R,
-        on_result: F,
-    ) where
-        R: Recorder,
-        F: FnMut(usize, GradientEstimate),
-    {
-        self.run_pool(logs, MapMode::Shared(map), None, rec, on_result);
-    }
-
-    /// [`Self::process_batch`] with cloud fan-in: each worker uploads
-    /// its trip's fused track to `cloud` under `road_ids[index]` the
-    /// moment estimation finishes, exercising the aggregator's
-    /// concurrent (lock-striped) upload path. Returned estimates are in
-    /// submission order and bit-identical for any worker count; the
-    /// cloud's per-cell sums accumulate the same multiset of uploads in
-    /// a worker-dependent order, so they match a sequential run up to
-    /// floating-point summation order.
+    /// [`Self::process_batch`] with cloud fan-in, reporting to an
+    /// observability [`Recorder`]: each worker uploads its trip's fused
+    /// track to `cloud` under `road_ids[index]` the moment estimation
+    /// finishes, exercising the aggregator's concurrent (lock-striped)
+    /// upload path. Returned estimates are in submission order and
+    /// bit-identical for any worker count; the cloud's per-cell sums
+    /// accumulate the same multiset of uploads in a worker-dependent
+    /// order, so they match a sequential run up to floating-point
+    /// summation order.
     ///
-    /// # Panics
-    ///
-    /// Panics if `road_ids.len() != logs.len()`.
-    pub fn process_batch_to_cloud(
-        &self,
-        logs: &[SensorLog],
-        road_ids: &[u64],
-        map: Option<&Route>,
-        cloud: &CloudAggregator,
-    ) -> Vec<GradientEstimate> {
-        self.process_batch_to_cloud_recorded(logs, road_ids, map, cloud, &NoopRecorder)
-    }
-
-    /// [`Self::process_batch_to_cloud`] reporting to an observability
-    /// [`Recorder`] (see [`Self::process_batch_recorded`]); the cloud
-    /// uploads record their spans and cell counts through it too.
+    /// The per-trip pipeline and the cloud uploads record through `rec`,
+    /// and the pool adds batch/worker spans, job counters, hold-back
+    /// depth, and per-worker utilization. Pass [`NoopRecorder`] to
+    /// record nothing.
     ///
     /// # Panics
     ///
@@ -450,7 +405,13 @@ mod tests {
         let road_ids = vec![7u64; logs.len()];
         let cloud = CloudAggregator::new(5.0);
         let engine = FleetEngine::new(GradientEstimator::new(EstimatorConfig::default()), 3);
-        let ests = engine.process_batch_to_cloud(&logs, &road_ids, Some(&route), &cloud);
+        let ests = engine.process_batch_to_cloud_recorded(
+            &logs,
+            &road_ids,
+            Some(&route),
+            &cloud,
+            &NoopRecorder,
+        );
         assert_eq!(ests.len(), logs.len());
         assert_eq!(cloud.uploads(), logs.len() as u64);
         assert!(cloud.road_profile(7).is_some());

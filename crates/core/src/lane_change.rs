@@ -201,46 +201,23 @@ impl LaneChangeDetector {
     ) -> Vec<LaneChangeDetection> {
         let mut bumps = Vec::new();
         let mut detections = Vec::new();
-        self.detect_into(profile, v_at, &mut bumps, &mut detections);
+        self.detect_into_recorded(profile, v_at, &mut bumps, &mut detections, &NoopRecorder);
         detections
     }
 
     /// [`Self::detect`] into caller-owned buffers: `bumps` stages the
     /// [`Self::find_bumps_into`] candidates and `detections` receives the
     /// result (both overwritten), so a warm caller pays no allocation.
-    pub fn detect_into(
-        &self,
-        profile: &SmoothedProfile,
-        v_at: &dyn Fn(f64) -> f64,
-        bumps: &mut Vec<Bump>,
-        detections: &mut Vec<LaneChangeDetection>,
-    ) {
-        let _ = self.detect_into_stats(profile, v_at, bumps, detections);
-    }
-
-    /// [`Self::detect_into`] that also tallies Algorithm 1's decisions:
-    /// how many bumps were found, how many opposite-sign pairs reached
-    /// the Eq-1 displacement test, and how they split into accepted
-    /// lane changes versus S-curve rejections. Allocation-free beyond
-    /// the output buffers, so the warm pipeline records the counts for
-    /// free.
-    pub fn detect_into_stats(
-        &self,
-        profile: &SmoothedProfile,
-        v_at: &dyn Fn(f64) -> f64,
-        bumps: &mut Vec<Bump>,
-        detections: &mut Vec<LaneChangeDetection>,
-    ) -> DetectStats {
-        self.detect_into_recorded(profile, v_at, bumps, detections, &NoopRecorder)
-    }
-
-    /// [`Self::detect_into_stats`] that additionally emits one flight-
-    /// recorder event per Eq-1 decision — accept or S-curve reject,
-    /// each carrying the maneuver window midpoint and the Eq-1
-    /// displacement — through `rec` (`obs::trace`). Events are `Copy`,
-    /// so the warm path stays allocation-free with a live ring
-    /// attached; with a disabled recorder this is exactly
-    /// [`Self::detect_into_stats`].
+    ///
+    /// Returns the tally of Algorithm 1's decisions: how many bumps were
+    /// found, how many opposite-sign pairs reached the Eq-1 displacement
+    /// test, and how they split into accepted lane changes versus
+    /// S-curve rejections. Each Eq-1 decision — accept or S-curve
+    /// reject, carrying the maneuver window midpoint and the Eq-1
+    /// displacement — is also emitted as one flight-recorder event
+    /// through `rec` (`obs::trace`). Events are `Copy`, so the warm path
+    /// stays allocation-free with a live ring attached; pass
+    /// [`NoopRecorder`] to record nothing.
     pub fn detect_into_recorded<R: Recorder>(
         &self,
         profile: &SmoothedProfile,
@@ -542,7 +519,8 @@ mod tests {
         // A clean lane change: two bumps, one pair, accepted.
         let raw = maneuver_profile(0.15, 4.0, 10.0, 30.0, 1.0);
         let prof = smooth_profile(&raw, 0.6);
-        let stats = det().detect_into_stats(&prof, &|_| 12.0, &mut bumps, &mut dets);
+        let stats =
+            det().detect_into_recorded(&prof, &|_| 12.0, &mut bumps, &mut dets, &NoopRecorder);
         assert_eq!(stats.bumps, 2);
         assert_eq!(stats.pairs_tested, 1);
         assert_eq!(stats.detected, 1);
@@ -555,7 +533,8 @@ mod tests {
             max_pair_gap_s: 60.0,
             ..LaneChangeConfig::default()
         });
-        let stats = wide.detect_into_stats(&prof, &|_| 12.0, &mut bumps, &mut dets);
+        let stats =
+            wide.detect_into_recorded(&prof, &|_| 12.0, &mut bumps, &mut dets, &NoopRecorder);
         assert_eq!(stats.pairs_tested, 1);
         assert_eq!(stats.scurve_rejected, 1);
         assert_eq!(stats.detected, 0);

@@ -39,12 +39,7 @@
 //! assert!(!estimate.fused.is_empty());
 //! ```
 
-// `unsafe` is forbidden everywhere except the opt-in `simd` feature,
-// whose intrinsics path needs `unsafe` blocks (each carrying a SAFETY
-// comment and an item-level `#[allow(unsafe_code)]`); `deny` keeps any
-// other unsafe out even with the feature on.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cloud;
@@ -64,7 +59,7 @@ pub mod track;
 
 pub use cloud::{CloudAggregator, CloudSnapshot};
 pub use diagnostics::{FilterHealth, InnovationMonitor, MonitorConfig};
-pub use ekf::{EkfConfig, GradientEkf};
+pub use ekf::EkfConfig;
 pub use ekf_lanes::{EkfLanes, MAX_LANES};
 pub use fleet::FleetEngine;
 pub use fusion::{fuse_tracks, fuse_tracks_into, fuse_values};

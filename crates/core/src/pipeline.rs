@@ -402,15 +402,19 @@ impl GradientEstimator {
             }
         }
         let length = distances.first().copied().unwrap_or(0.0);
-        let n_aligned = track_scratch[..n_src].iter().filter(|ts| !ts.track.is_empty()).count();
-        out.tracks.resize_with(n_aligned, GradientTrack::default);
-        let mut slot = 0usize;
-        for ts in track_scratch[..n_src].iter() {
-            if ts.track.is_empty() {
-                continue;
-            }
-            ts.track.resample_into(length, cfg.track_ds, &mut out.tracks[slot]);
-            slot += 1;
+        // A fusion grid with more points than the trip has IMU samples
+        // (or a non-finite length) means the odometer ran away on a
+        // hostile log, e.g. a huge IMU time gap stepped at the first
+        // interval: give the empty estimate instead of resampling onto
+        // it. Honest trips stay below 250 m/s at 50 Hz and 5 m spacing.
+        if length.is_nan() || length > cfg.track_ds * log.imu.len() as f64 {
+            distances.clear();
+        }
+        // One distance per non-empty track.
+        out.tracks.resize_with(distances.len(), GradientTrack::default);
+        let aligned = track_scratch[..n_src].iter().filter(|ts| !ts.track.is_empty());
+        for (ts, track) in aligned.zip(out.tracks.iter_mut()) {
+            ts.track.resample_into(length, cfg.track_ds, track);
         }
         if fuse_tracks_into(&out.tracks, &mut out.fused).is_err() {
             out.fused.label.clear();
@@ -507,11 +511,11 @@ impl GradientEstimator {
     /// IMU, then smooths all lanes with one interleaved backward RTS
     /// recursion, leaving one arc-indexed track per source in
     /// `lanes[l].track`. Per lane this executes the operation sequence of
-    /// one scalar [`crate::ekf::GradientEkf`] per source (same
-    /// predict/update arithmetic, same cursor advances, same anchor
-    /// order), so each lane's track is bit-identical to that filter's;
+    /// one scalar filter per source (same predict/update arithmetic, same
+    /// cursor advances, same anchor order), so each lane's track is
+    /// bit-identical to that filter's;
     /// `fused_lanes_bit_identical_to_scalar_tracks` pins the lanes
-    /// against such per-source filters run in the tests.
+    /// against the scalar oracle run per source in the tests.
     ///
     /// Arc positioning integrates the EKF velocity (odometry) and, when
     /// map-matched GPS arc positions are available (`matched_s`, one entry
@@ -523,8 +527,7 @@ impl GradientEstimator {
     /// The shared sweep halves the dominating per-sample cost: the
     /// `sin`/`cos` pair and the GPS cursor advance are computed once per
     /// sample instead of once per sample per source, and the covariance
-    /// propagation vectorizes across lanes (SSE2 under the `simd`
-    /// feature, unrolled scalar otherwise).
+    /// propagation runs as one unrolled loop across lanes.
     ///
     /// Per-source spans (`track:gps`, …) cover only the staging work here
     /// (measurement series + buffer resets); the shared sweep and RTS
@@ -957,7 +960,7 @@ fn alpha_at_cursor(profile: &SmoothedProfile, alpha: &[f64], t: f64, cursor: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ekf::GradientEkf;
+    use crate::ekf::oracle::GradientEkf;
     use gradest_geo::generate::{red_road, straight_road, two_lane_straight};
     use gradest_geo::Route;
     use gradest_sensors::suite::{SensorConfig, SensorSuite};
@@ -1221,6 +1224,22 @@ mod tests {
         let mut sources = VelocitySource::ALL.to_vec();
         sources.push(VelocitySource::Gps);
         let _ = GradientEstimator::new(EstimatorConfig { sources, ..Default::default() });
+    }
+
+    #[test]
+    fn a_huge_imu_gap_gives_the_empty_estimate() {
+        // Every sample is stepped at the first IMU interval, so a 1e6 s
+        // gap after the first of four samples runs the odometer to a
+        // 4,000,001-point fusion grid unless the estimate refuses it.
+        let imu = [0.0, 1e6 + 0.02, 1e6 + 0.04, 1e6 + 0.06].map(|t| {
+            gradest_sensors::samples::ImuSample { t, accel_long: 0.0, accel_lat: 0.0, gyro_z: 0.0 }
+        });
+        let log = SensorLog { imu: imu.to_vec(), ..Default::default() };
+        let est = GradientEstimator::new(EstimatorConfig::default()).estimate(&log, None);
+        assert!(est.tracks.is_empty());
+        assert_eq!(est.fused.label, "fused");
+        assert!(est.fused.is_empty(), "{} fused points from 4 samples", est.fused.len());
+        assert_eq!(est.distance_m, 0.0);
     }
 
     #[test]

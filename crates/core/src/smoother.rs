@@ -122,13 +122,15 @@ pub fn rts_smooth(history: &[RtsStep]) -> Vec<(Vec2, Mat2)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ekf::{EkfConfig, GradientEkf};
+    use crate::ekf::EkfConfig;
+    use crate::ekf_lanes::{EkfLanes, MAX_LANES};
     use gradest_math::GRAVITY;
 
-    /// Runs the EKF over a gradient step change, recording RTS history.
+    /// Runs the EKF (lane 0) over a gradient step change, recording RTS
+    /// history.
     fn run_with_history(theta_of_t: impl Fn(f64) -> f64, seconds: f64) -> (Vec<RtsStep>, Vec<f64>) {
         let dt = 0.02;
-        let mut ekf = GradientEkf::new(EkfConfig::default(), 15.0);
+        let mut ekf = EkfLanes::new(EkfConfig::default(), [15.0; MAX_LANES]);
         let mut history = Vec::new();
         let mut truth = Vec::new();
         let steps = (seconds / dt) as usize;
@@ -137,18 +139,18 @@ mod tests {
             let theta = theta_of_t(t);
             truth.push(theta);
             let a = GRAVITY * theta.sin();
-            let f = ekf.predict_returning_jacobian(a, dt);
-            let x_pred = gradest_math::Vec2::new(ekf.velocity(), ekf.theta());
-            let p_pred = ekf.covariance();
+            ekf.predict(a, dt);
+            let x_pred = ekf.state(0);
+            let p_pred = ekf.covariance(0);
             if i % 5 == 0 {
-                ekf.update(15.0, 0.05);
+                ekf.update(0, 15.0, 0.05);
             }
             history.push(RtsStep {
                 x_pred,
                 p_pred,
-                x_filt: gradest_math::Vec2::new(ekf.velocity(), ekf.theta()),
-                p_filt: ekf.covariance(),
-                f,
+                x_filt: ekf.state(0),
+                p_filt: ekf.covariance(0),
+                f: ekf.jacobian(0),
             });
         }
         (history, truth)

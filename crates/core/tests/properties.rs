@@ -1,6 +1,7 @@
 //! Property-based tests for the estimation kernels.
 
-use gradest_core::ekf::{EkfConfig, GradientEkf};
+use gradest_core::ekf::EkfConfig;
+use gradest_core::ekf_lanes::{EkfLanes, MAX_LANES};
 use gradest_core::fusion::{fuse_tracks, fuse_values};
 use gradest_core::lane_change::{LaneChangeConfig, LaneChangeDetector};
 use gradest_core::steering::{smooth_profile, SmoothedProfile};
@@ -14,21 +15,21 @@ proptest! {
     #[test]
     fn ekf_converges_to_any_road_gradient(theta_deg in -8.0..8.0f64, v in 5.0..25.0f64) {
         let theta = theta_deg.to_radians();
-        let mut ekf = GradientEkf::new(EkfConfig::default(), v);
+        let mut ekf = EkfLanes::new(EkfConfig::default(), [v; MAX_LANES]);
         for i in 0..4000 {
             ekf.predict(GRAVITY * theta.sin(), 0.02);
             if i % 5 == 0 {
-                ekf.update(v, 0.05);
+                ekf.update(0, v, 0.05);
             }
         }
-        prop_assert!((ekf.theta() - theta).abs() < 4e-3,
-            "θ {theta} est {}", ekf.theta());
-        prop_assert!((ekf.velocity() - v).abs() < 0.1);
+        prop_assert!((ekf.theta(0) - theta).abs() < 4e-3,
+            "θ {theta} est {}", ekf.theta(0));
+        prop_assert!((ekf.velocity(0) - v).abs() < 0.1);
     }
 
     #[test]
     fn ekf_covariance_stays_psd_under_random_inputs(seed in 0u64..500) {
-        let mut ekf = GradientEkf::new(EkfConfig::default(), 10.0);
+        let mut ekf = EkfLanes::new(EkfConfig::default(), [10.0; MAX_LANES]);
         let mut s = seed;
         let mut next = move || {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -37,9 +38,9 @@ proptest! {
         for i in 0..2000 {
             ekf.predict(4.0 * next(), 0.02);
             if i % 3 == 0 {
-                ekf.update((10.0 + 8.0 * next()).max(0.0), 0.01 + next().abs());
+                ekf.update(0, (10.0 + 8.0 * next()).max(0.0), 0.01 + next().abs());
             }
-            let p = ekf.covariance();
+            let p = ekf.covariance(0);
             prop_assert!(p.is_finite());
             prop_assert!(p.is_positive_semidefinite(1e-9), "step {i}: {p:?}");
         }

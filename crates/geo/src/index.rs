@@ -140,7 +140,7 @@ impl QueryScratch {
 ///
 /// Built bottom-up from a Hilbert sort of the item AABB centers:
 /// leaves land in curve order (spatially coherent), every
-/// [`NODE_SIZE`] consecutive boxes get one parent, and all levels pack
+/// `NODE_SIZE` consecutive boxes get one parent, and all levels pack
 /// into a single flat `Vec` (leaves first, root last). The tree is
 /// immutable after [`PackedRtree::build`]; queries are read-only and
 /// allocation-free through a caller [`QueryScratch`].

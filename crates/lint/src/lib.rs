@@ -17,9 +17,6 @@
 //! * **sync-comment** — every atomic `Ordering::*` use and every
 //!   `Mutex`/`RwLock`/atomic declaration carries a `// sync:`
 //!   invariant comment.
-//! * **simd-twin** — every function gated on the `simd` feature has a
-//!   same-named scalar twin behind the negated cfg in the same file,
-//!   so the fallback compiles everywhere the intrinsics path does.
 //!
 //! The module lists are exported as constants so other crates (the
 //! bench harness's `pipeline_hotpath_smoke` gate) can check the

@@ -22,9 +22,6 @@ pub const RULE_TOTAL_CMP: &str = "total-cmp";
 /// Rule: atomic `Ordering` use or lock/atomic field without a
 /// `// sync:` invariant comment.
 pub const RULE_SYNC_COMMENT: &str = "sync-comment";
-/// Rule: a `#[cfg(feature = "simd")]`-gated function with no
-/// `#[cfg(not(..))]` scalar twin of the same name in the same file.
-pub const RULE_SIMD_TWIN: &str = "simd-twin";
 /// Rule: an allocation in a function transitively reachable from a
 /// warm-path root (`*_into` / scratch-taking) via the workspace call
 /// graph. The diagnostic carries the full call chain.
@@ -58,7 +55,6 @@ pub const ALL_RULES: &[&str] = &[
     RULE_FLOAT_DIV,
     RULE_TOTAL_CMP,
     RULE_SYNC_COMMENT,
-    RULE_SIMD_TWIN,
     RULE_TRANSITIVE_ALLOC,
     RULE_TRANSITIVE_PANIC,
     RULE_AMBIGUOUS_CALL,
@@ -112,8 +108,8 @@ pub struct Diagnostic {
 }
 
 /// Scans one file's source, returning every unsuppressed finding plus
-/// allowlist bookkeeping errors. `total-cmp`, `sync-comment`, and
-/// `simd-twin` always apply; the rest follow `scope`. Code inside
+/// allowlist bookkeeping errors. `total-cmp` and `sync-comment` always
+/// apply; the rest follow `scope`. Code inside
 /// `#[cfg(test)]` items is skipped.
 pub fn scan_source(src: &str, scope: Scope) -> Vec<Diagnostic> {
     let lexed = lex(src);
@@ -141,7 +137,6 @@ pub fn raw_findings(lexed: &Lexed, scope: Scope) -> Vec<Diagnostic> {
     }
     check_total_cmp(toks, &excluded, &mut raw);
     check_sync_comment(lexed, &excluded, &mut raw);
-    check_simd_twin(toks, &excluded, &mut raw);
     raw
 }
 
@@ -703,80 +698,6 @@ fn is_sync_declaration(toks: &[Tok], i: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Rule (e): simd scalar-twin discipline
-// ---------------------------------------------------------------------------
-
-/// Every function gated on the `simd` feature must have a same-named
-/// scalar twin gated on the negated cfg in the same file, so the
-/// scalar fallback compiles (and tests) everywhere the intrinsics
-/// path does. The positive/negative pairing is matched purely by
-/// function name; the rule reads outer `#[cfg(..)]` attributes whose
-/// token stream mentions `feature` and a literal containing `simd`,
-/// with polarity decided by the presence of `not`.
-fn check_simd_twin(toks: &[Tok], excluded: &[bool], out: &mut Vec<Diagnostic>) {
-    let mut positive: Vec<(String, u32)> = Vec::new();
-    let mut negative: Vec<String> = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if excluded[i] || !(text(toks, i) == "#" && text(toks, i + 1) == "[") {
-            i += 1;
-            continue;
-        }
-        let close = matching(toks, i + 1);
-        let attr = &toks[i + 2..close.min(toks.len())];
-        let is_simd_cfg = attr.first().map(|t| t.text == "cfg").unwrap_or(false)
-            && attr.iter().any(|t| t.text == "feature")
-            && attr.iter().any(|t| t.kind == TokKind::Str && t.text.contains("simd"));
-        if !is_simd_cfg {
-            i = close + 1;
-            continue;
-        }
-        let negated = attr.iter().any(|t| t.text == "not");
-        let attr_line = toks[i].line;
-        // Skip any further attributes, then the visibility/qualifier
-        // prefix; anything other than a `fn` item (a gated `use`, `mod`,
-        // `impl`, ...) is outside this rule's scope.
-        let mut j = close + 1;
-        while text(toks, j) == "#" && text(toks, j + 1) == "[" {
-            j = matching(toks, j + 1) + 1;
-        }
-        loop {
-            match text(toks, j) {
-                "pub" => {
-                    j += 1;
-                    if text(toks, j) == "(" {
-                        j = matching(toks, j) + 1;
-                    }
-                }
-                "unsafe" | "const" | "extern" => j += 1,
-                _ => break,
-            }
-        }
-        if is_ident(toks, j, "fn") && toks.get(j + 1).map(|t| t.kind) == Some(TokKind::Ident) {
-            let name = toks[j + 1].text.clone();
-            if negated {
-                negative.push(name);
-            } else {
-                positive.push((name, attr_line));
-            }
-        }
-        i = close + 1;
-    }
-    for (name, line) in positive {
-        if !negative.contains(&name) {
-            out.push(Diagnostic {
-                rule: RULE_SIMD_TWIN,
-                line,
-                msg: format!(
-                    "`fn {name}` is gated on the `simd` feature but has no \
-                     `#[cfg(not(..))]` scalar twin of the same name in this file"
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Allowlist
 // ---------------------------------------------------------------------------
 
@@ -971,31 +892,6 @@ mod tests {
     fn cfg_test_mod_is_skipped() {
         let src = "fn hot() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { Some(1).unwrap(); }\n}";
         assert!(rules_of(src, Scope::all()).is_empty());
-    }
-
-    #[test]
-    fn simd_fn_without_scalar_twin_fires() {
-        let bad = "#[cfg(all(feature = \"simd\", target_arch = \"x86_64\"))]\nfn propagate(&mut self) { }";
-        assert_eq!(rules_of(bad, Scope::default()), vec![RULE_SIMD_TWIN]);
-        let paired = "#[cfg(not(all(feature = \"simd\", target_arch = \"x86_64\")))]\nfn propagate(&mut self) { }\n#[cfg(all(feature = \"simd\", target_arch = \"x86_64\"))]\nfn propagate(&mut self) { }";
-        assert!(rules_of(paired, Scope::default()).is_empty());
-        // Wrong-name twin does not satisfy the pairing.
-        let misnamed = "#[cfg(not(feature = \"simd\"))]\nfn propagate_scalar(&mut self) { }\n#[cfg(feature = \"simd\")]\nfn propagate(&mut self) { }";
-        assert_eq!(rules_of(misnamed, Scope::default()), vec![RULE_SIMD_TWIN]);
-    }
-
-    #[test]
-    fn simd_gated_non_fn_items_are_ignored() {
-        let uses =
-            "#[cfg(all(feature = \"simd\", target_arch = \"x86_64\"))]\nuse core::arch::x86_64::*;";
-        assert!(rules_of(uses, Scope::default()).is_empty());
-        // Other feature gates never fire.
-        let other = "#[cfg(feature = \"parallel\")]\nfn spawn_workers() { }";
-        assert!(rules_of(other, Scope::default()).is_empty());
-        // A negative-only scalar fn (no intrinsics twin yet) is fine:
-        // the rule guards the intrinsics side, not the scalar side.
-        let scalar_only = "#[cfg(not(feature = \"simd\"))]\nfn propagate(&mut self) { }";
-        assert!(rules_of(scalar_only, Scope::default()).is_empty());
     }
 
     #[test]

@@ -78,15 +78,6 @@ fn sync_comment_fires_and_documented_passes() {
 }
 
 #[test]
-fn simd_twin_fires_and_paired_passes() {
-    // simd-twin is workspace-wide; the cold scope keeps the fixtures
-    // from also tripping hot-only rules.
-    let cold = Scope::default();
-    assert_eq!(fired_with("simd_twin_fires.rs", cold), vec![rules::RULE_SIMD_TWIN]);
-    assert_eq!(fired_with("simd_twin_allowed.rs", cold), Vec::<&str>::new());
-}
-
-#[test]
 fn malformed_allows_are_diagnosed() {
     let diags = rules::scan_source(&fixture("allowlist_errors.rs"), Scope::all());
     let allowlist: Vec<_> = diags.iter().filter(|d| d.rule == rules::RULE_ALLOWLIST).collect();
@@ -108,7 +99,6 @@ fn every_rule_family_is_covered_by_a_fixture() {
         rules::RULE_FLOAT_DIV,
         rules::RULE_TOTAL_CMP,
         rules::RULE_SYNC_COMMENT,
-        rules::RULE_SIMD_TWIN,
         rules::RULE_ALLOWLIST,
         // Interprocedural rules are covered by the mini-workspace
         // fixtures under tests/fixtures/graph/ (see callgraph.rs).

@@ -44,8 +44,8 @@ use std::time::Instant;
 /// whole sketch stays two pages of `u32` counts.
 const SUB_PER_OCTAVE: i64 = 4;
 
-/// Buckets per signed store. With [`SUB_PER_OCTAVE`] = 4 this covers 64
-/// octaves of magnitude.
+/// Buckets per signed store. With four sub-buckets per octave this
+/// covers 64 octaves of magnitude.
 pub const SKETCH_BUCKETS: usize = 256;
 
 /// Lowest covered octave: magnitudes below `2^-20` (≈ 9.5e-7) fall

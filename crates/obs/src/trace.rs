@@ -352,7 +352,7 @@ struct RingState {
 
 /// The bounded flight recorder. Implements [`Recorder`], so any
 /// instrumented entry point (`estimate_into_recorded`,
-/// `process_batch_recorded`, …) can write into it — alone or fanned
+/// `process_batch_network_recorded`, …) can write into it — alone or fanned
 /// out together with a `RunRecorder` through [`Tee`].
 ///
 /// Capacity is fixed at construction; recording into a full ring drops

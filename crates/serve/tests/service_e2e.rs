@@ -302,6 +302,35 @@ fn out_of_order_imu_times_are_rejected_without_killing_workers() {
 }
 
 #[test]
+fn a_huge_imu_time_gap_is_acked_without_a_profile() {
+    // Four IMU samples, the last three 1e9 s after the first: decode
+    // accepts the strictly increasing times, and the estimate steps
+    // every sample at the first interval. Resampling that runaway
+    // odometer took a 32 GB allocation that brought the process down;
+    // the frame must instead fuse nothing and leave the server serving.
+    let net = parallel_roads_network(2);
+    let server = start(&ServeConfig::default(), "127.0.0.1:0", &net, Arc::new(NoopRecorder))
+        .expect("bind loopback");
+    let imu = [0.0, 1e9 + 0.02, 1e9 + 0.04, 1e9 + 0.06].map(|t| {
+        gradest_sensors::samples::ImuSample { t, accel_long: 0.0, accel_lat: 0.0, gyro_z: 0.0 }
+    });
+    let hostile = SensorLog { imu: imu.to_vec(), ..Default::default() };
+    let mut client = Client::connect(server.addr(), TIMEOUT).expect("connect");
+    for (road_id, log) in [(1, hostile), (0, trip_log(&net, 0, 9))] {
+        match client.upload(road_id, &log).expect("reply") {
+            ServerReply::Ack { road_id: acked } => assert_eq!(acked, road_id),
+            other => panic!("unexpected reply: {other:?}"),
+        }
+    }
+    assert!(server.road_profile(1).is_none(), "the hostile road has a profile");
+    assert!(server.road_profile(0).is_some());
+    drop(client);
+    let report = server.shutdown();
+    assert!(report.is_clean(), "drain after the hostile frame: {report:?}");
+    assert_eq!(report.stats.uploads_acked, 2);
+}
+
+#[test]
 fn full_accept_queue_answers_busy() {
     let net = parallel_roads_network(1);
     // One worker and a one-slot queue: the third concurrent idle

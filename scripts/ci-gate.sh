@@ -12,22 +12,22 @@
 #   2. cargo fmt --check               — formatting drift
 #   3. gradest-lint                    — workspace invariants (no-panic /
 #                                        no-alloc-into / float hygiene /
-#                                        sync-comment audit / simd scalar
-#                                        twins) plus the interprocedural
-#                                        pass: call-graph transitive
-#                                        no-alloc/no-panic taint from the
-#                                        warm/hot roots, ambiguous-call
-#                                        audit, dead-suppression audit,
+#                                        sync-comment audit) plus the
+#                                        interprocedural pass: call-graph
+#                                        transitive no-alloc/no-panic
+#                                        taint from the warm/hot roots,
+#                                        ambiguous-call audit,
+#                                        dead-suppression audit,
 #                                        warm-path drift check. Writes
 #                                        target/lint/LINT_REPORT.json
 #                                        (machine-readable, uploaded as a
 #                                        CI artifact)
-#   4. gradest-core --features simd    — both cfg halves of the SoA EKF
-#                                        lanes: the featureless steps
-#                                        above cover the scalar fallback;
-#                                        this one tests the SSE2 twins
 #
 # Default path adds:
+#   4. rustdoc -D warnings             — `cargo doc --workspace --no-deps`
+#                                        with every rustdoc warning an
+#                                        error: broken or private intra-doc
+#                                        links, ambiguous link targets
 #   5. gradest-lint self-test          — --inject-violation seeds a virtual
 #                                        cross-module warm-path allocation and
 #                                        hot-path panic; the gate must catch
@@ -158,14 +158,14 @@ run_step "fmt" cargo fmt --check
 mkdir -p target/lint
 run_step "gradest-lint" \
   cargo run --release -q -p gradest-lint -- --report target/lint/LINT_REPORT.json
-# The EKF-lane kernels carry scalar/SSE2 twins behind the `simd`
-# feature. The featureless steps above already exercise the scalar
-# fallback (the default build); this step compiles and tests the
-# intrinsics half so neither cfg path can rot unnoticed.
-run_step "gradest-core (--features simd)" cargo test -q -p gradest-core --features simd
 
 # --- default steps -----------------------------------------------------------
 if [[ "$MODE" != quick ]]; then
+  # Rustdoc: every doc link must resolve to a public, unambiguous item,
+  # so a renamed or demoted item cannot leave a dangling link behind.
+  run_step "rustdoc -D warnings" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
   # Linter self-test: seed a virtual cross-module warm-path allocation
   # and a hot-path panic two hops deep, then require the transitive
   # pass to report both with full call chains. Guards against the
