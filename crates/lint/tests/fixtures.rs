@@ -105,6 +105,7 @@ fn every_rule_family_is_covered_by_a_fixture() {
         rules::RULE_TRANSITIVE_ALLOC,
         rules::RULE_TRANSITIVE_PANIC,
         rules::RULE_AMBIGUOUS_CALL,
+        rules::RULE_UNUSED_PUB,
     ];
     for rule in rules::ALL_RULES {
         assert!(covered.contains(rule), "rule {rule} has no fixture coverage");
