@@ -143,12 +143,6 @@ impl AnnGradientEstimator {
         self.net.forward(&x)[0].clamp(-0.5, 0.5)
     }
 
-    /// Training residual variance (rad²) — used as the per-sample track
-    /// variance.
-    pub fn residual_variance(&self) -> f64 {
-        self.residual_var
-    }
-
     /// Runs the trained network over a trip, producing an arc-indexed
     /// gradient track (arc position from the speedometer, emitted at
     /// 10 Hz).
@@ -262,7 +256,7 @@ mod tests {
             assert!(p.is_finite());
             assert!(p.abs() <= 0.5);
         }
-        assert!(ann.residual_variance() > 0.0);
+        assert!(ann.residual_var > 0.0);
     }
 
     #[test]

@@ -157,13 +157,8 @@ impl Mlp {
     }
 
     /// Number of inputs the network expects.
-    pub fn input_size(&self) -> usize {
+    fn input_size(&self) -> usize {
         self.layers[0].w.cols()
-    }
-
-    /// Number of outputs.
-    pub fn output_size(&self) -> usize {
-        self.layers.last().expect("nonempty").w.rows()
     }
 
     /// Forward pass.
@@ -307,7 +302,6 @@ mod tests {
     fn forward_shapes() {
         let net = Mlp::new(&[3, 8, 2], Activation::Tanh, 1);
         assert_eq!(net.input_size(), 3);
-        assert_eq!(net.output_size(), 2);
         let y = net.forward(&[0.1, -0.2, 0.3]);
         assert_eq!(y.len(), 2);
         assert!(y.iter().all(|v| v.is_finite()));

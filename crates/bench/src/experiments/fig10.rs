@@ -13,7 +13,7 @@ use gradest_geo::generate::city_network;
 use serde::{Deserialize, Serialize};
 
 /// Cruise speed of the paper's Figure 10(a), m/s (40 km/h).
-pub const CRUISE_MPS: f64 = 40.0 / 3.6;
+const CRUISE_MPS: f64 = 40.0 / 3.6;
 
 /// Figure 10 result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

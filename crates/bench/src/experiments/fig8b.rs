@@ -33,7 +33,7 @@ pub struct Fig8b {
 
 /// The fusion order used (weakest first, as the paper's "no fuse"
 /// baseline is a single phone-derived track).
-pub const FUSION_ORDER: [VelocitySource; 4] = [
+const FUSION_ORDER: [VelocitySource; 4] = [
     VelocitySource::Gps,
     VelocitySource::Accelerometer,
     VelocitySource::Speedometer,

@@ -17,7 +17,7 @@ use crate::perfbench::{run_bench, BenchReport};
 use crate::report::{print_table, save_json};
 use crate::scenarios::red_road_drive;
 use gradest_core::{EkfConfig, EkfLanes, MAX_LANES};
-use gradest_math::lowess::{lowess_into, LowessConfig, LowessScratch};
+use gradest_math::lowess::{lowess_into, LowessScratch};
 use gradest_sensors::alignment::{steering_rate_profile_into, WRoadScratch};
 use gradest_sensors::columnar::ImuColumns;
 use serde::{Deserialize, Serialize};
@@ -74,13 +74,13 @@ pub fn run(seed: u64, samples: usize) -> KernelBench {
     // 50 Hz grid, with the pipeline-sized ~1.5 s window.
     let lowess_samples = cols.len();
     let window = 75.0f64;
-    let cfg = LowessConfig::with_fraction((window / lowess_samples as f64).clamp(1e-3, 1.0));
+    let fraction = (window / lowess_samples as f64).clamp(1e-3, 1.0);
     let mut lowess_scratch = LowessScratch::new();
     let mut fitted = Vec::new();
-    lowess_into(&cols.t, &cols.gyro_z, cfg, &mut lowess_scratch, &mut fitted)
+    lowess_into(&cols.t, &cols.gyro_z, fraction, &mut lowess_scratch, &mut fitted)
         .expect("uniform-grid lowess over trip gyro");
     let lowess_uniform_window = run_bench("lowess_uniform_window", samples, 1, || {
-        lowess_into(&cols.t, &cols.gyro_z, cfg, &mut lowess_scratch, &mut fitted)
+        lowess_into(&cols.t, &cols.gyro_z, fraction, &mut lowess_scratch, &mut fitted)
             .expect("uniform-grid lowess over trip gyro");
         black_box(fitted.last().copied());
     });

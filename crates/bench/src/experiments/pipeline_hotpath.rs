@@ -23,7 +23,7 @@ use crate::scenarios::red_road_drive;
 use gradest_core::pipeline::{
     EstimatorConfig, EstimatorScratch, GradientEstimate, GradientEstimator, StageNanos,
 };
-use gradest_math::lowess::{lowess_into, lowess_reference, LowessConfig, LowessScratch};
+use gradest_math::lowess::{lowess_into, lowess_reference, LowessScratch};
 use gradest_obs::{RunRecorder, RunReport, Tee, TimeSeriesRecorder, TraceRing};
 use gradest_sensors::alignment::{steering_rate_profile_into, WRoadScratch};
 use gradest_sensors::columnar::ImuColumns;
@@ -145,15 +145,12 @@ pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
     );
     let span_s = cols.t.last().copied().unwrap_or(0.0) - cols.t.first().copied().unwrap_or(0.0);
     let window_s = estimator.config().lane_change.smoothing_window_s;
-    let lowess_cfg = LowessConfig {
-        fraction: (window_s / span_s.max(1e-9)).clamp(1e-4, 1.0),
-        robust_iterations: 0,
-    };
+    let fraction = (window_s / span_s.max(1e-9)).clamp(1e-4, 1.0);
     let mut fast_w = Vec::new();
-    lowess_into(&cols.t, &w_raw, lowess_cfg, &mut LowessScratch::new(), &mut fast_w)
+    lowess_into(&cols.t, &w_raw, fraction, &mut LowessScratch::new(), &mut fast_w)
         .expect("steering series on increasing times");
     let reference_w =
-        lowess_reference(&cols.t, &w_raw, lowess_cfg).expect("steering series on increasing times");
+        lowess_reference(&cols.t, &w_raw, fraction).expect("steering series on increasing times");
     assert_eq!(fast_w.len(), reference_w.len());
     let fast_vs_generic_max_abs_diff =
         fast_w.iter().zip(&reference_w).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);

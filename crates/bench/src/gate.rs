@@ -235,11 +235,6 @@ impl GateReport {
         self.rows.iter().filter(|r| r.verdict != Verdict::Pass).count()
     }
 
-    /// True when every metric passed.
-    pub fn passed(&self) -> bool {
-        self.failures() == 0
-    }
-
     /// Renders the rows for [`crate::report::print_table`]:
     /// metric, baseline ms, current ms, Δ%, verdict.
     pub fn table_rows(&self) -> Vec<Vec<String>> {
@@ -314,7 +309,7 @@ mod tests {
     fn identical_run_passes() {
         let base = metrics(&[("a", 100.0), ("b", 2e6)]);
         let report = compare(&base, &base, DEFAULT_TOLERANCE, 0.0);
-        assert!(report.passed());
+        assert!(report.failures() == 0);
         assert_eq!(report.failures(), 0);
     }
 
@@ -323,7 +318,7 @@ mod tests {
         let base = metrics(&[("a", 100.0), ("b", 100.0)]);
         let cur = metrics(&[("a", 119.0), ("b", 40.0)]);
         let report = compare(&base, &cur, 0.20, 0.0);
-        assert!(report.passed(), "{:?}", report.rows);
+        assert!(report.failures() == 0, "{:?}", report.rows);
     }
 
     #[test]
@@ -331,7 +326,7 @@ mod tests {
         let base = metrics(&[("a", 100.0), ("b", 100.0)]);
         let cur = metrics(&[("a", 100.0), ("b", 150.0)]);
         let report = compare(&base, &cur, 0.20, 0.0);
-        assert!(!report.passed());
+        assert!(report.failures() > 0);
         assert_eq!(report.failures(), 1);
         let bad = &report.rows[1];
         assert_eq!(bad.verdict, Verdict::Slower);

@@ -134,7 +134,8 @@ impl CloudAggregator {
     /// Ingests one vehicle's track for a road. Each estimate lands in the
     /// arc cell containing its position and joins the running convex
     /// combination. Estimates whose variance is not finite and positive,
-    /// or whose θ or arc position is not finite, are skipped.
+    /// or whose θ or arc position is not finite, are skipped, and a
+    /// track with no valid estimate creates no road.
     ///
     /// Takes `&self`: concurrent uploads are safe, and uploads to
     /// different roads rarely contend (they serialise only when both
@@ -155,22 +156,24 @@ impl CloudAggregator {
         // published to readers by the stripe write lock below.
         self.uploads.fetch_add(1, Ordering::Relaxed);
         let mut cells_touched = 0u64;
-        {
+        // A NaN variance fails `> 0.0` (it would turn the cell's sums to
+        // NaN for good); an infinite one fails `is_finite` (it would
+        // count as coverage with no weight).
+        let mut valid = track
+            .s
+            .iter()
+            .zip(&track.theta)
+            .zip(&track.variance)
+            .map(|((&s, &theta), &var)| (s, theta, var))
+            .filter(|&(s, theta, var)| {
+                var > 0.0 && var.is_finite() && theta.is_finite() && s.is_finite() && s >= 0.0
+            })
+            .peekable();
+        if valid.peek().is_some() {
             let mut shard = self.stripe(road_id).write();
             let acc = shard.entry(road_id).or_default();
-            for ((s, theta), var) in track.s.iter().zip(&track.theta).zip(&track.variance) {
-                // A NaN variance fails `> 0.0` (it would turn the cell's
-                // sums to NaN for good); an infinite one fails
-                // `is_finite` (it would count as coverage with no weight).
-                let valid = *var > 0.0
-                    && var.is_finite()
-                    && theta.is_finite()
-                    && s.is_finite()
-                    && *s >= 0.0;
-                if !valid {
-                    continue;
-                }
-                let idx = (*s / self.grid_ds) as usize;
+            for (s, theta, var) in valid {
+                let idx = (s / self.grid_ds) as usize;
                 if acc.cells.len() <= idx {
                     acc.cells.resize(idx + 1, Cell::default());
                 }
@@ -357,6 +360,18 @@ mod tests {
         t.variance.push(-1.0); // corrupted upload
         cloud.upload(3, &t);
         assert!(cloud.road_profile(3).is_none());
+    }
+
+    #[test]
+    fn all_invalid_upload_creates_no_road() {
+        let cloud = CloudAggregator::new(5.0);
+        cloud.upload(1, &track(0.01, 1e-4, 4));
+        let mut hostile = track(0.02, 1e-4, 6);
+        hostile.theta.iter_mut().for_each(|th| *th = f64::NAN);
+        cloud.upload(2, &hostile);
+        assert_eq!(cloud.road_count(), 1);
+        assert!(cloud.road_profile(2).is_none());
+        assert_eq!(cloud.uploads(), 2);
     }
 
     #[test]

@@ -121,7 +121,7 @@ impl FleetEngine {
     /// that trip *and all earlier ones* have finished. Out-of-order
     /// completions wait in a hold-back buffer, so the callback sees the
     /// exact sequence a serial loop would produce.
-    pub fn process_streaming<F>(&self, logs: &[SensorLog], map: Option<&Route>, on_result: F)
+    fn process_streaming<F>(&self, logs: &[SensorLog], map: Option<&Route>, on_result: F)
     where
         F: FnMut(usize, GradientEstimate),
     {

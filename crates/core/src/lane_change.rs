@@ -127,7 +127,7 @@ impl LaneChangeDetector {
 
     /// [`Self::find_bumps`] into a caller-owned buffer (overwritten), so a
     /// warm caller pays no allocation.
-    pub fn find_bumps_into(&self, profile: &SmoothedProfile, bumps: &mut Vec<Bump>) {
+    fn find_bumps_into(&self, profile: &SmoothedProfile, bumps: &mut Vec<Bump>) {
         bumps.clear();
         let cfg = &self.config;
         if profile.len() < 2 {
@@ -206,7 +206,7 @@ impl LaneChangeDetector {
     }
 
     /// [`Self::detect`] into caller-owned buffers: `bumps` stages the
-    /// [`Self::find_bumps_into`] candidates and `detections` receives the
+    /// [`Self::find_bumps`] candidates and `detections` receives the
     /// result (both overwritten), so a warm caller pays no allocation.
     ///
     /// Returns the tally of Algorithm 1's decisions: how many bumps were

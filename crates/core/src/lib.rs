@@ -58,7 +58,7 @@ pub mod sync;
 pub mod track;
 
 pub use cloud::{CloudAggregator, CloudSnapshot};
-pub use diagnostics::{FilterHealth, InnovationMonitor, MonitorConfig};
+pub use diagnostics::{FilterHealth, InnovationMonitor};
 pub use ekf::EkfConfig;
 pub use ekf_lanes::{EkfLanes, MAX_LANES};
 pub use fleet::FleetEngine;
@@ -69,5 +69,5 @@ pub use pipeline::{
     EstimatorConfig, EstimatorScratch, GradientEstimate, GradientEstimator, StageNanos,
     VelocitySource,
 };
-pub use smoother::{rts_smooth, rts_smooth_into, rts_smooth_lanes_into, RtsStep};
+pub use smoother::{rts_smooth, rts_smooth_into, RtsStep};
 pub use track::GradientTrack;

@@ -15,7 +15,7 @@
 //! * the accelerometer-integrated velocity source is omitted — it needs
 //!   acausal drift correction to be useful.
 
-use crate::diagnostics::{FilterHealth, InnovationMonitor, MonitorConfig};
+use crate::diagnostics::{FilterHealth, InnovationMonitor};
 use crate::ekf_lanes::{EkfLanes, MAX_LANES};
 use crate::lane_change::LaneChangeDetection;
 use crate::pipeline::EstimatorConfig;
@@ -52,6 +52,7 @@ impl OnlineSource {
 
 /// One fused output sample.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+// lint:allow(unused-pub) returned by `OnlineEstimator::latest`, which the `OnlineEstimator` doc example calls
 pub struct OnlineEstimate {
     /// Time of the estimate, seconds.
     pub t: f64,
@@ -133,11 +134,8 @@ impl OnlineEstimator {
     /// Creates a streaming estimator. `map` enables road-curvature
     /// subtraction and GPS arc anchoring.
     pub fn new(config: EstimatorConfig, map: Option<Route>) -> Self {
-        let mk = |r: f64| SourceState {
-            r,
-            initialized: false,
-            monitor: InnovationMonitor::new(MonitorConfig::default()),
-        };
+        let mk =
+            |r: f64| SourceState { r, initialized: false, monitor: InnovationMonitor::default() };
         let sources = [mk(config.r_gps), mk(config.r_speedometer), mk(config.r_can)];
         OnlineEstimator {
             lanes: EkfLanes::new(config.ekf, [10.0; MAX_LANES]),
@@ -236,6 +234,7 @@ impl OnlineEstimator {
     }
 
     /// Latest fused estimate, if any samples have been consumed.
+    // lint:allow(unused-pub) the `OnlineEstimator` doc example calls it: a phone app reads the live gradient here
     pub fn latest(&self) -> Option<OnlineEstimate> {
         let t = self.last_imu_t?;
         let (theta, variance) = self.fused_theta();

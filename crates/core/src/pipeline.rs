@@ -10,12 +10,12 @@
 //!    and updating with that source's velocity measurements;
 //! 4. track fusion by convex combination.
 
-use crate::diagnostics::{FilterHealth, InnovationMonitor, MonitorConfig};
+use crate::diagnostics::{FilterHealth, InnovationMonitor};
 use crate::ekf::EkfConfig;
 use crate::ekf_lanes::{EkfLanes, MAX_LANES};
 use crate::fusion::fuse_tracks_into;
 use crate::lane_change::{Bump, LaneChangeConfig, LaneChangeDetection, LaneChangeDetector};
-use crate::smoother::{rts_smooth_into, rts_smooth_lanes_into, RtsStep};
+use crate::smoother::{rts_step, RtsStep};
 use crate::steering::{smooth_profile_into, SmoothedProfile};
 use crate::track::GradientTrack;
 use gradest_geo::Route;
@@ -27,6 +27,7 @@ use gradest_obs::{
 };
 use gradest_sensors::alignment::{steering_rate_profile_into, MapMatcher, WRoadScratch};
 use gradest_sensors::columnar::ImuColumns;
+use gradest_sensors::samples::SpeedSample;
 use gradest_sensors::suite::SensorLog;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -137,12 +138,11 @@ impl EstimatorConfig {
 pub use gradest_obs::StageNanos;
 
 /// Per-source working set for one EKF track: measurement staging, filter
-/// history, the track under construction, and the RTS output buffer.
+/// history, and the track under construction.
 #[derive(Debug, Clone, Default)]
-pub struct TrackScratch {
+struct TrackScratch {
     measurements: Vec<(f64, f64)>,
     history: Vec<RtsStep>,
-    smoothed: Vec<(Vec2, Mat2)>,
     track: GradientTrack,
     // Lazily built on the first *recorded* trip and then reset-and-
     // reused (reset keeps the window's capacity), so the warm recorded
@@ -449,7 +449,9 @@ impl GradientEstimator {
     }
 
     /// Builds the `(t, v)` measurement series for one source into a
-    /// caller-owned buffer (overwritten).
+    /// caller-owned buffer (overwritten). Samples whose time or speed is
+    /// not finite are dropped: one would poison the lane's filter and
+    /// odometer for the rest of the trip.
     fn measurement_series_into(
         &self,
         log: &SensorLog,
@@ -458,13 +460,9 @@ impl GradientEstimator {
     ) {
         out.clear();
         match source {
-            VelocitySource::Gps => {
-                out.extend(log.gps.iter().filter(|g| g.valid).map(|g| (g.t, g.speed_mps)));
-            }
-            VelocitySource::Speedometer => {
-                out.extend(log.speedometer.iter().map(|s| (s.t, s.speed_mps)));
-            }
-            VelocitySource::CanBus => out.extend(log.can.iter().map(|s| (s.t, s.speed_mps))),
+            VelocitySource::Gps => out.extend(gps_speeds(log)),
+            VelocitySource::Speedometer => out.extend(finite_speeds(&log.speedometer)),
+            VelocitySource::CanBus => out.extend(finite_speeds(&log.can)),
             VelocitySource::Accelerometer => self.integrate_accel_velocity_into(log, out),
         }
     }
@@ -475,17 +473,17 @@ impl GradientEstimator {
     /// a caller-owned buffer (already cleared by the caller).
     fn integrate_accel_velocity_into(&self, log: &SensorLog, out: &mut Vec<(f64, f64)>) {
         let tau = self.config.accel_blend_tau_s.max(1.0);
-        let mut gps_iter = log.gps.iter().filter(|g| g.valid).peekable();
+        let mut gps_iter = gps_speeds(log).peekable();
         let mut latest_gps: Option<f64> = None;
-        let mut v = log.gps.iter().find(|g| g.valid).map(|g| g.speed_mps).unwrap_or(10.0);
+        let mut v = gps_speeds(log).next().map(|(_, v)| v).unwrap_or(10.0);
         let mut last_t = log.imu.first().map(|s| s.t).unwrap_or(0.0);
         let mut next_emit = last_t;
         for imu in &log.imu {
             let dt = (imu.t - last_t).max(0.0);
             last_t = imu.t;
-            while let Some(g) = gps_iter.peek() {
-                if g.t <= imu.t {
-                    latest_gps = Some(g.speed_mps);
+            while let Some(&(t, speed)) = gps_iter.peek() {
+                if t <= imu.t {
+                    latest_gps = Some(speed);
                     gps_iter.next();
                 } else {
                     break;
@@ -560,9 +558,7 @@ impl GradientEstimator {
             rs[l] = cfg.source_variance(source);
             v0[l] = ts.measurements.first().map(|m| m.1).unwrap_or(10.0);
             if rec.enabled() {
-                let mon = ts
-                    .monitor
-                    .get_or_insert_with(|| InnovationMonitor::new(MonitorConfig::default()));
+                let mon = ts.monitor.get_or_insert_with(InnovationMonitor::default);
                 mon.reset();
             }
             ts.track.label.clear();
@@ -660,24 +656,7 @@ impl GradientEstimator {
             }
         }
         if rts {
-            // Full lane complement: one interleaved backward pass;
-            // otherwise fall back to sequential per-lane passes.
-            if let [a, b, c, d] = lanes {
-                rts_smooth_lanes_into(
-                    [&a.history, &b.history, &c.history, &d.history],
-                    [&mut a.smoothed, &mut b.smoothed, &mut c.smoothed, &mut d.smoothed],
-                );
-            } else {
-                for ts in lanes.iter_mut() {
-                    rts_smooth_into(&ts.history, &mut ts.smoothed);
-                }
-            }
-            for ts in lanes.iter_mut() {
-                for (i, (x, p)) in ts.smoothed.iter().enumerate() {
-                    ts.track.theta[i] = x.y;
-                    ts.track.variance[i] = p.m[1][1].max(1e-12);
-                }
-            }
+            smooth_lanes(lanes);
         }
         if rec.enabled() {
             for (l, ts) in lanes.iter().enumerate() {
@@ -693,6 +672,40 @@ impl GradientEstimator {
                         rec.event(TraceEvent::TrackDiverged { source: trace_source(srcs[l]) });
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The backward RTS pass over every lane's history, written straight
+/// into the lanes' tracks. The recursions are interleaved — step `k` of
+/// every lane before step `k − 1` — so the lanes' independent dependency
+/// chains (each serialized on a `Mat2` inverse and three small matrix
+/// products) overlap instead of running back to back. Every lane records
+/// one step per IMU sample, so the histories have equal lengths. Each
+/// lane carries its smoothed `(x, P)` from step `k + 1` to step `k`; the
+/// last step's is its filtered state, already in the track. Per lane the
+/// operation sequence is [`crate::smoother::rts_smooth_into`]'s.
+fn smooth_lanes(lanes: &mut [TrackScratch]) {
+    let mut carry: [Option<(Vec2, Mat2)>; MAX_LANES] = [None; MAX_LANES];
+    for (carried, ts) in carry.iter_mut().zip(lanes.iter()) {
+        *carried = ts.history.last().map(|s| (s.x_filt, s.p_filt));
+    }
+    let steps = lanes.iter().map(|ts| ts.history.len()).max().unwrap_or(0);
+    for k in (0..steps.saturating_sub(1)).rev() {
+        for (ts, carried) in lanes.iter_mut().zip(carry.iter_mut()) {
+            let (Some(cur), Some(next), Some((x_next, p_next))) =
+                (ts.history.get(k), ts.history.get(k + 1), *carried)
+            else {
+                continue;
+            };
+            let (x, p) = rts_step(cur, next, x_next, p_next).unwrap_or((cur.x_filt, cur.p_filt));
+            *carried = Some((x, p));
+            if let (Some(theta), Some(variance)) =
+                (ts.track.theta.get_mut(k), ts.track.variance.get_mut(k))
+            {
+                *theta = x.y;
+                *variance = p.m[1][1].max(1e-12);
             }
         }
     }
@@ -842,21 +855,33 @@ fn record_fusion_weights<R: Recorder>(rec: &R, tracks: &[GradientTrack], fused: 
     }
 }
 
+/// `(t, v)` of the speed samples whose time and speed are both finite.
+fn finite_speeds(samples: &[SpeedSample]) -> impl Iterator<Item = (f64, f64)> + '_ {
+    samples.iter().map(|s| (s.t, s.speed_mps)).filter(|(t, v)| t.is_finite() && v.is_finite())
+}
+
+/// `(t, v)` of the valid GPS fixes whose time and speed are both finite.
+fn gps_speeds(log: &SensorLog) -> impl Iterator<Item = (f64, f64)> + '_ {
+    log.gps
+        .iter()
+        .filter(|g| g.valid)
+        .map(|g| (g.t, g.speed_mps))
+        .filter(|(t, v)| t.is_finite() && v.is_finite())
+}
+
 /// Stages the best available speed stream into `(ts, vs)` columns:
-/// speedometer when present, else valid GPS fixes.
+/// speedometer when present, else valid GPS fixes, finite samples only.
 fn fill_speed_series(log: &SensorLog, ts: &mut Vec<f64>, vs: &mut Vec<f64>) {
     ts.clear();
     vs.clear();
+    let mut push = |(t, v): (f64, f64)| {
+        ts.push(t);
+        vs.push(v);
+    };
     if !log.speedometer.is_empty() {
-        for s in &log.speedometer {
-            ts.push(s.t);
-            vs.push(s.speed_mps);
-        }
+        finite_speeds(&log.speedometer).for_each(&mut push);
     } else {
-        for g in log.gps.iter().filter(|g| g.valid) {
-            ts.push(g.t);
-            vs.push(g.speed_mps);
-        }
+        gps_speeds(log).for_each(&mut push);
     }
 }
 
@@ -995,7 +1020,7 @@ mod tests {
         rec: &R,
     ) {
         let r = cfg.source_variance(source);
-        let TrackScratch { measurements, history, smoothed, track, monitor } = ts;
+        let TrackScratch { measurements, history, track, monitor } = ts;
         let measurements: &[(f64, f64)] = measurements;
         let v0 = measurements.first().map(|m| m.1).unwrap_or(10.0);
         let mut ekf = GradientEkf::new(cfg.ekf, v0);
@@ -1004,8 +1029,7 @@ mod tests {
         // the monitor is built once (first recorded trip) and reset
         // thereafter, so warm recorded trips stay allocation-free.
         let mut mon = if rec.enabled() {
-            let mon =
-                monitor.get_or_insert_with(|| InnovationMonitor::new(MonitorConfig::default()));
+            let mon = monitor.get_or_insert_with(InnovationMonitor::default);
             mon.reset();
             Some(mon)
         } else {
@@ -1090,7 +1114,8 @@ mod tests {
             }
         }
         if cfg.rts_smoothing {
-            rts_smooth_into(history, smoothed);
+            let mut smoothed = Vec::new();
+            crate::smoother::rts_smooth_into(history, &mut smoothed);
             for (i, (x, p)) in smoothed.iter().enumerate() {
                 track.theta[i] = x.y;
                 track.variance[i] = p.m[1][1].max(1e-12);
@@ -1188,6 +1213,41 @@ mod tests {
                 assert!(!scalar.is_empty());
                 assert_eq!(track_bits(&lane.track), track_bits(scalar), "track {}", scalar.label);
             }
+        }
+    }
+
+    #[test]
+    fn non_finite_speed_samples_are_dropped() {
+        let (route, clean) = lane_change_trip();
+        // Mid-trip CAN and speedometer samples with a non-finite speed
+        // or time: the estimate must be the clean log's, bit for bit.
+        let mut hostile = clean.clone();
+        for (stream, bad) in
+            [(&mut hostile.can, f64::NAN), (&mut hostile.speedometer, f64::INFINITY)]
+        {
+            let mid = stream.len() / 2;
+            let t = stream[mid].t;
+            stream.insert(mid + 1, SpeedSample { t, speed_mps: bad });
+            stream.insert(mid + 2, SpeedSample { t: f64::NAN, speed_mps: 12.0 });
+        }
+        // A valid GPS fix with a NaN speed.
+        let mut gps_nan = clean.clone();
+        let mid = gps_nan.gps.len() / 2;
+        let fix = gps_nan.gps[mid..].iter_mut().find(|g| g.valid).unwrap();
+        fix.speed_mps = f64::NAN;
+        let estimator = GradientEstimator::new(EstimatorConfig::default());
+        for map in [Some(&route), None] {
+            let want = estimator.estimate(&clean, map);
+            let got = estimator.estimate(&hostile, map);
+            assert_eq!(got.tracks.len(), want.tracks.len());
+            for (g, w) in
+                got.tracks.iter().chain([&got.fused]).zip(want.tracks.iter().chain([&want.fused]))
+            {
+                assert_eq!(track_bits(g), track_bits(w), "track {}", w.label);
+            }
+            let est = estimator.estimate(&gps_nan, map);
+            assert!(!est.fused.is_empty());
+            assert!(est.fused.theta.iter().all(|th| th.is_finite()));
         }
     }
 
@@ -1367,12 +1427,8 @@ mod tests {
         assert!(gradest_math::lowess::detect_uniform_step(t).is_some());
         let span = t[t.len() - 1] - t[0];
         let fraction = (cfg.lane_change.smoothing_window_s / span).clamp(1e-4, 1.0);
-        let reference = gradest_math::lowess::lowess_reference(
-            t,
-            &scratch.w_raw,
-            gradest_math::lowess::LowessConfig { fraction, robust_iterations: 0 },
-        )
-        .unwrap();
+        let reference =
+            gradest_math::lowess::lowess_reference(t, &scratch.w_raw, fraction).unwrap();
         assert_eq!(scratch.profile.w.len(), reference.len());
         for (a, b) in scratch.profile.w.iter().zip(&reference) {
             assert!((a - b).abs() < 1e-12, "fast {a} vs reference {b}");

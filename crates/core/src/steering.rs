@@ -6,7 +6,7 @@
 //! (δ = peak magnitude, T = dwell time above 0.7·δ) from a maneuver's
 //! profile.
 
-use gradest_math::lowess::{lowess_into, LowessConfig, LowessScratch};
+use gradest_math::lowess::{lowess_into, LowessScratch};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
@@ -79,9 +79,8 @@ pub fn smooth_profile_into(
     }
     let span = t[t.len() - 1] - t[0]; // lint:allow(hot-index) t.len() >= 3 after the early return above
     let fraction = (window_s / span.max(1e-9)).clamp(1e-4, 1.0);
-    let config = LowessConfig { fraction, robust_iterations: 0 };
     // lint:allow(no-panic) equal lengths, >= 3 samples and a clamped fraction checked above; increasing times are the documented precondition
-    lowess_into(t, w_raw, config, scratch, &mut out.w).expect("strictly increasing times");
+    lowess_into(t, w_raw, fraction, scratch, &mut out.w).expect("strictly increasing times");
 }
 
 /// Smooths a raw `(t, w_steer)` series with LOWESS.

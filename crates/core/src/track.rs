@@ -56,11 +56,6 @@ impl GradientTrack {
         self.nearest_index(s).map(|i| self.theta[i])
     }
 
-    /// Variance at arc position `s` by nearest-sample lookup.
-    pub fn variance_at(&self, s: f64) -> Option<f64> {
-        self.nearest_index(s).map(|i| self.variance[i])
-    }
-
     fn nearest_index(&self, s: f64) -> Option<usize> {
         if self.s.is_empty() {
             return None;
@@ -164,14 +159,12 @@ mod tests {
         assert_eq!(t.theta_at(14.0), Some(0.02));
         assert_eq!(t.theta_at(100.0), Some(0.03));
         assert_eq!(t.theta_at(-5.0), Some(0.01));
-        assert_eq!(t.variance_at(9.0), Some(2e-4));
     }
 
     #[test]
     fn empty_track_lookup_is_none() {
         let t = GradientTrack::new("empty");
         assert!(t.theta_at(0.0).is_none());
-        assert!(t.variance_at(0.0).is_none());
         assert!(t.is_empty());
     }
 

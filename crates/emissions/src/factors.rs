@@ -17,7 +17,7 @@ pub enum Species {
 
 impl Species {
     /// Emission factor `F` in grams per gallon of gasoline burned.
-    pub fn grams_per_gallon(self) -> f64 {
+    fn grams_per_gallon(self) -> f64 {
         match self {
             Species::Co2 => 8908.0,
             Species::Pm25 => 0.084,

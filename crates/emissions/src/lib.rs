@@ -37,6 +37,6 @@ pub mod vsp;
 pub use factors::Species;
 pub use map::{EmissionMap, FuelMap, RoadEmission, RoadFuel};
 pub use traffic::TrafficModel;
-pub use trip_report::{report as trip_report, TripReport, TripSample};
-pub use velocity_opt::{optimize as optimize_velocity, VelocityOptConfig, VelocityProfile};
+pub use trip_report::{TripReport, TripSample};
+pub use velocity_opt::{VelocityOptConfig, VelocityProfile};
 pub use vsp::FuelModel;

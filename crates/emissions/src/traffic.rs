@@ -26,7 +26,7 @@ impl Default for TrafficModel {
 
 impl TrafficModel {
     /// Class-typical AADT (vehicles/day).
-    pub fn class_aadt(class: RoadClass) -> f64 {
+    fn class_aadt(class: RoadClass) -> f64 {
         match class {
             RoadClass::Highway => 28_000.0,
             RoadClass::Arterial => 12_000.0,
@@ -37,7 +37,7 @@ impl TrafficModel {
 
     /// AADT for a specific road: class-typical volume × log-uniform jitter
     /// in [0.5, 2.0], deterministic in `(road id, seed)`.
-    pub fn aadt(&self, road: &Road) -> f64 {
+    fn aadt(&self, road: &Road) -> f64 {
         let mut h = road.id() ^ self.seed.wrapping_mul(0x9E3779B97F4A7C15);
         h ^= h >> 33;
         h = h.wrapping_mul(0xFF51AFD7ED558CCD);

@@ -55,7 +55,7 @@ impl FuelModel {
     /// `A×10⁻⁴`). `GGE = 0.0545` is then gallons per kWh-equivalent
     /// (1/18.35 kWh per gallon at realistic engine efficiency), so
     /// `Γ = GGE · P_kW`.
-    pub fn fuel_rate_raw_gph(&self, v_mps: f64, a_mps2: f64, theta_rad: f64) -> f64 {
+    fn fuel_rate_raw_gph(&self, v_mps: f64, a_mps2: f64, theta_rad: f64) -> f64 {
         let v = v_mps;
         let m = self.mass_mg;
         let power_kw = self.a * 1e-4 * v.powi(3)

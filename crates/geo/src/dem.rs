@@ -124,16 +124,6 @@ impl DemTerrain {
         DemTerrain { origin, cell_m, cols, rows, data }
     }
 
-    /// Grid dimensions `(rows, cols)`.
-    pub fn dimensions(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Cell size in metres.
-    pub fn cell_size(&self) -> f64 {
-        self.cell_m
-    }
-
     fn at(&self, r: usize, c: usize) -> f64 {
         self.data[r * self.cols + c]
     }
@@ -242,7 +232,6 @@ mod tests {
             DemError::InvalidData
         );
         let ok = DemTerrain::from_rows(Vec2::ZERO, 10.0, &[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        assert_eq!(ok.dimensions(), (2, 2));
-        assert_eq!(ok.cell_size(), 10.0);
+        assert_eq!((ok.rows, ok.cols, ok.cell_m), (2, 2, 10.0));
     }
 }

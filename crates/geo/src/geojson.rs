@@ -1,4 +1,4 @@
-//! GeoJSON export of networks, routes, and gradient maps.
+//! GeoJSON export of road networks with per-road value overlays.
 //!
 //! The paper's Figures 7, 9(a), and 10 are maps; this module serializes
 //! the corresponding data as GeoJSON `FeatureCollection`s so any GIS tool
@@ -6,7 +6,6 @@
 
 use crate::latlon::LocalFrame;
 use crate::road::Road;
-use crate::route::Route;
 use crate::RoadNetwork;
 use serde::Serialize;
 use serde_json::{json, Value};
@@ -91,54 +90,10 @@ pub fn network_to_geojson(
     .to_string()
 }
 
-/// Exports a route as a GeoJSON `FeatureCollection` (one feature per
-/// constituent road, in travel order).
-pub fn route_to_geojson(route: &Route, frame: &LocalFrame) -> String {
-    let features: Vec<Value> = route.roads().iter().map(|r| road_feature(r, frame, None)).collect();
-    json!({
-        "type": "FeatureCollection",
-        "features": features,
-    })
-    .to_string()
-}
-
-/// Exports a gradient profile along a route as a GeoJSON
-/// `FeatureCollection` of `Point`s (one every `ds` metres), each carrying
-/// a `theta_deg` property — the paper's Figure 9(a) colour-coded map as
-/// data.
-///
-/// # Panics
-///
-/// Panics if `ds <= 0`.
-pub fn gradient_points_geojson(
-    route: &Route,
-    frame: &LocalFrame,
-    ds: f64,
-    theta_at: impl Fn(f64) -> f64,
-) -> String {
-    assert!(ds > 0.0, "sample spacing must be positive");
-    let mut features = Vec::new();
-    let mut s = 0.0;
-    while s <= route.length() {
-        let ll = frame.to_latlon(route.point_at(s));
-        features.push(json!({
-            "type": "Feature",
-            "geometry": { "type": "Point", "coordinates": [ll.lon_deg, ll.lat_deg] },
-            "properties": { "s_m": s, "theta_deg": theta_at(s).to_degrees() },
-        }));
-        s += ds;
-    }
-    json!({
-        "type": "FeatureCollection",
-        "features": features,
-    })
-    .to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::{city_network, red_road};
+    use crate::generate::city_network;
     use crate::LatLon;
 
     fn frame() -> LocalFrame {
@@ -177,20 +132,5 @@ mod tests {
         let lat = c[1].as_f64().unwrap();
         assert!((lat - 38.03).abs() < 0.3, "lat {lat}");
         assert!((lon + 78.48).abs() < 0.3, "lon {lon}");
-    }
-
-    #[test]
-    fn route_and_gradient_points_export() {
-        let route = Route::new(vec![red_road()]).unwrap();
-        let r = route_to_geojson(&route, &frame());
-        let v: Value = serde_json::from_str(&r).unwrap();
-        assert_eq!(v["features"].as_array().unwrap().len(), 1);
-
-        let pts = gradient_points_geojson(&route, &frame(), 100.0, |s| route.gradient_at(s));
-        let v: Value = serde_json::from_str(&pts).unwrap();
-        let feats = v["features"].as_array().unwrap();
-        assert_eq!(feats.len(), 22); // 2160 m / 100 m + endpoint
-        let theta0 = feats[1]["properties"]["theta_deg"].as_f64().unwrap();
-        assert!((theta0 - 2.8).abs() < 0.2, "θ {theta0}");
     }
 }

@@ -54,7 +54,7 @@ impl Aabb {
     }
 
     /// The smallest box containing both operands.
-    pub fn union(&self, other: &Aabb) -> Aabb {
+    fn union(&self, other: &Aabb) -> Aabb {
         Aabb {
             min_x: self.min_x.min(other.min_x),
             min_y: self.min_y.min(other.min_y),
@@ -72,13 +72,13 @@ impl Aabb {
     }
 
     /// Center point of the box.
-    pub fn center(&self) -> Vec2 {
+    fn center(&self) -> Vec2 {
         Vec2::new(0.5 * (self.min_x + self.max_x), 0.5 * (self.min_y + self.max_y))
     }
 
     /// Squared distance from `p` to the nearest point of the box
     /// (0 when `p` is inside).
-    pub fn dist_sq(&self, p: Vec2) -> f64 {
+    fn dist_sq(&self, p: Vec2) -> f64 {
         let dx = (self.min_x - p.x).max(0.0).max(p.x - self.max_x);
         let dy = (self.min_y - p.y).max(0.0).max(p.y - self.max_y);
         dx * dx + dy * dy
@@ -282,7 +282,7 @@ impl PackedRtree {
     /// `(id, dist_sq)`, or `None` when empty. Ties resolve to the
     /// first leaf reached, which the Hilbert packing makes
     /// deterministic for a given build.
-    pub fn nearest_with<F>(
+    fn nearest_with<F>(
         &self,
         p: Vec2,
         scratch: &mut QueryScratch,

@@ -4,12 +4,12 @@
 //! metric frame. [`LocalFrame`] provides the (sub-centimetre at city scale)
 //! equirectangular round trip between the two.
 
-use gradest_math::angle::{deg_to_rad, rad_to_deg, wrap_pi};
+use gradest_math::angle::{deg_to_rad, rad_to_deg};
 use gradest_math::Vec2;
 use serde::{Deserialize, Serialize};
 
 /// Mean Earth radius in metres (IUGG).
-pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
+const EARTH_RADIUS_M: f64 = 6_371_008.8;
 
 /// A WGS-84 latitude/longitude pair in degrees.
 ///
@@ -54,21 +54,6 @@ impl LatLon {
         let a =
             (dphi / 2.0).sin().powi(2) + phi1.cos() * phi2.cos() * (dlambda / 2.0).sin().powi(2);
         2.0 * EARTH_RADIUS_M * a.sqrt().asin()
-    }
-
-    /// Initial great-circle bearing towards `other`, in radians measured
-    /// counter-clockwise from East (the paper's road-direction convention:
-    /// "the angle of road segment relative to the earth East direction").
-    pub fn bearing_from_east(self, other: LatLon) -> f64 {
-        let phi1 = deg_to_rad(self.lat_deg);
-        let phi2 = deg_to_rad(other.lat_deg);
-        let dlambda = deg_to_rad(other.lon_deg - self.lon_deg);
-        // Standard compass bearing (clockwise from North):
-        let y = dlambda.sin() * phi2.cos();
-        let x = phi1.cos() * phi2.sin() - phi1.sin() * phi2.cos() * dlambda.cos();
-        let from_north_cw = y.atan2(x);
-        // Convert to CCW-from-East.
-        wrap_pi(std::f64::consts::FRAC_PI_2 - from_north_cw)
     }
 }
 
@@ -124,7 +109,6 @@ impl LocalFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::{FRAC_PI_2, PI};
 
     #[test]
     fn haversine_zero_for_same_point() {
@@ -145,28 +129,6 @@ mod tests {
         let b = LatLon::new(1.0, 0.0);
         let d = a.haversine_distance(b);
         assert!((d - 111_195.0).abs() < 100.0, "got {d}");
-    }
-
-    #[test]
-    fn bearing_cardinal_directions() {
-        let o = LatLon::new(38.0, -78.0);
-        let north = LatLon::new(38.01, -78.0);
-        let east = LatLon::new(38.0, -77.99);
-        let south = LatLon::new(37.99, -78.0);
-        // Great-circle initial bearings along a parallel deviate from pure
-        // East by ~sinφ·cosφ·Δλ/2 (≈4e-5 rad here); tolerate 1e-4.
-        assert!((o.bearing_from_east(north) - FRAC_PI_2).abs() < 1e-4);
-        assert!(o.bearing_from_east(east).abs() < 1e-4);
-        let sb = o.bearing_from_east(south);
-        assert!((sb + FRAC_PI_2).abs() < 1e-4, "south bearing {sb}");
-    }
-
-    #[test]
-    fn bearing_west_is_pi() {
-        let o = LatLon::new(38.0, -78.0);
-        let west = LatLon::new(38.0, -78.01);
-        let b = o.bearing_from_east(west);
-        assert!((b.abs() - PI).abs() < 1e-4, "west bearing {b}");
     }
 
     #[test]

@@ -178,7 +178,7 @@ impl RoadNetwork {
     /// Returns the sequence of `(edge index, forward?)` hops, or `None` if
     /// unreachable. Costs must be non-negative; the same cost applies in
     /// both travel directions. For direction-dependent costs (fuel on
-    /// gradients!) use [`RoadNetwork::shortest_path_directed`].
+    /// gradients!) use [`RoadNetwork::route_between_directed`].
     pub fn shortest_path(
         &self,
         from: usize,
@@ -195,7 +195,7 @@ impl RoadNetwork {
     ///
     /// Returns the sequence of `(edge index, forward?)` hops, or `None`
     /// if unreachable. Costs must be non-negative.
-    pub fn shortest_path_directed(
+    fn shortest_path_directed(
         &self,
         from: usize,
         to: usize,
@@ -277,8 +277,9 @@ impl RoadNetwork {
         self.route_between_directed(from, to, |road, _forward| cost(road))
     }
 
-    /// Builds a drivable [`Route`] along the direction-aware shortest
-    /// path (see [`RoadNetwork::shortest_path_directed`]).
+    /// Builds a drivable [`Route`] along the shortest path under a
+    /// direction-aware cost: the closure receives the road and whether
+    /// it would be traversed in its stored (forward) orientation.
     ///
     /// Returns `None` when unreachable.
     pub fn route_between_directed(

@@ -139,21 +139,13 @@ impl Polyline {
         (self.points[i + 1] - self.points[i]).angle()
     }
 
-    /// Unit tangent at arc length `s`.
-    pub fn tangent_at(&self, s: f64) -> Vec2 {
-        let i = self.segment_index(s);
-        (self.points[i + 1] - self.points[i])
-            .normalized()
-            .expect("segments validated nondegenerate")
-    }
-
     /// Signed curvature (1/m) at arc length `s`, estimated from the heading
     /// change between adjacent segments. Positive = turning left.
     ///
     /// Dividing the heading change at a vertex by the mean of the two
     /// adjacent segment lengths gives a consistent discrete estimate; the
     /// value is attributed to the whole following segment.
-    pub fn curvature_at(&self, s: f64) -> f64 {
+    fn curvature_at(&self, s: f64) -> f64 {
         let i = self.segment_index(s);
         if self.points.len() < 3 {
             return 0.0;
@@ -261,11 +253,10 @@ mod tests {
     }
 
     #[test]
-    fn heading_and_tangent() {
+    fn heading_per_segment() {
         let p = l_shape();
         assert!((p.heading_at(50.0)).abs() < 1e-12);
         assert!((p.heading_at(150.0) - FRAC_PI_2).abs() < 1e-12);
-        assert!((p.tangent_at(50.0) - Vec2::new(1.0, 0.0)).norm() < 1e-12);
     }
 
     #[test]

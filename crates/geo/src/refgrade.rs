@@ -8,7 +8,6 @@
 //! truth by every experiment.
 
 use crate::road::Road;
-use crate::LatLon;
 use gradest_math::interp::interp1;
 use serde::{Deserialize, Serialize};
 
@@ -69,11 +68,6 @@ impl GradientProfile {
         Ok(GradientProfile { s, theta })
     }
 
-    /// Sample positions (arc length, metres).
-    pub fn arc_lengths(&self) -> &[f64] {
-        &self.s
-    }
-
     /// Gradient values θ (radians) at the sample positions.
     pub fn thetas(&self) -> &[f64] {
         &self.theta
@@ -92,11 +86,6 @@ impl GradientProfile {
     /// Gradient at arc length `s` by linear interpolation (clamped).
     pub fn theta_at(&self, s: f64) -> f64 {
         interp1(&self.s, &self.theta, s).expect("validated at construction")
-    }
-
-    /// Evaluates the profile at the given positions.
-    pub fn sample_at(&self, positions: &[f64]) -> Vec<f64> {
-        positions.iter().map(|&p| self.theta_at(p)).collect()
     }
 
     /// Integrates the profile back to an altitude gain over `[0, s]`,
@@ -216,20 +205,6 @@ impl GradientProfile {
     }
 }
 
-/// The paper's road-segment direction formula (Section III-D): the angle of
-/// the segment from start `S` to end `E` "relative to the earth East
-/// direction", computed as `arctan((λ_E − λ_S)/(φ_E − φ_S))` over raw
-/// latitude/longitude differences.
-///
-/// Note: the formula as printed measures the angle from **North** in
-/// lat/lon space; it matches East-referenced bearings only up to the
-/// longitude-compression factor `cos φ`. We implement it verbatim for
-/// fidelity; for metrically correct bearings use
-/// [`LatLon::bearing_from_east`].
-pub fn paper_segment_direction(start: LatLon, end: LatLon) -> f64 {
-    (end.lon_deg - start.lon_deg).atan2(end.lat_deg - start.lat_deg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,7 +236,7 @@ mod tests {
         assert!((p.theta_at(5.0) - 0.05).abs() < 1e-12);
         assert_eq!(p.theta_at(-1.0), 0.0);
         assert_eq!(p.theta_at(100.0), 0.0);
-        assert_eq!(p.sample_at(&[0.0, 10.0]), vec![0.0, 0.1]);
+        assert_eq!((p.theta_at(0.0), p.theta_at(10.0)), (0.0, 0.1));
     }
 
     #[test]
@@ -346,16 +321,6 @@ mod tests {
         assert_eq!(st.total_descent_m, 0.0);
         assert_eq!(st.steep_fraction, 0.0);
         assert_eq!(st.mean_abs_theta, 0.0);
-    }
-
-    #[test]
-    fn paper_direction_formula_cardinals() {
-        let s = LatLon::new(38.0, -78.0);
-        // Due north: Δλ = 0, Δφ > 0 → 0 by the paper's formula.
-        assert_eq!(paper_segment_direction(s, LatLon::new(38.1, -78.0)), 0.0);
-        // Due east: Δφ = 0, Δλ > 0 → π/2.
-        let d = paper_segment_direction(s, LatLon::new(38.0, -77.9));
-        assert!((d - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
     }
 
     #[test]

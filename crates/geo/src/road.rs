@@ -208,11 +208,6 @@ impl Road {
         &self.line
     }
 
-    /// Per-vertex altitude samples.
-    pub fn altitudes(&self) -> &[f64] {
-        &self.altitudes
-    }
-
     /// Road functional class.
     pub fn class(&self) -> RoadClass {
         self.class
@@ -275,11 +270,6 @@ impl Road {
             }
         }
         lanes
-    }
-
-    /// The lane-count step profile.
-    pub fn lane_sections(&self) -> &[LaneSection] {
-        &self.lane_sections
     }
 
     /// Returns the same road traversed in the opposite direction: geometry
@@ -459,7 +449,7 @@ mod tests {
         assert!(r.gradient_at(150.0) > 0.0);
         assert!(r.gradient_at(450.0) < 0.0);
         assert!(r.gradient_at(750.0) > 0.0);
-        assert_eq!(r.lane_sections().len(), 3);
+        assert_eq!(r.lane_sections.len(), 3);
     }
 
     #[test]

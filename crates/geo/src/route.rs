@@ -175,23 +175,6 @@ impl Route {
         let (i, _) = self.locate(s);
         self.roads[i].speed_limit()
     }
-
-    /// Samples the ground-truth gradient every `ds` metres, returning
-    /// `(s, θ)` pairs (always including the final point).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ds <= 0`.
-    pub fn gradient_samples(&self, ds: f64) -> Vec<(f64, f64)> {
-        assert!(ds > 0.0, "sample spacing must be positive");
-        let n = (self.length() / ds).floor() as usize;
-        let mut out: Vec<(f64, f64)> =
-            (0..=n).map(|i| (i as f64 * ds, self.gradient_at(i as f64 * ds))).collect();
-        if out.last().map(|p| p.0) != Some(self.length()) {
-            out.push((self.length(), self.gradient_at(self.length())));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -262,18 +245,6 @@ mod tests {
         let err = Route::new(vec![a, b]).unwrap_err();
         assert!(matches!(err, RouteError::Discontinuity { index: 0, .. }));
         assert!(Route::new(vec![]).is_err());
-    }
-
-    #[test]
-    fn gradient_samples_cover_route() {
-        let a = seg(1, Vec2::ZERO, 0.0, 2.0, 1);
-        let route = Route::new(vec![a]).unwrap();
-        let samples = route.gradient_samples(50.0);
-        assert_eq!(samples.first().unwrap().0, 0.0);
-        assert!((samples.last().unwrap().0 - 500.0).abs() < 1e-9);
-        for (s, th) in &samples {
-            assert!((th - route.gradient_at(*s)).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -32,23 +32,6 @@ pub trait Terrain {
     }
 }
 
-/// Perfectly flat terrain at a fixed altitude.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FlatTerrain {
-    /// Constant altitude in metres.
-    pub altitude_m: f64,
-}
-
-impl Terrain for FlatTerrain {
-    fn altitude(&self, _p: Vec2) -> f64 {
-        self.altitude_m
-    }
-
-    fn gradient(&self, _p: Vec2) -> Vec2 {
-        Vec2::ZERO
-    }
-}
-
 /// A constant-slope plane: `z = z0 + g · p`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PlaneTerrain {
@@ -103,13 +86,6 @@ pub struct SineTerrain {
     pub base_altitude_m: f64,
     /// The sinusoidal components.
     pub components: Vec<SineComponent>,
-}
-
-impl SineTerrain {
-    /// Upper bound on `|∇z|` anywhere: `Σ A_i · |k_i|`.
-    pub fn max_slope(&self) -> f64 {
-        self.components.iter().map(|c| c.amplitude_m.abs() * c.wave_vector.norm()).sum()
-    }
 }
 
 impl Terrain for SineTerrain {
@@ -169,14 +145,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flat_terrain_everywhere_equal() {
-        let t = FlatTerrain { altitude_m: 12.0 };
-        assert_eq!(t.altitude(Vec2::new(100.0, -50.0)), 12.0);
-        assert_eq!(t.gradient(Vec2::ZERO), Vec2::ZERO);
-        assert_eq!(t.slope_along(Vec2::ZERO, Vec2::new(1.0, 0.0)), 0.0);
-    }
-
-    #[test]
     fn plane_terrain_gradient_and_slope() {
         let t = PlaneTerrain { base_altitude_m: 0.0, slope: Vec2::new(0.05, 0.0) };
         assert_eq!(t.altitude(Vec2::new(100.0, 0.0)), 5.0);
@@ -205,15 +173,20 @@ mod tests {
         }
     }
 
+    /// Upper bound on `|∇z|` anywhere: `Σ A_i · |k_i|`.
+    fn max_slope(t: &SineTerrain) -> f64 {
+        t.components.iter().map(|c| c.amplitude_m.abs() * c.wave_vector.norm()).sum()
+    }
+
     #[test]
     fn hilly_terrain_slope_budget() {
         let t = hilly_terrain(7);
-        assert!((t.max_slope() - 0.095).abs() < 1e-9);
+        assert!((max_slope(&t) - 0.095).abs() < 1e-9);
         // Sample a grid and confirm the bound holds empirically.
         for i in -10..10 {
             for j in -10..10 {
                 let p = Vec2::new(i as f64 * 487.0, j as f64 * 533.0);
-                assert!(t.gradient(p).norm() <= t.max_slope() + 1e-9);
+                assert!(t.gradient(p).norm() <= max_slope(&t) + 1e-9);
             }
         }
     }

@@ -11,11 +11,8 @@
 
 use crate::index::{Aabb, NetworkIndex, QueryScratch};
 
-/// Wire width of an encoded tile bounds: four little-endian `f64`s
-/// (`min_x`, `min_y`, `max_x`, `max_y`).
-pub const TILE_BOUNDS_BYTES: usize = 32;
-
-/// Appends the 32-byte little-endian encoding of `bounds` to `out`.
+/// Appends the 32-byte encoding of `bounds` to `out`: four
+/// little-endian `f64`s (`min_x`, `min_y`, `max_x`, `max_y`).
 pub fn encode_tile_bounds(bounds: &Aabb, out: &mut Vec<u8>) {
     out.extend_from_slice(&bounds.min_x.to_le_bytes());
     out.extend_from_slice(&bounds.min_y.to_le_bytes());
@@ -23,7 +20,7 @@ pub fn encode_tile_bounds(bounds: &Aabb, out: &mut Vec<u8>) {
     out.extend_from_slice(&bounds.max_y.to_le_bytes());
 }
 
-/// Decodes a [`TILE_BOUNDS_BYTES`]-byte payload back into an [`Aabb`].
+/// Decodes a 32-byte payload back into an [`Aabb`].
 ///
 /// Returns `None` unless the payload is exactly 32 bytes and describes
 /// a well-formed box: all four coordinates finite and `min <= max` on
@@ -82,7 +79,7 @@ mod tests {
         let b = Aabb { min_x: -1234.5, min_y: 0.125, max_x: 9.75e3, max_y: 0.1 + 0.2 };
         let mut wire = Vec::new();
         encode_tile_bounds(&b, &mut wire);
-        assert_eq!(wire.len(), TILE_BOUNDS_BYTES);
+        assert_eq!(wire.len(), 32);
         let back = decode_tile_bounds(&wire).unwrap();
         assert_eq!(back.min_x.to_bits(), b.min_x.to_bits());
         assert_eq!(back.min_y.to_bits(), b.min_y.to_bits());

@@ -6,12 +6,11 @@
 //! cargo run -p gradest-lint -- --report LINT_REPORT.json
 //! cargo run -p gradest-lint -- --baseline LINT_REPORT.json   # fail on NEW errors only
 //! cargo run -p gradest-lint -- --inject-violation            # gate self-test
-//! cargo run -p gradest-lint -- --local-only                  # PR-3 token rules only
 //! cargo run -p gradest-lint -- --print-hot-modules --print-warm-modules
 //! ```
 
 use gradest_lint::report::{diff, Report};
-use gradest_lint::rules::{Severity, RULE_TRANSITIVE_ALLOC, RULE_TRANSITIVE_PANIC};
+use gradest_lint::rules::{RULE_TRANSITIVE_ALLOC, RULE_TRANSITIVE_PANIC};
 use gradest_lint::AnalyzeOptions;
 use std::path::{Path, PathBuf};
 
@@ -24,22 +23,20 @@ fn main() {
              Scans crates/*/src and src/ under ROOT (default: the workspace root)\n\
              with the local token rules plus the interprocedural call-graph pass\n\
              (transitive no-alloc/no-panic taint, ambiguous-call audit, warm-path\n\
-             drift check, unused-pub notes). Suppress an error finding with\n\
-             `// lint:allow(<rule>) reason` on or above the offending line;\n\
-             stale allows are themselves errors.\n\n\
+             drift check, unused-pub audit). Every finding is an error; suppress\n\
+             one with `// lint:allow(<rule>) reason` on or above the offending\n\
+             line. Stale allows are themselves errors.\n\n\
              OPTIONS:\n\
                --report <path>      write the machine-readable JSON report\n\
                --baseline <path>    diff against an accepted report: only NEW\n\
-                                    error findings fail; fixed ones are counted\n\
+                                    findings fail; fixed ones are counted\n\
                --inject-violation   self-test: seed a cross-module warm-path\n\
                                     allocation + panic and verify the gate\n\
                                     reports both with multi-hop call chains\n\
-               --local-only         skip the call-graph pass (PR-3 behavior)\n\
-               --no-unused-pub      skip the unused-pub note audit\n\
                --print-hot-modules  print the hot module list and exit\n\
                --print-warm-modules print the warm module list and exit\n\n\
-             Exit status: 0 clean (notes allowed), 1 errors (or self-test\n\
-             failure), 2 usage/baseline errors."
+             Exit status: 0 clean, 1 findings (or self-test failure), 2\n\
+             usage/baseline errors."
         );
         return;
     }
@@ -60,8 +57,6 @@ fn main() {
     let mut report_path: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
     let mut inject = false;
-    let mut local_only = false;
-    let mut unused_pub = true;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -77,8 +72,6 @@ fn main() {
                 }
             }
             "--inject-violation" => inject = true,
-            "--local-only" => local_only = true,
-            "--no-unused-pub" => unused_pub = false,
             a if a.starts_with('-') => {
                 eprintln!("gradest-lint: unknown option `{a}` (see --help)");
                 std::process::exit(2);
@@ -90,37 +83,15 @@ fn main() {
     // root is two levels up from the manifest.
     let root = root.unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."));
 
-    if local_only {
-        let findings = gradest_lint::scan_workspace(&root);
-        let mut total = 0usize;
-        for file in &findings {
-            for d in &file.diagnostics {
-                println!("{}:{}: [{}] {}", file.path.display(), d.line, d.rule, d.msg);
-                total += 1;
-            }
-        }
-        if total > 0 {
-            eprintln!("gradest-lint: {total} finding(s)");
-            std::process::exit(1);
-        }
-        println!("gradest-lint: clean (local rules)");
-        return;
-    }
-
     if inject {
         return self_test(&root);
     }
 
-    let opts = AnalyzeOptions { unused_pub, ..AnalyzeOptions::default() };
-    let findings = gradest_lint::analyze(&root, &opts);
+    let findings = gradest_lint::analyze(&root, &AnalyzeOptions::default());
     let report = Report::from_diagnostics(&findings);
 
     for f in &report.findings {
-        let tag = match f.severity {
-            Severity::Error => "",
-            Severity::Note => "note: ",
-        };
-        println!("{}:{}: [{}] {}{}", f.path, f.line, f.rule, tag, f.msg);
+        println!("{}:{}: [{}] {}", f.path, f.line, f.rule, f.msg);
     }
 
     if let Some(path) = &report_path {
@@ -131,8 +102,7 @@ fn main() {
         println!("gradest-lint: report written to {}", path.display());
     }
 
-    let errors = report.error_count();
-    let notes = report.findings.len() - errors;
+    let errors = report.findings.len();
     match &baseline_path {
         Some(path) => {
             let baseline = match std::fs::read_to_string(path)
@@ -146,29 +116,28 @@ fn main() {
                 }
             };
             let d = diff(&baseline, &report);
-            let new_errors = d.new.iter().filter(|f| f.severity == Severity::Error).count();
             println!(
                 "gradest-lint: baseline diff: {} new, {} unchanged, {} fixed",
                 d.new.len(),
                 d.unchanged.len(),
                 d.fixed
             );
-            if new_errors > 0 {
-                for f in d.new.iter().filter(|f| f.severity == Severity::Error) {
+            if !d.new.is_empty() {
+                for f in &d.new {
                     eprintln!("NEW {}:{}: [{}] {}", f.path, f.line, f.rule, f.msg);
                 }
-                eprintln!("gradest-lint: {new_errors} new error(s) vs baseline");
+                eprintln!("gradest-lint: {} new error(s) vs baseline", d.new.len());
                 std::process::exit(1);
             }
         }
         None => {
             if errors > 0 {
-                eprintln!("gradest-lint: {errors} error(s), {notes} note(s)");
+                eprintln!("gradest-lint: {errors} error(s)");
                 std::process::exit(1);
             }
         }
     }
-    println!("gradest-lint: clean ({notes} note(s))");
+    println!("gradest-lint: clean");
 }
 
 /// `--inject-violation`: proves the interprocedural gate actually fires.

@@ -2,7 +2,7 @@
 //! `--baseline` diff mode.
 //!
 //! The report is the CI artifact: one JSON document with a stable
-//! shape (`gradestLint/v1`) listing every finding with rule, severity,
+//! shape (`gradestLint/v2`) listing every finding with rule,
 //! location, message, and a *fingerprint* that survives unrelated
 //! edits. The fingerprint hashes the rule, the file path, the message
 //! with digit runs stripped (so line numbers and counts embedded in
@@ -13,8 +13,9 @@
 //!
 //! `diff(baseline, current)` classifies current findings as `new` or
 //! `unchanged` against a previously accepted report and counts fixed
-//! (absent) ones; only **new errors** fail the gate, so a baseline can
-//! ratchet an imperfect tree while blocking regressions.
+//! (absent) ones; only **new** findings fail the gate, so a baseline
+//! can ratchet an imperfect tree while blocking regressions. Every
+//! finding is an error, so findings carry no severity level.
 //!
 //! The crate has no dependencies, so the JSON writer and the (small,
 //! report-shaped) parser are hand-rolled here. The parser handles the
@@ -22,21 +23,18 @@
 //! anything this module writes, with errors rather than panics on
 //! malformed input.
 
-use crate::rules::{severity, Severity};
 use crate::FileDiagnostics;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Schema identifier written into (and required from) every report.
-pub const SCHEMA: &str = "gradestLint/v1";
+const SCHEMA: &str = "gradestLint/v2";
 
 /// One finding in flattened report form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Rule name.
     pub rule: String,
-    /// Severity (`error` gates, `note` is advisory).
-    pub severity: Severity,
     /// Workspace-relative path, `/`-separated.
     pub path: String,
     /// 1-based line.
@@ -70,7 +68,6 @@ impl Report {
                 *ordinal += 1;
                 findings.push(Finding {
                     rule: d.rule.to_string(),
-                    severity: severity(d.rule),
                     path: path.clone(),
                     line: d.line,
                     msg: d.msg.clone(),
@@ -84,12 +81,7 @@ impl Report {
         Report { findings }
     }
 
-    /// Number of error-severity findings.
-    pub fn error_count(&self) -> usize {
-        self.findings.iter().filter(|f| f.severity == Severity::Error).count()
-    }
-
-    /// Serializes to the `gradestLint/v1` JSON document (pretty,
+    /// Serializes to the `gradestLint/v2` JSON document (pretty,
     /// stable key order, trailing newline).
     pub fn to_json(&self) -> String {
         let mut s = String::new();
@@ -100,14 +92,6 @@ impl Report {
         for (i, f) in self.findings.iter().enumerate() {
             s.push_str("    {\n");
             let _ = writeln!(s, "      \"ruleId\": {},", quote(&f.rule));
-            let _ = writeln!(
-                s,
-                "      \"level\": {},",
-                quote(match f.severity {
-                    Severity::Error => "error",
-                    Severity::Note => "note",
-                })
-            );
             let _ = writeln!(s, "      \"message\": {{ \"text\": {} }},", quote(&f.msg));
             let _ = writeln!(
                 s,
@@ -145,11 +129,6 @@ impl Report {
                     .ok_or_else(|| format!("results[{i}] missing string `{key}`"))
             };
             let rule = get_str("ruleId")?.to_string();
-            let sev = match get_str("level")? {
-                "error" => Severity::Error,
-                "note" => Severity::Note,
-                other => return Err(format!("results[{i}] unknown level `{other}`")),
-            };
             let msg = r
                 .field("message")
                 .and_then(Value::as_object)
@@ -173,7 +152,7 @@ impl Report {
                 as u32;
             let fingerprint = u64::from_str_radix(get_str("fingerprint")?, 16)
                 .map_err(|e| format!("results[{i}] bad fingerprint: {e}"))?;
-            findings.push(Finding { rule, severity: sev, path, line, msg, fingerprint });
+            findings.push(Finding { rule, path, line, msg, fingerprint });
         }
         Ok(Report { findings })
     }
@@ -182,8 +161,7 @@ impl Report {
 /// Outcome of diffing a current report against an accepted baseline.
 #[derive(Debug, Default)]
 pub struct Diff {
-    /// Findings absent from the baseline (these fail the gate when
-    /// error-severity).
+    /// Findings absent from the baseline (these fail the gate).
     pub new: Vec<Finding>,
     /// Findings whose fingerprint appears in the baseline.
     pub unchanged: Vec<Finding>,
@@ -522,7 +500,7 @@ mod tests {
         let report = sample();
         let parsed = Report::from_json(&report.to_json()).expect("round trip");
         assert_eq!(parsed.findings, report.findings);
-        assert_eq!(report.error_count(), 2);
+        assert_eq!(report.findings.len(), 3);
     }
 
     #[test]
@@ -542,7 +520,6 @@ mod tests {
         current.findings.remove(0);
         current.findings.push(Finding {
             rule: "no-panic".to_string(),
-            severity: Severity::Error,
             path: "crates/core/src/track.rs".to_string(),
             line: 7,
             msg: "`panic!`".to_string(),
@@ -563,8 +540,10 @@ mod tests {
             "[1,2",
             "{\"$schema\": \"other/v9\", \"results\": []}",
             "{\"results\": []}",
-            "{\"$schema\": \"gradestLint/v1\", \"results\": [{}]}",
-            "{\"$schema\": \"gradestLint/v1\", \"results\": 3}",
+            "{\"$schema\": \"gradestLint/v2\", \"results\": [{}]}",
+            "{\"$schema\": \"gradestLint/v2\", \"results\": 3}",
+            // A v1 report: the schema bump rejects it.
+            "{\"$schema\": \"gradestLint/v1\", \"results\": []}",
         ] {
             assert!(Report::from_json(bad).is_err(), "accepted: {bad}");
         }

@@ -45,29 +45,6 @@ pub fn angle_diff(a: f64, b: f64) -> f64 {
     wrap_pi(a - b)
 }
 
-/// Unwraps a sequence of wrapped angles into a continuous signal
-/// (inverse of repeatedly applying [`wrap_pi`]).
-///
-/// Consecutive jumps larger than π are interpreted as wrap-arounds.
-/// Returns an empty vector for empty input.
-pub fn unwrap_angles(angles: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(angles.len());
-    let mut offset = 0.0;
-    for (i, &a) in angles.iter().enumerate() {
-        if i > 0 {
-            let prev_raw = angles[i - 1];
-            let d = a - prev_raw;
-            if d > PI {
-                offset -= 2.0 * PI;
-            } else if d < -PI {
-                offset += 2.0 * PI;
-            }
-        }
-        out.push(a + offset);
-    }
-    out
-}
-
 /// Converts degrees to radians.
 #[inline]
 pub fn deg_to_rad(deg: f64) -> f64 {
@@ -121,36 +98,6 @@ mod tests {
         let b = deg_to_rad(350.0);
         assert!((angle_diff(a, b) - deg_to_rad(20.0)).abs() < EPS);
         assert!((angle_diff(b, a) + deg_to_rad(20.0)).abs() < EPS);
-    }
-
-    #[test]
-    fn unwrap_reconstructs_continuous_ramp() {
-        // A continuously increasing heading, observed wrapped.
-        let truth: Vec<f64> = (0..200).map(|i| i as f64 * 0.1).collect();
-        let wrapped: Vec<f64> = truth.iter().map(|&a| wrap_pi(a)).collect();
-        let unwrapped = unwrap_angles(&wrapped);
-        for (t, u) in truth.iter().zip(&unwrapped) {
-            // Unwrapped signal may differ by a constant multiple of 2π
-            // from the original; here it starts at the same point so it
-            // matches exactly.
-            assert!((t - u).abs() < 1e-9, "{t} vs {u}");
-        }
-    }
-
-    #[test]
-    fn unwrap_handles_decreasing_ramp() {
-        let truth: Vec<f64> = (0..200).map(|i| -(i as f64) * 0.1).collect();
-        let wrapped: Vec<f64> = truth.iter().map(|&a| wrap_pi(a)).collect();
-        let unwrapped = unwrap_angles(&wrapped);
-        for (t, u) in truth.iter().zip(&unwrapped) {
-            assert!((t - u).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn unwrap_empty_and_single() {
-        assert!(unwrap_angles(&[]).is_empty());
-        assert_eq!(unwrap_angles(&[1.25]), vec![1.25]);
     }
 
     #[test]

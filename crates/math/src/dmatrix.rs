@@ -65,33 +65,6 @@ impl DMatrix {
         DMatrix { rows: rows.len(), cols, data }
     }
 
-    /// Creates a matrix from a flat row-major buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::DimensionMismatch`] if `data.len() != rows*cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> MathResult<Self> {
-        if rows == 0 || cols == 0 || data.len() != rows * cols {
-            return Err(MathError::DimensionMismatch { context: "from_vec buffer size" });
-        }
-        Ok(DMatrix { rows, cols, data })
-    }
-
-    /// Creates a column vector from a slice.
-    pub fn column(values: &[f64]) -> Self {
-        assert!(!values.is_empty(), "column needs at least one value");
-        DMatrix { rows: values.len(), cols: 1, data: values.to_vec() }
-    }
-
-    /// Creates a diagonal matrix from the given entries.
-    pub fn from_diag(diag: &[f64]) -> Self {
-        let mut m = DMatrix::zeros(diag.len(), diag.len());
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -108,12 +81,6 @@ impl DMatrix {
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Mutable flat row-major view of the entries.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Borrow of row `r`.
@@ -184,30 +151,9 @@ impl DMatrix {
         }
     }
 
-    /// Componentwise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::DimensionMismatch`] when shapes differ.
-    pub fn hadamard(&self, other: &DMatrix) -> MathResult<DMatrix> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(MathError::DimensionMismatch { context: "hadamard shapes" });
-        }
-        Ok(DMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().zip(&other.data).map(|(a, b)| a * b).collect(),
-        })
-    }
-
     /// Scales every entry by `s`.
     pub fn scaled(&self, s: f64) -> DMatrix {
         self.map(|v| v * s)
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Inverse by Gauss–Jordan elimination with partial pivoting.
@@ -295,45 +241,12 @@ impl DMatrix {
         Ok(l)
     }
 
-    /// Solves `A x = b` for SPD `A` via Cholesky factorization.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MathError::NotPositiveDefinite`] /
-    /// [`MathError::DimensionMismatch`] from factorization or shape checks.
-    pub fn solve_spd(&self, b: &[f64]) -> MathResult<Vec<f64>> {
-        if b.len() != self.rows {
-            return Err(MathError::DimensionMismatch { context: "solve_spd rhs length" });
-        }
-        let l = self.cholesky()?;
-        let n = self.rows;
-        // Forward substitution: L y = b.
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= l[(i, k)] * y[k];
-            }
-            y[i] = sum / l[(i, i)];
-        }
-        // Back substitution: Lᵀ x = y.
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut sum = y[i];
-            for k in (i + 1)..n {
-                sum -= l[(k, i)] * x[k];
-            }
-            x[i] = sum / l[(i, i)];
-        }
-        Ok(x)
-    }
-
     /// Swaps two rows in place.
     ///
     /// # Panics
     ///
     /// Panics if either index is out of bounds.
-    pub fn swap_rows(&mut self, r1: usize, r2: usize) {
+    fn swap_rows(&mut self, r1: usize, r2: usize) {
         assert!(r1 < self.rows && r2 < self.rows, "row index out of bounds");
         if r1 == r2 {
             return;
@@ -417,13 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_validates_size() {
-        assert!(DMatrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]).is_err());
-        let m = DMatrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(m[(1, 1)], 4.0);
-    }
-
-    #[test]
     fn matmul_known_product() {
         let a = DMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = DMatrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
@@ -483,41 +389,18 @@ mod tests {
     }
 
     #[test]
-    fn solve_spd_matches_direct() {
-        let a = DMatrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-        let x = a.solve_spd(&[8.0, 7.0]).unwrap();
-        // Verify A x = b.
-        let ax = a.matmul(&DMatrix::column(&x)).unwrap();
-        assert!((ax[(0, 0)] - 8.0).abs() < 1e-12);
-        assert!((ax[(1, 0)] - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hadamard_and_map() {
+    fn map_applies_per_entry() {
         let a = DMatrix::from_rows(&[&[1.0, -2.0]]);
-        let b = DMatrix::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(a.hadamard(&b).unwrap().as_slice(), &[3.0, -8.0]);
         assert_eq!(a.map(f64::abs).as_slice(), &[1.0, 2.0]);
     }
 
     #[test]
-    fn diag_and_column() {
-        let d = DMatrix::from_diag(&[1.0, 2.0]);
-        assert_eq!(d[(1, 1)], 2.0);
-        assert_eq!(d[(0, 1)], 0.0);
-        let c = DMatrix::column(&[1.0, 2.0, 3.0]);
-        assert_eq!(c.rows(), 3);
-        assert_eq!(c.cols(), 1);
-    }
-
-    #[test]
-    fn add_sub_scale_norm() {
+    fn add_sub_scale() {
         let a = DMatrix::from_rows(&[&[3.0, 4.0]]);
         let b = &a + &a;
         assert_eq!(b.as_slice(), &[6.0, 8.0]);
         let z = &a - &a;
-        assert_eq!(z.frobenius_norm(), 0.0);
-        assert_eq!(a.frobenius_norm(), 5.0);
+        assert_eq!(z.as_slice(), &[0.0, 0.0]);
         assert_eq!((&a * 2.0).as_slice(), &[6.0, 8.0]);
     }
 

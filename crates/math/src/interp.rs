@@ -47,34 +47,6 @@ pub fn interp1(xs: &[f64], ys: &[f64], x: f64) -> MathResult<f64> {
     Ok(lerp(ys[idx - 1], ys[idx], t)) // lint:allow(hot-index) same idx bounds as x0/x1 above
 }
 
-/// Interpolates a series at many query points at once.
-///
-/// # Errors
-///
-/// Same as [`interp1`].
-pub fn interp_many(xs: &[f64], ys: &[f64], queries: &[f64]) -> MathResult<Vec<f64>> {
-    queries.iter().map(|&q| interp1(xs, ys, q)).collect()
-}
-
-/// Resamples `(xs, ys)` onto a uniform grid of `n` points spanning
-/// `[xs.first(), xs.last()]`.
-///
-/// # Errors
-///
-/// Same as [`interp1`], plus [`MathError::InvalidArgument`] when `n < 2`.
-pub fn resample_uniform(xs: &[f64], ys: &[f64], n: usize) -> MathResult<(Vec<f64>, Vec<f64>)> {
-    validate_series(xs, ys)?;
-    if n < 2 {
-        return Err(MathError::InvalidArgument { context: "resample needs n >= 2" });
-    }
-    let x0 = xs[0];
-    let x1 = xs[xs.len() - 1]; // lint:allow(hot-index) validate_series rejects empty xs
-    let step = (x1 - x0) / (n - 1) as f64;
-    let grid: Vec<f64> = (0..n).map(|i| x0 + step * i as f64).collect();
-    let vals = interp_many(xs, ys, &grid)?;
-    Ok((grid, vals))
-}
-
 /// A validated interpolation table: checks the series once at
 /// construction, then answers queries with just a binary search.
 ///
@@ -119,11 +91,6 @@ impl Interpolant {
     /// Always false (construction rejects empty series).
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// The domain covered by the knots.
-    pub fn domain(&self) -> (f64, f64) {
-        (self.xs[0], self.xs[self.xs.len() - 1]) // lint:allow(hot-index) construction rejects empty series
     }
 
     /// Interpolates at `x`, clamping outside the domain. NaN queries
@@ -211,31 +178,5 @@ mod tests {
         assert!(interp1(&[0.0, 0.0], &[1.0, 2.0], 0.0).is_err());
         assert!(interp1(&[1.0, 0.0], &[1.0, 2.0], 0.5).is_err());
         assert!(interp1(&[0.0, 1.0], &[1.0, 2.0], f64::NAN).is_err());
-    }
-
-    #[test]
-    fn resample_uniform_linear_function_is_exact() {
-        let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x + 1.0).collect();
-        let (grid, vals) = resample_uniform(&xs, &ys, 25).unwrap();
-        assert_eq!(grid.len(), 25);
-        for (x, y) in grid.iter().zip(&vals) {
-            assert!((y - (3.0 * x + 1.0)).abs() < 1e-12);
-        }
-        assert_eq!(grid[0], 0.0);
-        assert_eq!(grid[24], 9.0);
-    }
-
-    #[test]
-    fn resample_uniform_needs_two_points() {
-        assert!(resample_uniform(&[0.0, 1.0], &[0.0, 1.0], 1).is_err());
-    }
-
-    #[test]
-    fn interp_many_matches_pointwise() {
-        let xs = [0.0, 2.0];
-        let ys = [0.0, 4.0];
-        let out = interp_many(&xs, &ys, &[0.5, 1.0, 1.5]).unwrap();
-        assert_eq!(out, vec![1.0, 2.0, 3.0]);
     }
 }

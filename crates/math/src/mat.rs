@@ -49,13 +49,6 @@ impl Mat2 {
         Mat2::new(d0, 0.0, 0.0, d1)
     }
 
-    /// Counter-clockwise rotation matrix by `angle` radians.
-    #[inline]
-    pub fn rotation(angle: f64) -> Self {
-        let (s, c) = angle.sin_cos();
-        Mat2::new(c, -s, s, c)
-    }
-
     /// Determinant.
     #[inline]
     pub fn det(&self) -> f64 {
@@ -104,7 +97,7 @@ impl Mat2 {
 
     /// True if the matrix is symmetric within `tol`.
     #[inline]
-    pub fn is_symmetric(&self, tol: f64) -> bool {
+    fn is_symmetric(&self, tol: f64) -> bool {
         (self.m[0][1] - self.m[1][0]).abs() <= tol
     }
 
@@ -435,17 +428,8 @@ mod tests {
     }
 
     #[test]
-    fn mat2_rotation_composes() {
-        let r1 = Mat2::rotation(0.3);
-        let r2 = Mat2::rotation(0.5);
-        assert!(mat2_close(r1 * r2, Mat2::rotation(0.8), EPS));
-        // Rotation inverse is its transpose.
-        assert!(mat2_close(r1.inverse().unwrap(), r1.transpose(), EPS));
-    }
-
-    #[test]
     fn mat2_vector_product() {
-        let r = Mat2::rotation(std::f64::consts::FRAC_PI_2);
+        let r = Mat2::new(0.0, -1.0, 1.0, 0.0); // quarter turn
         let v = r * Vec2::new(1.0, 0.0);
         assert!((v.x).abs() < EPS && (v.y - 1.0).abs() < EPS);
     }

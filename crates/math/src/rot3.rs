@@ -28,7 +28,7 @@ impl Rot3 {
         Rot3 { m: Mat3 { m: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]] } };
 
     /// Rotation about the x-axis by `angle` radians (right-handed).
-    pub fn about_x(angle: f64) -> Rot3 {
+    fn about_x(angle: f64) -> Rot3 {
         let (s, c) = angle.sin_cos();
         Rot3 { m: Mat3::from_rows([1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]) }
     }
@@ -40,7 +40,7 @@ impl Rot3 {
     }
 
     /// Rotation about the z-axis by `angle` radians.
-    pub fn about_z(angle: f64) -> Rot3 {
+    fn about_z(angle: f64) -> Rot3 {
         let (s, c) = angle.sin_cos();
         Rot3 { m: Mat3::from_rows([c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]) }
     }
@@ -56,7 +56,7 @@ impl Rot3 {
     /// # Panics
     ///
     /// Panics (debug) if the matrix is not orthonormal within 1e-6.
-    pub fn from_matrix(m: Mat3) -> Rot3 {
+    fn from_matrix(m: Mat3) -> Rot3 {
         debug_assert!(
             {
                 let should_be_identity = m * m.transpose();
@@ -96,11 +96,6 @@ impl Rot3 {
     /// The inverse rotation (transpose).
     pub fn inverse(&self) -> Rot3 {
         Rot3 { m: self.m.transpose() }
-    }
-
-    /// The underlying matrix.
-    pub fn matrix(&self) -> Mat3 {
-        self.m
     }
 
     /// Rotation angle (radians) of the axis-angle form — a metric for how
@@ -177,7 +172,7 @@ mod tests {
         let y = r.rotate(Vec3::new(0.0, 1.0, 0.0));
         let z = r.rotate(Vec3::new(0.0, 0.0, 1.0));
         let rebuilt = Rot3::from_basis(x, y, z);
-        assert!((rebuilt.matrix().m[0][0] - r.matrix().m[0][0]).abs() < 1e-12);
+        assert!((rebuilt.m.m[0][0] - r.m.m[0][0]).abs() < 1e-12);
         let v = Vec3::new(0.3, -0.7, 0.9);
         assert!(close(rebuilt.rotate(v), r.rotate(v)));
     }

@@ -103,29 +103,6 @@ pub fn moving_average(ys: &[f64], half: usize) -> MathResult<Vec<f64>> {
     Ok(out)
 }
 
-/// First-order low-pass (exponential moving average) with smoothing factor
-/// `alpha` in `(0, 1]`: `out[i] = alpha·ys[i] + (1−alpha)·out[i−1]`.
-///
-/// # Errors
-///
-/// Returns [`MathError::EmptyInput`] for empty input and
-/// [`MathError::InvalidArgument`] for `alpha` outside `(0, 1]`.
-pub fn low_pass(ys: &[f64], alpha: f64) -> MathResult<Vec<f64>> {
-    if ys.is_empty() {
-        return Err(MathError::EmptyInput { context: "low_pass input" });
-    }
-    if !(alpha > 0.0 && alpha <= 1.0) {
-        return Err(MathError::InvalidArgument { context: "low_pass alpha not in (0, 1]" });
-    }
-    let mut out = Vec::with_capacity(ys.len());
-    let mut state = ys[0];
-    for &y in ys {
-        state = alpha * y + (1.0 - alpha) * state;
-        out.push(state);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,19 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn low_pass_converges_to_constant() {
-        let ys = vec![5.0; 100];
-        let out = low_pass(&ys, 0.2).unwrap();
-        assert!((out[99] - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn low_pass_alpha_one_is_identity() {
-        let ys = vec![1.0, -2.0, 3.5];
-        assert_eq!(low_pass(&ys, 1.0).unwrap(), ys);
-    }
-
-    #[test]
     fn invalid_inputs_rejected() {
         assert!(differentiate(&[1.0], 1.0).is_err());
         assert!(differentiate(&[1.0, 2.0], 0.0).is_err());
@@ -216,8 +180,5 @@ mod tests {
         assert!(integrate_cumulative(&[1.0], -1.0, 0.0).is_err());
         assert!(cumsum_scaled(&[], 1.0, 0.0).is_err());
         assert!(moving_average(&[], 1).is_err());
-        assert!(low_pass(&[], 0.5).is_err());
-        assert!(low_pass(&[1.0], 0.0).is_err());
-        assert!(low_pass(&[1.0], 1.5).is_err());
     }
 }

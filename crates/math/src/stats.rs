@@ -32,15 +32,6 @@ pub fn variance(xs: &[f64]) -> MathResult<f64> {
     Ok(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64)
 }
 
-/// Sample standard deviation.
-///
-/// # Errors
-///
-/// Same as [`variance`].
-pub fn std_dev(xs: &[f64]) -> MathResult<f64> {
-    Ok(variance(xs)?.sqrt())
-}
-
 /// Median (average of the two central order statistics for even length).
 ///
 /// # Errors
@@ -85,18 +76,6 @@ pub fn percentile(xs: &[f64], p: f64) -> MathResult<f64> {
 pub fn mae(estimates: &[f64], truth: &[f64]) -> MathResult<f64> {
     check_pair(estimates, truth)?;
     mean(&estimates.iter().zip(truth).map(|(e, t)| (e - t).abs()).collect::<Vec<_>>())
-}
-
-/// Root-mean-square error between estimates and ground truth.
-///
-/// # Errors
-///
-/// Same as [`mae`].
-pub fn rmse(estimates: &[f64], truth: &[f64]) -> MathResult<f64> {
-    check_pair(estimates, truth)?;
-    let ms = estimates.iter().zip(truth).map(|(e, t)| (e - t) * (e - t)).sum::<f64>()
-        / estimates.len() as f64;
-    Ok(ms.sqrt())
 }
 
 /// Mean Relative Error, the paper's headline accuracy metric:
@@ -218,89 +197,16 @@ impl EmpiricalCdf {
     }
 }
 
-/// A fixed-width histogram over `[lo, hi)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    below: u64,
-    above: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram with `bins` equal-width bins over
-    /// `[lo, hi)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::InvalidArgument`] when `hi <= lo` or
-    /// `bins == 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> MathResult<Self> {
-        if hi.is_nan() || lo.is_nan() || hi <= lo || bins == 0 {
-            return Err(MathError::InvalidArgument { context: "histogram range/bins" });
-        }
-        Ok(Histogram { lo, hi, counts: vec![0; bins], below: 0, above: 0 })
-    }
-
-    /// Adds one sample.
-    pub fn add(&mut self, x: f64) {
-        if x < self.lo {
-            self.below += 1;
-        } else if x >= self.hi {
-            self.above += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.counts.len() as f64;
-            let idx = (((x - self.lo) / width) as usize).min(self.counts.len() - 1);
-            self.counts[idx] += 1;
-        }
-    }
-
-    /// Adds many samples.
-    pub fn extend(&mut self, xs: impl IntoIterator<Item = f64>) {
-        for x in xs {
-            self.add(x);
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Count of samples below / above the range.
-    pub fn outliers(&self) -> (u64, u64) {
-        (self.below, self.above)
-    }
-
-    /// Total number of samples seen (including outliers).
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.below + self.above
-    }
-
-    /// Center of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        assert!(i < self.counts.len(), "bin index out of range");
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_variance_std() {
+    fn mean_and_variance() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs).unwrap(), 5.0);
         let v = variance(&xs).unwrap();
         assert!((v - 32.0 / 7.0).abs() < 1e-12);
-        assert!((std_dev(&xs).unwrap() - v.sqrt()).abs() < 1e-15);
     }
 
     #[test]
@@ -332,7 +238,6 @@ mod tests {
         let est = [1.0, 2.0, 3.0];
         let truth = [1.0, 1.0, 1.0];
         assert_eq!(mae(&est, &truth).unwrap(), 1.0);
-        assert!((rmse(&est, &truth).unwrap() - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
         assert_eq!(mre(&est, &truth).unwrap(), 1.0);
     }
 
@@ -354,7 +259,6 @@ mod tests {
     #[test]
     fn metrics_length_mismatch() {
         assert!(mae(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(rmse(&[1.0], &[1.0, 2.0]).is_err());
     }
 
     #[test]
@@ -385,22 +289,5 @@ mod tests {
     fn cdf_rejects_bad_samples() {
         assert!(EmpiricalCdf::new(&[]).is_err());
         assert!(EmpiricalCdf::new(&[1.0, f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn histogram_bins_and_outliers() {
-        let mut h = Histogram::new(0.0, 10.0, 5).unwrap();
-        h.extend([0.5, 1.5, 2.5, 9.9, -1.0, 10.0, 100.0]);
-        assert_eq!(h.counts(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.outliers(), (1, 2));
-        assert_eq!(h.total(), 7);
-        assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
-        assert!((h.bin_center(4) - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_rejects_bad_config() {
-        assert!(Histogram::new(1.0, 1.0, 4).is_err());
-        assert!(Histogram::new(0.0, 1.0, 0).is_err());
     }
 }

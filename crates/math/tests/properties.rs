@@ -1,7 +1,7 @@
 //! Property-based tests for the numeric kernels.
 
 use gradest_math::angle::{angle_diff, wrap_pi, wrap_two_pi};
-use gradest_math::lowess::{detect_uniform_step, lowess, lowess_reference, LowessConfig};
+use gradest_math::lowess::{detect_uniform_step, lowess, lowess_reference};
 use gradest_math::signal::{cumsum_scaled, integrate_cumulative, moving_average};
 use gradest_math::stats::{mean, percentile, EmpiricalCdf};
 use gradest_math::{DMatrix, Mat2, Mat3, Vec2};
@@ -136,7 +136,7 @@ proptest! {
         frac in 0.1..1.0f64
     ) {
         let xs: Vec<f64> = (0..ys.len()).map(|i| i as f64).collect();
-        let out = lowess(&xs, &ys, LowessConfig::with_fraction(frac)).unwrap();
+        let out = lowess(&xs, &ys, frac).unwrap();
         let lo = ys.iter().cloned().fold(f64::MAX, f64::min);
         let hi = ys.iter().cloned().fold(f64::MIN, f64::max);
         let slack = 0.5 * (hi - lo).max(1e-9);
@@ -150,7 +150,7 @@ proptest! {
     fn lowess_idempotent_on_linear(slope in -5.0..5.0f64, intercept in -10.0..10.0f64) {
         let xs: Vec<f64> = (0..40).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| slope * x + intercept).collect();
-        let out = lowess(&xs, &ys, LowessConfig::with_fraction(0.3)).unwrap();
+        let out = lowess(&xs, &ys, 0.3).unwrap();
         for (o, y) in out.iter().zip(&ys) {
             prop_assert!((o - y).abs() < 1e-6);
         }
@@ -232,7 +232,6 @@ proptest! {
         mantissa in 1i32..16,
         exponent in -7i32..1,
         frac in 0.05..1.0f64,
-        iters in 0usize..3,
     ) {
         // Dyadic steps make the grid exactly uniform in f64, so the
         // detector must fire and the fast path must agree with the
@@ -240,9 +239,8 @@ proptest! {
         let dt = mantissa as f64 * 2f64.powi(exponent);
         let xs: Vec<f64> = (0..ys.len()).map(|i| x0 as f64 + i as f64 * dt).collect();
         prop_assert!(detect_uniform_step(&xs).is_some());
-        let cfg = LowessConfig { fraction: frac, robust_iterations: iters };
-        let fast = lowess(&xs, &ys, cfg).unwrap();
-        let generic = lowess_reference(&xs, &ys, cfg).unwrap();
+        let fast = lowess(&xs, &ys, frac).unwrap();
+        let generic = lowess_reference(&xs, &ys, frac).unwrap();
         for (f, g) in fast.iter().zip(&generic) {
             prop_assert!((f - g).abs() < 1e-12, "fast {f} vs generic {g}");
         }
@@ -262,9 +260,8 @@ proptest! {
             .map(|i| i as f64 * 0.02 + jitter_scale * 0.02 * ((i * 7919 % 17) as f64 / 17.0))
             .collect();
         prop_assert!(detect_uniform_step(&xs).is_none());
-        let cfg = LowessConfig { fraction: frac, robust_iterations: 1 };
-        let auto = lowess(&xs, &ys, cfg).unwrap();
-        let generic = lowess_reference(&xs, &ys, cfg).unwrap();
+        let auto = lowess(&xs, &ys, frac).unwrap();
+        let generic = lowess_reference(&xs, &ys, frac).unwrap();
         prop_assert_eq!(auto, generic);
     }
 }

@@ -101,13 +101,13 @@ impl FleetHealth {
     }
 
     /// Total tracks that reported a final verdict.
-    pub fn tracks_total(&self) -> u64 {
+    fn tracks_total(&self) -> u64 {
         self.tracks_healthy + self.tracks_degraded + self.tracks_diverged
     }
 
     /// Fraction of verdict-reporting tracks that finished `Healthy`
     /// (1.0 when no tracks reported, so an empty fleet reads healthy).
-    pub fn healthy_fraction(&self) -> f64 {
+    fn healthy_fraction(&self) -> f64 {
         let total = self.tracks_total();
         if total == 0 {
             1.0

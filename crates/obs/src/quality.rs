@@ -13,8 +13,8 @@
 //!   reckoning degrades first when the IMU population sours). Watched
 //!   for *downward* drift.
 //! - [`QualitySignal::NisOutOfBand`]: fraction of per-track windowed
-//!   mean-NIS observations above the consistency band (the same 2.5
-//!   bound `MonitorConfig::inconsistent_nis` uses). Watched *upward*.
+//!   mean-NIS observations above [`INCONSISTENT_NIS`], the bound each
+//!   track's `InnovationMonitor` uses. Watched *upward*.
 //! - [`QualitySignal::GpsDropoutRate`]: GPS dropout events per
 //!   processed trip. Watched *upward*.
 //!
@@ -31,6 +31,13 @@ use crate::metrics::{Counter, Histogram};
 use crate::recorder::Recorder;
 use crate::timeseries::TimeSeries;
 use crate::trace::{QualitySignal, TraceEvent};
+
+/// Mean-NIS bound above which a filter's innovations run hot: a
+/// track's `InnovationMonitor` calls the filter inconsistent, and the
+/// drift monitor counts the observation out of band. For a 1-D
+/// measurement the consistent mean is 1.0; 2.5 allows healthy
+/// transients.
+pub const INCONSISTENT_NIS: f64 = 2.5;
 
 /// Tuning for one Page–Hinkley detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,9 +59,6 @@ pub struct DetectorConfig {
 pub struct QualityConfig {
     /// Which fusion-weight histogram the canary watches.
     pub weight_hist: Histogram,
-    /// Mean-NIS bound above which an observation counts out-of-band
-    /// (matches `MonitorConfig::inconsistent_nis`).
-    pub nis_bound: f64,
     /// Windows each per-window statistic aggregates over (smooths the
     /// shot noise of sparse uploads).
     pub lookback: usize,
@@ -70,7 +74,6 @@ impl Default for QualityConfig {
     fn default() -> Self {
         QualityConfig {
             weight_hist: Histogram::FusionWeightAccelerometer,
-            nis_bound: 2.5,
             lookback: 5,
             // Fusion weights live in [0, 1]; a sustained drop of a few
             // hundredths below baseline is a real redistribution.
@@ -242,7 +245,7 @@ impl QualityMonitors {
         let weight = ts.hist_mean(self.cfg.weight_hist, lookback, end_ns);
         let total = ts.hist_count(Histogram::EkfMeanNis, lookback, end_ns);
         let nis = (total > 0)
-            .then(|| nis_above(ts, self.cfg.nis_bound, lookback, end_ns) as f64 / total as f64);
+            .then(|| nis_above(ts, INCONSISTENT_NIS, lookback, end_ns) as f64 / total as f64);
         let gps = gaps_per_trip(ts, lookback, end_ns);
 
         for (i, value) in [weight, nis, gps].into_iter().enumerate() {
@@ -307,7 +310,7 @@ pub(crate) fn gaps_per_trip(ts: &TimeSeries, lookback: usize, now_ns: u64) -> Op
 
 /// Mean-NIS observations the sketch places above `threshold` over the
 /// `lookback` windows ending at `now_ns`'s window — the
-/// [`QualitySignal::NisOutOfBand`] count at `nis_bound` and
+/// [`QualitySignal::NisOutOfBand`] count at [`INCONSISTENT_NIS`] and
 /// `FleetHealth`'s bands at 1/10/100.
 pub(crate) fn nis_above(ts: &TimeSeries, threshold: f64, lookback: usize, now_ns: u64) -> u64 {
     ts.hist_count_above(Histogram::EkfMeanNis, threshold, lookback, now_ns)

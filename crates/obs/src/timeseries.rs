@@ -46,7 +46,7 @@ const SUB_PER_OCTAVE: i64 = 4;
 
 /// Buckets per signed store. With four sub-buckets per octave this
 /// covers 64 octaves of magnitude.
-pub const SKETCH_BUCKETS: usize = 256;
+const SKETCH_BUCKETS: usize = 256;
 
 /// Lowest covered octave: magnitudes below `2^-20` (≈ 9.5e-7) fall
 /// into the zero bucket together with exact zeros.

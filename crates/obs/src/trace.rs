@@ -268,7 +268,7 @@ impl TraceEvent {
     /// quantities (span durations are elided; simulated trip times and
     /// Eq-1/Eq-6 values are seed-deterministic and included). This is
     /// the golden-test surface of one event.
-    pub fn sequence_line(self) -> String {
+    fn sequence_line(self) -> String {
         match self {
             TraceEvent::TripStart => "trip-start".to_string(),
             TraceEvent::TripEnd { detections } => format!("trip-end detections={detections}"),
@@ -329,9 +329,8 @@ impl TraceEvent {
 pub struct TraceRecord {
     /// Nanoseconds since [`TraceRing`] construction.
     pub ts_ns: u64,
-    /// Recording thread's lane (stable small integer per thread; lane
-    /// [`TraceRing::LANE_OVERFLOW`] collects threads beyond the fixed
-    /// lane table).
+    /// Recording thread's lane (stable small integer per thread; the
+    /// last lane collects threads beyond the fixed lane table).
     pub lane: u8,
     /// The event itself.
     pub event: TraceEvent,
@@ -376,7 +375,7 @@ pub struct TraceRing {
 
 impl TraceRing {
     /// The shared lane index for threads beyond the fixed lane table.
-    pub const LANE_OVERFLOW: u8 = (MAX_LANES - 1) as u8;
+    const LANE_OVERFLOW: u8 = (MAX_LANES - 1) as u8;
 
     /// Creates a ring holding at most `capacity` events (at least one).
     /// The buffer is allocated here, once — recording never grows it.
@@ -487,8 +486,9 @@ pub struct TraceSnapshot {
 }
 
 impl TraceSnapshot {
-    /// Deterministic golden-test surface: one [`TraceEvent::sequence_line`]
-    /// per event, no timestamps or lanes, plus a trailing drop count.
+    /// Deterministic golden-test surface: one line per event naming its
+    /// kind and fields, no timestamps or lanes, plus a trailing drop
+    /// count.
     /// Identical workloads (serial, fixed seeds) produce byte-identical
     /// strings.
     pub fn sequence_string(&self) -> String {

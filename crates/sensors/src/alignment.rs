@@ -43,11 +43,6 @@ impl Default for PhoneMount {
     }
 }
 
-impl PhoneMount {
-    /// A perfectly calibrated mount.
-    pub const PERFECT: PhoneMount = PhoneMount { pitch_error_rad: 0.0, roll_error_rad: 0.0 };
-}
-
 /// Projects GPS fixes onto a known route (map matching) to recover arc
 /// position and road-direction change rate.
 #[derive(Debug, Clone)]
@@ -664,7 +659,6 @@ mod tests {
         let m = PhoneMount::default();
         assert!(m.pitch_error_rad.abs() < 0.01);
         assert!(m.roll_error_rad.abs() < 0.01);
-        assert_eq!(PhoneMount::PERFECT.pitch_error_rad, 0.0);
     }
 
     /// The sampled 5 m/1 m window scan `match_s` used before the exact

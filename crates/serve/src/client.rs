@@ -36,7 +36,7 @@ pub enum ServerReply {
     },
     /// The server rejected the request as malformed.
     Err {
-        /// A [`DecodeError`] wire code (see `DecodeError::code_name`).
+        /// A [`DecodeError`] wire code (see [`DecodeError::code`]).
         code: u8,
     },
 }

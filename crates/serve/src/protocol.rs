@@ -107,17 +107,6 @@ impl DecodeError {
             DecodeError::Malformed(_) => 4,
         }
     }
-
-    /// Human label for a wire code (client-side diagnostics).
-    pub fn code_name(code: u8) -> &'static str {
-        match code {
-            1 => "unknown-tag",
-            2 => "oversized",
-            3 => "truncated",
-            4 => "malformed",
-            _ => "unknown-code",
-        }
-    }
 }
 
 impl std::fmt::Display for DecodeError {
@@ -331,10 +320,11 @@ impl UploadScratch {
 ///
 /// [`DecodeError::Truncated`] when the payload ends early,
 /// [`DecodeError::Malformed`] on trailing bytes, a GPS validity byte
-/// other than 0/1, a log with fewer than two IMU samples, or IMU
+/// other than 0/1, a log with fewer than two IMU samples, IMU
 /// timestamps that are not finite and strictly increasing (the
 /// estimator's documented preconditions — validated here so the worker
-/// never feeds the pipeline a log that would panic it).
+/// never feeds the pipeline a log that would panic it), or an IMU
+/// `accel_long` that is not finite (it would blank every track).
 pub fn decode_upload_into(payload: &[u8], scratch: &mut UploadScratch) -> Result<(), DecodeError> {
     let log = &mut scratch.log;
     log.imu.clear();
@@ -390,6 +380,11 @@ pub fn decode_upload_into(payload: &[u8], scratch: &mut UploadScratch) -> Result
     }
     if !imu_times_increasing(&log.imu) {
         return Err(DecodeError::Malformed("imu times not finite and strictly increasing"));
+    }
+    // Every lane's EKF predict consumes the specific force, so one
+    // non-finite sample would blank the whole trip.
+    if !log.imu.iter().all(|s| s.accel_long.is_finite()) {
+        return Err(DecodeError::Malformed("imu accel_long not finite"));
     }
     Ok(())
 }
@@ -647,6 +642,6 @@ mod tests {
         assert_eq!(wire[HEADER_BYTES..], [BUSY_DRAINING]);
         encode_err_frame(DecodeError::Truncated.code(), &mut wire);
         assert_eq!(wire[0], TAG_ERR);
-        assert_eq!(DecodeError::code_name(wire[HEADER_BYTES]), "truncated");
+        assert_eq!(wire[HEADER_BYTES..], [3]); // the stable `truncated` wire code
     }
 }

@@ -456,17 +456,6 @@ impl<R: Recorder + Send + Sync + 'static> ServerHandle<R> {
         self.shared.stats_snapshot()
     }
 
-    /// The live Prometheus exposition (same text the METRICS frame
-    /// serves).
-    pub fn prometheus(&self) -> String {
-        self.shared.prometheus()
-    }
-
-    /// The live status snapshot (same JSON the STATUS frame serves).
-    pub fn status_json(&self) -> String {
-        self.shared.status_json()
-    }
-
     /// The live time-series ring (for in-process oracles: pass
     /// [`ServerHandle::telemetry_now_ns`] as the query timestamp).
     pub fn timeseries(&self) -> &TimeSeries {

@@ -69,12 +69,14 @@ proptest! {
     }
 
     /// An IMU stream whose times repeat, go backwards, or are not
-    /// finite decodes to `Malformed` — the estimator would panic on it.
+    /// finite decodes to `Malformed` — the estimator would panic on it —
+    /// and so does a non-finite `accel_long`, which every lane's EKF
+    /// predict would consume.
     #[test]
-    fn bad_imu_times_are_malformed(
+    fn bad_imu_samples_are_malformed(
         log in log_strategy(),
         at in 0.0..1.0f64,
-        kind in 0..5u8,
+        kind in 0..7u8,
     ) {
         let mut log = log;
         let last = log.imu.len() - 1;
@@ -85,7 +87,9 @@ proptest! {
             2 => log.imu[i].t = f64::NAN,
             3 => log.imu[i].t = f64::NEG_INFINITY,
             // In order, so only the finiteness check can catch it.
-            _ => log.imu[last].t = f64::INFINITY,
+            4 => log.imu[last].t = f64::INFINITY,
+            5 => log.imu[i].accel_long = f64::NAN,
+            _ => log.imu[i].accel_long = f64::INFINITY,
         }
         let mut wire = Vec::new();
         encode_upload_frame(3, &log, &mut wire);

@@ -67,7 +67,7 @@ impl DriverProfile {
 
     /// Samples a lane-change duration: draws a peak lateral acceleration,
     /// converts via `D = √(2π·W/a_lat)`, and clamps to `[2.5, 7.0]` s.
-    pub fn sample_duration(&self, rng: &mut StdRng) -> f64 {
+    fn sample_duration(&self, rng: &mut StdRng) -> f64 {
         // Box–Muller from two uniforms; clamping keeps it humanly plausible.
         let u1: f64 = rng.gen_range(1e-9..1.0);
         let u2: f64 = rng.gen_range(0.0..1.0);

@@ -39,13 +39,11 @@
 pub mod driver;
 pub mod dynamics;
 pub mod maneuver;
-pub mod powertrain;
 pub mod traffic;
 pub mod trip;
 pub mod vehicle;
 
 pub use maneuver::LaneChangeDirection;
-pub use powertrain::Powertrain;
 pub use traffic::{IdmFollower, IdmParams, LeadVehicle};
 pub use trip::{simulate_trip, LaneChangeEvent, Trajectory, TripConfig, TruthSample};
 pub use vehicle::VehicleParams;

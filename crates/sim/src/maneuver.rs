@@ -99,11 +99,6 @@ impl LaneChangeManeuver {
         self.direction.sign() * scale * (1.0 - (2.0 * PI * t / self.duration_s).cos())
     }
 
-    /// Peak steering angle reached mid-maneuver.
-    pub fn peak_angle(&self) -> f64 {
-        self.amplitude_rad_per_s * self.duration_s / PI
-    }
-
     /// Small-angle prediction of the final lateral displacement at
     /// constant speed `v` (signed: positive = left).
     pub fn predicted_displacement(&self, v: f64) -> f64 {
@@ -148,7 +143,7 @@ mod tests {
         assert_eq!(m.steering_angle(7.0), 0.0);
         // Peak at mid-maneuver.
         let peak = m.steering_angle(2.5);
-        assert!((peak - m.peak_angle()).abs() < 1e-12);
+        assert!((peak - m.amplitude_rad_per_s * m.duration_s / PI).abs() < 1e-12);
         assert!(peak > 0.0);
     }
 

@@ -137,11 +137,6 @@ impl Trajectory {
         self.dt
     }
 
-    /// Sampling rate, Hz.
-    pub fn sample_rate_hz(&self) -> f64 {
-        1.0 / self.dt
-    }
-
     /// The ground-truth samples, uniformly spaced in time.
     pub fn samples(&self) -> &[TruthSample] {
         &self.samples

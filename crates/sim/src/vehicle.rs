@@ -56,7 +56,7 @@ impl Default for VehicleParams {
 
 impl VehicleParams {
     /// The rolling-resistance angle `β = arcsin(μ/√(1+μ²))` of Eq (3).
-    pub fn beta(&self) -> f64 {
+    fn beta(&self) -> f64 {
         let mu = self.rolling_resistance;
         (mu / (1.0 + mu * mu).sqrt()).asin()
     }
