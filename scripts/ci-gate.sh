@@ -18,7 +18,11 @@
 #                                        taint from the warm/hot roots,
 #                                        ambiguous-call audit,
 #                                        dead-suppression audit,
-#                                        warm-path drift check. Writes
+#                                        warm-path drift check, and the
+#                                        unused-pub audit (a pub item
+#                                        with no caller outside its own
+#                                        file fails). Every finding is an
+#                                        error. Writes
 #                                        target/lint/LINT_REPORT.json
 #                                        (machine-readable, uploaded as a
 #                                        CI artifact)
@@ -151,10 +155,12 @@ skip_step() { # skip_step <name> <reason>
 # --- quick steps: every mode -------------------------------------------------
 run_step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 run_step "fmt" cargo fmt --check
-# Workspace invariant linter: deny-by-default, every suppression needs
-# an in-source `lint:allow(<rule>) reason`. Runs the interprocedural
-# pass (call graph + transitive taint + drift + dead-suppression audit)
-# and writes the machine-readable report CI uploads as an artifact.
+# Workspace invariant linter: every finding is an error, and every
+# suppression needs an in-source `lint:allow(<rule>) reason`. Runs the
+# interprocedural pass (call graph + transitive taint + drift +
+# dead-suppression audit) and the unused-pub audit, so an unused public
+# item fails this step, and writes the machine-readable report CI
+# uploads as an artifact.
 mkdir -p target/lint
 run_step "gradest-lint" \
   cargo run --release -q -p gradest-lint -- --report target/lint/LINT_REPORT.json
