@@ -14,7 +14,9 @@
 //!   binary's counting allocator is installed (`None` elsewhere, e.g.
 //!   under `cargo test`);
 //! * the cost of observing — the warm trip timed under each recording
-//!   sink, with its overhead ratio against the `NoopRecorder` row
+//!   sink, and on two threads at once (each with its own scratch) into
+//!   `NoopRecorder` and into one shared `TimeSeriesRecorder`, with each
+//!   overhead ratio against the one-thread `NoopRecorder` row
 //!   (report-only: no `bench-gate` row reads it).
 
 use crate::perfbench::{alloc_counter, run_bench, BenchReport};
@@ -23,10 +25,14 @@ use crate::scenarios::red_road_drive;
 use gradest_core::pipeline::{
     EstimatorConfig, EstimatorScratch, GradientEstimate, GradientEstimator, StageNanos,
 };
+use gradest_geo::Route;
 use gradest_math::lowess::{lowess_into, lowess_reference, LowessScratch};
-use gradest_obs::{RunRecorder, RunReport, Tee, TimeSeriesRecorder, TraceRing};
+use gradest_obs::{
+    NoopRecorder, Recorder, RunRecorder, RunReport, Tee, TimeSeriesRecorder, TraceRing,
+};
 use gradest_sensors::alignment::{steering_rate_profile_into, WRoadScratch};
 use gradest_sensors::columnar::ImuColumns;
+use gradest_sensors::suite::SensorLog;
 use serde::{Deserialize, Serialize};
 
 /// Pipeline hot-path benchmark result (`BENCH_pipeline.json`).
@@ -270,10 +276,23 @@ pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
     let tee_row = run_bench("pipeline_warm_traced", samples, 1, || {
         estimator.estimate_into_recorded(log, map, &mut scratch, &mut cost_out, &tee_sink);
     });
+    let pair_noop_row =
+        two_writer_bench("pipeline_warm_2x_noop", samples, &estimator, log, map, &NoopRecorder);
+    let shared_series = TimeSeriesRecorder::default();
+    let pair_series_row = two_writer_bench(
+        "pipeline_warm_2x_timeseries",
+        samples,
+        &estimator,
+        log,
+        map,
+        &shared_series,
+    );
     let observe_cost = vec![
         observed("RunRecorder", run_row),
         observed("TimeSeriesRecorder", series_row),
         observed("Tee(RunRecorder, TraceRing)", tee_row),
+        observed("2 threads: NoopRecorder", pair_noop_row),
+        observed("2 threads: one TimeSeriesRecorder", pair_series_row),
     ];
 
     PipelineHotpathBench {
@@ -295,6 +314,28 @@ pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
         allocs_per_trip_warm_timeseries,
         observe_cost,
     }
+}
+
+/// Two threads, each with its own warm scratch, run the trip at the
+/// same time into the shared `rec` — the service's two workers on one
+/// live ring. One op is the pair of trips, thread spawns included. On
+/// one core this measures time-slicing, not contention.
+fn two_writer_bench<R: Recorder>(
+    name: &str,
+    samples: usize,
+    estimator: &GradientEstimator,
+    log: &SensorLog,
+    map: Option<&Route>,
+    rec: &R,
+) -> BenchReport {
+    let mut writers: [(EstimatorScratch, GradientEstimate); 2] = Default::default();
+    run_bench(name, samples, 1, || {
+        std::thread::scope(|scope| {
+            for (scratch, out) in writers.iter_mut() {
+                scope.spawn(move || estimator.estimate_into_recorded(log, map, scratch, out, rec));
+            }
+        });
+    })
 }
 
 /// Prints the timing table and writes `BENCH_pipeline.json`.
@@ -364,13 +405,14 @@ pub fn print_report(r: &PipelineHotpathBench) {
     print_table(
         &format!(
             "Cost of observing (warm trip, {} samples; TimeSeriesRecorder bit-identical={}, \
-             allocs/trip={})",
+             allocs/trip={}; 2-thread rows on available_parallelism={})",
             b.samples,
             r.timeseries_bit_identical,
             match r.allocs_per_trip_warm_timeseries {
                 Some(n) => n.to_string(),
                 None => "not measured".to_string(),
             },
+            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         ),
         &["recorder", "ms/trip", "x noop"],
         &cost_rows,
@@ -411,7 +453,16 @@ mod tests {
         assert!(r.timeseries_bit_identical, "time-series warm path diverged from plain warm path");
         assert_eq!(r.allocs_per_trip_warm_timeseries, None);
         let sinks: Vec<&str> = r.observe_cost.iter().map(|c| c.recorder.as_str()).collect();
-        assert_eq!(sinks, ["RunRecorder", "TimeSeriesRecorder", "Tee(RunRecorder, TraceRing)"]);
+        assert_eq!(
+            sinks,
+            [
+                "RunRecorder",
+                "TimeSeriesRecorder",
+                "Tee(RunRecorder, TraceRing)",
+                "2 threads: NoopRecorder",
+                "2 threads: one TimeSeriesRecorder",
+            ]
+        );
         for c in &r.observe_cost {
             assert!(c.overhead_vs_noop > 0.0, "{}: ratio {}", c.recorder, c.overhead_vs_noop);
         }

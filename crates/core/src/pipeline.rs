@@ -27,7 +27,7 @@ use gradest_obs::{
 };
 use gradest_sensors::alignment::{steering_rate_profile_into, MapMatcher, WRoadScratch};
 use gradest_sensors::columnar::ImuColumns;
-use gradest_sensors::samples::SpeedSample;
+use gradest_sensors::samples::{GpsSample, SpeedSample};
 use gradest_sensors::suite::SensorLog;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -173,6 +173,10 @@ pub struct EstimatorScratch {
     speed_v: Vec<f64>,
     matched_s: Vec<f64>,
     tracks: Vec<TrackScratch>,
+    // A recorded trip's EKF innovations in observation order, handed to
+    // the recorder in one batch after the lane sweep. Never touched by
+    // un-recorded runs.
+    innovations: Vec<f64>,
     distances: Vec<f64>,
     stages: StageNanos,
 }
@@ -317,6 +321,7 @@ impl GradientEstimator {
             speed_v,
             matched_s,
             tracks: track_scratch,
+            innovations,
             distances,
             stages,
         } = scratch;
@@ -365,15 +370,20 @@ impl GradientEstimator {
         // Map-match the GPS fixes once for the whole trip: `match_s` is a
         // function of the fix positions and the matcher's own sequential
         // state only, so every source track would recompute the identical
-        // arc sequence (~40 route probes per fix each). Invalid fixes hold
-        // a NaN placeholder to keep indices aligned; they are skipped
-        // before use, exactly as the per-source matchers skipped them.
+        // arc sequence (~40 route probes per fix each). Unusable fixes
+        // (invalid, or without a finite time) hold a NaN placeholder to
+        // keep indices aligned and do not advance the matcher; the sweep
+        // skips them.
         matched_s.clear();
         if let Some(route) = map {
             matched_s.reserve(log.gps.len());
             let mut matcher = MapMatcher::new(route);
             for fix in &log.gps {
-                matched_s.push(if fix.valid { matcher.match_s(fix.position) } else { f64::NAN });
+                matched_s.push(if usable_fix(fix) {
+                    matcher.match_s(fix.position)
+                } else {
+                    f64::NAN
+                });
             }
         }
         self.run_ekf_lanes_into(
@@ -384,6 +394,7 @@ impl GradientEstimator {
             dt,
             matched_s,
             &mut track_scratch[..n_src],
+            innovations,
             rec,
         );
         let t3 = Instant::now();
@@ -517,10 +528,10 @@ impl GradientEstimator {
     ///
     /// Arc positioning integrates the EKF velocity (odometry) and, when
     /// map-matched GPS arc positions are available (`matched_s`, one entry
-    /// per GPS fix, NaN on invalid fixes, empty without a map), anchors the
-    /// odometer to them — the phone records a position with every
-    /// estimate, so pure dead-reckoning drift (≈1 % of distance from the
-    /// speedometer's scale error) would be an artificial handicap.
+    /// per GPS fix, NaN where [`usable_fix`] is false, empty without a map),
+    /// anchors the odometer to them — the phone records a position with
+    /// every estimate, so pure dead-reckoning drift (≈1 % of distance from
+    /// the speedometer's scale error) would be an artificial handicap.
     ///
     /// The shared sweep halves the dominating per-sample cost: the
     /// `sin`/`cos` pair and the GPS cursor advance are computed once per
@@ -531,6 +542,11 @@ impl GradientEstimator {
     /// (measurement series + buffer resets); the shared sweep and RTS
     /// pass are attributed to the `tracks` stage span. DESIGN.md §11
     /// records this semantics change.
+    ///
+    /// A live recorder gets the trip's EKF innovations in one
+    /// `observe_many` batch after the sweep, staged in `innovations` in
+    /// the order the updates ran, so a sink pays its per-call cost (the
+    /// live ring's lock and clock read) once per trip, not per update.
     #[allow(clippy::too_many_arguments)]
     fn run_ekf_lanes_into<R: Recorder>(
         &self,
@@ -541,6 +557,7 @@ impl GradientEstimator {
         dt: f64,
         matched_s: &[f64],
         lanes: &mut [TrackScratch],
+        innovations: &mut Vec<f64>,
         rec: &R,
     ) {
         let cfg = &self.config;
@@ -569,6 +586,12 @@ impl GradientEstimator {
             ts.history.clear();
             timer.finish(rec, track_span(source));
         }
+        if rec.enabled() {
+            // Each update consumes one staged measurement, so the sweep
+            // never grows the buffer past this.
+            innovations.clear();
+            innovations.reserve(lanes.iter().map(|ts| ts.measurements.len()).sum());
+        }
         let mut ekf = EkfLanes::new(cfg.ekf, v0);
         let rts = cfg.rts_smoothing;
         let mut s_arc = [0.0f64; MAX_LANES];
@@ -586,7 +609,7 @@ impl GradientEstimator {
             // GPS fixes crossing this sample anchor every lane, so the
             // cursor advances once and the lanes replay the range.
             let gps_lo = gps_idx;
-            while gps_idx < log.gps.len() && log.gps[gps_idx].t <= ti {
+            while log.gps.get(gps_idx).is_some_and(|fix| fix_due(fix, ti)) {
                 gps_idx += 1;
             }
             for (l, ts) in lanes.iter_mut().enumerate() {
@@ -613,7 +636,7 @@ impl GradientEstimator {
                     };
                     if rec.enabled() {
                         let innovation = corrected - ekf.velocity(l);
-                        rec.observe(Histogram::EkfInnovation, innovation);
+                        innovations.push(innovation);
                         if let Some(mon) = ts.monitor.as_mut() {
                             let before = mon.health();
                             mon.record(innovation, ekf.innovation_variance(l, rs[l]));
@@ -631,7 +654,7 @@ impl GradientEstimator {
                 a_idx[l] = ai;
                 let mut s = s_arc[l] + ekf.velocity(l) * dt;
                 for fix_idx in gps_lo..gps_idx {
-                    if !log.gps[fix_idx].valid {
+                    if !usable_fix(&log.gps[fix_idx]) {
                         continue;
                     }
                     if let Some(&s_gps) = matched_s.get(fix_idx) {
@@ -659,6 +682,7 @@ impl GradientEstimator {
             smooth_lanes(lanes);
         }
         if rec.enabled() {
+            rec.observe_many(Histogram::EkfInnovation, innovations);
             for (l, ts) in lanes.iter().enumerate() {
                 rec.incr(Counter::EkfPredicts, n_imu as u64);
                 rec.incr(update_counter(srcs[l]), updates[l]);
@@ -785,11 +809,11 @@ fn record_health_transition<R: Recorder>(
 /// than jitter.
 const GPS_GAP_THRESHOLD_S: f64 = 2.5;
 
-/// Scans the valid GPS fixes for dropouts longer than
+/// Scans the usable GPS fixes for dropouts longer than
 /// [`GPS_GAP_THRESHOLD_S`], counting each and emitting a typed event.
 fn record_gps_gaps<R: Recorder>(rec: &R, log: &SensorLog) {
     let mut prev_t: Option<f64> = None;
-    for fix in log.gps.iter().filter(|g| g.valid) {
+    for fix in log.gps.iter().filter(|g| usable_fix(g)) {
         if let Some(prev) = prev_t {
             let gap = fix.t - prev;
             if gap > GPS_GAP_THRESHOLD_S {
@@ -855,18 +879,29 @@ fn record_fusion_weights<R: Recorder>(rec: &R, tracks: &[GradientTrack], fused: 
     }
 }
 
+/// Whether the estimator uses a GPS fix: valid, with a finite time. A
+/// fix without a finite time has no place on the IMU clock and counts as
+/// absent.
+fn usable_fix(fix: &GpsSample) -> bool {
+    fix.valid && fix.t.is_finite()
+}
+
+/// Whether the sweep's GPS cursor has reached `fix` at IMU time `ti`:
+/// its time has passed, or it has no finite time and is stepped past
+/// (a NaN or `+∞` time would otherwise stall the cursor for the rest of
+/// the trip).
+fn fix_due(fix: &GpsSample, ti: f64) -> bool {
+    !fix.t.is_finite() || fix.t <= ti
+}
+
 /// `(t, v)` of the speed samples whose time and speed are both finite.
 fn finite_speeds(samples: &[SpeedSample]) -> impl Iterator<Item = (f64, f64)> + '_ {
     samples.iter().map(|s| (s.t, s.speed_mps)).filter(|(t, v)| t.is_finite() && v.is_finite())
 }
 
-/// `(t, v)` of the valid GPS fixes whose time and speed are both finite.
+/// `(t, v)` of the usable GPS fixes whose speed is finite.
 fn gps_speeds(log: &SensorLog) -> impl Iterator<Item = (f64, f64)> + '_ {
-    log.gps
-        .iter()
-        .filter(|g| g.valid)
-        .map(|g| (g.t, g.speed_mps))
-        .filter(|(t, v)| t.is_finite() && v.is_finite())
+    log.gps.iter().filter(|g| usable_fix(g) && g.speed_mps.is_finite()).map(|g| (g.t, g.speed_mps))
 }
 
 /// Stages the best available speed stream into `(ts, vs)` columns:
@@ -1087,11 +1122,11 @@ mod tests {
             }
             s += ekf.velocity() * dt;
             // Anchor the odometer to the pre-matched GPS arc positions.
-            while gps_idx < log.gps.len() && log.gps[gps_idx].t <= imu.t {
-                let valid = log.gps[gps_idx].valid;
+            while log.gps.get(gps_idx).is_some_and(|fix| fix_due(fix, imu.t)) {
+                let usable = usable_fix(&log.gps[gps_idx]);
                 let fix_idx = gps_idx;
                 gps_idx += 1;
-                if !valid {
+                if !usable {
                     continue;
                 }
                 if let Some(&s_gps) = matched_s.get(fix_idx) {
@@ -1216,8 +1251,50 @@ mod tests {
         }
     }
 
+    /// A recorded estimate run on its own thread, so a hang fails the
+    /// test after 30 s instead of hanging the suite: the estimate plus
+    /// the recorder's integer snapshot.
+    fn recorded_estimate_or_fail(
+        estimator: &GradientEstimator,
+        log: &SensorLog,
+        map: Option<&Route>,
+    ) -> (GradientEstimate, String) {
+        use std::sync::mpsc::RecvTimeoutError;
+        let with_map = map.is_some();
+        let (estimator, log, map) = (estimator.clone(), log.clone(), map.cloned());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let rec = gradest_obs::RunRecorder::new();
+            let mut out = GradientEstimate::default();
+            let mut scratch = EstimatorScratch::new();
+            estimator.estimate_into_recorded(&log, map.as_ref(), &mut scratch, &mut out, &rec);
+            let _ = tx.send((out, rec.snapshot_string()));
+        });
+        // A hung estimate cannot be stopped, so its thread is left
+        // behind; it ends with the test process.
+        let got = match rx.recv_timeout(std::time::Duration::from_secs(30)) {
+            Ok(got) => got,
+            Err(RecvTimeoutError::Timeout) => panic!("estimate (map: {with_map}) hung"),
+            Err(RecvTimeoutError::Disconnected) => panic!("estimate (map: {with_map}) panicked"),
+        };
+        worker.join().expect("the estimate thread ends after sending");
+        got
+    }
+
+    /// Tracks, fused track, and detections of two estimates agree bit
+    /// for bit.
+    fn assert_same_estimate(got: &GradientEstimate, want: &GradientEstimate) {
+        assert_eq!(got.tracks.len(), want.tracks.len());
+        for (g, w) in
+            got.tracks.iter().chain([&got.fused]).zip(want.tracks.iter().chain([&want.fused]))
+        {
+            assert_eq!(track_bits(g), track_bits(w), "track {}", w.label);
+        }
+        assert_eq!(got.detections, want.detections);
+    }
+
     #[test]
-    fn non_finite_speed_samples_are_dropped() {
+    fn non_finite_samples_are_dropped() {
         let (route, clean) = lane_change_trip();
         // Mid-trip CAN and speedometer samples with a non-finite speed
         // or time: the estimate must be the clean log's, bit for bit.
@@ -1235,19 +1312,29 @@ mod tests {
         let mid = gps_nan.gps.len() / 2;
         let fix = gps_nan.gps[mid..].iter_mut().find(|g| g.valid).unwrap();
         fix.speed_mps = f64::NAN;
+        // A valid mid-trip GPS fix with a NaN or +∞ time counts as
+        // absent: the estimate is the one without that fix. Its position
+        // is a minute ahead, so a map matcher that saw it would jump.
+        let fix_idx = mid + clean.gps[mid..].iter().position(|g| g.valid).unwrap();
+        let mut without_fix = clean.clone();
+        without_fix.gps.remove(fix_idx);
+        let ahead = clean.gps[(fix_idx + 60).min(clean.gps.len() - 1)].position;
         let estimator = GradientEstimator::new(EstimatorConfig::default());
         for map in [Some(&route), None] {
             let want = estimator.estimate(&clean, map);
-            let got = estimator.estimate(&hostile, map);
-            assert_eq!(got.tracks.len(), want.tracks.len());
-            for (g, w) in
-                got.tracks.iter().chain([&got.fused]).zip(want.tracks.iter().chain([&want.fused]))
-            {
-                assert_eq!(track_bits(g), track_bits(w), "track {}", w.label);
-            }
+            assert_same_estimate(&estimator.estimate(&hostile, map), &want);
             let est = estimator.estimate(&gps_nan, map);
             assert!(!est.fused.is_empty());
             assert!(est.fused.theta.iter().all(|th| th.is_finite()));
+            let (want, want_obs) = recorded_estimate_or_fail(&estimator, &without_fix, map);
+            for bad_t in [f64::NAN, f64::INFINITY] {
+                let mut timeless = clean.clone();
+                timeless.gps[fix_idx].t = bad_t;
+                timeless.gps[fix_idx].position = ahead;
+                let (got, got_obs) = recorded_estimate_or_fail(&estimator, &timeless, map);
+                assert_same_estimate(&got, &want);
+                assert_eq!(got_obs, want_obs, "t={bad_t}, map: {}", map.is_some());
+            }
         }
     }
 

@@ -42,6 +42,16 @@ pub trait Recorder: Sync {
         let _ = (hist, value);
     }
 
+    /// Record a batch of observations of one distribution, in order.
+    /// The default calls [`Recorder::observe`] once per value; a sink
+    /// that pays per call (a lock, a clock read) overrides it to pay
+    /// once per batch.
+    fn observe_many(&self, hist: Histogram, values: &[f64]) {
+        for &value in values {
+            self.observe(hist, value);
+        }
+    }
+
     /// Record one typed flight-recorder event (`obs::trace`). Metric
     /// sinks ignore events by default; the `TraceRing` stores them.
     /// Events are `Copy` and heap-free, so emitting one through an
@@ -77,6 +87,10 @@ impl<R: Recorder + ?Sized> Recorder for &R {
 
     fn observe(&self, hist: Histogram, value: f64) {
         (**self).observe(hist, value);
+    }
+
+    fn observe_many(&self, hist: Histogram, values: &[f64]) {
+        (**self).observe_many(hist, values);
     }
 
     fn event(&self, ev: TraceEvent) {

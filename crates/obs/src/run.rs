@@ -89,6 +89,10 @@ impl Recorder for RunRecorder {
     fn observe(&self, hist: Histogram, value: f64) {
         self.series.observe_at(RUN_T_NS, hist, value);
     }
+
+    fn observe_many(&self, hist: Histogram, values: &[f64]) {
+        self.series.observe_many_at(RUN_T_NS, hist, values);
+    }
 }
 
 /// Aggregated statistics of one span over a run.

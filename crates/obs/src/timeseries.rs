@@ -322,7 +322,7 @@ impl TimeSeries {
     pub fn incr_at(&self, t_ns: u64, counter: Counter, by: u64) {
         let w = self.window_index(t_ns);
         if let Ok(mut st) = self.state.lock() {
-            if let Some(slot) = live_slot(&mut st, w) {
+            if let Some(slot) = live_slot(&mut st, w, 1) {
                 slot.counters[counter as usize] += by;
             }
         }
@@ -332,7 +332,7 @@ impl TimeSeries {
     pub fn span_at(&self, t_ns: u64, span: Span, ns: u64) {
         let w = self.window_index(t_ns);
         if let Ok(mut st) = self.state.lock() {
-            if let Some(slot) = live_slot(&mut st, w) {
+            if let Some(slot) = live_slot(&mut st, w, 1) {
                 slot.spans[span as usize].observe(ns as f64);
             }
         }
@@ -343,8 +343,28 @@ impl TimeSeries {
     pub fn observe_at(&self, t_ns: u64, hist: Histogram, value: f64) {
         let w = self.window_index(t_ns);
         if let Ok(mut st) = self.state.lock() {
-            if let Some(slot) = live_slot(&mut st, w) {
+            if let Some(slot) = live_slot(&mut st, w, 1) {
                 slot.hists[hist as usize].observe(value);
+            }
+        }
+    }
+
+    /// Records a batch of histogram observations, in order, into the
+    /// window containing `t_ns`: one lock for the whole batch, and the
+    /// same cell state as one [`TimeSeries::observe_at`] per value. A
+    /// late batch counts one late drop per value; an empty batch
+    /// touches nothing.
+    pub fn observe_many_at(&self, t_ns: u64, hist: Histogram, values: &[f64]) {
+        if values.is_empty() {
+            return;
+        }
+        let w = self.window_index(t_ns);
+        if let Ok(mut st) = self.state.lock() {
+            if let Some(slot) = live_slot(&mut st, w, values.len() as u64) {
+                let cell = &mut slot.hists[hist as usize];
+                for &value in values {
+                    cell.observe(value);
+                }
             }
         }
     }
@@ -494,13 +514,13 @@ fn advance(st: &mut RingState, w: u64) {
 }
 
 /// The slot for absolute window `w`, rotating forward if `w` is new;
-/// `None` when `w` already left the ring (the record is counted as a
-/// late drop).
-fn live_slot(st: &mut RingState, w: u64) -> Option<&mut Window> {
+/// `None` when `w` already left the ring (the caller's `records`
+/// records are counted as late drops).
+fn live_slot(st: &mut RingState, w: u64, records: u64) -> Option<&mut Window> {
     advance(st, w);
     let len = st.slots.len() as u64;
     if st.cur.saturating_sub(w) >= len {
-        st.late_drops += 1;
+        st.late_drops += records;
         return None;
     }
     let slot = &mut st.slots[(w % len) as usize];
@@ -635,6 +655,10 @@ impl Recorder for TimeSeriesRecorder {
 
     fn observe(&self, hist: Histogram, value: f64) {
         self.series.observe_at(self.now_ns(), hist, value);
+    }
+
+    fn observe_many(&self, hist: Histogram, values: &[f64]) {
+        self.series.observe_many_at(self.now_ns(), hist, values);
     }
 
     fn dropped_events(&self) -> u64 {

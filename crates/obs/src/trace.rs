@@ -565,6 +565,11 @@ impl<A: Recorder, B: Recorder> Recorder for Tee<A, B> {
         self.b.observe(hist, value);
     }
 
+    fn observe_many(&self, hist: Histogram, values: &[f64]) {
+        self.a.observe_many(hist, values);
+        self.b.observe_many(hist, values);
+    }
+
     fn event(&self, ev: TraceEvent) {
         self.a.event(ev);
         self.b.event(ev);
@@ -675,6 +680,52 @@ mod tests {
         // The ring keeps the span end and the event; counters and
         // histograms are the RunRecorder's job.
         assert_eq!(snap.events.len(), 2);
+    }
+
+    /// Tallies which observation entry point reached the sink.
+    #[derive(Default)]
+    struct BatchProbe {
+        // sync: test-only tallies; Relaxed is enough, the test reads
+        // them on the recording thread.
+        single: AtomicU64,
+        // sync: as `single`.
+        batches: AtomicU64,
+    }
+
+    impl BatchProbe {
+        fn counts(&self) -> (u64, u64) {
+            // sync: single-threaded test tallies, no ordering needed.
+            (self.single.load(Ordering::Relaxed), self.batches.load(Ordering::Relaxed))
+        }
+    }
+
+    impl Recorder for BatchProbe {
+        fn observe(&self, _hist: Histogram, _value: f64) {
+            // sync: single-threaded test tally, no ordering needed.
+            self.single.fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn observe_many(&self, _hist: Histogram, _values: &[f64]) {
+            // sync: single-threaded test tally, no ordering needed.
+            self.batches.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Records a batch through `R`'s own `Recorder` impl, as
+    /// instrumented code generic over `R` does.
+    fn observe_batch<R: Recorder>(rec: R, values: &[f64]) {
+        rec.observe_many(Histogram::EkfInnovation, values);
+    }
+
+    #[test]
+    fn tee_hands_each_half_the_whole_batch() {
+        let (a, b) = (BatchProbe::default(), BatchProbe::default());
+        let tee = Tee::new(&a, &b);
+        observe_batch(tee, &[0.5, -1.0, 2.0]);
+        assert_eq!((a.counts(), b.counts()), ((0, 1), (0, 1)));
+        // The server records through `&Tee<&R, &TimeSeriesRecorder>`.
+        observe_batch::<&Tee<_, _>>(&tee, &[0.25, 4.0]);
+        assert_eq!((a.counts(), b.counts()), ((0, 2), (0, 2)));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! against an exact nearest-rank oracle, the ring's rotation /
 //! `delta()` bookkeeping matches a straightforward per-window model
 //! across window boundaries, and a `RunReport` over any window range
-//! matches a plain-vector oracle and a single `RunRecorder`.
+//! matches a plain-vector oracle and a single `RunRecorder`. A batch of
+//! observations leaves the ring exactly as the same values recorded one
+//! at a time would.
 
 use gradest_obs::timeseries::{
     TimeSeries, TimeSeriesConfig, SKETCH_MAX_MAGNITUDE, SKETCH_MIN_MAGNITUDE, SKETCH_RELATIVE_ERROR,
@@ -128,11 +130,13 @@ proptest! {
     }
 
     /// An event older than the whole ring is dropped, counted in
-    /// `late_drops`, and never resurrects an evicted window.
+    /// `late_drops`, and never resurrects an evicted window; a late
+    /// batch counts one drop per value.
     #[test]
     fn late_events_are_dropped_not_misfiled(
         newest in 20..40u64,
         by in 1..100u64,
+        k in 1..=40usize,
     ) {
         const WINDOW_NS: u64 = 1_000;
         const WINDOWS: usize = 8;
@@ -144,6 +148,10 @@ proptest! {
         ts.incr_at(0, Counter::TripsProcessed, by);
         prop_assert_eq!(ts.late_drops(), 1);
         prop_assert_eq!(ts.delta(Counter::TripsProcessed, WINDOWS, now), 1);
+        ts.observe_many_at(0, Histogram::EkfInnovation, &vec![1.0; k]);
+        prop_assert_eq!(ts.late_drops(), 1 + k as u64);
+        prop_assert_eq!(ts.hist_count(Histogram::EkfInnovation, WINDOWS, now), 0);
+        prop_assert_eq!(ts.delta(Counter::TripsProcessed, WINDOWS, now), 1);
     }
 }
 
@@ -151,10 +159,10 @@ proptest! {
 const REPORT_WINDOW_NS: u64 = 1_000;
 const REPORT_WINDOWS: usize = 6;
 
-/// One record: window, kind (0 span, 1 counter, 2 histogram), taxonomy
-/// id, integer payload (span duration, counter step, in-window offset),
-/// and histogram value.
-type Record = (u64, usize, usize, u64, f64);
+/// One record: window, kind (0 span, 1 counter, 2 histogram, 3 batch of
+/// one histogram), taxonomy id, integer payload (span duration, counter
+/// step, in-window offset), histogram value, and batch values.
+type Record = (u64, usize, usize, u64, f64, Vec<f64>);
 
 /// Finite signed values across eighteen decades, plus exact zeros.
 fn finite_value() -> impl Strategy<Value = f64> {
@@ -166,27 +174,48 @@ fn finite_value() -> impl Strategy<Value = f64> {
 }
 
 fn record_strategy() -> impl Strategy<Value = Record> {
-    (0..REPORT_WINDOWS as u64, 0..3usize, 0..64usize, 0..10_000_000_000u64, finite_value())
+    (
+        0..REPORT_WINDOWS as u64,
+        0..4usize,
+        0..64usize,
+        0..10_000_000_000u64,
+        finite_value(),
+        prop::collection::vec(finite_value(), 0..41),
+    )
 }
 
-/// Feeds one record to the ring at its window and to a recorder.
-fn replay(ts: &TimeSeries, run: &RunRecorder, &(w, kind, id, n, x): &Record) {
+/// Feeds one record to two rings at its window and to a recorder. The
+/// rings differ only in how a batch arrives: whole into `ts`, one value
+/// at a time into `one_by_one`.
+fn replay(ts: &TimeSeries, one_by_one: &TimeSeries, run: &RunRecorder, record: &Record) {
+    let &(w, kind, id, n, x, ref batch) = record;
     let t = w * REPORT_WINDOW_NS + n % REPORT_WINDOW_NS;
     match kind {
         0 => {
             let span = Span::ALL[id % Span::COUNT];
             ts.span_at(t, span, n);
+            one_by_one.span_at(t, span, n);
             run.record_span(span, n);
         }
         1 => {
             let counter = Counter::ALL[id % Counter::COUNT];
             ts.incr_at(t, counter, n % 1_000 + 1);
+            one_by_one.incr_at(t, counter, n % 1_000 + 1);
             run.incr(counter, n % 1_000 + 1);
+        }
+        2 => {
+            let hist = Histogram::ALL[id % Histogram::COUNT];
+            ts.observe_at(t, hist, x);
+            one_by_one.observe_at(t, hist, x);
+            run.observe(hist, x);
         }
         _ => {
             let hist = Histogram::ALL[id % Histogram::COUNT];
-            ts.observe_at(t, hist, x);
-            run.observe(hist, x);
+            ts.observe_many_at(t, hist, batch);
+            for &v in batch {
+                one_by_one.observe_at(t, hist, v);
+            }
+            run.observe_many(hist, batch);
         }
     }
 }
@@ -198,11 +227,12 @@ fn oracle_report(records: &[Record], first: u64) -> RunReport {
     let mut spans = vec![Vec::new(); Span::COUNT];
     let mut counters = vec![0u64; Counter::COUNT];
     let mut hists = vec![Vec::new(); Histogram::COUNT];
-    for &(_, kind, id, n, x) in records.iter().filter(|r| r.0 >= first) {
+    for &(_, kind, id, n, x, ref batch) in records.iter().filter(|r| r.0 >= first) {
         match kind {
             0 => spans[id % Span::COUNT].push(n),
             1 => counters[id % Counter::COUNT] += n % 1_000 + 1,
-            _ => hists[id % Histogram::COUNT].push(x),
+            2 => hists[id % Histogram::COUNT].push(x),
+            _ => hists[id % Histogram::COUNT].extend_from_slice(batch),
         }
     }
     RunReport {
@@ -271,25 +301,26 @@ proptest! {
     /// A report over any window range of a multi-window ring equals the
     /// plain-vector oracle over the records in that range, and the
     /// report over the whole ring equals what one `RunRecorder` fed
-    /// the same records reports — combining runs is a wider range.
+    /// the same records reports — combining runs is a wider range. A
+    /// ring fed each batch one value at a time reports exactly what the
+    /// batched ring does.
     #[test]
     fn window_range_reports_match_the_oracle_and_one_recorder(
         records in prop::collection::vec(record_strategy(), 0..120),
         lookback in 1..=REPORT_WINDOWS,
     ) {
-        let ts = TimeSeries::new(TimeSeriesConfig {
-            window_ns: REPORT_WINDOW_NS,
-            windows: REPORT_WINDOWS,
-        });
+        let cfg = TimeSeriesConfig { window_ns: REPORT_WINDOW_NS, windows: REPORT_WINDOWS };
+        let (ts, one_by_one) = (TimeSeries::new(cfg), TimeSeries::new(cfg));
         let run = RunRecorder::new();
         for r in &records {
-            replay(&ts, &run, r);
+            replay(&ts, &one_by_one, &run, r);
         }
         let now = (REPORT_WINDOWS as u64 - 1) * REPORT_WINDOW_NS;
         prop_assert_eq!(ts.late_drops(), 0);
         let whole = RunReport::from_series(&ts, REPORT_WINDOWS, now);
         assert_reports_match(&whole, &oracle_report(&records, 0));
         assert_reports_match(&whole, &run.report());
+        prop_assert_eq!(&RunReport::from_series(&one_by_one, REPORT_WINDOWS, now), &whole);
         let first = (REPORT_WINDOWS - lookback) as u64;
         let recent = RunReport::from_series(&ts, lookback, now);
         assert_reports_match(&recent, &oracle_report(&records, first));
@@ -298,14 +329,29 @@ proptest! {
 
 /// Non-finite observations count, but only finite ones enter the sums,
 /// extremes, and mean denominators; `±∞` clamps into the top bucket of
-/// its sign instead of overflowing the bucket index.
+/// its sign instead of overflowing the bucket index. A batch follows
+/// the same policy.
 #[test]
 fn non_finite_observations_follow_one_policy() {
     let run = RunRecorder::new();
     let ts = TimeSeries::new(TimeSeriesConfig::default());
-    for v in [1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 3.0] {
+    let values = [1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 3.0];
+    for v in values {
         run.observe(Histogram::EkfInnovation, v);
         ts.observe_at(10, Histogram::EkfInnovation, v);
+    }
+    let batched = TimeSeries::new(TimeSeriesConfig::default());
+    batched.observe_many_at(10, Histogram::EkfInnovation, &values);
+    assert_eq!(
+        batched.hist_summary(Histogram::EkfInnovation, 1, 10),
+        ts.hist_summary(Histogram::EkfInnovation, 1, 10)
+    );
+    for q in [0.0, 0.2, 0.4, 0.6, 0.8, 1.0] {
+        assert_eq!(
+            batched.hist_quantile(Histogram::EkfInnovation, q, 1, 10),
+            ts.hist_quantile(Histogram::EkfInnovation, q, 1, 10),
+            "q={q}"
+        );
     }
     let report = run.report();
     let h = report.histogram("ekf-innovation").expect("observed");

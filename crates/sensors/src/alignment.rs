@@ -346,7 +346,10 @@ pub fn steering_rate_profile_into(
         let mut matcher = MapMatcher::new(route);
         let mut last_valid_t = f64::NEG_INFINITY;
         let mut last_w = 0.0;
-        for fix in gps {
+        // A fix whose time is not finite has no place on the IMU clock:
+        // it counts as absent, valid or not (one NaN time would stop the
+        // interior cursor scan below).
+        for fix in gps.iter().filter(|fix| fix.t.is_finite()) {
             let w = if fix.valid {
                 last_valid_t = fix.t;
                 last_w = matcher.w_road(fix.position, fix.speed_mps);
