@@ -156,10 +156,11 @@ impl OnlineEstimator {
     }
 
     /// Pushes one IMU sample: advances every source EKF, the odometer,
-    /// and the streaming lane-change state machine. A sample whose time
-    /// is not finite or not after the previous one is dropped.
+    /// and the streaming lane-change state machine. A sample whose time,
+    /// `accel_long` or `gyro_z` is not finite, or whose time is not after
+    /// the previous one, is dropped.
     pub fn push_imu(&mut self, sample: ImuSample) {
-        if !sample.t.is_finite() {
+        if !(sample.t.is_finite() && sample.accel_long.is_finite() && sample.gyro_z.is_finite()) {
             return;
         }
         let dt = match self.last_imu_t {
@@ -576,9 +577,10 @@ mod tests {
         // Hostile samples spliced into a clean trip must leave the output
         // bit-identical: a NaN first IMU time (it used to become
         // `last_imu_t` and drop every later sample), an infinite IMU
-        // time, an infinite CAN speed (θ NaN and `s` infinite for good),
-        // ten NaN CAN speeds (read as 0 m/s), and GPS fixes with a
-        // non-finite speed or position.
+        // time, a NaN `accel_long` (every later θ NaN), an infinite CAN
+        // speed (θ NaN and `s` infinite for good), ten NaN CAN speeds
+        // (read as 0 m/s), and GPS fixes with a non-finite speed or
+        // position.
         let route = Route::new(vec![straight_road(600.0, 2.0)]).unwrap();
         let traj = simulate_trip(&route, &TripConfig::default(), 74);
         let log = SensorSuite::new(SensorConfig::default()).run(&traj, 74);
@@ -590,6 +592,7 @@ mod tests {
             let at = |x: f64, y: f64| GpsSample { position: gradest_math::Vec2::new(x, y), ..fix };
             match i {
                 0 => est.push_imu(ImuSample { t: f64::NAN, ..imu }),
+                300 => est.push_imu(ImuSample { accel_long: f64::NAN, ..imu }),
                 400 => est.push_imu(ImuSample { t: f64::INFINITY, ..imu }),
                 500 => est.push_speed(
                     OnlineSource::CanBus,
@@ -604,6 +607,33 @@ mod tests {
             }
         });
         assert_eq!(output_digest(hostile), clean);
+    }
+
+    #[test]
+    fn non_finite_yaw_rate_inside_a_lane_change_is_dropped() {
+        // A NaN `gyro_z` in the trailing steering window made θ
+        // non-finite for over a thousand samples and could lose the
+        // maneuver. Spliced in mid-maneuver, it must leave the output
+        // bit-identical, with and without the map.
+        let route = Route::new(vec![gradest_geo::generate::red_road()]).unwrap();
+        let cfg = TripConfig {
+            driver: DriverProfile { lane_change_rate_per_km: 2.0, ..Default::default() },
+            ..Default::default()
+        };
+        let traj = simulate_trip(&route, &cfg, 23);
+        let log = SensorSuite::new(SensorConfig::default()).run(&traj, 23);
+        let lane_change = traj.events().first().expect("the trip changes lanes");
+        let mid = 0.5 * (lane_change.start_t + lane_change.end_t);
+        let at = log.imu.partition_point(|s| s.t < mid);
+        for map in [Some(route), None] {
+            let clean = output_digest(stream(&log, map.clone()));
+            let hostile = stream_with(&log, map, |i, est| {
+                if i == at {
+                    est.push_imu(ImuSample { gyro_z: f64::NAN, ..log.imu[i] });
+                }
+            });
+            assert_eq!(output_digest(hostile), clean);
+        }
     }
 
     #[test]

@@ -324,7 +324,8 @@ impl UploadScratch {
 /// timestamps that are not finite and strictly increasing (the
 /// estimator's documented preconditions — validated here so the worker
 /// never feeds the pipeline a log that would panic it), or an IMU
-/// `accel_long` that is not finite (it would blank every track).
+/// `accel_long` or `gyro_z` that is not finite (the first would blank
+/// every track, the second the steering profile around it).
 pub fn decode_upload_into(payload: &[u8], scratch: &mut UploadScratch) -> Result<(), DecodeError> {
     let log = &mut scratch.log;
     log.imu.clear();
@@ -382,9 +383,12 @@ pub fn decode_upload_into(payload: &[u8], scratch: &mut UploadScratch) -> Result
         return Err(DecodeError::Malformed("imu times not finite and strictly increasing"));
     }
     // Every lane's EKF predict consumes the specific force, so one
-    // non-finite sample would blank the whole trip.
-    if !log.imu.iter().all(|s| s.accel_long.is_finite()) {
-        return Err(DecodeError::Malformed("imu accel_long not finite"));
+    // non-finite sample would blank the whole trip; one non-finite yaw
+    // rate blanks a smoothing window of the steering profile and, inside
+    // a lane change, loses its Eq-2 correction. The estimator never
+    // reads `accel_lat`.
+    if !log.imu.iter().all(|s| s.accel_long.is_finite() && s.gyro_z.is_finite()) {
+        return Err(DecodeError::Malformed("imu accel_long or gyro_z not finite"));
     }
     Ok(())
 }

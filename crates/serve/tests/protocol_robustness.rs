@@ -71,12 +71,13 @@ proptest! {
     /// An IMU stream whose times repeat, go backwards, or are not
     /// finite decodes to `Malformed` — the estimator would panic on it —
     /// and so does a non-finite `accel_long`, which every lane's EKF
-    /// predict would consume.
+    /// predict would consume, or `gyro_z`, which would blank the
+    /// smoothed steering profile around it.
     #[test]
     fn bad_imu_samples_are_malformed(
         log in log_strategy(),
         at in 0.0..1.0f64,
-        kind in 0..7u8,
+        kind in 0..9u8,
     ) {
         let mut log = log;
         let last = log.imu.len() - 1;
@@ -89,7 +90,9 @@ proptest! {
             // In order, so only the finiteness check can catch it.
             4 => log.imu[last].t = f64::INFINITY,
             5 => log.imu[i].accel_long = f64::NAN,
-            _ => log.imu[i].accel_long = f64::INFINITY,
+            6 => log.imu[i].accel_long = f64::INFINITY,
+            7 => log.imu[i].gyro_z = f64::NAN,
+            _ => log.imu[i].gyro_z = f64::INFINITY,
         }
         let mut wire = Vec::new();
         encode_upload_frame(3, &log, &mut wire);
