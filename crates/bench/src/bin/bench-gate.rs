@@ -28,11 +28,10 @@
 //! `allocs_per_trip_warm*` counts (the hot-path JSON asserts 0)
 //! instead of "not measured" nulls.
 //!
-//! Tolerance precedence: `--tolerance` flag, then the
-//! `BENCH_GATE_TOLERANCE` environment variable, then the built-in
-//! default (±20 %). `--inject-regression` triples every current metric
-//! after measurement — a self-test hook proving the gate actually
-//! fails (used by `scripts/bench-gate.sh --self-test`).
+//! The tolerance is `--tolerance` when given, else the built-in default
+//! (±20 %). `--inject-regression` triples every current metric after
+//! measurement — a self-test hook proving the gate actually fails (used
+//! by `scripts/bench-gate.sh --self-test`).
 
 use gradest_bench::experiments::{fleet_bench, geo_index, kernels, pipeline_hotpath, service_soak};
 use gradest_bench::gate::{self, GateReport, MetricSpec, DEFAULT_TOLERANCE};
@@ -122,9 +121,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other}")),
         }
     }
-    let tolerance = tolerance
-        .or_else(|| std::env::var("BENCH_GATE_TOLERANCE").ok().and_then(|v| v.parse().ok()))
-        .unwrap_or(DEFAULT_TOLERANCE);
+    let tolerance = tolerance.unwrap_or(DEFAULT_TOLERANCE);
     if !(tolerance.is_finite() && tolerance >= 0.0) {
         return Err(format!("tolerance must be a finite non-negative ratio, got {tolerance}"));
     }

@@ -110,26 +110,6 @@ pub struct ObserveCost {
 
 /// Runs the hot-path benchmark over the standard red-road trip.
 pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
-    // The lint call graph derives which modules `estimate_into` actually
-    // reaches; every one of them must sit under the lint's alloc-gated
-    // list, or the smoke gate fails before timing happens.
-    let repo_root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let (sources, unreadable) = gradest_lint::workspace_sources(&repo_root);
-    assert!(unreadable.is_empty(), "unreadable workspace sources: {unreadable:?}");
-    let graph = gradest_lint::graph::Graph::build(sources);
-    let warm: Vec<String> =
-        gradest_lint::WARM_ALLOC_GATED_MODULES.iter().map(|m| m.to_string()).collect();
-    let drift = gradest_lint::warm_drift_findings(&graph, &warm);
-    assert!(
-        drift.is_empty(),
-        "warm-path modules outside gradest_lint::WARM_ALLOC_GATED_MODULES:\n{}",
-        drift
-            .iter()
-            .map(|(p, d)| format!("  {}:{}: {}", p.display(), d.line, d.msg))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-
     let drive = red_road_drive(seed);
     let log = &drive.log;
     let map = Some(&drive.route);

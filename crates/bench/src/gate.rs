@@ -21,7 +21,7 @@ use serde_json::Value;
 
 /// Default relative tolerance: a metric may be up to 20 % slower than
 /// its committed baseline before the gate fails. Override per run with
-/// `--tolerance` or the `BENCH_GATE_TOLERANCE` environment variable.
+/// `--tolerance`.
 pub const DEFAULT_TOLERANCE: f64 = 0.20;
 
 /// Absolute slack added on top of the relative tolerance: a metric

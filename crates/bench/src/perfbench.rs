@@ -75,16 +75,6 @@ pub struct BenchReport {
     pub ops_per_sec: f64,
 }
 
-impl BenchReport {
-    /// One aligned human-readable summary line.
-    pub fn line(&self) -> String {
-        format!(
-            "{:<40} {:>14.1} ns/op {:>14.0} op/s",
-            self.name, self.median_ns_per_op, self.ops_per_sec
-        )
-    }
-}
-
 /// Times `f` over `samples` repetitions (plus one untimed warm-up).
 ///
 /// `f` must execute `ops_per_sample` operations per call; per-op figures
@@ -138,7 +128,6 @@ mod tests {
         assert!(r.median_ns_per_op >= 0.0);
         assert!(r.min_ns_per_op <= r.median_ns_per_op);
         assert!(r.ops_per_sec > 0.0);
-        assert!(!r.line().is_empty());
         assert!(acc > 0);
     }
 

@@ -20,12 +20,12 @@
 //! * **unused-pub** — every `pub` item of an internal crate has a
 //!   caller outside its own file ([`graph::Graph::unused_pub_items`]).
 //!
-//! The module lists are exported as constants so other crates (the
-//! bench harness's `pipeline_hotpath_smoke` gate) can check the
-//! call-graph-derived warm modules against the same alloc-gated list —
-//! one list, one source of truth.
+//! [`WARM_ALLOC_GATED_MODULES`] is the one list of warm modules; every
+//! [`analyze`] run checks the call-graph-derived warm modules against
+//! it ([`warm_drift_findings`]).
 //!
-//! Run it with `cargo run -p gradest-lint`; see DESIGN.md §8.
+//! Run it with `cargo run -p gradest-lint`; its verdict is the finding
+//! count of one [`analyze`] run. See DESIGN.md §8 and §13.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -146,10 +146,6 @@ pub struct AnalyzeOptions {
     /// Warm alloc-gated module list (no-alloc taint roots). Defaults to
     /// [`WARM_ALLOC_GATED_MODULES`].
     pub warm_modules: Vec<String>,
-    /// Derive warm-path module reachability from the graph and check
-    /// that `warm_modules` gates every derived module (auto-skipped when
-    /// the warm entry points are absent).
-    pub check_warm_drift: bool,
     /// Run the unused-`pub` audit. Off only for fixtures that exercise
     /// other rules and for the `--inject-violation` self-test.
     pub unused_pub: bool,
@@ -164,7 +160,6 @@ impl Default for AnalyzeOptions {
         AnalyzeOptions {
             hot_modules: HOT_PATH_MODULES.iter().map(|s| s.to_string()).collect(),
             warm_modules: WARM_ALLOC_GATED_MODULES.iter().map(|s| s.to_string()).collect(),
-            check_warm_drift: true,
             unused_pub: true,
             extra_sources: Vec::new(),
         }
@@ -183,7 +178,8 @@ pub const WARM_ENTRY_FNS: &[(&str, &str)] = &[
 /// and the unused-`pub` audit, allowlist applied once over the merged
 /// findings (so `lint:allow(transitive-*)` and `lint:allow(unused-pub)`
 /// work and dead suppressions of any rule are errors), then the
-/// warm-path drift check.
+/// warm-path drift check ([`warm_drift_findings`], a no-op when the
+/// warm entry points are absent).
 pub fn analyze(root: &Path, opts: &AnalyzeOptions) -> Vec<FileDiagnostics> {
     let (mut sources, unreadable) = workspace_sources(root);
     sources.extend(opts.extra_sources.iter().cloned());
@@ -209,12 +205,10 @@ pub fn analyze(root: &Path, opts: &AnalyzeOptions) -> Vec<FileDiagnostics> {
         }
     }
 
-    if opts.check_warm_drift {
-        for (path, diag) in warm_drift_findings(&graph, &opts.warm_modules) {
-            match out.iter_mut().find(|f| f.path == path) {
-                Some(f) => f.diagnostics.push(diag),
-                None => out.push(FileDiagnostics { path, diagnostics: vec![diag] }),
-            }
+    for (path, diag) in warm_drift_findings(&graph, &opts.warm_modules) {
+        match out.iter_mut().find(|f| f.path == path) {
+            Some(f) => f.diagnostics.push(diag),
+            None => out.push(FileDiagnostics { path, diagnostics: vec![diag] }),
         }
     }
 
@@ -227,10 +221,8 @@ pub fn analyze(root: &Path, opts: &AnalyzeOptions) -> Vec<FileDiagnostics> {
 
 /// Reads every first-party source file under `root` (`crates/*/src`
 /// and the facade `src/`) as workspace-relative `(path, source)`
-/// pairs, plus error diagnostics for unreadable files. The same file
-/// set [`analyze`] scans; exposed so external gates (the bench
-/// harness's warm-path drift check) can build a [`graph::Graph`] over
-/// the identical corpus.
+/// pairs, plus error diagnostics for unreadable files: the file set
+/// [`analyze`] scans.
 pub fn workspace_sources(root: &Path) -> (Vec<(PathBuf, String)>, Vec<FileDiagnostics>) {
     let mut files: Vec<PathBuf> = Vec::new();
     collect_rs_files(&root.join("src"), &mut files);

@@ -1,15 +1,16 @@
 //! CLI for the workspace invariant checker.
 //!
 //! ```text
-//! cargo run -p gradest-lint                   # interprocedural scan, exit 1 on errors
+//! cargo run -p gradest-lint                   # interprocedural scan, exit 1 on findings
 //! cargo run -p gradest-lint -- <root>         # scan an explicit root
 //! cargo run -p gradest-lint -- --report LINT_REPORT.json
-//! cargo run -p gradest-lint -- --baseline LINT_REPORT.json   # fail on NEW errors only
 //! cargo run -p gradest-lint -- --inject-violation            # gate self-test
-//! cargo run -p gradest-lint -- --print-hot-modules --print-warm-modules
 //! ```
+//!
+//! The verdict is the finding count of one `gradest_lint::analyze` run;
+//! the `--report` JSON is written for people and never read back.
 
-use gradest_lint::report::{diff, Report};
+use gradest_lint::report::Report;
 use gradest_lint::rules::{RULE_TRANSITIVE_ALLOC, RULE_TRANSITIVE_PANIC};
 use gradest_lint::AnalyzeOptions;
 use std::path::{Path, PathBuf};
@@ -27,49 +28,28 @@ fn main() {
              one with `// lint:allow(<rule>) reason` on or above the offending\n\
              line. Stale allows are themselves errors.\n\n\
              OPTIONS:\n\
-               --report <path>      write the machine-readable JSON report\n\
-               --baseline <path>    diff against an accepted report: only NEW\n\
-                                    findings fail; fixed ones are counted\n\
+               --report <path>      also write the findings as a JSON report\n\
                --inject-violation   self-test: seed a cross-module warm-path\n\
                                     allocation + panic and verify the gate\n\
-                                    reports both with multi-hop call chains\n\
-               --print-hot-modules  print the hot module list and exit\n\
-               --print-warm-modules print the warm module list and exit\n\n\
+                                    reports both with multi-hop call chains\n\n\
              Exit status: 0 clean, 1 findings (or self-test failure), 2\n\
-             usage/baseline errors."
+             usage or report-write error."
         );
-        return;
-    }
-    if args.iter().any(|a| a == "--print-hot-modules") {
-        for m in gradest_lint::HOT_PATH_MODULES {
-            println!("{m}");
-        }
-        return;
-    }
-    if args.iter().any(|a| a == "--print-warm-modules") {
-        for m in gradest_lint::WARM_ALLOC_GATED_MODULES {
-            println!("{m}");
-        }
         return;
     }
 
     let mut root: Option<PathBuf> = None;
     let mut report_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut inject = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--report" | "--baseline" => {
+            "--report" => {
                 let Some(val) = it.next() else {
-                    eprintln!("gradest-lint: {arg} requires a path argument");
+                    eprintln!("gradest-lint: --report requires a path argument");
                     std::process::exit(2);
                 };
-                if arg == "--report" {
-                    report_path = Some(PathBuf::from(val));
-                } else {
-                    baseline_path = Some(PathBuf::from(val));
-                }
+                report_path = Some(PathBuf::from(val));
             }
             "--inject-violation" => inject = true,
             a if a.starts_with('-') => {
@@ -103,39 +83,9 @@ fn main() {
     }
 
     let errors = report.findings.len();
-    match &baseline_path {
-        Some(path) => {
-            let baseline = match std::fs::read_to_string(path)
-                .map_err(|e| e.to_string())
-                .and_then(|s| Report::from_json(&s))
-            {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("gradest-lint: cannot load baseline {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            };
-            let d = diff(&baseline, &report);
-            println!(
-                "gradest-lint: baseline diff: {} new, {} unchanged, {} fixed",
-                d.new.len(),
-                d.unchanged.len(),
-                d.fixed
-            );
-            if !d.new.is_empty() {
-                for f in &d.new {
-                    eprintln!("NEW {}:{}: [{}] {}", f.path, f.line, f.rule, f.msg);
-                }
-                eprintln!("gradest-lint: {} new error(s) vs baseline", d.new.len());
-                std::process::exit(1);
-            }
-        }
-        None => {
-            if errors > 0 {
-                eprintln!("gradest-lint: {errors} error(s)");
-                std::process::exit(1);
-            }
-        }
+    if errors > 0 {
+        eprintln!("gradest-lint: {errors} error(s)");
+        std::process::exit(1);
     }
     println!("gradest-lint: clean");
 }

@@ -9,7 +9,6 @@
 //! entry points, derive a non-trivial module set) rather than silently
 //! skipping.
 
-use gradest_lint::report::{diff, Report};
 use gradest_lint::rules::{
     RULE_ALLOWLIST, RULE_AMBIGUOUS_CALL, RULE_TRANSITIVE_ALLOC, RULE_TRANSITIVE_PANIC,
     RULE_UNUSED_PUB, RULE_WARM_PATH_DRIFT,
@@ -23,8 +22,8 @@ fn case_root(name: &str) -> PathBuf {
 
 /// Runs a fixture case with defaults minus the unused-`pub` audit,
 /// which the taint cases do not exercise (their fns have no callers
-/// outside the case). The drift check stays on: the cases' warm entry
-/// points reach only gated modules, so it must stay quiet.
+/// outside the case). The drift check always runs: the cases' warm
+/// entry points reach only gated modules, so it must stay quiet.
 fn run_case(name: &str) -> Vec<FileDiagnostics> {
     let opts = AnalyzeOptions { unused_pub: false, ..AnalyzeOptions::default() };
     analyze(&case_root(name), &opts)
@@ -146,29 +145,6 @@ fn unused_pub_audit_sees_through_reexports_and_into_declarations() {
     // Nothing else: the type a used fn returns, the type its pub field
     // names, and the justified allow stay silent.
     assert_eq!(all.len(), 3, "{all:?}");
-}
-
-#[test]
-fn baseline_diff_accepts_known_findings_and_rejects_new_ones() {
-    let findings = run_case("cross_alloc");
-    let report = Report::from_diagnostics(&findings);
-    assert_eq!(report.findings.len(), 1);
-
-    // Accept: the same analysis diffed against its own report is all
-    // unchanged — nothing new, nothing fixed.
-    let baseline = Report::from_json(&report.to_json()).expect("round trip");
-    let accept = diff(&baseline, &report);
-    assert!(accept.new.is_empty(), "{:?}", accept.new);
-    assert_eq!(accept.unchanged.len(), 1);
-    assert_eq!(accept.fixed, 0);
-
-    // Reject: a fresh finding (the ambiguous case's) is NEW against
-    // the cross_alloc baseline, and the baseline's own finding counts
-    // as fixed.
-    let other = Report::from_diagnostics(&run_case("ambiguous"));
-    let reject = diff(&baseline, &other);
-    assert!(!reject.new.is_empty(), "{:?}", reject.new);
-    assert_eq!(reject.fixed, 1);
 }
 
 /// Transitive findings rendered order-insensitively: the graph's file

@@ -12,10 +12,10 @@
 #   ./scripts/bench-gate.sh --self-test     # prove the gate can fail: inject a
 #                                           #   synthetic 3x regression and
 #                                           #   require a non-zero exit
-#   BENCH_GATE_TOLERANCE=0.35 ./scripts/bench-gate.sh   # loosen the tolerance
+#   ./scripts/bench-gate.sh --tolerance 0.35   # loosen the tolerance
 #
-# Any other arguments are passed through to the bench-gate binary
-# (e.g. `./scripts/bench-gate.sh --tolerance 0.5`). The gated metric
+# Any other arguments are passed through to the bench-gate binary;
+# `--tolerance` is the only way to change the bound. The gated metric
 # set — benchmark medians plus per-stage span means from the obs
 # RunReport embedded in each baseline — lives in
 # crates/bench/src/gate.rs. Exit codes follow the binary: 0 within

@@ -22,10 +22,11 @@
 #                                        unused-pub audit (a pub item
 #                                        with no caller outside its own
 #                                        file fails). Every finding is an
-#                                        error. Writes
+#                                        error, and the step's verdict is
+#                                        the finding count. Writes
 #                                        target/lint/LINT_REPORT.json
 #                                        (machine-readable, uploaded as a
-#                                        CI artifact)
+#                                        CI artifact, never read back)
 #
 # Default path adds:
 #   4. rustdoc -D warnings             — `cargo doc --workspace --no-deps`
@@ -38,31 +39,24 @@
 #                                        both with full call chains or this
 #                                        step fails (proves the taint pass is
 #                                        actually wired in, not a no-op)
-#   6. gradest-lint baseline           — re-runs the analyzer diffing against
-#                                        the report from step 3; a clean tree
-#                                        must produce zero NEW findings
-#                                        (round-trips the JSON report schema)
-#   7. pipeline_hotpath_smoke          — zero warm-path allocations (plain,
+#   6. pipeline_hotpath_smoke          — zero warm-path allocations (plain,
 #                                        recorded AND traced), LOWESS fast path
 #                                        vs lowess_reference agreement,
 #                                        warm-vs-cold and recorder
-#                                        bit-identity, call-graph-derived
-#                                        warm-path drift check (every derived
-#                                        module inside the lint's alloc-gated
-#                                        list)
-#   8. geo index property tests        — packed R-tree nearest/bbox queries
+#                                        bit-identity
+#   7. geo index property tests        — packed R-tree nearest/bbox queries
 #                                        pinned against brute-force oracles
 #                                        on randomized segment sets
-#   9. geo_index_smoke                 — country-scale (≥1e5-segment) network:
+#   8. geo_index_smoke                 — country-scale (≥1e5-segment) network:
 #                                        indexed nearest must match the oracle
 #                                        exactly, beat it ≥10x, and allocate
 #                                        nothing per warm query
-#  10. serve protocol robustness       — wire-codec property tests: truncated /
+#   9. serve protocol robustness       — wire-codec property tests: truncated /
 #                                        oversized / garbage-tagged /
 #                                        length-lying frames must produce typed
 #                                        errors, never panic, never allocate
 #                                        past the frame cap
-#  11. obs aggregator property tests   — the time-series ring against exact
+#  10. obs aggregator property tests   — the time-series ring against exact
 #                                        oracles: a RunReport over any window
 #                                        range matches a plain-vector oracle
 #                                        and one RunRecorder fed the same
@@ -70,7 +64,7 @@
 #                                        the error bound, non-finite values
 #                                        follow one policy, and reports
 #                                        round-trip through JSON
-#  12. service_soak_smoke              — gradest-serve on an ephemeral loopback
+#  11. service_soak_smoke              — gradest-serve on an ephemeral loopback
 #                                        port under 64 simulated phones: ≥500
 #                                        trips/s sustained, tiles bit-identical
 #                                        to direct aggregation, typed BUSY
@@ -90,14 +84,14 @@
 #                                        as CI artifacts)
 #
 # Deep path (--deep, opt-in because of runtime) adds:
-#   6. loom model checks               — CloudAggregator upload shard protocol,
+#  12. loom model checks               — CloudAggregator upload shard protocol,
 #                                        fleet shutdown/drain ordering, and the
 #                                        gradest-serve drain gate under
 #                                        randomised schedule perturbation
-#   7. Miri (subset)                   — UB check on gradest-core; probed and
+#  13. Miri (subset)                   — UB check on gradest-core; probed and
 #                                        SKIPped when the nightly component is
 #                                        not installed (offline containers)
-#   8. ThreadSanitizer                 — data-race check on the loom suite;
+#  14. ThreadSanitizer                 — data-race check on the loom suite;
 #                                        probed and SKIPped without rust-src
 #                                        (needs -Zbuild-std)
 #
@@ -159,8 +153,8 @@ run_step "fmt" cargo fmt --check
 # suppression needs an in-source `lint:allow(<rule>) reason`. Runs the
 # interprocedural pass (call graph + transitive taint + drift +
 # dead-suppression audit) and the unused-pub audit, so an unused public
-# item fails this step, and writes the machine-readable report CI
-# uploads as an artifact.
+# item fails this step. The verdict is the finding count; the JSON
+# report is written for the CI artifact and never read back.
 mkdir -p target/lint
 run_step "gradest-lint" \
   cargo run --release -q -p gradest-lint -- --report target/lint/LINT_REPORT.json
@@ -179,19 +173,10 @@ if [[ "$MODE" != quick ]]; then
   run_step "gradest-lint --inject-violation" \
     cargo run --release -q -p gradest-lint -- --inject-violation
 
-  # Baseline round-trip: diff a fresh run against the report step 3
-  # just wrote. On a clean tree this must report zero NEW findings —
-  # exercising the JSON parse/serialize cycle and fingerprint
-  # stability that downstream baseline-diff users rely on.
-  run_step "gradest-lint --baseline round-trip" \
-    cargo run --release -q -p gradest-lint -- --baseline target/lint/LINT_REPORT.json
-
   # Hot-path smoke: one trip through the pipeline benchmark; the binary
   # asserts zero warm-path allocations (plain, recorded, and traced),
   # LOWESS fast path vs lowess_reference agreement on the trip's
-  # steering series, warm-vs-cold and recorded bit-identity, and that
-  # every call-graph-derived warm-path module sits in the linter's
-  # alloc-gated list.
+  # steering series, and warm-vs-cold and recorded bit-identity.
   run_step "pipeline_hotpath_smoke" \
     cargo run --release -p gradest-bench --bin gradest-experiments -- pipeline_hotpath_smoke
 
