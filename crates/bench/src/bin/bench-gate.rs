@@ -38,37 +38,14 @@ use gradest_bench::gate::{self, GateReport, MetricSpec, DEFAULT_TOLERANCE};
 use gradest_bench::perfbench::alloc_counter;
 use gradest_bench::report::print_table;
 use serde_json::{Map, Number, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// System allocator wrapped to count allocations (see the identical
-/// wrapper in `gradest-experiments`): the hot-path benchmark can only
-/// record `allocs_per_trip_warm*` when the process installs one, and
-/// the committed baseline must carry the measured zeros.
-struct CountingAlloc;
-
-// SAFETY: delegates every operation unchanged to the system allocator;
-// the counter update is a side effect with no allocator state.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        alloc_counter::record();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        alloc_counter::record();
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+// The hot-path benchmark can only record `allocs_per_trip_warm*` when
+// the process counts allocations, and the committed baseline must carry
+// the measured zeros.
+gradest_bench::install_counting_alloc!();
 
 /// Pipeline experiment parameters: the same seed/sample count the
 /// `gradest-experiments` binary uses, so the baseline and the gate

@@ -11,34 +11,9 @@
 
 use gradest_bench::experiments::*;
 use gradest_bench::perfbench::alloc_counter;
-use std::alloc::{GlobalAlloc, Layout, System};
 
-/// System allocator wrapped to count allocations for the hot-path
-/// benchmark's warm-trip gate. Lives in the binary because the library
-/// crates forbid `unsafe`; it delegates everything to [`System`] and only
-/// bumps an atomic on `alloc`/`realloc`.
-struct CountingAlloc;
-
-// SAFETY: delegates every operation unchanged to the system allocator;
-// the counter update is a side effect with no allocator state.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        alloc_counter::record();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        alloc_counter::record();
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+// Counts allocations for the hot-path benchmark's warm-trip gate.
+gradest_bench::install_counting_alloc!();
 
 fn main() {
     alloc_counter::mark_installed();

@@ -14,10 +14,13 @@ pub mod alloc_counter {
     //! tracking.
     //!
     //! This crate forbids `unsafe`, so the `GlobalAlloc` wrapper that
-    //! feeds the counter lives in the `gradest-experiments` binary (see
-    //! its `CountingAlloc`); library code only reads the atomics. When no
-    //! counting allocator is installed, [`is_installed`] stays false and
-    //! consumers must report "not measured" rather than zero.
+    //! feeds the counter is a macro, [`install_counting_alloc!`], which
+    //! expands in the binaries that install it; library code only reads
+    //! the atomics. When no counting allocator is installed,
+    //! [`is_installed`] stays false and consumers must report "not
+    //! measured" rather than zero.
+    //!
+    //! [`install_counting_alloc!`]: crate::install_counting_alloc
 
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -56,6 +59,45 @@ pub mod alloc_counter {
         // sync: Relaxed — monotonic statistic, no ordering dependency.
         ALLOCATIONS.load(Ordering::Relaxed)
     }
+}
+
+/// Installs the system allocator, wrapped to count every `alloc` and
+/// `realloc` in [`alloc_counter`], as the global allocator of the binary
+/// that invokes it at item level. The binary's `main` then calls
+/// [`alloc_counter::mark_installed`], so allocation-gated benchmarks
+/// report measured counts instead of "not measured".
+#[macro_export]
+macro_rules! install_counting_alloc {
+    () => {
+        struct CountingAlloc;
+
+        // SAFETY: delegates every operation unchanged to the system
+        // allocator; the counter update is a side effect with no
+        // allocator state.
+        unsafe impl ::std::alloc::GlobalAlloc for CountingAlloc {
+            unsafe fn alloc(&self, layout: ::std::alloc::Layout) -> *mut u8 {
+                $crate::perfbench::alloc_counter::record();
+                ::std::alloc::GlobalAlloc::alloc(&::std::alloc::System, layout)
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: ::std::alloc::Layout) {
+                ::std::alloc::GlobalAlloc::dealloc(&::std::alloc::System, ptr, layout)
+            }
+
+            unsafe fn realloc(
+                &self,
+                ptr: *mut u8,
+                layout: ::std::alloc::Layout,
+                new_size: usize,
+            ) -> *mut u8 {
+                $crate::perfbench::alloc_counter::record();
+                ::std::alloc::GlobalAlloc::realloc(&::std::alloc::System, ptr, layout, new_size)
+            }
+        }
+
+        #[global_allocator]
+        static ALLOC: CountingAlloc = CountingAlloc;
+    };
 }
 
 /// One benchmark's timing summary.

@@ -333,6 +333,28 @@ mod tests {
     }
 
     #[test]
+    fn an_out_of_domain_log_gets_the_empty_estimate_and_spares_its_batch() {
+        use crate::track::GradientTrack;
+        let route = Route::new(vec![straight_road(400.0, 1.0)]).unwrap();
+        let logs = batch(&route, 2);
+        let engine = FleetEngine::new(GradientEstimator::new(EstimatorConfig::default()), 2);
+        let clean = engine.process_batch(&logs, Some(&route));
+        let empty = GradientEstimate { fused: GradientTrack::new("fused"), ..Default::default() };
+        let hostile: [fn(&mut SensorLog); 3] = [
+            |log| log.imu.truncate(1),
+            |log| log.imu.swap(100, 101),
+            |log| log.imu[100].accel_long = f64::NAN,
+        ];
+        for corrupt in hostile {
+            let mut bad = logs[0].clone();
+            corrupt(&mut bad);
+            let batch = [logs[0].clone(), bad, logs[1].clone()];
+            let got = engine.process_batch(&batch, Some(&route));
+            assert_eq!(got, [clean[0].clone(), empty.clone(), clean[1].clone()]);
+        }
+    }
+
+    #[test]
     fn worker_count_is_clamped_to_one() {
         let engine = FleetEngine::new(GradientEstimator::new(EstimatorConfig::default()), 0);
         assert_eq!(engine.workers(), 1);

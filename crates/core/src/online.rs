@@ -13,7 +13,13 @@
 //!   maneuver (steering-angle accumulation starts when a bump opens)
 //!   rather than retroactively after detection;
 //! * the accelerometer-integrated velocity source is omitted — it needs
-//!   acausal drift correction to be useful.
+//!   acausal drift correction to be useful;
+//! * a sample outside the accepted domain is dropped on its own by the
+//!   predicate [`SensorLog::validate`] applies to it, where the batch
+//!   pipeline refuses the whole log: a stream cannot be refused after the
+//!   fact.
+//!
+//! [`SensorLog::validate`]: gradest_sensors::SensorLog::validate
 
 use crate::diagnostics::{FilterHealth, InnovationMonitor};
 use crate::ekf_lanes::{EkfLanes, MAX_LANES};
@@ -156,11 +162,11 @@ impl OnlineEstimator {
     }
 
     /// Pushes one IMU sample: advances every source EKF, the odometer,
-    /// and the streaming lane-change state machine. A sample whose time,
-    /// `accel_long` or `gyro_z` is not finite, or whose time is not after
-    /// the previous one, is dropped.
+    /// and the streaming lane-change state machine. A sample outside the
+    /// accepted domain ([`ImuSample::is_in_domain`]), or whose time is not
+    /// after the previous one, is dropped.
     pub fn push_imu(&mut self, sample: ImuSample) {
-        if !(sample.t.is_finite() && sample.accel_long.is_finite() && sample.gyro_z.is_finite()) {
+        if !sample.is_in_domain() {
             return;
         }
         let dt = match self.last_imu_t {
@@ -204,9 +210,10 @@ impl OnlineEstimator {
 
     /// Pushes a GPS fix: velocity measurement, w_road refresh, and arc
     /// anchoring (when a map is present and the fix is valid). A fix
-    /// whose speed or position is not finite is dropped.
+    /// outside the accepted domain ([`GpsSample::is_in_domain`]) is
+    /// dropped.
     pub fn push_gps(&mut self, fix: GpsSample) {
-        if !fix.valid || !fix.speed_mps.is_finite() || !fix.position.is_finite() {
+        if !fix.valid || !fix.is_in_domain() {
             return;
         }
         self.update_source(OnlineSource::Gps, fix.speed_mps);
@@ -227,9 +234,10 @@ impl OnlineEstimator {
     }
 
     /// Pushes a scalar speed sample from the speedometer or CAN bus. A
-    /// sample whose speed is not finite is dropped.
+    /// sample outside the accepted domain ([`SpeedSample::is_in_domain`])
+    /// is dropped.
     pub fn push_speed(&mut self, source: OnlineSource, sample: SpeedSample) {
-        if sample.speed_mps.is_finite() {
+        if sample.is_in_domain() {
             self.update_source(source, sample.speed_mps);
         }
     }
@@ -579,8 +587,8 @@ mod tests {
         // `last_imu_t` and drop every later sample), an infinite IMU
         // time, a NaN `accel_long` (every later θ NaN), an infinite CAN
         // speed (θ NaN and `s` infinite for good), ten NaN CAN speeds
-        // (read as 0 m/s), and GPS fixes with a non-finite speed or
-        // position.
+        // (read as 0 m/s), a CAN sample with an infinite time, and GPS
+        // fixes with a non-finite speed, position or time.
         let route = Route::new(vec![straight_road(600.0, 2.0)]).unwrap();
         let traj = simulate_trip(&route, &TripConfig::default(), 74);
         let log = SensorSuite::new(SensorConfig::default()).run(&traj, 74);
@@ -598,11 +606,15 @@ mod tests {
                     OnlineSource::CanBus,
                     SpeedSample { speed_mps: f64::INFINITY, ..speed },
                 ),
+                501 => {
+                    est.push_speed(OnlineSource::CanBus, SpeedSample { t: f64::INFINITY, ..speed })
+                }
                 600..610 => est
                     .push_speed(OnlineSource::CanBus, SpeedSample { speed_mps: f64::NAN, ..speed }),
                 700 => est.push_gps(GpsSample { speed_mps: f64::NAN, ..fix }),
                 701 => est.push_gps(at(f64::NAN, 0.0)),
                 702 => est.push_gps(at(0.0, f64::INFINITY)),
+                703 => est.push_gps(GpsSample { t: f64::NAN, ..fix }),
                 _ => {}
             }
         });

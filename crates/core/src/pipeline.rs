@@ -27,7 +27,7 @@ use gradest_obs::{
 };
 use gradest_sensors::alignment::{steering_rate_profile_into, MapMatcher, WRoadScratch};
 use gradest_sensors::columnar::ImuColumns;
-use gradest_sensors::samples::{GpsSample, SpeedSample};
+use gradest_sensors::samples::SpeedSample;
 use gradest_sensors::suite::SensorLog;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -217,19 +217,17 @@ pub struct GradientEstimator {
 }
 
 impl GradientEstimator {
-    /// Creates an estimator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.sources` names more than [`MAX_LANES`] (4)
-    /// sources — one lane of the fused track sweep each. There are four
-    /// [`VelocitySource`]s, so only a repeated source can exceed it.
-    pub fn new(config: EstimatorConfig) -> Self {
-        assert!(
-            config.sources.len() <= MAX_LANES,
-            "at most {MAX_LANES} velocity sources, got {}",
-            config.sources.len()
-        );
+    /// Creates an estimator. A source that `config.sources` repeats runs
+    /// once, at its first position, so there is at most one lane of the
+    /// fused track sweep per [`VelocitySource`].
+    pub fn new(mut config: EstimatorConfig) -> Self {
+        let mut sources = Vec::with_capacity(MAX_LANES);
+        for source in config.sources {
+            if !sources.contains(&source) {
+                sources.push(source);
+            }
+        }
+        config.sources = sources;
         GradientEstimator { config }
     }
 
@@ -244,14 +242,13 @@ impl GradientEstimator {
     /// steering profile; pass `None` on unmapped roads (lane-change
     /// detection then relies entirely on the Eq-1 displacement test).
     ///
+    /// A log outside the accepted domain ([`SensorLog::validate`]) gives
+    /// the empty estimate: no tracks or detections, an empty `"fused"`
+    /// track and zero distance.
+    ///
     /// Allocating convenience over [`Self::estimate_into`] — it builds a
     /// fresh [`EstimatorScratch`] per call. Batch callers should hold one
     /// scratch per worker instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the log carries fewer than two IMU samples, or if its
-    /// IMU timestamps are not strictly increasing.
     pub fn estimate(&self, log: &SensorLog, map: Option<&Route>) -> GradientEstimate {
         let mut out = GradientEstimate::default();
         self.estimate_into(log, map, &mut EstimatorScratch::new(), &mut out);
@@ -267,10 +264,6 @@ impl GradientEstimator {
     /// [`NoopRecorder`], whose monomorphized instrumentation compiles
     /// to nothing — same machine code as the pre-observability
     /// pipeline, bit-identical output.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`Self::estimate`].
     pub fn estimate_into(
         &self,
         log: &SensorLog,
@@ -287,10 +280,7 @@ impl GradientEstimator {
     /// recording sinks themselves are allocation-free, so the warm-path
     /// zero-allocation invariant holds for the no-op recorder *and* for
     /// `gradest_obs::RunRecorder` — `pipeline_hotpath_smoke` gates both.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`Self::estimate`].
+    /// A log outside the accepted domain records nothing.
     pub fn estimate_into_recorded<R: Recorder>(
         &self,
         log: &SensorLog,
@@ -299,7 +289,14 @@ impl GradientEstimator {
         out: &mut GradientEstimate,
         rec: &R,
     ) {
-        assert!(log.imu.len() >= 2, "need at least two IMU samples");
+        if log.validate().is_err() {
+            out.tracks.clear();
+            clear_fused(&mut out.fused);
+            out.detections.clear();
+            out.distance_m = 0.0;
+            scratch.stages = StageNanos::default();
+            return;
+        }
         if rec.enabled() {
             rec.event(TraceEvent::TripStart);
             record_gps_gaps(rec, log);
@@ -362,7 +359,8 @@ impl GradientEstimator {
         // 3. One EKF per source, all advanced together by the fused SoA
         //    sweep ([`crate::ekf_lanes`]): one pass over the columnar IMU
         //    with one transcendental set per sample instead of one per
-        //    sample per source. `new` caps the sources at the lane count.
+        //    sample per source. `new` keeps each source once, so the
+        //    sources fit the lanes.
         let n_src = cfg.sources.len();
         if track_scratch.len() < n_src {
             track_scratch.resize_with(n_src, TrackScratch::default);
@@ -370,20 +368,15 @@ impl GradientEstimator {
         // Map-match the GPS fixes once for the whole trip: `match_s` is a
         // function of the fix positions and the matcher's own sequential
         // state only, so every source track would recompute the identical
-        // arc sequence (~40 route probes per fix each). Unusable fixes
-        // (invalid, or without a finite time) hold a NaN placeholder to
-        // keep indices aligned and do not advance the matcher; the sweep
-        // skips them.
+        // arc sequence (~40 route probes per fix each). Invalid fixes
+        // hold a NaN placeholder to keep indices aligned and do not
+        // advance the matcher; the sweep skips them.
         matched_s.clear();
         if let Some(route) = map {
             matched_s.reserve(log.gps.len());
             let mut matcher = MapMatcher::new(route);
             for fix in &log.gps {
-                matched_s.push(if usable_fix(fix) {
-                    matcher.match_s(fix.position)
-                } else {
-                    f64::NAN
-                });
+                matched_s.push(if fix.valid { matcher.match_s(fix.position) } else { f64::NAN });
             }
         }
         self.run_ekf_lanes_into(
@@ -428,11 +421,7 @@ impl GradientEstimator {
             ts.track.resample_into(length, cfg.track_ds, track);
         }
         if fuse_tracks_into(&out.tracks, &mut out.fused).is_err() {
-            out.fused.label.clear();
-            out.fused.label.push_str("fused");
-            out.fused.s.clear();
-            out.fused.theta.clear();
-            out.fused.variance.clear();
+            clear_fused(&mut out.fused);
         }
         out.detections.clear();
         out.detections.extend_from_slice(detections);
@@ -460,9 +449,7 @@ impl GradientEstimator {
     }
 
     /// Builds the `(t, v)` measurement series for one source into a
-    /// caller-owned buffer (overwritten). Samples whose time or speed is
-    /// not finite are dropped: one would poison the lane's filter and
-    /// odometer for the rest of the trip.
+    /// caller-owned buffer (overwritten).
     fn measurement_series_into(
         &self,
         log: &SensorLog,
@@ -472,8 +459,8 @@ impl GradientEstimator {
         out.clear();
         match source {
             VelocitySource::Gps => out.extend(gps_speeds(log)),
-            VelocitySource::Speedometer => out.extend(finite_speeds(&log.speedometer)),
-            VelocitySource::CanBus => out.extend(finite_speeds(&log.can)),
+            VelocitySource::Speedometer => out.extend(speeds(&log.speedometer)),
+            VelocitySource::CanBus => out.extend(speeds(&log.can)),
             VelocitySource::Accelerometer => self.integrate_accel_velocity_into(log, out),
         }
     }
@@ -528,7 +515,7 @@ impl GradientEstimator {
     ///
     /// Arc positioning integrates the EKF velocity (odometry) and, when
     /// map-matched GPS arc positions are available (`matched_s`, one entry
-    /// per GPS fix, NaN where [`usable_fix`] is false, empty without a map),
+    /// per GPS fix, NaN for an invalid fix, empty without a map),
     /// anchors the odometer to them — the phone records a position with
     /// every estimate, so pure dead-reckoning drift (≈1 % of distance from
     /// the speedometer's scale error) would be an artificial handicap.
@@ -609,7 +596,7 @@ impl GradientEstimator {
             // GPS fixes crossing this sample anchor every lane, so the
             // cursor advances once and the lanes replay the range.
             let gps_lo = gps_idx;
-            while log.gps.get(gps_idx).is_some_and(|fix| fix_due(fix, ti)) {
+            while log.gps.get(gps_idx).is_some_and(|fix| fix.t <= ti) {
                 gps_idx += 1;
             }
             for (l, ts) in lanes.iter_mut().enumerate() {
@@ -654,7 +641,7 @@ impl GradientEstimator {
                 a_idx[l] = ai;
                 let mut s = s_arc[l] + ekf.velocity(l) * dt;
                 for fix_idx in gps_lo..gps_idx {
-                    if !usable_fix(&log.gps[fix_idx]) {
+                    if !log.gps[fix_idx].valid {
                         continue;
                     }
                     if let Some(&s_gps) = matched_s.get(fix_idx) {
@@ -809,11 +796,11 @@ fn record_health_transition<R: Recorder>(
 /// than jitter.
 const GPS_GAP_THRESHOLD_S: f64 = 2.5;
 
-/// Scans the usable GPS fixes for dropouts longer than
+/// Scans the valid GPS fixes for dropouts longer than
 /// [`GPS_GAP_THRESHOLD_S`], counting each and emitting a typed event.
 fn record_gps_gaps<R: Recorder>(rec: &R, log: &SensorLog) {
     let mut prev_t: Option<f64> = None;
-    for fix in log.gps.iter().filter(|g| usable_fix(g)) {
+    for fix in log.gps.iter().filter(|g| g.valid) {
         if let Some(prev) = prev_t {
             let gap = fix.t - prev;
             if gap > GPS_GAP_THRESHOLD_S {
@@ -879,33 +866,27 @@ fn record_fusion_weights<R: Recorder>(rec: &R, tracks: &[GradientTrack], fused: 
     }
 }
 
-/// Whether the estimator uses a GPS fix: valid, with a finite time. A
-/// fix without a finite time has no place on the IMU clock and counts as
-/// absent.
-fn usable_fix(fix: &GpsSample) -> bool {
-    fix.valid && fix.t.is_finite()
+/// Overwrites `fused` with the empty fused track.
+fn clear_fused(fused: &mut GradientTrack) {
+    fused.label.clear();
+    fused.label.push_str("fused");
+    fused.s.clear();
+    fused.theta.clear();
+    fused.variance.clear();
 }
 
-/// Whether the sweep's GPS cursor has reached `fix` at IMU time `ti`:
-/// its time has passed, or it has no finite time and is stepped past
-/// (a NaN or `+∞` time would otherwise stall the cursor for the rest of
-/// the trip).
-fn fix_due(fix: &GpsSample, ti: f64) -> bool {
-    !fix.t.is_finite() || fix.t <= ti
+/// `(t, v)` of the speed samples.
+fn speeds(samples: &[SpeedSample]) -> impl Iterator<Item = (f64, f64)> + '_ {
+    samples.iter().map(|s| (s.t, s.speed_mps))
 }
 
-/// `(t, v)` of the speed samples whose time and speed are both finite.
-fn finite_speeds(samples: &[SpeedSample]) -> impl Iterator<Item = (f64, f64)> + '_ {
-    samples.iter().map(|s| (s.t, s.speed_mps)).filter(|(t, v)| t.is_finite() && v.is_finite())
-}
-
-/// `(t, v)` of the usable GPS fixes whose speed is finite.
+/// `(t, v)` of the valid GPS fixes.
 fn gps_speeds(log: &SensorLog) -> impl Iterator<Item = (f64, f64)> + '_ {
-    log.gps.iter().filter(|g| usable_fix(g) && g.speed_mps.is_finite()).map(|g| (g.t, g.speed_mps))
+    log.gps.iter().filter(|g| g.valid).map(|g| (g.t, g.speed_mps))
 }
 
 /// Stages the best available speed stream into `(ts, vs)` columns:
-/// speedometer when present, else valid GPS fixes, finite samples only.
+/// speedometer when present, else valid GPS fixes.
 fn fill_speed_series(log: &SensorLog, ts: &mut Vec<f64>, vs: &mut Vec<f64>) {
     ts.clear();
     vs.clear();
@@ -914,7 +895,7 @@ fn fill_speed_series(log: &SensorLog, ts: &mut Vec<f64>, vs: &mut Vec<f64>) {
         vs.push(v);
     };
     if !log.speedometer.is_empty() {
-        finite_speeds(&log.speedometer).for_each(&mut push);
+        speeds(&log.speedometer).for_each(&mut push);
     } else {
         gps_speeds(log).for_each(&mut push);
     }
@@ -922,11 +903,10 @@ fn fill_speed_series(log: &SensorLog, ts: &mut Vec<f64>, vs: &mut Vec<f64>) {
 
 /// A `v(t)` lookup borrowing staged speed columns: the same clamped
 /// linear interpolation as [`gradest_math::interp::Interpolant::at`]
-/// (validated per query degradation: fewer than two knots, or a
-/// non-increasing/non-finite series, falls back to a constant urban
-/// 10 m/s — the behaviour the boxed-`Interpolant` lookup it replaces had
-/// at construction time), with no owned buffers so the per-trip hot path
-/// allocates nothing.
+/// (fewer than two knots, or a non-increasing series, falls back to a
+/// constant urban 10 m/s — the behaviour the boxed-`Interpolant` lookup
+/// it replaces had at construction time), with no owned buffers so the
+/// per-trip hot path allocates nothing.
 struct SpeedLookup<'a> {
     ts: &'a [f64],
     vs: &'a [f64],
@@ -935,10 +915,9 @@ struct SpeedLookup<'a> {
 
 impl<'a> SpeedLookup<'a> {
     fn new(ts: &'a [f64], vs: &'a [f64]) -> Self {
-        // Mirror `Interpolant::new` validation once at construction.
-        let valid = ts.len() >= 2
-            && ts.windows(2).all(|w| !w[0].is_nan() && !w[1].is_nan() && w[1] > w[0])
-            && ts.iter().all(|v| v.is_finite());
+        // Mirror `Interpolant::new` validation once at construction; a
+        // validated log's times are finite.
+        let valid = ts.len() >= 2 && ts.windows(2).all(|w| w[1] > w[0]);
         SpeedLookup { ts, vs, valid }
     }
 
@@ -1023,7 +1002,8 @@ mod tests {
     use crate::ekf::oracle::GradientEkf;
     use gradest_geo::generate::{red_road, straight_road, two_lane_straight};
     use gradest_geo::Route;
-    use gradest_sensors::suite::{SensorConfig, SensorSuite};
+    use gradest_sensors::samples::{GpsSample, ImuSample};
+    use gradest_sensors::suite::{InputError, SensorConfig, SensorSuite};
     use gradest_sim::driver::DriverProfile;
     use gradest_sim::trip::{simulate_trip, TripConfig};
 
@@ -1122,11 +1102,11 @@ mod tests {
             }
             s += ekf.velocity() * dt;
             // Anchor the odometer to the pre-matched GPS arc positions.
-            while log.gps.get(gps_idx).is_some_and(|fix| fix_due(fix, imu.t)) {
-                let usable = usable_fix(&log.gps[gps_idx]);
+            while log.gps.get(gps_idx).is_some_and(|fix| fix.t <= imu.t) {
+                let valid = log.gps[gps_idx].valid;
                 let fix_idx = gps_idx;
                 gps_idx += 1;
-                if !usable {
+                if !valid {
                     continue;
                 }
                 if let Some(&s_gps) = matched_s.get(fix_idx) {
@@ -1293,47 +1273,62 @@ mod tests {
         assert_eq!(got.detections, want.detections);
     }
 
+    /// The IMU sample half way through the trip.
+    fn mid_imu(log: &mut SensorLog) -> &mut ImuSample {
+        let mid = log.imu.len() / 2;
+        &mut log.imu[mid]
+    }
+
+    /// The first valid GPS fix from half way through the trip on.
+    fn mid_valid_fix(log: &mut SensorLog) -> &mut GpsSample {
+        let mid = log.gps.len() / 2;
+        log.gps[mid..].iter_mut().find(|g| g.valid).unwrap()
+    }
+
     #[test]
-    fn non_finite_samples_are_dropped() {
+    fn out_of_domain_logs_give_the_empty_estimate() {
         let (route, clean) = lane_change_trip();
-        // Mid-trip CAN and speedometer samples with a non-finite speed
-        // or time: the estimate must be the clean log's, bit for bit.
-        let mut hostile = clean.clone();
-        for (stream, bad) in
-            [(&mut hostile.can, f64::NAN), (&mut hostile.speedometer, f64::INFINITY)]
-        {
-            let mid = stream.len() / 2;
-            let t = stream[mid].t;
-            stream.insert(mid + 1, SpeedSample { t, speed_mps: bad });
-            stream.insert(mid + 2, SpeedSample { t: f64::NAN, speed_mps: 12.0 });
-        }
-        // A valid GPS fix with a NaN speed.
-        let mut gps_nan = clean.clone();
-        let mid = gps_nan.gps.len() / 2;
-        let fix = gps_nan.gps[mid..].iter_mut().find(|g| g.valid).unwrap();
-        fix.speed_mps = f64::NAN;
-        // A valid mid-trip GPS fix with a NaN or +∞ time counts as
-        // absent: the estimate is the one without that fix. Its position
-        // is a minute ahead, so a map matcher that saw it would jump.
-        let fix_idx = mid + clean.gps[mid..].iter().position(|g| g.valid).unwrap();
-        let mut without_fix = clean.clone();
-        without_fix.gps.remove(fix_idx);
-        let ahead = clean.gps[(fix_idx + 60).min(clean.gps.len() - 1)].position;
+        // Each rule broken once. Before the estimator validated its
+        // input, a 1-sample log and swapped or NaN IMU times panicked it,
+        // and a NaN `accel_long` made every fused θ NaN.
+        type Corrupt = fn(&mut SensorLog);
+        let cases: [(InputError, Corrupt); 11] = [
+            (InputError::TooFewImuSamples, |log| log.imu.truncate(1)),
+            (InputError::ImuTimes, |log| {
+                let mid = log.imu.len() / 2;
+                log.imu.swap(mid, mid + 1);
+            }),
+            (InputError::ImuTimes, |log| mid_imu(log).t = f64::NAN),
+            // In order, so only the finiteness check can catch it.
+            (InputError::ImuTimes, |log| log.imu.last_mut().unwrap().t = f64::INFINITY),
+            (InputError::ImuReading, |log| mid_imu(log).accel_long = f64::NAN),
+            (InputError::ImuReading, |log| mid_imu(log).gyro_z = f64::INFINITY),
+            (InputError::GpsFix, |log| mid_valid_fix(log).t = f64::NAN),
+            (InputError::GpsFix, |log| mid_valid_fix(log).position.x = f64::NAN),
+            (InputError::GpsFix, |log| mid_valid_fix(log).speed_mps = f64::NAN),
+            (InputError::SpeedSample, |log| log.can[100].speed_mps = f64::NAN),
+            (InputError::SpeedSample, |log| log.speedometer[0].t = f64::INFINITY),
+        ];
+        let empty = GradientEstimate { fused: GradientTrack::new("fused"), ..Default::default() };
+        let nothing_recorded = gradest_obs::RunRecorder::new().snapshot_string();
         let estimator = GradientEstimator::new(EstimatorConfig::default());
         for map in [Some(&route), None] {
             let want = estimator.estimate(&clean, map);
-            assert_same_estimate(&estimator.estimate(&hostile, map), &want);
-            let est = estimator.estimate(&gps_nan, map);
-            assert!(!est.fused.is_empty());
-            assert!(est.fused.theta.iter().all(|th| th.is_finite()));
-            let (want, want_obs) = recorded_estimate_or_fail(&estimator, &without_fix, map);
-            for bad_t in [f64::NAN, f64::INFINITY] {
-                let mut timeless = clean.clone();
-                timeless.gps[fix_idx].t = bad_t;
-                timeless.gps[fix_idx].position = ahead;
-                let (got, got_obs) = recorded_estimate_or_fail(&estimator, &timeless, map);
-                assert_same_estimate(&got, &want);
-                assert_eq!(got_obs, want_obs, "t={bad_t}, map: {}", map.is_some());
+            let mut scratch = EstimatorScratch::new();
+            let mut out = GradientEstimate::default();
+            for (rule, corrupt) in cases {
+                let mut hostile = clean.clone();
+                corrupt(&mut hostile);
+                assert_eq!(hostile.validate(), Err(rule));
+                let (got, got_obs) = recorded_estimate_or_fail(&estimator, &hostile, map);
+                assert_eq!(got, empty, "{rule}, map: {}", map.is_some());
+                assert_eq!(got_obs, nothing_recorded, "{rule}, map: {}", map.is_some());
+                // A warm scratch refuses the log and then estimates the
+                // clean one as a fresh scratch does.
+                estimator.estimate_into(&hostile, map, &mut scratch, &mut out);
+                assert_eq!(out, empty);
+                estimator.estimate_into(&clean, map, &mut scratch, &mut out);
+                assert_same_estimate(&out, &want);
             }
         }
     }
@@ -1366,11 +1361,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at most 4 velocity sources")]
-    fn more_sources_than_lanes_panics_at_construction() {
+    fn a_repeated_source_runs_once() {
+        let route = Route::new(vec![straight_road(400.0, 2.0)]).unwrap();
+        let traj = simulate_trip(&route, &TripConfig::default(), 6);
+        let log = SensorSuite::new(SensorConfig::default()).run(&traj, 6);
         let mut sources = VelocitySource::ALL.to_vec();
         sources.push(VelocitySource::Gps);
-        let _ = GradientEstimator::new(EstimatorConfig { sources, ..Default::default() });
+        let repeated = GradientEstimator::new(EstimatorConfig { sources, ..Default::default() });
+        let all = GradientEstimator::new(EstimatorConfig::default());
+        assert_eq!(repeated, all);
+        assert_same_estimate(
+            &repeated.estimate(&log, Some(&route)),
+            &all.estimate(&log, Some(&route)),
+        );
     }
 
     #[test]
@@ -1378,8 +1381,11 @@ mod tests {
         // Every sample is stepped at the first IMU interval, so a 1e6 s
         // gap after the first of four samples runs the odometer to a
         // 4,000,001-point fusion grid unless the estimate refuses it.
-        let imu = [0.0, 1e6 + 0.02, 1e6 + 0.04, 1e6 + 0.06].map(|t| {
-            gradest_sensors::samples::ImuSample { t, accel_long: 0.0, accel_lat: 0.0, gyro_z: 0.0 }
+        let imu = [0.0, 1e6 + 0.02, 1e6 + 0.04, 1e6 + 0.06].map(|t| ImuSample {
+            t,
+            accel_long: 0.0,
+            accel_lat: 0.0,
+            gyro_z: 0.0,
         });
         let log = SensorLog { imu: imu.to_vec(), ..Default::default() };
         let est = GradientEstimator::new(EstimatorConfig::default()).estimate(&log, None);

@@ -30,13 +30,11 @@
 pub mod factors;
 pub mod map;
 pub mod traffic;
-pub mod trip_report;
 pub mod velocity_opt;
 pub mod vsp;
 
 pub use factors::Species;
 pub use map::{EmissionMap, FuelMap, RoadEmission, RoadFuel};
 pub use traffic::TrafficModel;
-pub use trip_report::{TripReport, TripSample};
 pub use velocity_opt::{VelocityOptConfig, VelocityProfile};
 pub use vsp::FuelModel;

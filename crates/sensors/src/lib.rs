@@ -55,4 +55,4 @@ pub use calibration::{apply_mount, estimate_mount, CalibrationError};
 pub use columnar::ImuColumns;
 pub use raw::{simulate_raw_imu, RawImuConfig, RawImuSample};
 pub use samples::{BaroSample, GpsSample, ImuSample, SpeedSample};
-pub use suite::{SensorConfig, SensorLog, SensorSuite};
+pub use suite::{InputError, SensorConfig, SensorLog, SensorSuite};

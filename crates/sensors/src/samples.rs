@@ -20,6 +20,15 @@ pub struct ImuSample {
     pub gyro_z: f64,
 }
 
+impl ImuSample {
+    /// Whether every reading the estimator uses is finite: the time,
+    /// `accel_long` (every EKF predict) and `gyro_z` (the steering
+    /// profile). `accel_lat` is never read.
+    pub fn is_in_domain(&self) -> bool {
+        self.t.is_finite() && self.accel_long.is_finite() && self.gyro_z.is_finite()
+    }
+}
+
 /// One GPS fix.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GpsSample {
@@ -36,6 +45,16 @@ pub struct GpsSample {
     pub valid: bool,
 }
 
+impl GpsSample {
+    /// Whether the fix has a finite time and, if valid, a finite position
+    /// and speed. An invalid fix's position and speed are placeholders the
+    /// estimator never reads, and neither is the heading.
+    pub fn is_in_domain(&self) -> bool {
+        self.t.is_finite()
+            && (!self.valid || (self.position.is_finite() && self.speed_mps.is_finite()))
+    }
+}
+
 /// One scalar speed sample (speedometer or CAN-bus).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SpeedSample {
@@ -43,6 +62,13 @@ pub struct SpeedSample {
     pub t: f64,
     /// Measured vehicle speed, m/s.
     pub speed_mps: f64,
+}
+
+impl SpeedSample {
+    /// Whether the sample's time and speed are both finite.
+    pub fn is_in_domain(&self) -> bool {
+        self.t.is_finite() && self.speed_mps.is_finite()
+    }
 }
 
 /// One barometric altitude sample.

@@ -133,7 +133,77 @@ impl SensorLog {
     pub fn duration_s(&self) -> f64 {
         self.imu.last().map(|s| s.t).unwrap_or(0.0)
     }
+
+    /// Checks the log against the estimator's accepted domain: at least
+    /// two IMU samples with finite, strictly increasing times, and every
+    /// sample in domain by its own predicate ([`ImuSample::is_in_domain`],
+    /// [`GpsSample::is_in_domain`], [`SpeedSample::is_in_domain`]). The
+    /// barometer is not checked: the estimator never reads it.
+    ///
+    /// # Errors
+    ///
+    /// The first rule the log breaks, in [`InputError`]'s variant order.
+    pub fn validate(&self) -> Result<(), InputError> {
+        let imu = &self.imu;
+        if imu.len() < 2 {
+            return Err(InputError::TooFewImuSamples);
+        }
+        // Strictly increasing times hold no NaN, and only the ends can be
+        // infinite.
+        let ends_finite =
+            imu.first().zip(imu.last()).is_some_and(|(a, b)| a.t.is_finite() && b.t.is_finite());
+        if !ends_finite || !imu.iter().zip(imu.iter().skip(1)).all(|(a, b)| a.t < b.t) {
+            return Err(InputError::ImuTimes);
+        }
+        if !imu.iter().all(ImuSample::is_in_domain) {
+            return Err(InputError::ImuReading);
+        }
+        if !self.gps.iter().all(GpsSample::is_in_domain) {
+            return Err(InputError::GpsFix);
+        }
+        if !self.speedometer.iter().chain(&self.can).all(SpeedSample::is_in_domain) {
+            return Err(InputError::SpeedSample);
+        }
+        Ok(())
+    }
 }
+
+/// The rule a [`SensorLog`] breaks ([`SensorLog::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InputError {
+    /// Fewer than two IMU samples.
+    TooFewImuSamples,
+    /// IMU times that are not finite and strictly increasing.
+    ImuTimes,
+    /// An IMU `accel_long` or `gyro_z` that is not finite.
+    ImuReading,
+    /// A GPS fix with a non-finite time, or a valid fix with a non-finite
+    /// position or speed.
+    GpsFix,
+    /// A speedometer or CAN sample with a non-finite time or speed.
+    SpeedSample,
+}
+
+impl InputError {
+    /// A fixed one-line description of the rule.
+    pub fn reason(self) -> &'static str {
+        match self {
+            InputError::TooFewImuSamples => "fewer than two imu samples",
+            InputError::ImuTimes => "imu times not finite and strictly increasing",
+            InputError::ImuReading => "imu accel_long or gyro_z not finite",
+            InputError::GpsFix => "gps time, or a valid fix's position or speed, not finite",
+            InputError::SpeedSample => "speedometer or can time or speed not finite",
+        }
+    }
+}
+
+impl std::fmt::Display for InputError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.reason())
+    }
+}
+
+impl std::error::Error for InputError {}
 
 /// Runs the modelled sensors over ground truth.
 #[derive(Debug, Clone)]

@@ -36,7 +36,9 @@
 //! `unwrap`), and per-sample reads fail on exhaustion *before* any
 //! count-driven allocation, so a frame claiming 4 billion samples
 //! cannot make the server reserve more memory than the actual payload
-//! (itself capped at [`MAX_PAYLOAD_LEN`]). The warm decode entry
+//! (itself capped at [`MAX_PAYLOAD_LEN`]). A well-formed frame whose log
+//! breaks the estimator's input contract (`SensorLog::validate`) is
+//! [`DecodeError::Malformed`] as well. The warm decode entry
 //! [`decode_upload_into`] reuses caller buffers and is registered in
 //! the lint's warm no-alloc list.
 
@@ -320,12 +322,9 @@ impl UploadScratch {
 ///
 /// [`DecodeError::Truncated`] when the payload ends early,
 /// [`DecodeError::Malformed`] on trailing bytes, a GPS validity byte
-/// other than 0/1, a log with fewer than two IMU samples, IMU
-/// timestamps that are not finite and strictly increasing (the
-/// estimator's documented preconditions — validated here so the worker
-/// never feeds the pipeline a log that would panic it), or an IMU
-/// `accel_long` or `gyro_z` that is not finite (the first would blank
-/// every track, the second the steering profile around it).
+/// other than 0/1, or a log that [`SensorLog::validate`] refuses (the
+/// broken rule's `InputError::reason` is the `Malformed` reason), so the
+/// service refuses an out-of-domain upload whole.
 pub fn decode_upload_into(payload: &[u8], scratch: &mut UploadScratch) -> Result<(), DecodeError> {
     let log = &mut scratch.log;
     log.imu.clear();
@@ -376,29 +375,7 @@ pub fn decode_upload_into(payload: &[u8], scratch: &mut UploadScratch) -> Result
         log.barometer.push(BaroSample { t, altitude_m });
     }
     cur.finish()?;
-    if log.imu.len() < 2 {
-        return Err(DecodeError::Malformed("fewer than two imu samples"));
-    }
-    if !imu_times_increasing(&log.imu) {
-        return Err(DecodeError::Malformed("imu times not finite and strictly increasing"));
-    }
-    // Every lane's EKF predict consumes the specific force, so one
-    // non-finite sample would blank the whole trip; one non-finite yaw
-    // rate blanks a smoothing window of the steering profile and, inside
-    // a lane change, loses its Eq-2 correction. The estimator never
-    // reads `accel_lat`.
-    if !log.imu.iter().all(|s| s.accel_long.is_finite() && s.gyro_z.is_finite()) {
-        return Err(DecodeError::Malformed("imu accel_long or gyro_z not finite"));
-    }
-    Ok(())
-}
-
-/// Whether the IMU timestamps are finite and strictly increasing. A
-/// strictly increasing series holds no NaN, and only its ends can be
-/// infinite, so the ends plus the pairwise order cover finiteness.
-fn imu_times_increasing(imu: &[ImuSample]) -> bool {
-    let finite = |s: Option<&ImuSample>| s.is_none_or(|s| s.t.is_finite());
-    finite(imu.first()) && finite(imu.last()) && imu.windows(2).all(|w| w[0].t < w[1].t)
+    log.validate().map_err(|e| DecodeError::Malformed(e.reason()))
 }
 
 /// Decodes an ACK reply payload.

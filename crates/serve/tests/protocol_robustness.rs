@@ -54,6 +54,16 @@ fn log_strategy() -> impl Strategy<Value = SensorLog> {
     })
 }
 
+/// The sample at fraction `at` of `stream`, after pushing `fill` into an
+/// empty stream.
+fn sample_at<T>(stream: &mut Vec<T>, at: f64, fill: T) -> &mut T {
+    if stream.is_empty() {
+        stream.push(fill);
+    }
+    let j = ((stream.len() - 1) as f64 * at) as usize;
+    &mut stream[j]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -68,39 +78,80 @@ proptest! {
         prop_assert_eq!(&scratch.log, &log);
     }
 
-    /// An IMU stream whose times repeat, go backwards, or are not
-    /// finite decodes to `Malformed` — the estimator would panic on it —
-    /// and so does a non-finite `accel_long`, which every lane's EKF
-    /// predict would consume, or `gyro_z`, which would blank the
-    /// smoothed steering profile around it.
+    /// Each rule of `SensorLog::validate` broken once decodes to
+    /// `Malformed`: IMU times that repeat, go backwards, or are not
+    /// finite; a non-finite `accel_long` or `gyro_z`; a GPS fix with a
+    /// non-finite time, or a valid one with a non-finite position or
+    /// speed; a speedometer or CAN sample with a non-finite time or speed.
     #[test]
-    fn bad_imu_samples_are_malformed(
-        log in log_strategy(),
-        at in 0.0..1.0f64,
-        kind in 0..9u8,
-    ) {
-        let mut log = log;
+    fn bad_imu_samples_are_malformed(log in log_strategy(), at in 0.0..1.0f64) {
         let last = log.imu.len() - 1;
         let i = (last as f64 * at) as usize;
-        match kind {
-            0 => log.imu[i + 1].t = log.imu[i].t,
-            1 => log.imu.swap(i, i + 1),
-            2 => log.imu[i].t = f64::NAN,
-            3 => log.imu[i].t = f64::NEG_INFINITY,
-            // In order, so only the finiteness check can catch it.
-            4 => log.imu[last].t = f64::INFINITY,
-            5 => log.imu[i].accel_long = f64::NAN,
-            6 => log.imu[i].accel_long = f64::INFINITY,
-            7 => log.imu[i].gyro_z = f64::NAN,
-            _ => log.imu[i].gyro_z = f64::INFINITY,
+        let fix = GpsSample {
+            t: 1.0,
+            position: Vec2::new(0.0, 0.0),
+            speed_mps: 10.0,
+            heading: 0.0,
+            valid: true,
+        };
+        let nan_xy = Vec2::new(f64::NAN, 0.0);
+        let speed = SpeedSample { t: 1.0, speed_mps: 10.0 };
+        for kind in 0..17u8 {
+            let mut log = log.clone();
+            match kind {
+                0 => log.imu[i + 1].t = log.imu[i].t,
+                1 => log.imu.swap(i, i + 1),
+                2 => log.imu[i].t = f64::NAN,
+                3 => log.imu[i].t = f64::NEG_INFINITY,
+                // In order, so only the finiteness check can catch it.
+                4 => log.imu[last].t = f64::INFINITY,
+                5 => log.imu[i].accel_long = f64::NAN,
+                6 => log.imu[i].accel_long = f64::INFINITY,
+                7 => log.imu[i].gyro_z = f64::NAN,
+                8 => log.imu[i].gyro_z = f64::INFINITY,
+                9 => sample_at(&mut log.gps, at, fix).t = f64::NAN,
+                10 => sample_at(&mut log.gps, at, fix).t = f64::INFINITY,
+                11 => *sample_at(&mut log.gps, at, fix) = GpsSample { position: nan_xy, ..fix },
+                12 => *sample_at(&mut log.gps, at, fix) = GpsSample { speed_mps: f64::NAN, ..fix },
+                13 => sample_at(&mut log.speedometer, at, speed).t = f64::NAN,
+                14 => sample_at(&mut log.speedometer, at, speed).speed_mps = f64::INFINITY,
+                15 => sample_at(&mut log.can, at, speed).t = f64::NEG_INFINITY,
+                _ => sample_at(&mut log.can, at, speed).speed_mps = f64::NAN,
+            }
+            let mut wire = Vec::new();
+            encode_upload_frame(3, &log, &mut wire);
+            let mut scratch = UploadScratch::new();
+            prop_assert!(
+                matches!(
+                    decode_upload_into(&wire[HEADER_BYTES..], &mut scratch),
+                    Err(DecodeError::Malformed(_))
+                ),
+                "kind {}",
+                kind
+            );
         }
+    }
+
+    /// Fields the estimator never reads are not checked: an invalid
+    /// fix's position and speed, a heading, `accel_lat` and the
+    /// barometer decode whatever they hold.
+    #[test]
+    fn unread_fields_are_not_checked(log in log_strategy(), at in 0.0..1.0f64) {
+        let mut log = log;
+        let i = ((log.imu.len() - 1) as f64 * at) as usize;
+        log.imu[i].accel_lat = f64::NAN;
+        log.gps.push(GpsSample {
+            t: 1.0,
+            position: Vec2::new(f64::NAN, f64::INFINITY),
+            speed_mps: f64::NAN,
+            heading: f64::NAN,
+            valid: false,
+        });
+        log.barometer.push(BaroSample { t: f64::NAN, altitude_m: f64::INFINITY });
         let mut wire = Vec::new();
         encode_upload_frame(3, &log, &mut wire);
         let mut scratch = UploadScratch::new();
-        prop_assert!(matches!(
-            decode_upload_into(&wire[HEADER_BYTES..], &mut scratch),
-            Err(DecodeError::Malformed(_))
-        ));
+        prop_assert_eq!(decode_upload_into(&wire[HEADER_BYTES..], &mut scratch), Ok(()));
     }
 
     /// Every prefix of a valid payload is a typed error, never a panic.

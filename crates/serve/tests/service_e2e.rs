@@ -262,28 +262,38 @@ fn hostile_frames_get_typed_errors_and_the_server_survives() {
 
 #[test]
 fn out_of_order_imu_times_are_rejected_without_killing_workers() {
-    // A log whose IMU clock repeats, runs backwards, or is not finite
-    // would panic the estimator inside the drain gate. Decode must
-    // reject it, so every worker survives to ACK a valid upload and the
-    // drain stays clean.
+    // A log outside the estimator's accepted domain (an IMU clock that
+    // repeats, runs backwards, or is not finite; a GPS, speedometer or
+    // CAN value the estimator reads that is not finite) is refused whole
+    // at decode. Every worker survives to ACK a valid upload, the drain
+    // stays clean, and the road holds what the valid upload alone gives.
     let net = parallel_roads_network(1);
     let cfg = ServeConfig { workers: 2, ..Default::default() };
     let server = start(&cfg, "127.0.0.1:0", &net, Arc::new(NoopRecorder)).expect("bind loopback");
     let valid = trip_log(&net, 0, 21);
-    let bad_times: [fn(&mut SensorLog); 4] = [
+    assert!(valid.gps[3].valid, "the corrupted fix is valid");
+    let hostile: [fn(&mut SensorLog); 12] = [
         |log| log.imu[5].t = log.imu[4].t,
         |log| log.imu.swap(3, 4),
         |log| log.imu[2].t = f64::NAN,
         |log| log.imu[0].t = f64::NEG_INFINITY,
+        |log| log.gps[3].t = f64::NAN,
+        |log| log.gps[3].t = f64::INFINITY,
+        |log| log.gps[3].position.y = f64::NAN,
+        |log| log.gps[3].speed_mps = f64::NAN,
+        |log| log.speedometer[3].t = f64::NAN,
+        |log| log.speedometer[3].speed_mps = f64::INFINITY,
+        |log| log.can[3].t = f64::NEG_INFINITY,
+        |log| log.can[3].speed_mps = f64::NAN,
     ];
     // At least one hostile frame per worker, each on its own connection
     // (a malformed upload closes its connection).
-    assert!(bad_times.len() >= cfg.workers);
-    for corrupt in bad_times {
+    assert!(hostile.len() >= cfg.workers);
+    for corrupt in hostile {
         let mut log = valid.clone();
         corrupt(&mut log);
-        let mut hostile = Client::connect(server.addr(), TIMEOUT).expect("connect");
-        match hostile.upload(0, &log).expect("reply to a hostile upload") {
+        let mut client = Client::connect(server.addr(), TIMEOUT).expect("connect");
+        match client.upload(0, &log).expect("reply to a hostile upload") {
             ServerReply::Err { code } => assert_eq!(code, 4, "malformed code"),
             other => panic!("unexpected reply: {other:?}"),
         }
@@ -295,10 +305,23 @@ fn out_of_order_imu_times_are_rejected_without_killing_workers() {
         other => panic!("unexpected reply: {other:?}"),
     }
     drop(client);
+    let profile = server.road_profile(0);
     let report = server.shutdown();
     assert!(report.is_clean(), "drain after hostile frames: {report:?}");
-    assert_eq!(report.stats.frames_rejected, bad_times.len() as u64);
+    assert_eq!(report.stats.frames_rejected, hostile.len() as u64);
     assert_eq!(report.stats.uploads_acked, 1);
+
+    let reference = start(&ServeConfig::default(), "127.0.0.1:0", &net, Arc::new(NoopRecorder))
+        .expect("bind loopback");
+    let mut client = Client::connect(reference.addr(), TIMEOUT).expect("connect");
+    match client.upload(0, &valid).expect("reply") {
+        ServerReply::Ack { road_id } => assert_eq!(road_id, 0),
+        other => panic!("unexpected reply: {other:?}"),
+    }
+    drop(client);
+    assert!(profile.is_some());
+    assert_eq!(profile, reference.road_profile(0), "a refused upload reached the map");
+    assert!(reference.shutdown().is_clean());
 }
 
 #[test]

@@ -55,7 +55,11 @@
 #                                        oversized / garbage-tagged /
 #                                        length-lying frames must produce typed
 #                                        errors, never panic, never allocate
-#                                        past the frame cap
+#                                        past the frame cap; well-formed
+#                                        frames carrying hostile values (one
+#                                        per SensorLog::validate rule) must be
+#                                        Malformed, and values the estimator
+#                                        never reads must still decode
 #  10. obs aggregator property tests   — the time-series ring against exact
 #                                        oracles: a RunReport over any window
 #                                        range matches a plain-vector oracle
@@ -195,7 +199,9 @@ if [[ "$MODE" != quick ]]; then
   # Wire-protocol robustness: proptest suite feeding the frame decoder
   # truncated, oversized, bit-flipped, and length-lying inputs; every
   # outcome must be a typed error with bounded allocation, never a
-  # panic.
+  # panic. Well-formed frames carrying hostile values (a non-finite or
+  # out-of-order IMU time, a non-finite reading, GPS or speed value)
+  # must decode to Malformed, one case per SensorLog::validate rule.
   run_step "serve protocol robustness" \
     cargo test -q -p gradest-serve --test protocol_robustness
 
