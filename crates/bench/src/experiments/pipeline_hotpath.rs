@@ -6,7 +6,10 @@
 //! on. Emits `BENCH_pipeline.json` with:
 //!
 //! * latency — warm-scratch [`GradientEstimator::estimate_into`], plus
-//!   its per-stage wall-clock split;
+//!   its per-stage wall-clock split, the `tracks` stage per IMU sample,
+//!   and the same warm trip forward-only (`rts_smoothing: false`), so
+//!   the backward RTS pass's share of `tracks` reads off the difference
+//!   (report-only: no `bench-gate` row reads the last two);
 //! * correctness gates — uniform-grid LOWESS against the generic
 //!   reference fit on the trip's steering series (must agree within
 //!   1e-12) and warm-vs-cold bit-identity of the estimate;
@@ -46,6 +49,12 @@ pub struct PipelineHotpathBench {
     pub trips_per_sec: f64,
     /// Per-stage wall-clock split of one warm trip.
     pub stage_ns: StageNanos,
+    /// The `tracks` stage of that trip per IMU sample, ns.
+    pub tracks_ns_per_imu_sample: f64,
+    /// The warm trip with RTS smoothing off, timed with the same
+    /// settings as [`Self::optimized_warm_fast`]: its gap to that row is
+    /// the backward pass's cost.
+    pub forward_only_warm: BenchReport,
     /// Max |Δ| between `lowess_into` (uniform-grid fast path) and
     /// `lowess_reference` over the trip's raw steering series, with the
     /// pipeline's smoothing window.
@@ -154,6 +163,15 @@ pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
         assert!(!out.fused.is_empty());
     });
     let stage_ns = scratch.stages();
+    let tracks_ns_per_imu_sample = stage_ns.tracks as f64 / log.imu.len() as f64;
+    let forward_only =
+        GradientEstimator::new(EstimatorConfig { rts_smoothing: false, ..Default::default() });
+    let mut forward_scratch = EstimatorScratch::new();
+    let mut forward_out = GradientEstimate::default();
+    forward_only.estimate_into(log, map, &mut forward_scratch, &mut forward_out);
+    let forward_only_warm = run_bench("pipeline_warm_forward_only", samples, 1, || {
+        forward_only.estimate_into(log, map, &mut forward_scratch, &mut forward_out);
+    });
 
     let allocs_per_trip_warm = if alloc_counter::is_installed() {
         let before = alloc_counter::allocations();
@@ -280,6 +298,8 @@ pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
         trips_per_sec: optimized_warm_fast.ops_per_sec,
         optimized_warm_fast,
         stage_ns,
+        tracks_ns_per_imu_sample,
+        forward_only_warm,
         fast_vs_generic_max_abs_diff,
         warm_bit_identical,
         allocs_per_trip_warm,
@@ -321,11 +341,16 @@ fn two_writer_bench<R: Recorder>(
 /// Prints the timing table and writes `BENCH_pipeline.json`.
 pub fn print_report(r: &PipelineHotpathBench) {
     let b = &r.optimized_warm_fast;
-    let rows = vec![vec![
-        b.name.clone(),
-        format!("{:.2}", b.median_ns_per_op / 1e6),
-        format!("{:.2}", b.ops_per_sec),
-    ]];
+    let rows: Vec<Vec<String>> = [b, &r.forward_only_warm]
+        .iter()
+        .map(|row| {
+            vec![
+                row.name.clone(),
+                format!("{:.2}", row.median_ns_per_op / 1e6),
+                format!("{:.2}", row.ops_per_sec),
+            ]
+        })
+        .collect();
     let allocs = match r.allocs_per_trip_warm {
         Some(n) => n.to_string(),
         None => "not measured".to_string(),
@@ -341,7 +366,10 @@ pub fn print_report(r: &PipelineHotpathBench) {
     );
     let s = &r.stage_ns;
     print_table(
-        "Warm-trip stage split",
+        &format!(
+            "Warm-trip stage split ({:.1} ns per IMU sample in tracks)",
+            r.tracks_ns_per_imu_sample
+        ),
         &["stage", "ms"],
         &[
             vec!["steering (columnar + LOWESS)".into(), format!("{:.3}", s.steering as f64 / 1e6)],
@@ -414,6 +442,9 @@ mod tests {
             r.fast_vs_generic_max_abs_diff
         );
         assert!(r.warm_bit_identical, "warm estimate differs from the cold one");
+        assert!(r.tracks_ns_per_imu_sample > 0.0);
+        assert_eq!(r.forward_only_warm.name, "pipeline_warm_forward_only");
+        assert!(r.forward_only_warm.median_ns_per_op > 0.0);
         // No counting allocator under `cargo test`.
         assert_eq!(r.allocs_per_trip_warm, None);
         assert_eq!(r.allocs_per_trip_warm_recorded, None);

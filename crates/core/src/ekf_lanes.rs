@@ -37,6 +37,7 @@
 //! ```
 
 use crate::ekf::EkfConfig;
+use gradest_math::mat::SINGULAR_TOL;
 use gradest_math::{Mat2, Vec2, GRAVITY};
 
 /// Number of SoA lanes — one per paper velocity source.
@@ -141,11 +142,36 @@ impl EkfLanes {
         Mat2::new(self.p00[lane], self.p01[lane], self.p01[lane], self.p11[lane])
     }
 
-    /// Lane `l`'s most recent predict Jacobian `F` (what the RTS
-    /// smoother records per step). Identity before the first predict.
+    /// Lane `l`'s most recent predict Jacobian `F`. The batch sweep
+    /// records every lane's `F` per IMU sample, and the backward RTS pass
+    /// carries step `k + 1`'s smoothed state back to step `k` through it.
+    /// Identity before the first predict.
     #[inline]
     pub fn jacobian(&self, lane: usize) -> Mat2 {
         Mat2::new(1.0, self.f01[lane], self.f10[lane], self.f11[lane])
+    }
+
+    /// Starts the history record of the step [`Self::predict`] just ran:
+    /// every lane's predicted state and Jacobian.
+    /// [`Self::record_filtered`] completes it after the step's updates.
+    #[inline]
+    pub(crate) fn record_predicted(&self) -> LaneStep {
+        LaneStep {
+            v_pred: self.v,
+            th_pred: self.th,
+            f01: self.f01,
+            f10: self.f10,
+            f11: self.f11,
+            filt: LaneEstimate::default(),
+        }
+    }
+
+    /// Completes a record with every lane's filtered state and
+    /// covariance, read after the step's updates.
+    #[inline]
+    pub(crate) fn record_filtered(&self, step: &mut LaneStep) {
+        step.filt =
+            LaneEstimate { v: self.v, th: self.th, p00: self.p00, p01: self.p01, p11: self.p11 };
     }
 
     /// Predict step for all four lanes: propagate each state through
@@ -265,6 +291,133 @@ fn propagate_cov(
     }
 }
 
+/// Every lane's state `[v, θ]` and covariance (symmetric, so one
+/// off-diagonal slot): a history record's filtered half, or the
+/// backward RTS pass's smoothed estimate.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct LaneEstimate {
+    pub(crate) v: [f64; MAX_LANES],
+    pub(crate) th: [f64; MAX_LANES],
+    pub(crate) p00: [f64; MAX_LANES],
+    pub(crate) p01: [f64; MAX_LANES],
+    pub(crate) p11: [f64; MAX_LANES],
+}
+
+/// One IMU sample of the lane sweep, every lane at once, as the
+/// backward RTS pass reads it: the predicted state and the Jacobian
+/// after [`EkfLanes::predict`], then the filtered state and covariance
+/// after the sample's updates. Ten `[f64; 4]` fields, 320 bytes per
+/// sample. The predicted covariance is not stored: [`rts_smooth_lanes`]
+/// recomputes it bit for bit from the previous record's filtered one.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct LaneStep {
+    v_pred: [f64; MAX_LANES],
+    th_pred: [f64; MAX_LANES],
+    f01: [f64; MAX_LANES],
+    f10: [f64; MAX_LANES],
+    f11: [f64; MAX_LANES],
+    filt: LaneEstimate,
+}
+
+/// The backward RTS pass over a lane sweep's history, newest step
+/// first: hands `visit` each step's index and smoothed estimate, the
+/// last step's being its filtered one. `config` and `dt` must be the
+/// sweep's. Per lane this is
+/// [`rts_smooth_into`](crate::smoother::rts_smooth_into) over the
+/// lane's [`RtsStep`](crate::smoother::RtsStep)s, bit for bit.
+pub(crate) fn rts_smooth_lanes(
+    config: &EkfConfig,
+    dt: f64,
+    history: &[LaneStep],
+    mut visit: impl FnMut(usize, &LaneEstimate),
+) {
+    let Some(last) = history.last() else {
+        return;
+    };
+    let (qv_dt, qt_dt) = (config.q_velocity * dt, config.q_theta * dt);
+    let mut smoothed = last.filt;
+    visit(history.len() - 1, &smoothed);
+    for (k, pair) in history.windows(2).enumerate().rev() {
+        if let [cur, next] = pair {
+            smoothed = rts_step_lanes(cur, next, &smoothed, qv_dt, qt_dt);
+            visit(k, &smoothed);
+        }
+    }
+}
+
+/// One backward RTS step for every lane: the smoothed estimate at step
+/// `k` from its record `cur`, step `k + 1`'s record `next` and smoothed
+/// estimate `smoothed`. Per lane this is
+/// [`rts_step`](crate::smoother::rts_step)'s operation sequence over
+/// `Mat2`/`Vec2`, with step `k + 1`'s predicted covariance recomputed
+/// by the [`propagate_cov`] the sweep ran. That covariance, `P_filt` and
+/// `smoothed`'s are symmetric bit for bit, so each keeps one
+/// off-diagonal and one `−p01/det` serves both off-diagonals of the
+/// inverse. A lane whose predicted covariance is singular
+/// (`Mat2::inverse` fails) keeps its filtered estimate.
+fn rts_step_lanes(
+    cur: &LaneStep,
+    next: &LaneStep,
+    smoothed: &LaneEstimate,
+    qv_dt: f64,
+    qt_dt: f64,
+) -> LaneEstimate {
+    let (f, s) = (&cur.filt, smoothed);
+    let (a00, a01, a11) = (&f.p00, &f.p01, &f.p11);
+    let (b, g10, g11) = (&next.f01, &next.f10, &next.f11);
+    let (mut q00, mut q01, mut q11) = (f.p00, f.p01, f.p11);
+    propagate_cov(&mut q00, &mut q01, &mut q11, b, g10, g11, qv_dt, qt_dt);
+    // P_pred⁻¹, as `Mat2::inverse` forms it.
+    let det = lanes(|l| q00[l] * q11[l] - q01[l] * q01[l]);
+    let (i00, i01, i11) =
+        (lanes(|l| q11[l] / det[l]), lanes(|l| -q01[l] / det[l]), lanes(|l| q00[l] / det[l]));
+    // C = (P_filt·Fᵀ)·P_pred⁻¹ with Fᵀ = [[1, f10], [f01, f11]].
+    let m00 = lanes(|l| a00[l] * 1.0 + a01[l] * b[l]);
+    let m01 = lanes(|l| a00[l] * g10[l] + a01[l] * g11[l]);
+    let m10 = lanes(|l| a01[l] * 1.0 + a11[l] * b[l]);
+    let m11 = lanes(|l| a01[l] * g10[l] + a11[l] * g11[l]);
+    let c00 = lanes(|l| m00[l] * i00[l] + m01[l] * i01[l]);
+    let c01 = lanes(|l| m00[l] * i01[l] + m01[l] * i11[l]);
+    let c10 = lanes(|l| m10[l] * i00[l] + m11[l] * i01[l]);
+    let c11 = lanes(|l| m10[l] * i01[l] + m11[l] * i11[l]);
+    // x = x_filt + C·(x_s(k+1) − x_pred(k+1)).
+    let dv = lanes(|l| s.v[l] - next.v_pred[l]);
+    let dth = lanes(|l| s.th[l] - next.th_pred[l]);
+    let v = lanes(|l| f.v[l] + (c00[l] * dv[l] + c01[l] * dth[l]));
+    let th = lanes(|l| f.th[l] + (c10[l] * dv[l] + c11[l] * dth[l]));
+    // P = P_filt + (C·(P_s(k+1) − P_pred(k+1)))·Cᵀ, re-symmetrized,
+    // with the diagonal guarded against negative variances.
+    let d00 = lanes(|l| s.p00[l] - q00[l]);
+    let d01 = lanes(|l| s.p01[l] - q01[l]);
+    let d11 = lanes(|l| s.p11[l] - q11[l]);
+    let e00 = lanes(|l| c00[l] * d00[l] + c01[l] * d01[l]);
+    let e01 = lanes(|l| c00[l] * d01[l] + c01[l] * d11[l]);
+    let e10 = lanes(|l| c10[l] * d00[l] + c11[l] * d01[l]);
+    let e11 = lanes(|l| c10[l] * d01[l] + c11[l] * d11[l]);
+    let n00 = lanes(|l| a00[l] + (e00[l] * c00[l] + e01[l] * c01[l]));
+    let n01 = lanes(|l| a01[l] + (e00[l] * c10[l] + e01[l] * c11[l]));
+    let n10 = lanes(|l| a01[l] + (e10[l] * c00[l] + e11[l] * c01[l]));
+    let n11 = lanes(|l| a11[l] + (e10[l] * c10[l] + e11[l] * c11[l]));
+    // The singular-`P_pred` fallback, per lane.
+    let singular = det.map(|d| d.abs() < SINGULAR_TOL);
+    let pick = |filtered: &[f64; MAX_LANES], smoothed: [f64; MAX_LANES]| {
+        lanes(|l| if singular[l] { filtered[l] } else { smoothed[l] })
+    };
+    LaneEstimate {
+        v: pick(&f.v, v),
+        th: pick(&f.th, th),
+        p00: pick(a00, n00.map(|x| x.max(1e-12))),
+        p01: pick(a01, lanes(|l| 0.5 * (n01[l] + n10[l]))),
+        p11: pick(a11, n11.map(|x| x.max(1e-12))),
+    }
+}
+
+/// `[f(0), f(1), f(2), f(3)]`: one operation over every lane.
+#[inline(always)]
+fn lanes(f: impl FnMut(usize) -> f64) -> [f64; MAX_LANES] {
+    std::array::from_fn(f)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,6 +507,11 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_history_record_is_320_bytes() {
+        assert_eq!(std::mem::size_of::<LaneStep>(), 10 * 8 * MAX_LANES);
+    }
+
     fn bits(m: Mat2) -> [[u64; 2]; 2] {
         m.m.map(|row| row.map(f64::to_bits))
     }
@@ -411,11 +569,14 @@ mod tests {
 
 /// Property suite pinning the lanes to four scalar filters: randomized
 /// trips (mixed accelerations, per-lane update cadences and noise),
-/// every state and covariance entry compared at 0 ULP.
+/// every state and covariance entry compared at 0 ULP. The backward RTS
+/// pass over the lane history is pinned the same way, per lane, to the
+/// scalar smoother.
 #[cfg(test)]
 mod proptests {
     use super::*;
     use crate::ekf::oracle::GradientEkf;
+    use crate::smoother::{rts_smooth_into, RtsStep};
     use proptest::prelude::*;
 
     /// Maps a float to an order-preserving integer so ULP distance is a
@@ -545,5 +706,126 @@ mod proptests {
                 prop_assert_eq!(ulps(x.y, ekf.theta()), 0);
             }
         }
+    }
+
+    /// Runs four lanes over a randomized trip of `steps` IMU samples and
+    /// returns the lane history the sweep records, plus each lane's
+    /// [`RtsStep`]s for the scalar smoother, with the predicted
+    /// covariance read straight after `predict`. Lane `l` updates every
+    /// `cadence[l]` steps, never when it is 0.
+    fn lane_history(
+        config: EkfConfig,
+        seed: u64,
+        steps: usize,
+        cadence: [usize; MAX_LANES],
+    ) -> (Vec<LaneStep>, [Vec<RtsStep>; MAX_LANES]) {
+        let dt = 0.02;
+        let mut lanes = EkfLanes::new(config, [12.0, 8.0, 20.0, 15.0]);
+        let mut history = Vec::new();
+        let mut oracle: [Vec<RtsStep>; MAX_LANES] = Default::default();
+        let mut s = seed;
+        for k in 0..steps {
+            lanes.predict(3.0 * lcg(&mut s), dt);
+            let mut step = lanes.record_predicted();
+            let predicted: [(Vec2, Mat2, Mat2); MAX_LANES] =
+                std::array::from_fn(|l| (lanes.state(l), lanes.covariance(l), lanes.jacobian(l)));
+            for (l, &every) in cadence.iter().enumerate() {
+                if every > 0 && k % every == 0 {
+                    let v_meas = (12.0 + 6.0 * lcg(&mut s)).max(0.0);
+                    lanes.update(l, v_meas, 0.01 + lcg(&mut s).abs());
+                }
+            }
+            lanes.record_filtered(&mut step);
+            history.push(step);
+            for (l, (x_pred, p_pred, f)) in predicted.into_iter().enumerate() {
+                oracle[l].push(RtsStep {
+                    x_pred,
+                    p_pred,
+                    x_filt: lanes.state(l),
+                    p_filt: lanes.covariance(l),
+                    f,
+                });
+            }
+        }
+        (history, oracle)
+    }
+
+    /// Runs [`rts_smooth_lanes`] over `history` and returns each lane's
+    /// first mismatch against [`rts_smooth_into`] over its `RtsStep`s:
+    /// `(lane, step, entry, ulps)`, or `None` when every lane matches at
+    /// 0 ULP. Every step must be visited exactly once.
+    fn first_mismatch(
+        config: &EkfConfig,
+        history: &[LaneStep],
+        oracle: &[Vec<RtsStep>; MAX_LANES],
+    ) -> Option<(usize, usize, &'static str, u64)> {
+        let mut got = vec![None; history.len()];
+        rts_smooth_lanes(config, 0.02, history, |k, est| {
+            assert!(got[k].replace(*est).is_none(), "step {k} visited twice");
+        });
+        let mut want = Vec::new();
+        for (l, steps) in oracle.iter().enumerate() {
+            rts_smooth_into(steps, &mut want);
+            for (k, (x, p)) in want.iter().enumerate() {
+                let g = got[k].expect("every step visited");
+                let pairs = [
+                    ("v", g.v[l], x.x),
+                    ("theta", g.th[l], x.y),
+                    ("p00", g.p00[l], p.m[0][0]),
+                    ("p01", g.p01[l], p.m[0][1]),
+                    ("p10", g.p01[l], p.m[1][0]),
+                    ("p11", g.p11[l], p.m[1][1]),
+                ];
+                for (what, a, b) in pairs {
+                    if a.to_bits() != b.to_bits() {
+                        return Some((l, k, what, ulps(a, b)));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The 4-lane backward pass equals the scalar smoother per lane
+        /// at 0 ULP on randomized trips and cadences.
+        #[test]
+        fn rts_lane_pass_matches_the_scalar_smoother(
+            seed in 0u64..10_000,
+            steps in 0usize..400,
+            cadence in prop::collection::vec(1usize..9, MAX_LANES),
+        ) {
+            let config = EkfConfig::default();
+            let cadence = [cadence[0], cadence[1], cadence[2], cadence[3]];
+            let (history, oracle) = lane_history(config, seed, steps, cadence);
+            prop_assert_eq!(first_mismatch(&config, &history, &oracle), None);
+        }
+    }
+
+    /// Without process noise, a lane that starts with a rank-deficient
+    /// covariance and is never updated keeps a singular predicted
+    /// covariance, so the pass falls back to its filtered estimate while
+    /// the updated lanes smooth: the per-lane select, pinned at 0 ULP.
+    #[test]
+    fn a_singular_predicted_covariance_keeps_the_filtered_estimate() {
+        let config =
+            EkfConfig { q_velocity: 0.0, q_theta: 0.0, p0_theta: 0.0, ..Default::default() };
+        let (history, oracle) = lane_history(config, 7, 300, [3, 7, 0, 0]);
+        let singular =
+            |steps: &[RtsStep]| steps[1..].iter().filter(|s| s.p_pred.inverse().is_err()).count();
+        let counts: Vec<usize> = oracle.iter().map(|steps| singular(steps)).collect();
+        assert_eq!(counts[2..], [299, 299], "never-updated lanes stay singular");
+        assert!(counts[0] < 299 && counts[1] < 299, "updated lanes smooth: {counts:?}");
+        assert_eq!(first_mismatch(&config, &history, &oracle), None);
+        // The fallback leaves those lanes at their filtered estimate.
+        rts_smooth_lanes(&config, 0.02, &history, |k, est| {
+            let filt = history[k].filt;
+            for l in 2..MAX_LANES {
+                assert_eq!(est.th[l].to_bits(), filt.th[l].to_bits(), "θ, lane {l} step {k}");
+                assert_eq!(est.p11[l].to_bits(), filt.p11[l].to_bits(), "P11, lane {l} step {k}");
+            }
+        });
     }
 }

@@ -15,9 +15,16 @@
 //! send (index, result)`, and the main thread reorders results through a
 //! hold-back buffer. Slow trips therefore never stall workers, only the
 //! in-order delivery point.
+//!
+//! Each worker estimates its trips through one [`EstimatorScratch`],
+//! taken from the engine's pool when the worker spawns and returned when
+//! it exits. The pool keeps at most one scratch per worker, so a scratch
+//! stays warm across batches: a later batch of similar trips reuses its
+//! buffers instead of growing them again.
 
 use crate::cloud::CloudAggregator;
-use crate::pipeline::{GradientEstimate, GradientEstimator};
+use crate::pipeline::{EstimatorScratch, GradientEstimate, GradientEstimator};
+use crate::sync::Mutex;
 use crossbeam::channel;
 use gradest_geo::index::NetworkIndex;
 use gradest_geo::network::RoadNetwork;
@@ -52,17 +59,22 @@ enum MapMode<'a> {
 /// let estimates = engine.process_batch(&logs, None);
 /// assert_eq!(estimates.len(), logs.len());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FleetEngine {
     estimator: GradientEstimator,
     workers: usize,
+    // sync: the warm scratches between batches, at most `workers`. A
+    // batch pops one per worker before spawning them, and each worker
+    // pushes its own back at exit; the lock is held for those pops or
+    // that push only, never across an estimate.
+    scratches: Mutex<Vec<EstimatorScratch>>,
 }
 
 impl FleetEngine {
     /// Creates an engine with an explicit worker count (clamped to at
     /// least one).
     pub fn new(estimator: GradientEstimator, workers: usize) -> Self {
-        FleetEngine { estimator, workers: workers.max(1) }
+        FleetEngine { estimator, workers: workers.max(1), scratches: Mutex::default() }
     }
 
     /// The configured worker count.
@@ -189,15 +201,19 @@ impl FleetEngine {
         // drains until `recv` reports disconnection.
         drop(job_tx);
 
+        // One warm scratch per worker, kept in the pool across batches:
+        // estimation reuses its buffers instead of the heap. All are
+        // taken before any worker starts, so each worker returns its own.
+        let taken: Vec<EstimatorScratch> = {
+            let mut pool = self.scratches.lock();
+            (0..workers).map(|_| pool.pop().unwrap_or_default()).collect()
+        };
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            for mut scratch in taken {
                 let job_rx = job_rx.clone();
                 let res_tx = res_tx.clone();
-                let estimator = &self.estimator;
+                let (estimator, scratches) = (&self.estimator, &self.scratches);
                 scope.spawn(move || {
-                    // One warm scratch per worker: after the first trip,
-                    // estimation reuses its buffers instead of the heap.
-                    let mut scratch = crate::pipeline::EstimatorScratch::new();
                     // Network mode keeps one matcher per worker so its
                     // query scratch stays warm across trips.
                     let mut net_matcher = match map {
@@ -256,6 +272,12 @@ impl FleetEngine {
                             busy_ns as f64 / lifetime_ns as f64,
                         );
                     }
+                    // Concurrent batches on one engine run more workers
+                    // than `workers`; the pool keeps only that many.
+                    let mut pool = scratches.lock();
+                    if pool.len() < self.workers {
+                        pool.push(scratch);
+                    }
                 });
             }
             drop(res_tx);
@@ -291,6 +313,8 @@ mod tests {
     use gradest_geo::Route;
     use gradest_sensors::suite::{SensorConfig, SensorSuite};
     use gradest_sim::trip::{simulate_trip, TripConfig};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
 
     fn batch(route: &Route, n: u64) -> Vec<SensorLog> {
         (0..n)
@@ -418,6 +442,116 @@ mod tests {
         let report = rec.report();
         assert_eq!(report.span("network-match-trip").map(|s| s.count), Some(3));
         assert_eq!(report.span("fleet-worker-trip").map(|s| s.count), Some(3));
+    }
+
+    /// A serial `estimate_into` loop through one scratch, the reference
+    /// a batch must reproduce; `route_of` gives each trip's map.
+    fn serial<'a>(
+        estimator: &GradientEstimator,
+        logs: &'a [SensorLog],
+        mut route_of: impl FnMut(&'a SensorLog) -> Option<Route>,
+    ) -> Vec<GradientEstimate> {
+        let mut scratch = EstimatorScratch::new();
+        logs.iter()
+            .map(|log| {
+                let mut out = GradientEstimate::default();
+                estimator.estimate_into(log, route_of(log).as_ref(), &mut scratch, &mut out);
+                out
+            })
+            .collect()
+    }
+
+    /// The scratches an engine keeps between batches.
+    fn pooled(engine: &FleetEngine) -> usize {
+        engine.scratches.lock().len()
+    }
+
+    #[test]
+    fn pooled_scratches_stay_warm_and_bit_identical_across_batches() {
+        use gradest_geo::generate::city_network;
+        use gradest_geo::index::NetworkIndex;
+        let estimator = GradientEstimator::new(EstimatorConfig::default());
+        // Shared-route batches: the second drives a longer road, so the
+        // pooled scratches must grow.
+        let short = Route::new(vec![straight_road(300.0, 1.0)]).unwrap();
+        let long = Route::new(vec![straight_road(900.0, -2.0)]).unwrap();
+        let shared = [(batch(&short, 3), short), (batch(&long, 3), long)];
+        // Network batches, the second again on longer trips.
+        let net = city_network(13);
+        let index = NetworkIndex::build(&net);
+        let network: Vec<Vec<SensorLog>> = [[(40usize, 50usize), (41, 42)], [(40, 70), (0, 2)]]
+            .iter()
+            .map(|pairs| {
+                pairs
+                    .iter()
+                    .map(|&(a, b)| {
+                        let route = net.route_between(a, b, |r| r.length()).expect("connected");
+                        let traj = simulate_trip(&route, &TripConfig::default(), 70 + a as u64);
+                        SensorSuite::new(SensorConfig::default()).run(&traj, 70 + a as u64)
+                    })
+                    .collect()
+            })
+            .collect();
+        let longest = |logs: &[SensorLog]| logs.iter().map(|l| l.imu.len()).max().unwrap_or(0);
+        assert!(longest(&shared[1].0) > longest(&shared[0].0));
+        assert!(longest(&network[1]) > longest(&network[0]));
+        let mut matcher = NetworkMatcher::new(&net, &index);
+        for workers in [1, 2] {
+            let engine = FleetEngine::new(estimator.clone(), workers);
+            for (logs, route) in &shared {
+                let got = engine.process_batch(logs, Some(route));
+                let fresh = FleetEngine::new(estimator.clone(), workers);
+                assert_eq!(got, fresh.process_batch(logs, Some(route)), "{workers} workers");
+                assert_eq!(got, serial(&estimator, logs, |_| Some(route.clone())));
+                assert_eq!(pooled(&engine), workers, "one warm scratch per worker");
+            }
+            for logs in &network {
+                let got = engine.process_batch_network(logs, &net, &index);
+                let fresh = FleetEngine::new(estimator.clone(), workers);
+                assert_eq!(got, fresh.process_batch_network(logs, &net, &index));
+                let want = serial(&estimator, logs, |log| matcher.match_trip(&log.gps).route);
+                assert_eq!(got, want, "{workers} workers, network");
+                assert_eq!(pooled(&engine), workers);
+            }
+        }
+        // Two 2-trip batches at once on a 2-worker engine run four
+        // workers, each holding a scratch until every job has started;
+        // the pool still keeps at most two.
+        let engine = FleetEngine::new(estimator, 2);
+        let rec = StartTogether { started: AtomicUsize::new(0), all: Barrier::new(4) };
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    engine.process_batch_network_recorded(&network[0], &net, &index, &rec)
+                });
+            }
+        });
+        assert_eq!(rec.started.into_inner(), 4);
+        assert_eq!(pooled(&engine), 2);
+    }
+
+    /// A recorder that holds the first four fleet jobs to start until all
+    /// four have started, so the workers running them overlap.
+    struct StartTogether {
+        // sync: counts job starts; the barrier, not this count, orders
+        // the workers.
+        started: AtomicUsize,
+        all: Barrier,
+    }
+
+    impl Recorder for StartTogether {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn event(&self, ev: TraceEvent) {
+            // sync: Relaxed — a count of arrivals, read after the join.
+            let first_four = matches!(ev, TraceEvent::FleetJobStart { .. })
+                && self.started.fetch_add(1, std::sync::atomic::Ordering::Relaxed) < 4;
+            if first_four {
+                self.all.wait();
+            }
+        }
     }
 
     #[test]

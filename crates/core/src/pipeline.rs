@@ -12,15 +12,13 @@
 
 use crate::diagnostics::{FilterHealth, InnovationMonitor};
 use crate::ekf::EkfConfig;
-use crate::ekf_lanes::{EkfLanes, MAX_LANES};
+use crate::ekf_lanes::{rts_smooth_lanes, EkfLanes, LaneEstimate, LaneStep, MAX_LANES};
 use crate::fusion::fuse_tracks_into;
 use crate::lane_change::{Bump, LaneChangeConfig, LaneChangeDetection, LaneChangeDetector};
-use crate::smoother::{rts_step, RtsStep};
 use crate::steering::{smooth_profile_into, SmoothedProfile};
 use crate::track::GradientTrack;
 use gradest_geo::Route;
 use gradest_math::lowess::LowessScratch;
-use gradest_math::{Mat2, Vec2};
 use gradest_obs::{
     Counter, Histogram, NoopRecorder, Recorder, Span, SpanTimer, TraceEvent, TraceHealth,
     TraceSource,
@@ -137,12 +135,11 @@ impl EstimatorConfig {
 /// taxonomy aggregates, and the bench reports embed it as JSON.
 pub use gradest_obs::StageNanos;
 
-/// Per-source working set for one EKF track: measurement staging, filter
-/// history, and the track under construction.
+/// Per-source working set for one EKF track: measurement staging and
+/// the track under construction.
 #[derive(Debug, Clone, Default)]
 struct TrackScratch {
     measurements: Vec<(f64, f64)>,
-    history: Vec<RtsStep>,
     track: GradientTrack,
     // Lazily built on the first *recorded* trip and then reset-and-
     // reused (reset keeps the window's capacity), so the warm recorded
@@ -173,6 +170,9 @@ pub struct EstimatorScratch {
     speed_v: Vec<f64>,
     matched_s: Vec<f64>,
     tracks: Vec<TrackScratch>,
+    // The lane sweep's history for the backward RTS pass: one 320-byte
+    // record per IMU sample, every lane at once.
+    history: Vec<LaneStep>,
     // A recorded trip's EKF innovations in observation order, handed to
     // the recorder in one batch after the lane sweep. Never touched by
     // un-recorded runs.
@@ -318,6 +318,7 @@ impl GradientEstimator {
             speed_v,
             matched_s,
             tracks: track_scratch,
+            history,
             innovations,
             distances,
             stages,
@@ -387,6 +388,7 @@ impl GradientEstimator {
             dt,
             matched_s,
             &mut track_scratch[..n_src],
+            history,
             innovations,
             rec,
         );
@@ -504,12 +506,13 @@ impl GradientEstimator {
 
     /// Fused SoA track stage: runs up to [`MAX_LANES`] source tracks
     /// through one [`EkfLanes`] filter in a single pass over the columnar
-    /// IMU, then smooths all lanes with one interleaved backward RTS
-    /// recursion, leaving one arc-indexed track per source in
-    /// `lanes[l].track`. Per lane this executes the operation sequence of
-    /// one scalar filter per source (same predict/update arithmetic, same
-    /// cursor advances, same anchor order), so each lane's track is
-    /// bit-identical to that filter's;
+    /// IMU, then smooths all lanes with one backward RTS pass over the
+    /// sweep's lane history (`history`, one [`LaneStep`] per IMU sample),
+    /// leaving one arc-indexed track per source in `lanes[l].track`. Per
+    /// lane this executes the operation sequence of one scalar filter per
+    /// source (same predict/update arithmetic, same cursor advances, same
+    /// anchor order), so each lane's track is bit-identical to that
+    /// filter's;
     /// `fused_lanes_bit_identical_to_scalar_tracks` pins the lanes
     /// against the scalar oracle run per source in the tests.
     ///
@@ -534,6 +537,9 @@ impl GradientEstimator {
     /// `observe_many` batch after the sweep, staged in `innovations` in
     /// the order the updates ran, so a sink pays its per-call cost (the
     /// live ring's lock and clock read) once per trip, not per update.
+    ///
+    /// With RTS smoothing on, the sweep pushes only each lane's arc
+    /// position `s`; the backward pass writes every θ and variance.
     #[allow(clippy::too_many_arguments)]
     fn run_ekf_lanes_into<R: Recorder>(
         &self,
@@ -544,6 +550,7 @@ impl GradientEstimator {
         dt: f64,
         matched_s: &[f64],
         lanes: &mut [TrackScratch],
+        history: &mut Vec<LaneStep>,
         innovations: &mut Vec<f64>,
         rec: &R,
     ) {
@@ -570,9 +577,9 @@ impl GradientEstimator {
             ts.track.s.clear();
             ts.track.theta.clear();
             ts.track.variance.clear();
-            ts.history.clear();
             timer.finish(rec, track_span(source));
         }
+        history.clear();
         if rec.enabled() {
             // Each update consumes one staged measurement, so the sweep
             // never grows the buffer past this.
@@ -593,6 +600,7 @@ impl GradientEstimator {
             // One shared predict advances every lane (inactive lanes ride
             // along; their state is never read).
             ekf.predict(imu_cols.accel_long[i], dt);
+            let mut step = ekf.record_predicted();
             // GPS fixes crossing this sample anchor every lane, so the
             // cursor advances once and the lanes replay the range.
             let gps_lo = gps_idx;
@@ -600,9 +608,6 @@ impl GradientEstimator {
                 gps_idx += 1;
             }
             for (l, ts) in lanes.iter_mut().enumerate() {
-                let x_pred = ekf.state(l);
-                let p_pred = ekf.covariance(l);
-                let f = ekf.jacobian(l);
                 let measurements: &[(f64, f64)] = &ts.measurements;
                 let mut mi = m_idx[l];
                 let mut ai = a_idx[l];
@@ -653,20 +658,25 @@ impl GradientEstimator {
                     s = s.max(last);
                 }
                 s_arc[l] = s;
-                ts.track.push(s, ekf.theta(l), ekf.theta_variance(l).max(1e-12));
                 if rts {
-                    ts.history.push(RtsStep {
-                        x_pred,
-                        p_pred,
-                        x_filt: gradest_math::Vec2::new(ekf.velocity(l), ekf.theta(l)),
-                        p_filt: ekf.covariance(l),
-                        f,
-                    });
+                    ts.track.s.push(s);
+                } else {
+                    ts.track.push(s, ekf.theta(l), ekf.theta_variance(l).max(1e-12));
                 }
+            }
+            if rts {
+                ekf.record_filtered(&mut step);
+                history.push(step);
             }
         }
         if rts {
-            smooth_lanes(lanes);
+            for ts in lanes.iter_mut() {
+                ts.track.theta.resize(n_imu, 0.0);
+                ts.track.variance.resize(n_imu, 0.0);
+            }
+            rts_smooth_lanes(&cfg.ekf, dt, history, |k, smoothed| {
+                write_smoothed(lanes, k, smoothed)
+            });
         }
         if rec.enabled() {
             rec.observe_many(Histogram::EkfInnovation, innovations);
@@ -688,36 +698,13 @@ impl GradientEstimator {
     }
 }
 
-/// The backward RTS pass over every lane's history, written straight
-/// into the lanes' tracks. The recursions are interleaved — step `k` of
-/// every lane before step `k − 1` — so the lanes' independent dependency
-/// chains (each serialized on a `Mat2` inverse and three small matrix
-/// products) overlap instead of running back to back. Every lane records
-/// one step per IMU sample, so the histories have equal lengths. Each
-/// lane carries its smoothed `(x, P)` from step `k + 1` to step `k`; the
-/// last step's is its filtered state, already in the track. Per lane the
-/// operation sequence is [`crate::smoother::rts_smooth_into`]'s.
-fn smooth_lanes(lanes: &mut [TrackScratch]) {
-    let mut carry: [Option<(Vec2, Mat2)>; MAX_LANES] = [None; MAX_LANES];
-    for (carried, ts) in carry.iter_mut().zip(lanes.iter()) {
-        *carried = ts.history.last().map(|s| (s.x_filt, s.p_filt));
-    }
-    let steps = lanes.iter().map(|ts| ts.history.len()).max().unwrap_or(0);
-    for k in (0..steps.saturating_sub(1)).rev() {
-        for (ts, carried) in lanes.iter_mut().zip(carry.iter_mut()) {
-            let (Some(cur), Some(next), Some((x_next, p_next))) =
-                (ts.history.get(k), ts.history.get(k + 1), *carried)
-            else {
-                continue;
-            };
-            let (x, p) = rts_step(cur, next, x_next, p_next).unwrap_or((cur.x_filt, cur.p_filt));
-            *carried = Some((x, p));
-            if let (Some(theta), Some(variance)) =
-                (ts.track.theta.get_mut(k), ts.track.variance.get_mut(k))
-            {
-                *theta = x.y;
-                *variance = p.m[1][1].max(1e-12);
-            }
+/// Writes step `k`'s smoothed θ and variance of every lane into the
+/// lanes' tracks.
+fn write_smoothed(lanes: &mut [TrackScratch], k: usize, smoothed: &LaneEstimate) {
+    for ((ts, &theta), &p11) in lanes.iter_mut().zip(&smoothed.th).zip(&smoothed.p11) {
+        if let (Some(t), Some(var)) = (ts.track.theta.get_mut(k), ts.track.variance.get_mut(k)) {
+            *t = theta;
+            *var = p11.max(1e-12);
         }
     }
 }
@@ -1000,6 +987,7 @@ fn alpha_at_cursor(profile: &SmoothedProfile, alpha: &[f64], t: f64, cursor: &mu
 mod tests {
     use super::*;
     use crate::ekf::oracle::GradientEkf;
+    use crate::smoother::RtsStep;
     use gradest_geo::generate::{red_road, straight_road, two_lane_straight};
     use gradest_geo::Route;
     use gradest_sensors::samples::{GpsSample, ImuSample};
@@ -1035,7 +1023,7 @@ mod tests {
         rec: &R,
     ) {
         let r = cfg.source_variance(source);
-        let TrackScratch { measurements, history, track, monitor } = ts;
+        let TrackScratch { measurements, track, monitor } = ts;
         let measurements: &[(f64, f64)] = measurements;
         let v0 = measurements.first().map(|m| m.1).unwrap_or(10.0);
         let mut ekf = GradientEkf::new(cfg.ekf, v0);
@@ -1055,7 +1043,7 @@ mod tests {
         track.s.clear();
         track.theta.clear();
         track.variance.clear();
-        history.clear();
+        let mut history = Vec::new();
         let mut s = 0.0;
         let mut m_idx = 0usize;
         let mut gps_idx = 0usize;
@@ -1130,7 +1118,7 @@ mod tests {
         }
         if cfg.rts_smoothing {
             let mut smoothed = Vec::new();
-            crate::smoother::rts_smooth_into(history, &mut smoothed);
+            crate::smoother::rts_smooth_into(&history, &mut smoothed);
             for (i, (x, p)) in smoothed.iter().enumerate() {
                 track.theta[i] = x.y;
                 track.variance[i] = p.m[1][1].max(1e-12);
@@ -1203,14 +1191,22 @@ mod tests {
     }
 
     /// The lane occupancies the oracle tests cover: all four sources
-    /// with a map and without one, and a two-source subset.
-    fn oracle_cases(route: &Route) -> [(GradientEstimator, Option<&Route>); 3] {
+    /// with a map and without one, a two-source subset, and all four
+    /// forward-only (the sweep then writes θ and variance itself).
+    fn oracle_cases(route: &Route) -> [(GradientEstimator, Option<&Route>); 4] {
         let all = GradientEstimator::new(EstimatorConfig::default());
         let subset = GradientEstimator::new(EstimatorConfig {
             sources: vec![VelocitySource::CanBus, VelocitySource::Accelerometer],
             ..Default::default()
         });
-        [(all.clone(), Some(route)), (all, None), (subset, Some(route))]
+        let forward_only =
+            GradientEstimator::new(EstimatorConfig { rts_smoothing: false, ..Default::default() });
+        [
+            (all.clone(), Some(route)),
+            (all, None),
+            (subset, Some(route)),
+            (forward_only, Some(route)),
+        ]
     }
 
     #[test]

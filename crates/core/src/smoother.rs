@@ -16,6 +16,11 @@
 //! The streaming estimator ([`crate::online`]) cannot use this — that is
 //! precisely the causal/batch trade the `extended_baselines` experiment
 //! quantifies.
+//!
+//! The batch pipeline runs this recursion on all four lanes at once over
+//! the lane sweep's own history (`ekf_lanes::rts_smooth_lanes`). The
+//! per-step [`RtsStep`] form here serves the altitude-EKF baseline and is
+//! the oracle that lane pass is pinned to, bit for bit.
 
 use gradest_math::{Mat2, Vec2};
 use serde::{Deserialize, Serialize};
@@ -41,12 +46,7 @@ pub struct RtsStep {
 /// smoothed `(x_next, p_next)`. `None` when `next`'s predicted
 /// covariance is singular: the caller keeps the filtered estimate at
 /// this step (no smoothing gain).
-pub(crate) fn rts_step(
-    cur: &RtsStep,
-    next: &RtsStep,
-    x_next: Vec2,
-    p_next: Mat2,
-) -> Option<(Vec2, Mat2)> {
+fn rts_step(cur: &RtsStep, next: &RtsStep, x_next: Vec2, p_next: Mat2) -> Option<(Vec2, Mat2)> {
     let p_pred_inv = next.p_pred.inverse().ok()?;
     let c = cur.p_filt * next.f.transpose() * p_pred_inv;
     let x = cur.x_filt + c * (x_next - next.x_pred);

@@ -9,8 +9,9 @@ use crate::{MathError, MathResult};
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
-/// Pivot tolerance below which a matrix is reported singular.
-const SINGULAR_TOL: f64 = 1e-14;
+/// Pivot tolerance below which a matrix is reported singular: the
+/// inverses fail when `|det|` is below it.
+pub const SINGULAR_TOL: f64 = 1e-14;
 
 /// A 2×2 matrix in row-major order.
 ///
