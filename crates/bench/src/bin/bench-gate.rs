@@ -22,6 +22,9 @@
 //! git commit, all gated metrics) to `BENCH_HISTORY.jsonl` at the
 //! repository root — commit it alongside the refreshed baselines so
 //! the perf trajectory across refreshes stays in one greppable file.
+//! The commit is read before anything is written and carries a
+//! `-dirty` suffix when tracked files differ from it, so a refresh
+//! measured on an uncommitted change is not credited to its parent.
 //!
 //! Like `gradest-experiments`, this binary installs a counting global
 //! allocator, so the baselines it writes carry measured
@@ -47,30 +50,95 @@ use std::time::{SystemTime, UNIX_EPOCH};
 // the measured zeros.
 gradest_bench::install_counting_alloc!();
 
-/// Pipeline experiment parameters: the same seed/sample count the
-/// `gradest-experiments` binary uses, so the baseline and the gate
-/// measure the identical workload.
-const PIPELINE_SEED: u64 = 77;
-const PIPELINE_SAMPLES: usize = 5;
-/// Fleet experiment seed; trips/workers are read from the committed
-/// baseline so the gate replays the baseline's workload shape.
-const FLEET_SEED: u64 = 900;
-/// Kernel microbench parameters (mirrors `kernel_microbench` in the
-/// `gradest-experiments` binary).
-const KERNEL_SEED: u64 = 77;
-const KERNEL_SAMPLES: usize = 5;
-/// Geo index tier parameters (mirrors `geo_index` in the
-/// `gradest-experiments` binary): a 200 km country network keeps the
-/// gate fast while still exercising the packed-tree traversal depth.
-const GEO_SEED: u64 = 77;
-const GEO_TARGET_KM: f64 = 200.0;
-const GEO_SAMPLES: usize = 3;
-/// Ingestion-service soak seed; phones/trips-per-phone are read from
-/// the committed baseline so the gate replays its workload shape. The
-/// defaults keep the gate's soak a fraction of the CI smoke's 64-phone
-/// run while exercising the same concurrent decode → estimate → fuse
-/// path.
-const SERVICE_SEED: u64 = 77;
+/// One gated experiment: its committed baseline file, the title of its
+/// delta table, the metrics it gates, and how to run it. `run` gets the
+/// committed baseline (absent on a fresh checkout) so a suite can
+/// replay the baseline's workload shape.
+struct Suite {
+    file: &'static str,
+    title: &'static str,
+    specs: &'static [MetricSpec],
+    run: fn(Option<&Value>) -> Value,
+}
+
+/// A `usize` field of a committed baseline, if present.
+fn baseline_usize(baseline: Option<&Value>, key: &str) -> Option<usize> {
+    baseline.and_then(|b| b[key].as_u64()).map(|v| v as usize)
+}
+
+/// The gated suites, in table order. Seeds and sample counts mirror the
+/// `gradest-experiments` binary, so a baseline and the gate measure the
+/// identical workload.
+const SUITES: [Suite; 5] = [
+    Suite {
+        file: "BENCH_pipeline.json",
+        title: "Pipeline hot path",
+        specs: gate::PIPELINE_METRICS,
+        run: |_| {
+            let (seed, samples) = (77, 5);
+            println!("bench-gate: pipeline(seed={seed}, samples={samples})");
+            serde_json::to_value(&pipeline_hotpath::run(seed, samples))
+        },
+    },
+    Suite {
+        file: "BENCH_fleet.json",
+        title: "Fleet scaling",
+        specs: gate::FLEET_METRICS,
+        run: |baseline| {
+            // Replay the baseline's trips and workers; fall back to the
+            // experiment binary's defaults on a fresh checkout.
+            let seed = 900;
+            let trips = baseline_usize(baseline, "trips").unwrap_or(16);
+            let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+            let workers = baseline_usize(baseline, "workers")
+                .unwrap_or_else(|| cpus.clamp(1, 4))
+                .clamp(1, cpus.max(1));
+            println!("bench-gate: fleet(seed={seed}, trips={trips}, workers={workers})");
+            serde_json::to_value(&fleet_bench::run(seed, trips, workers))
+        },
+    },
+    Suite {
+        file: "BENCH_kernels.json",
+        title: "Kernel microbenches",
+        specs: gate::KERNEL_METRICS,
+        run: |_| {
+            let (seed, samples) = (77, 5);
+            println!("bench-gate: kernels(seed={seed}, samples={samples})");
+            serde_json::to_value(&kernels::run(seed, samples))
+        },
+    },
+    Suite {
+        file: "BENCH_geo.json",
+        title: "Geo index",
+        specs: gate::GEO_METRICS,
+        run: |_| {
+            // A 200 km country network keeps the gate fast while still
+            // exercising the packed-tree traversal depth.
+            let (seed, target_km, samples) = (77, 200.0, 3);
+            println!("bench-gate: geo(seed={seed}, target_km={target_km}, samples={samples})");
+            serde_json::to_value(&geo_index::run(seed, target_km, samples))
+        },
+    },
+    Suite {
+        file: "BENCH_service.json",
+        title: "Ingestion service",
+        specs: gate::SERVICE_METRICS,
+        run: |baseline| {
+            // Replay the baseline's fleet shape. The defaults keep the
+            // gate's soak a fraction of the CI smoke's 64-phone run while
+            // exercising the same concurrent decode → estimate → fuse
+            // path.
+            let seed = 77;
+            let phones = baseline_usize(baseline, "phones").unwrap_or(8);
+            let trips_per_phone = baseline_usize(baseline, "trips_per_phone").unwrap_or(8);
+            println!(
+                "bench-gate: service(seed={seed}, phones={phones}, \
+                 trips_per_phone={trips_per_phone})"
+            );
+            serde_json::to_value(&service_soak::run(seed, phones, trips_per_phone))
+        },
+    },
+];
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -105,17 +173,36 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args { tolerance, update, inject_regression })
 }
 
+/// The commit a refresh measures: `git rev-parse --short HEAD`, with
+/// `-dirty` appended when a tracked file differs from HEAD, or `null`
+/// outside a git checkout. Read before the refresh writes anything, so
+/// the new baselines themselves never mark the tree dirty.
+fn commit_stamp(root: &Path) -> Value {
+    let git =
+        |args: &[&str]| std::process::Command::new("git").args(args).current_dir(root).output();
+    let Some(sha) = git(&["rev-parse", "--short", "HEAD"])
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+    else {
+        return Value::Null;
+    };
+    // `git diff --quiet` exits 1 exactly when the tracked files differ.
+    let dirty =
+        git(&["diff", "--quiet", "HEAD", "--"]).is_ok_and(|out| out.status.code() == Some(1));
+    Value::String(format!("{}{}", sha.trim(), if dirty { "-dirty" } else { "" }))
+}
+
 /// Appends one compact JSON line summarising a baseline refresh to the
-/// committed `BENCH_HISTORY.jsonl`: a unix timestamp, the current git
-/// commit (best effort — `null` outside a git checkout), and every
-/// gated metric's measured value in nanoseconds. One object per
-/// `--update`, newest last, so the machine's perf trajectory stays
-/// greppable from the repository itself without spelunking git history
-/// of the full BENCH_*.json documents.
-fn append_history(root: &Path, suites: &[(&Value, &[MetricSpec])]) -> Result<PathBuf, String> {
+/// committed `BENCH_HISTORY.jsonl`: a unix timestamp, the `commit`
+/// stamp, and every gated metric's measured value in nanoseconds. One
+/// object per `--update`, newest last, so the machine's perf trajectory
+/// stays greppable from the repository itself without spelunking git
+/// history of the full BENCH_*.json documents.
+fn append_history(root: &Path, commit: Value, current: &[Value]) -> Result<PathBuf, String> {
     let mut metrics = Map::new();
-    for (doc, specs) in suites {
-        for (name, value) in gate::extract(doc, specs) {
+    for (suite, doc) in SUITES.iter().zip(current) {
+        for (name, value) in gate::extract(doc, suite.specs) {
             metrics.insert(name, value.map(Value::from).unwrap_or(Value::Null));
         }
     }
@@ -123,15 +210,6 @@ fn append_history(root: &Path, suites: &[(&Value, &[MetricSpec])]) -> Result<Pat
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs())
         .map_err(|e| format!("system clock before the unix epoch: {e}"))?;
-    let commit = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(root)
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|sha| Value::String(sha.trim().to_string()))
-        .unwrap_or(Value::Null);
     let mut line = Map::new();
     line.insert("unix_time_s", Value::Number(Number::from(unix_s)));
     line.insert("commit", commit);
@@ -199,135 +277,27 @@ fn main() -> ExitCode {
     };
     alloc_counter::mark_installed();
     let root = workspace_root();
-    let pipeline_path = root.join("BENCH_pipeline.json");
-    let fleet_path = root.join("BENCH_fleet.json");
-    let kernels_path = root.join("BENCH_kernels.json");
-    let geo_path = root.join("BENCH_geo.json");
-    let service_path = root.join("BENCH_service.json");
-
-    let load = |path: &Path| match load_baseline(path) {
-        Ok(doc) => Some(doc),
-        Err(e) => {
-            eprintln!("bench-gate: {e}");
-            None
+    let mut baselines = Vec::with_capacity(SUITES.len());
+    for suite in &SUITES {
+        match load_baseline(&root.join(suite.file)) {
+            Ok(doc) => baselines.push(doc),
+            Err(e) => eprintln!("bench-gate: {e}"),
         }
-    };
-    let (
-        Some(baseline_pipeline),
-        Some(baseline_fleet),
-        Some(baseline_kernels),
-        Some(baseline_geo),
-        Some(baseline_service),
-    ) = (
-        load(&pipeline_path),
-        load(&fleet_path),
-        load(&kernels_path),
-        load(&geo_path),
-        load(&service_path),
-    )
-    else {
+    }
+    if baselines.len() < SUITES.len() {
         return ExitCode::from(2);
-    };
-
-    // Replay the baseline's fleet workload shape; fall back to the
-    // experiment binary's defaults on a fresh checkout.
-    let trips =
-        baseline_fleet.as_ref().and_then(|b| b["trips"].as_u64()).map(|t| t as usize).unwrap_or(16);
-    let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let workers = baseline_fleet
-        .as_ref()
-        .and_then(|b| b["workers"].as_u64())
-        .map(|w| w as usize)
-        .unwrap_or_else(|| cpus.clamp(1, 4))
-        .clamp(1, cpus.max(1));
-
-    // Same idea for the service soak: replay the committed workload
-    // shape so baseline and gate measure identical fleets.
-    let phones = baseline_service
-        .as_ref()
-        .and_then(|b| b["phones"].as_u64())
-        .map(|p| p as usize)
-        .unwrap_or(8);
-    let trips_per_phone = baseline_service
-        .as_ref()
-        .and_then(|b| b["trips_per_phone"].as_u64())
-        .map(|t| t as usize)
-        .unwrap_or(8);
-
-    println!(
-        "bench-gate: pipeline(seed={PIPELINE_SEED}, samples={PIPELINE_SAMPLES}), \
-         fleet(seed={FLEET_SEED}, trips={trips}, workers={workers}), \
-         kernels(seed={KERNEL_SEED}, samples={KERNEL_SAMPLES}), \
-         geo(seed={GEO_SEED}, target_km={GEO_TARGET_KM}, samples={GEO_SAMPLES}), \
-         service(seed={SERVICE_SEED}, phones={phones}, trips_per_phone={trips_per_phone})"
-    );
-    let pipeline_run = pipeline_hotpath::run(PIPELINE_SEED, PIPELINE_SAMPLES);
-    let fleet_run = fleet_bench::run(FLEET_SEED, trips, workers);
-    let kernels_run = kernels::run(KERNEL_SEED, KERNEL_SAMPLES);
-    let geo_run = geo_index::run(GEO_SEED, GEO_TARGET_KM, GEO_SAMPLES);
-    let service_run = service_soak::run(SERVICE_SEED, phones, trips_per_phone);
-    let current_pipeline = serde_json::to_value(&pipeline_run);
-    let current_fleet = serde_json::to_value(&fleet_run);
-    let current_kernels = serde_json::to_value(&kernels_run);
-    let current_geo = serde_json::to_value(&geo_run);
-    let current_service = serde_json::to_value(&service_run);
-
-    if args.update {
-        let write = |path: &Path, value: &Value| match std::fs::write(
-            path,
-            value.to_string_pretty() + "\n",
-        ) {
-            Ok(()) => {
-                println!("bench-gate: wrote {}", path.display());
-                true
-            }
-            Err(e) => {
-                eprintln!("bench-gate: cannot write {}: {e}", path.display());
-                false
-            }
-        };
-        let ok = write(&pipeline_path, &current_pipeline)
-            & write(&fleet_path, &current_fleet)
-            & write(&kernels_path, &current_kernels)
-            & write(&geo_path, &current_geo)
-            & write(&service_path, &current_service);
-        let history_ok = match append_history(
-            &root,
-            &[
-                (&current_pipeline, gate::PIPELINE_METRICS),
-                (&current_fleet, gate::FLEET_METRICS),
-                (&current_kernels, gate::KERNEL_METRICS),
-                (&current_geo, gate::GEO_METRICS),
-                (&current_service, gate::SERVICE_METRICS),
-            ],
-        ) {
-            Ok(path) => {
-                println!("bench-gate: appended refresh summary to {}", path.display());
-                true
-            }
-            Err(e) => {
-                eprintln!("bench-gate: {e}");
-                false
-            }
-        };
-        return if ok && history_ok { ExitCode::SUCCESS } else { ExitCode::from(2) };
     }
 
     // Name each absent baseline individually: "some baseline is
     // missing" sends people hunting through five files, while the
     // actual fix is one command away.
-    let absent: Vec<&Path> = [
-        (&baseline_pipeline, pipeline_path.as_path()),
-        (&baseline_fleet, fleet_path.as_path()),
-        (&baseline_kernels, kernels_path.as_path()),
-        (&baseline_geo, geo_path.as_path()),
-        (&baseline_service, service_path.as_path()),
-    ]
-    .into_iter()
-    .filter(|(doc, _)| doc.is_none())
-    .map(|(_, path)| path)
-    .collect();
-    if !absent.is_empty() {
+    let absent: Vec<PathBuf> = SUITES
+        .iter()
+        .zip(&baselines)
+        .filter(|(_, doc)| doc.is_none())
+        .map(|(suite, _)| root.join(suite.file))
+        .collect();
+    if !args.update && !absent.is_empty() {
         for path in &absent {
             eprintln!("bench-gate: baseline {} does not exist", path.display());
         }
@@ -339,16 +309,32 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     }
-    let (
-        Some(baseline_pipeline),
-        Some(baseline_fleet),
-        Some(baseline_kernels),
-        Some(baseline_geo),
-        Some(baseline_service),
-    ) = (baseline_pipeline, baseline_fleet, baseline_kernels, baseline_geo, baseline_service)
-    else {
-        unreachable!("absent baselines were reported above");
-    };
+
+    let commit = commit_stamp(&root);
+    let current: Vec<Value> =
+        SUITES.iter().zip(&baselines).map(|(suite, doc)| (suite.run)(doc.as_ref())).collect();
+
+    if args.update {
+        let mut ok = true;
+        for (suite, value) in SUITES.iter().zip(&current) {
+            let path = root.join(suite.file);
+            match std::fs::write(&path, value.to_string_pretty() + "\n") {
+                Ok(()) => println!("bench-gate: wrote {}", path.display()),
+                Err(e) => {
+                    eprintln!("bench-gate: cannot write {}: {e}", path.display());
+                    ok = false;
+                }
+            }
+        }
+        match append_history(&root, commit, &current) {
+            Ok(path) => println!("bench-gate: appended refresh summary to {}", path.display()),
+            Err(e) => {
+                eprintln!("bench-gate: {e}");
+                ok = false;
+            }
+        }
+        return if ok { ExitCode::SUCCESS } else { ExitCode::from(2) };
+    }
 
     let inject = if args.inject_regression {
         println!("bench-gate: --inject-regression active, tripling every current metric");
@@ -356,52 +342,15 @@ fn main() -> ExitCode {
     } else {
         1.0
     };
-    let pipeline_report = gate_suite(
-        "Pipeline hot path vs BENCH_pipeline.json",
-        &baseline_pipeline,
-        &current_pipeline,
-        gate::PIPELINE_METRICS,
-        args.tolerance,
-        inject,
-    );
-    let fleet_report = gate_suite(
-        "Fleet scaling vs BENCH_fleet.json",
-        &baseline_fleet,
-        &current_fleet,
-        gate::FLEET_METRICS,
-        args.tolerance,
-        inject,
-    );
-    let kernels_report = gate_suite(
-        "Kernel microbenches vs BENCH_kernels.json",
-        &baseline_kernels,
-        &current_kernels,
-        gate::KERNEL_METRICS,
-        args.tolerance,
-        inject,
-    );
-    let geo_report = gate_suite(
-        "Geo index vs BENCH_geo.json",
-        &baseline_geo,
-        &current_geo,
-        gate::GEO_METRICS,
-        args.tolerance,
-        inject,
-    );
-    let service_report = gate_suite(
-        "Ingestion service vs BENCH_service.json",
-        &baseline_service,
-        &current_service,
-        gate::SERVICE_METRICS,
-        args.tolerance,
-        inject,
-    );
-
-    let failures = pipeline_report.failures()
-        + fleet_report.failures()
-        + kernels_report.failures()
-        + geo_report.failures()
-        + service_report.failures();
+    // No baseline is absent here (checked above), so `flatten` keeps
+    // all five in table order.
+    let mut failures = 0;
+    for ((suite, baseline), current) in SUITES.iter().zip(baselines.iter().flatten()).zip(&current)
+    {
+        let title = format!("{} vs {}", suite.title, suite.file);
+        failures +=
+            gate_suite(&title, baseline, current, suite.specs, args.tolerance, inject).failures();
+    }
     if failures == 0 {
         println!("\nbench-gate: PASS — all metrics within ±{:.0}%", args.tolerance * 100.0);
         ExitCode::SUCCESS

@@ -44,7 +44,7 @@ pub struct FleetBench {
     pub cloud: CloudSnapshot,
     /// Observability report from the recorded cloud fan-in batch:
     /// fleet-batch / worker-trip / cloud-upload spans, job counters,
-    /// and the hold-back-depth and worker-utilization histograms.
+    /// and the worker-utilization histogram.
     pub obs: RunReport,
 }
 

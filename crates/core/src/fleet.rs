@@ -5,27 +5,23 @@
 //! vehicles; reproducing its experiments means estimating hundreds of
 //! independent trips, which the single-trip pipeline
 //! ([`GradientEstimator::estimate`]) only exercises one core at a time.
-//! [`FleetEngine`] closes that gap: submit a batch of [`SensorLog`]s, a
-//! pool of workers drains a shared job channel, and results stream back
-//! in **submission order** regardless of which worker finishes first —
-//! so a 1-worker and an N-worker run produce bit-identical output.
-//!
-//! Work distribution uses MPMC channels (`crossbeam::channel`): the main
-//! thread enqueues job indices, each worker loops `recv → estimate →
-//! send (index, result)`, and the main thread reorders results through a
-//! hold-back buffer. Slow trips therefore never stall workers, only the
-//! in-order delivery point.
+//! [`FleetEngine`] closes that gap. A batch is a slice of [`SensorLog`]s,
+//! fully known before any worker starts: workers claim trip indices from
+//! one atomic ticket counter until the slice runs out, so a long trip
+//! never holds the other workers back, and each keeps its own
+//! `(index, estimate)` pairs. Joining the workers hands the pairs back,
+//! and the batch returns the estimates in **submission order** — so a
+//! 1-worker and an N-worker run produce bit-identical output.
 //!
 //! Each worker estimates its trips through one [`EstimatorScratch`],
-//! taken from the engine's pool when the worker spawns and returned when
-//! it exits. The pool keeps at most one scratch per worker, so a scratch
-//! stays warm across batches: a later batch of similar trips reuses its
-//! buffers instead of growing them again.
+//! taken from the engine's pool before the workers spawn and returned
+//! when they are joined. The pool keeps at most one scratch per worker,
+//! so a scratch stays warm across batches: a later batch of similar
+//! trips reuses its buffers instead of growing them again.
 
 use crate::cloud::CloudAggregator;
 use crate::pipeline::{EstimatorScratch, GradientEstimate, GradientEstimator};
-use crate::sync::Mutex;
-use crossbeam::channel;
+use crate::sync::{AtomicUsize, Mutex, Ordering};
 use gradest_geo::index::NetworkIndex;
 use gradest_geo::network::RoadNetwork;
 use gradest_geo::Route;
@@ -34,7 +30,6 @@ use gradest_obs::{
 };
 use gradest_sensors::suite::SensorLog;
 use gradest_sensors::NetworkMatcher;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// How batch trips obtain their map geometry.
@@ -64,9 +59,9 @@ pub struct FleetEngine {
     estimator: GradientEstimator,
     workers: usize,
     // sync: the warm scratches between batches, at most `workers`. A
-    // batch pops one per worker before spawning them, and each worker
-    // pushes its own back at exit; the lock is held for those pops or
-    // that push only, never across an estimate.
+    // batch pops one per worker before spawning them and pushes them
+    // back after joining them; the lock is held for those pops or
+    // those pushes only, never across an estimate.
     scratches: Mutex<Vec<EstimatorScratch>>,
 }
 
@@ -90,9 +85,7 @@ impl FleetEngine {
     /// Estimates every trip in the batch, returning results in
     /// submission order. Output is bit-identical for any worker count.
     pub fn process_batch(&self, logs: &[SensorLog], map: Option<&Route>) -> Vec<GradientEstimate> {
-        let mut out = Vec::with_capacity(logs.len());
-        self.process_streaming(logs, map, |_, est| out.push(est));
-        out
+        self.run_pool(logs, MapMode::Shared(map), None, &NoopRecorder)
     }
 
     /// Estimates every trip in the batch with **network matching**: no
@@ -113,9 +106,9 @@ impl FleetEngine {
 
     /// [`Self::process_batch_network`] reporting to an observability
     /// [`Recorder`]: the per-trip pipeline records through it, and the
-    /// pool adds batch/worker spans, job counters, hold-back depth, and
-    /// per-worker utilization. Each trip's match time is recorded under
-    /// the `network-match-trip` span.
+    /// pool adds batch/worker spans, job counters and per-worker
+    /// utilization. Each trip's match time is recorded under the
+    /// `network-match-trip` span.
     pub fn process_batch_network_recorded<R: Recorder>(
         &self,
         logs: &[SensorLog],
@@ -123,21 +116,7 @@ impl FleetEngine {
         index: &NetworkIndex,
         rec: &R,
     ) -> Vec<GradientEstimate> {
-        let mut out = Vec::with_capacity(logs.len());
-        self.run_pool(logs, MapMode::Network(net, index), None, rec, |_, est| out.push(est));
-        out
-    }
-
-    /// Estimates every trip in the batch, invoking `on_result(index,
-    /// estimate)` for each trip strictly in submission order, as soon as
-    /// that trip *and all earlier ones* have finished. Out-of-order
-    /// completions wait in a hold-back buffer, so the callback sees the
-    /// exact sequence a serial loop would produce.
-    fn process_streaming<F>(&self, logs: &[SensorLog], map: Option<&Route>, on_result: F)
-    where
-        F: FnMut(usize, GradientEstimate),
-    {
-        self.run_pool(logs, MapMode::Shared(map), None, &NoopRecorder, on_result);
+        self.run_pool(logs, MapMode::Network(net, index), None, rec)
     }
 
     /// [`Self::process_batch`] with cloud fan-in, reporting to an
@@ -151,9 +130,8 @@ impl FleetEngine {
     /// summation order.
     ///
     /// The per-trip pipeline and the cloud uploads record through `rec`,
-    /// and the pool adds batch/worker spans, job counters, hold-back
-    /// depth, and per-worker utilization. Pass [`NoopRecorder`] to
-    /// record nothing.
+    /// and the pool adds batch/worker spans, job counters and per-worker
+    /// utilization. Pass [`NoopRecorder`] to record nothing.
     ///
     /// # Panics
     ///
@@ -167,141 +145,135 @@ impl FleetEngine {
         rec: &R,
     ) -> Vec<GradientEstimate> {
         assert_eq!(road_ids.len(), logs.len(), "one road id per trip");
-        let mut out = Vec::with_capacity(logs.len());
-        self.run_pool(logs, MapMode::Shared(map), Some((road_ids, cloud)), rec, |_, est| {
-            out.push(est)
-        });
-        out
+        self.run_pool(logs, MapMode::Shared(map), Some((road_ids, cloud)), rec)
     }
 
-    fn run_pool<R, F>(
+    fn run_pool<R: Recorder>(
         &self,
         logs: &[SensorLog],
         map: MapMode<'_>,
         cloud: Option<(&[u64], &CloudAggregator)>,
         rec: &R,
-        mut on_result: F,
-    ) where
-        R: Recorder,
-        F: FnMut(usize, GradientEstimate),
-    {
+    ) -> Vec<GradientEstimate> {
         if logs.is_empty() {
-            return;
+            return Vec::new();
         }
         let batch_timer = SpanTimer::start(rec);
         let workers = self.workers.min(logs.len());
-        let (job_tx, job_rx) = channel::unbounded::<usize>();
-        let (res_tx, res_rx) = channel::unbounded::<(usize, GradientEstimate)>();
-        for i in 0..logs.len() {
-            // lint:allow(no-panic) job_rx lives until the scope below; unbounded send cannot fail
-            job_tx.send(i).expect("receiver alive");
-        }
         rec.incr(Counter::FleetJobsSubmitted, logs.len() as u64);
-        // Closing the job channel is what terminates the workers: each
-        // drains until `recv` reports disconnection.
-        drop(job_tx);
 
         // One warm scratch per worker, kept in the pool across batches:
-        // estimation reuses its buffers instead of the heap. All are
-        // taken before any worker starts, so each worker returns its own.
+        // estimation reuses its buffers instead of the heap.
         let taken: Vec<EstimatorScratch> = {
             let mut pool = self.scratches.lock();
             (0..workers).map(|_| pool.pop().unwrap_or_default()).collect()
         };
-        std::thread::scope(|scope| {
-            for mut scratch in taken {
-                let job_rx = job_rx.clone();
-                let res_tx = res_tx.clone();
-                let (estimator, scratches) = (&self.estimator, &self.scratches);
-                scope.spawn(move || {
-                    // Network mode keeps one matcher per worker so its
-                    // query scratch stays warm across trips.
-                    let mut net_matcher = match map {
-                        MapMode::Network(net, index) => Some(NetworkMatcher::new(net, index)),
-                        MapMode::Shared(_) => None,
-                    };
-                    // Worker lifetime + busy time feed the utilization
-                    // histogram; clock reads only when recording.
-                    let spawned = if rec.enabled() { Some(Instant::now()) } else { None };
-                    let mut busy_ns = 0u64;
-                    while let Ok(i) = job_rx.recv() {
-                        let t0 = if rec.enabled() { Some(Instant::now()) } else { None };
-                        if rec.enabled() {
-                            rec.event(TraceEvent::FleetJobStart { job: i as u32 });
-                        }
-                        let matched;
-                        let route = if let Some(matcher) = net_matcher.as_mut() {
-                            let tm = if rec.enabled() { Some(Instant::now()) } else { None };
-                            matched = matcher.match_trip(&logs[i].gps);
-                            if let Some(tm) = tm {
-                                rec.record_span(Span::NetworkMatchTrip, saturating_ns(tm));
-                            }
-                            matched.route.as_ref()
-                        } else {
-                            match map {
-                                MapMode::Shared(r) => r,
-                                MapMode::Network(..) => None,
-                            }
-                        };
-                        let mut est = GradientEstimate::default();
-                        estimator.estimate_into_recorded(
-                            &logs[i],
-                            route,
-                            &mut scratch,
-                            &mut est,
-                            rec,
-                        );
-                        if let Some((road_ids, cloud)) = cloud {
-                            cloud.upload_recorded(road_ids[i], &est.fused, rec);
-                        }
-                        if let Some(t0) = t0 {
-                            let ns = saturating_ns(t0);
-                            busy_ns += ns;
-                            rec.record_span(Span::FleetWorkerTrip, ns);
-                            rec.event(TraceEvent::FleetJobEnd { job: i as u32 });
-                        }
-                        rec.incr(Counter::FleetJobsCompleted, 1);
-                        if res_tx.send((i, est)).is_err() {
-                            break;
-                        }
-                    }
-                    if let Some(spawned) = spawned {
-                        let lifetime_ns = saturating_ns(spawned).max(1);
-                        rec.observe(
-                            Histogram::FleetWorkerUtilization,
-                            busy_ns as f64 / lifetime_ns as f64,
-                        );
-                    }
-                    // Concurrent batches on one engine run more workers
-                    // than `workers`; the pool keeps only that many.
-                    let mut pool = scratches.lock();
-                    if pool.len() < self.workers {
-                        pool.push(scratch);
-                    }
-                });
-            }
-            drop(res_tx);
-            drop(job_rx);
-
-            // Hold-back reordering: emit index `next` only once every
-            // earlier trip has been emitted.
-            let mut next = 0usize;
-            let mut pending: BTreeMap<usize, GradientEstimate> = BTreeMap::new();
-            for (i, est) in res_rx.iter() {
-                pending.insert(i, est);
-                if rec.enabled() && i != next {
-                    // A result arrived out of order: sample how much is
-                    // parked awaiting earlier trips.
-                    rec.observe(Histogram::FleetHoldbackDepth, pending.len() as f64);
-                }
-                while let Some(est) = pending.remove(&next) {
-                    on_result(next, est);
-                    next += 1;
-                }
-            }
-            assert_eq!(next, logs.len(), "worker pool dropped a job");
+        // sync: the ticket counter. Each `fetch_add` claims one trip
+        // index, so every index goes to exactly one worker. Relaxed is
+        // enough: the slice is shared before the spawn and the pairs
+        // come back through the join, and both synchronise.
+        let next = AtomicUsize::new(0);
+        let joined: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = taken
+                .into_iter()
+                .map(|scratch| {
+                    let next = &next;
+                    scope.spawn(move || self.work(logs, map, cloud, rec, next, scratch))
+                })
+                .collect();
+            // A worker's panic resumes here, as the scope would.
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect()
         });
+
+        let mut estimates = Vec::with_capacity(logs.len());
+        {
+            let mut pool = self.scratches.lock();
+            for (done, scratch) in joined {
+                estimates.extend(done);
+                // Concurrent batches on one engine run more workers
+                // than `workers`; the pool keeps only that many.
+                if pool.len() < self.workers {
+                    pool.push(scratch);
+                }
+            }
+        }
+        // Every index was claimed exactly once, so sorting by it gives
+        // the submission order.
+        estimates.sort_unstable_by_key(|&(i, _)| i);
         batch_timer.finish(rec, Span::FleetBatch);
+        estimates.into_iter().map(|(_, est)| est).collect()
+    }
+
+    /// One worker: claims trip indices from `next` until the batch runs
+    /// out, estimates each trip through `scratch`, and hands its
+    /// `(index, estimate)` pairs back with the scratch.
+    fn work<R: Recorder>(
+        &self,
+        logs: &[SensorLog],
+        map: MapMode<'_>,
+        cloud: Option<(&[u64], &CloudAggregator)>,
+        rec: &R,
+        // sync: the batch's ticket counter, see `run_pool`.
+        next: &AtomicUsize,
+        mut scratch: EstimatorScratch,
+    ) -> (Vec<(usize, GradientEstimate)>, EstimatorScratch) {
+        // Network mode keeps one matcher per worker so its query scratch
+        // stays warm across trips.
+        let mut net_matcher = match map {
+            MapMode::Network(net, index) => Some(NetworkMatcher::new(net, index)),
+            MapMode::Shared(_) => None,
+        };
+        // Worker lifetime + busy time feed the utilization histogram;
+        // clock reads only when recording.
+        let spawned = if rec.enabled() { Some(Instant::now()) } else { None };
+        let mut busy_ns = 0u64;
+        let mut done = Vec::new();
+        loop {
+            // sync: Relaxed ticket claim, see `run_pool`.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(log) = logs.get(i) else {
+                break;
+            };
+            let t0 = if rec.enabled() { Some(Instant::now()) } else { None };
+            if rec.enabled() {
+                rec.event(TraceEvent::FleetJobStart { job: i as u32 });
+            }
+            let matched;
+            let route = if let Some(matcher) = net_matcher.as_mut() {
+                let tm = if rec.enabled() { Some(Instant::now()) } else { None };
+                matched = matcher.match_trip(&log.gps);
+                if let Some(tm) = tm {
+                    rec.record_span(Span::NetworkMatchTrip, saturating_ns(tm));
+                }
+                matched.route.as_ref()
+            } else {
+                match map {
+                    MapMode::Shared(r) => r,
+                    MapMode::Network(..) => None,
+                }
+            };
+            let mut est = GradientEstimate::default();
+            self.estimator.estimate_into_recorded(log, route, &mut scratch, &mut est, rec);
+            if let Some((road_ids, cloud)) = cloud {
+                cloud.upload_recorded(road_ids[i], &est.fused, rec);
+            }
+            if let Some(t0) = t0 {
+                let ns = saturating_ns(t0);
+                busy_ns += ns;
+                rec.record_span(Span::FleetWorkerTrip, ns);
+                rec.event(TraceEvent::FleetJobEnd { job: i as u32 });
+            }
+            rec.incr(Counter::FleetJobsCompleted, 1);
+            done.push((i, est));
+        }
+        if let Some(spawned) = spawned {
+            let lifetime_ns = saturating_ns(spawned).max(1);
+            rec.observe(Histogram::FleetWorkerUtilization, busy_ns as f64 / lifetime_ns as f64);
+        }
+        (done, scratch)
     }
 }
 
@@ -335,19 +307,6 @@ mod tests {
         assert_eq!(serial.len(), parallel.len());
         // PartialEq over every track sample: bit-identical, not close.
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn streaming_preserves_submission_order() {
-        let route = Route::new(vec![straight_road(400.0, 1.0)]).unwrap();
-        let logs = batch(&route, 5);
-        let engine = FleetEngine::new(GradientEstimator::new(EstimatorConfig::default()), 3);
-        let mut seen = Vec::new();
-        engine.process_streaming(&logs, Some(&route), |i, est| {
-            assert!(!est.fused.is_empty());
-            seen.push(i);
-        });
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use gradest_obs::{
     Counter, Histogram, NoopRecorder, Recorder, Span, SpanTimer, TraceEvent, TraceHealth,
     TraceSource,
 };
-use gradest_sensors::alignment::{steering_rate_profile_into, MapMatcher, WRoadScratch};
+use gradest_sensors::alignment::{steering_rate_profile_into, WRoadScratch};
 use gradest_sensors::columnar::ImuColumns;
 use gradest_sensors::samples::SpeedSample;
 use gradest_sensors::suite::SensorLog;
@@ -168,7 +168,6 @@ pub struct EstimatorScratch {
     alpha: Vec<f64>,
     speed_t: Vec<f64>,
     speed_v: Vec<f64>,
-    matched_s: Vec<f64>,
     tracks: Vec<TrackScratch>,
     // The lane sweep's history for the backward RTS pass: one 320-byte
     // record per IMU sample, every lane at once.
@@ -316,7 +315,6 @@ impl GradientEstimator {
             alpha,
             speed_t,
             speed_v,
-            matched_s,
             tracks: track_scratch,
             history,
             innovations,
@@ -366,27 +364,15 @@ impl GradientEstimator {
         if track_scratch.len() < n_src {
             track_scratch.resize_with(n_src, TrackScratch::default);
         }
-        // Map-match the GPS fixes once for the whole trip: `match_s` is a
-        // function of the fix positions and the matcher's own sequential
-        // state only, so every source track would recompute the identical
-        // arc sequence (~40 route probes per fix each). Invalid fixes
-        // hold a NaN placeholder to keep indices aligned and do not
-        // advance the matcher; the sweep skips them.
-        matched_s.clear();
-        if let Some(route) = map {
-            matched_s.reserve(log.gps.len());
-            let mut matcher = MapMatcher::new(route);
-            for fix in &log.gps {
-                matched_s.push(if fix.valid { matcher.match_s(fix.position) } else { f64::NAN });
-            }
-        }
+        // The odometer anchors to the arcs the steering pass matched the
+        // GPS fixes to, once per trip for every lane.
         self.run_ekf_lanes_into(
             log,
             imu_cols,
             profile,
             alpha,
             dt,
-            matched_s,
+            wroad.matched_s(),
             &mut track_scratch[..n_src],
             history,
             innovations,
@@ -1163,7 +1149,7 @@ mod tests {
                     &scratch.profile,
                     &scratch.alpha,
                     log.imu_dt(),
-                    &scratch.matched_s,
+                    scratch.wroad.matched_s(),
                     &mut ts,
                     rec,
                 );

@@ -17,9 +17,9 @@
 #[cfg(not(loom))]
 pub use parking_lot::{Mutex, RwLock};
 #[cfg(not(loom))]
-pub use std::sync::atomic::{AtomicU64, Ordering};
+pub use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 #[cfg(loom)]
-pub use loom::sync::atomic::{AtomicU64, Ordering};
+pub use loom::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 #[cfg(loom)]
 pub use loom::sync::{Mutex, RwLock};

@@ -2,8 +2,9 @@
 //!
 //! Compiled only under `--cfg loom`, which also swaps
 //! `gradest_core::sync` (and therefore `CloudAggregator`'s lock
-//! stripes and upload counter) onto the loom shim's instrumented
-//! primitives. Run with:
+//! stripes and upload counter, and `FleetEngine`'s ticket counter and
+//! scratch pool) onto the loom shim's instrumented primitives. Run
+//! with:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg loom" cargo test -p gradest-core --test loom
@@ -20,9 +21,8 @@
 
 use gradest_core::cloud::CloudAggregator;
 use gradest_core::track::GradientTrack;
-use loom::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::{Arc, Mutex};
-use std::collections::VecDeque;
 
 fn dyadic_track(theta: f64, n: usize) -> GradientTrack {
     let mut t = GradientTrack::new("model-vehicle");
@@ -82,134 +82,91 @@ fn cloud_upload_shard_protocol_holds() {
     });
 }
 
-/// Fleet shutdown/drain ordering: a model of `FleetEngine::run_pool`'s
-/// channel protocol. The producer enqueues every job *before*
-/// signalling closure (the analogue of `drop(job_tx)` after the send
-/// loop); workers keep draining until the queue is empty AND closed.
-/// Under that ordering no job may be lost, no job may run twice, and
-/// every worker must terminate. (Signalling closure before the last
-/// enqueue is the bug this model exists to catch: a worker could
-/// observe empty+closed, exit, and strand a job.)
+/// `FleetEngine::run_pool`'s ticket protocol: workers claim trip
+/// indices from one atomic counter until they pass the batch length.
+/// Whatever order the claims land in, every index goes to exactly one
+/// worker and every worker finishes, so the batch can join them all.
 #[test]
-fn fleet_shutdown_drains_all_jobs() {
-    const JOBS: u64 = 6;
+fn fleet_tickets_claim_every_trip_once() {
+    const JOBS: usize = 6;
     const WORKERS: usize = 3;
     loom::model(|| {
-        let queue = Arc::new(Mutex::new(VecDeque::new()));
-        let closed = Arc::new(AtomicBool::new(false));
-        let processed = Arc::new(AtomicU64::new(0));
-        let claimed = Arc::new(Mutex::new(vec![false; JOBS as usize]));
-
+        let next = Arc::new(AtomicUsize::new(0));
         let workers: Vec<_> = (0..WORKERS)
             .map(|_| {
-                let queue = Arc::clone(&queue);
-                let closed = Arc::clone(&closed);
-                let processed = Arc::clone(&processed);
-                let claimed = Arc::clone(&claimed);
+                let next = Arc::clone(&next);
                 loom::thread::spawn(move || {
-                    let process = |i: u64| {
-                        {
-                            let mut claimed = claimed.lock();
-                            assert!(!claimed[i as usize], "job {i} ran twice");
-                            claimed[i as usize] = true;
-                        }
-                        // sync: Relaxed — counter only read after
-                        // join, which synchronises.
-                        processed.fetch_add(1, Ordering::Relaxed);
-                    };
+                    let mut mine = Vec::new();
                     loop {
-                        let job = queue.lock().pop_front();
-                        match job {
-                            Some(i) => process(i),
-                            // Empty + closed: the Release close
-                            // happens after the last push, so the
-                            // Acquire load makes every job visible —
-                            // one final drain then exit. (Checking
-                            // `closed` *without* re-draining is the
-                            // check-then-act race this model caught:
-                            // a push+close can slip between the pop
-                            // and the load. crossbeam's recv makes
-                            // the empty+disconnected check atomic;
-                            // the drain mirrors its buffered-message
-                            // delivery guarantee.)
-                            None if closed.load(Ordering::Acquire) => {
-                                while let Some(i) = queue.lock().pop_front() {
-                                    process(i);
+                        // sync: Relaxed, as in `run_pool`: the join
+                        // hands the claimed indices back.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= JOBS {
+                            break mine;
+                        }
+                        mine.push(i);
+                    }
+                })
+            })
+            .collect();
+        let mut claims = [0u32; JOBS];
+        for w in workers {
+            for i in w.join().unwrap() {
+                claims[i] += 1;
+            }
+        }
+        assert_eq!(claims, [1; JOBS], "claims per trip");
+    });
+}
+
+/// `FleetEngine`'s scratch pool under two concurrent batches: each
+/// batch pops one scratch per worker before it spawns them (a fresh one
+/// when the pool is dry), runs the ticket protocol, and after joining
+/// pushes its scratches back while the pool is below the worker count.
+/// However the two batches interleave, the pool ends with exactly one
+/// scratch per worker.
+#[test]
+fn fleet_pool_keeps_one_scratch_per_worker() {
+    const JOBS: usize = 4;
+    const WORKERS: usize = 2;
+    loom::model(|| {
+        let pool: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
+        let batches: Vec<_> = (0..2)
+            .map(|_| {
+                let pool = Arc::clone(&pool);
+                loom::thread::spawn(move || {
+                    let taken: Vec<usize> = {
+                        let mut pool = pool.lock();
+                        (0..WORKERS).map(|_| pool.pop().unwrap_or_default()).collect()
+                    };
+                    let next = Arc::new(AtomicUsize::new(0));
+                    let workers: Vec<_> = taken
+                        .into_iter()
+                        .map(|mut scratch| {
+                            let next = Arc::clone(&next);
+                            loom::thread::spawn(move || {
+                                // sync: Relaxed ticket claims, as above.
+                                while next.fetch_add(1, Ordering::Relaxed) < JOBS {
+                                    scratch += 1;
                                 }
-                                break;
-                            }
-                            None => loom::thread::yield_now(),
+                                scratch
+                            })
+                        })
+                        .collect();
+                    let joined: Vec<usize> =
+                        workers.into_iter().map(|w| w.join().unwrap()).collect();
+                    let mut pool = pool.lock();
+                    for scratch in joined {
+                        if pool.len() < WORKERS {
+                            pool.push(scratch);
                         }
                     }
                 })
             })
             .collect();
-
-        // Producer: enqueue everything, then close — the ordering
-        // under test.
-        for i in 0..JOBS {
-            queue.lock().push_back(i);
+        for b in batches {
+            b.join().unwrap();
         }
-        closed.store(true, Ordering::Release);
-
-        for w in workers {
-            w.join().unwrap();
-        }
-        assert_eq!(processed.load(Ordering::Relaxed), JOBS, "worker pool dropped a job");
-        assert!(queue.lock().is_empty(), "jobs left behind after shutdown");
-    });
-}
-
-/// Sanity check on the close-before-drain hazard: if a worker treated
-/// "queue empty" alone as shutdown (ignoring the closed flag), jobs
-/// could be stranded. This test keeps the *correct* exit condition but
-/// makes the producer slow, forcing workers through the empty-but-open
-/// state many times — the drain protocol must still not wedge or lose
-/// work.
-#[test]
-fn fleet_workers_survive_empty_but_open_queue() {
-    const JOBS: u64 = 3;
-    loom::model(|| {
-        let queue = Arc::new(Mutex::new(VecDeque::new()));
-        let closed = Arc::new(AtomicBool::new(false));
-        let processed = Arc::new(AtomicU64::new(0));
-
-        let worker = {
-            let queue = Arc::clone(&queue);
-            let closed = Arc::clone(&closed);
-            let processed = Arc::clone(&processed);
-            loom::thread::spawn(move || loop {
-                let job = queue.lock().pop_front();
-                match job {
-                    Some(_) => {
-                        // sync: Relaxed — read only after join.
-                        processed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // Same closed-then-drain exit as the pool model
-                    // above — the slow producer makes the
-                    // push+close-between-pop-and-load window wide,
-                    // which is how the non-draining variant was
-                    // caught losing a job.
-                    None if closed.load(Ordering::Acquire) => {
-                        while queue.lock().pop_front().is_some() {
-                            // sync: Relaxed — read only after join.
-                            processed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        break;
-                    }
-                    None => loom::thread::yield_now(),
-                }
-            })
-        };
-
-        for i in 0..JOBS {
-            // One at a time with scheduling noise in between: the
-            // worker repeatedly races the producer through empty.
-            queue.lock().push_back(i);
-            loom::thread::yield_now();
-        }
-        closed.store(true, Ordering::Release);
-        worker.join().unwrap();
-        assert_eq!(processed.load(Ordering::Relaxed), JOBS);
+        assert_eq!(pool.lock().len(), WORKERS, "one pooled scratch per worker");
     });
 }

@@ -76,7 +76,7 @@ pub const HOT_PATH_MODULES: &[&str] = &[
 /// Modules under the zero-allocation `_into` discipline (the warm
 /// per-trip path). [`HOT_PATH_MODULES`] minus `core::fleet`,
 /// `obs::run`, `obs::quality`, and `obs::slo`: the fleet engine
-/// allocates per batch (channels, result buffers) by design and its
+/// allocates per batch (worker handles, result buffers) by design and its
 /// per-trip work happens inside these modules; `obs::run` allocates
 /// only when *building* a `RunReport` after the measured work;
 /// `obs::quality` / `obs::slo` allocate when building reports off the

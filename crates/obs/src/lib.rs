@@ -70,7 +70,7 @@ pub mod trace;
 pub use export::{chrome_trace_json, prometheus_text, validate_prometheus_text};
 pub use health::FleetHealth;
 pub use metrics::{Counter, Histogram, Span, StageNanos};
-pub use quality::{QualityConfig, QualityMonitors, QualityReport, SignalReport};
+pub use quality::{QualityMonitors, QualityReport, SignalReport};
 pub use recorder::{saturating_ns, NoopRecorder, Recorder, SpanTimer};
 pub use run::{CounterReport, HistogramReport, RunRecorder, RunReport, SpanReport};
 pub use slo::{SloKind, SloReport, SloSpec, SloState, SloTable};

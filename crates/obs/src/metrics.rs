@@ -58,7 +58,7 @@ pub enum Span {
     TrackAccelerometer,
     /// Stage 4: resampling + Eq-6 fusion.
     Fusion,
-    /// One fleet batch, enqueue to last in-order delivery.
+    /// One fleet batch, submission to the ordered result.
     FleetBatch,
     /// One trip processed by a fleet worker (its busy time).
     FleetWorkerTrip,
@@ -303,8 +303,6 @@ pub enum Histogram {
     FusionWeightAccelerometer,
     /// Absolute Eq-1 horizontal displacement of accepted lane changes, m.
     LaneChangeDisplacement,
-    /// Hold-back buffer depth when a fleet result arrives out of order.
-    FleetHoldbackDepth,
     /// Per-worker busy fraction over the worker's lifetime, 0..1.
     FleetWorkerUtilization,
     /// Per-track windowed mean NIS at trip end (consistency statistic
@@ -316,14 +314,13 @@ pub enum Histogram {
 
 impl Histogram {
     /// Every histogram, in report order.
-    pub const ALL: [Histogram; 10] = [
+    pub const ALL: [Histogram; 9] = [
         Histogram::EkfInnovation,
         Histogram::FusionWeightGps,
         Histogram::FusionWeightSpeedometer,
         Histogram::FusionWeightCanBus,
         Histogram::FusionWeightAccelerometer,
         Histogram::LaneChangeDisplacement,
-        Histogram::FleetHoldbackDepth,
         Histogram::FleetWorkerUtilization,
         Histogram::EkfMeanNis,
         Histogram::GpsGapSeconds,
@@ -341,7 +338,6 @@ impl Histogram {
             Histogram::FusionWeightCanBus => "fusion-weight:can-bus",
             Histogram::FusionWeightAccelerometer => "fusion-weight:accelerometer",
             Histogram::LaneChangeDisplacement => "lane-change-displacement",
-            Histogram::FleetHoldbackDepth => "fleet-holdback-depth",
             Histogram::FleetWorkerUtilization => "fleet-worker-utilization",
             Histogram::EkfMeanNis => "ekf-mean-nis",
             Histogram::GpsGapSeconds => "gps-gap-seconds",

@@ -9,9 +9,9 @@
 //! sustained drift:
 //!
 //! - [`QualitySignal::MeanFusionWeight`]: per-window mean Eq-6 weight
-//!   of a canary source (default the accelerometer track — dead
-//!   reckoning degrades first when the IMU population sours). Watched
-//!   for *downward* drift.
+//!   of a canary source, the accelerometer track (dead reckoning
+//!   degrades first when the IMU population sours). Watched for
+//!   *downward* drift.
 //! - [`QualitySignal::NisOutOfBand`]: fraction of per-track windowed
 //!   mean-NIS observations above [`INCONSISTENT_NIS`], the bound each
 //!   track's `InnovationMonitor` uses. Watched *upward*.
@@ -39,52 +39,38 @@ use crate::trace::{QualitySignal, TraceEvent};
 /// transients.
 pub const INCONSISTENT_NIS: f64 = 2.5;
 
-/// Tuning for one Page–Hinkley detector.
+/// Which fusion-weight histogram the canary watches.
+const WEIGHT_HIST: Histogram = Histogram::FusionWeightAccelerometer;
+/// Windows each per-window statistic aggregates over (smooths the shot
+/// noise of sparse uploads).
+const LOOKBACK: usize = 5;
+/// EWMA smoothing factor of every detector, in `(0, 1]` (1 = no
+/// smoothing).
+const EWMA_ALPHA: f64 = 0.5;
+/// Windows of evidence a detector needs before it may alarm (it still
+/// learns its baseline during this burn-in).
+const MIN_WINDOWS: u32 = 3;
+
+/// The per-signal tuning of one Page–Hinkley detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorConfig {
-    /// EWMA smoothing factor in `(0, 1]` (1 = no smoothing).
-    pub ewma_alpha: f64,
+struct DetectorConfig {
     /// Drift allowance: per-window deviation tolerated before the
     /// cumulative sum grows.
-    pub delta: f64,
+    delta: f64,
     /// Alarm threshold on the cumulative excursion.
-    pub lambda: f64,
-    /// Windows of evidence required before the detector may alarm
-    /// (it still learns its baseline during this burn-in).
-    pub min_windows: u32,
+    lambda: f64,
 }
 
-/// Tuning for the whole monitor set.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QualityConfig {
-    /// Which fusion-weight histogram the canary watches.
-    pub weight_hist: Histogram,
-    /// Windows each per-window statistic aggregates over (smooths the
-    /// shot noise of sparse uploads).
-    pub lookback: usize,
-    /// Detector for [`QualitySignal::MeanFusionWeight`] (downward).
-    pub weight: DetectorConfig,
-    /// Detector for [`QualitySignal::NisOutOfBand`] (upward).
-    pub nis: DetectorConfig,
-    /// Detector for [`QualitySignal::GpsDropoutRate`] (upward).
-    pub gps: DetectorConfig,
-}
-
-impl Default for QualityConfig {
-    fn default() -> Self {
-        QualityConfig {
-            weight_hist: Histogram::FusionWeightAccelerometer,
-            lookback: 5,
-            // Fusion weights live in [0, 1]; a sustained drop of a few
-            // hundredths below baseline is a real redistribution.
-            weight: DetectorConfig { ewma_alpha: 0.5, delta: 0.01, lambda: 0.05, min_windows: 3 },
-            // The out-of-band fraction is ~0 for a healthy fleet.
-            nis: DetectorConfig { ewma_alpha: 0.5, delta: 0.05, lambda: 0.5, min_windows: 3 },
-            // Dropouts per trip: healthy synthetic fleets sit near 0.
-            gps: DetectorConfig { ewma_alpha: 0.5, delta: 0.05, lambda: 0.5, min_windows: 3 },
-        }
-    }
-}
+/// [`QualitySignal::MeanFusionWeight`] (downward): fusion weights live
+/// in [0, 1], and a sustained drop of a few hundredths below baseline is
+/// a real redistribution.
+const WEIGHT: DetectorConfig = DetectorConfig { delta: 0.01, lambda: 0.05 };
+/// [`QualitySignal::NisOutOfBand`] (upward): the out-of-band fraction
+/// is ~0 for a healthy fleet.
+const NIS: DetectorConfig = DetectorConfig { delta: 0.05, lambda: 0.5 };
+/// [`QualitySignal::GpsDropoutRate`] (upward): dropouts per trip sit
+/// near 0 for healthy synthetic fleets.
+const GPS: DetectorConfig = DetectorConfig { delta: 0.05, lambda: 0.5 };
 
 /// Drift direction a detector watches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,9 +118,8 @@ impl Detector {
         if !value.is_finite() {
             return None;
         }
-        let alpha = self.cfg.ewma_alpha.clamp(1.0e-6, 1.0);
         let smoothed = match self.ewma {
-            Some(prev) => prev + alpha * (value - prev),
+            Some(prev) => prev + EWMA_ALPHA * (value - prev),
             None => value,
         };
         self.ewma = Some(smoothed);
@@ -149,7 +134,7 @@ impl Detector {
         self.cum += dev - self.cfg.delta;
         self.cum_min = self.cum_min.min(self.cum);
         let excursion = self.cum - self.cum_min;
-        let alarming = self.windows >= self.cfg.min_windows && excursion > self.cfg.lambda;
+        let alarming = self.windows >= MIN_WINDOWS && excursion > self.cfg.lambda;
         if alarming != self.alert {
             self.alert = alarming;
             return Some(alarming);
@@ -199,7 +184,6 @@ impl QualityReport {
 /// boundary run the tick.
 #[derive(Debug)]
 pub struct QualityMonitors {
-    cfg: QualityConfig,
     detectors: [Detector; 3],
     last_values: [f64; 3],
     /// Last fully processed absolute window index.
@@ -208,13 +192,12 @@ pub struct QualityMonitors {
 
 impl QualityMonitors {
     /// A monitor set with no evidence yet.
-    pub fn new(cfg: QualityConfig) -> Self {
+    pub fn new() -> Self {
         QualityMonitors {
-            cfg,
             detectors: [
-                Detector::new(QualitySignal::MeanFusionWeight, Direction::Down, cfg.weight),
-                Detector::new(QualitySignal::NisOutOfBand, Direction::Up, cfg.nis),
-                Detector::new(QualitySignal::GpsDropoutRate, Direction::Up, cfg.gps),
+                Detector::new(QualitySignal::MeanFusionWeight, Direction::Down, WEIGHT),
+                Detector::new(QualitySignal::NisOutOfBand, Direction::Up, NIS),
+                Detector::new(QualitySignal::GpsDropoutRate, Direction::Up, GPS),
             ],
             last_values: [f64::NAN; 3],
             last_window: None,
@@ -239,14 +222,13 @@ impl QualityMonitors {
         self.last_window = Some(complete);
         // Evaluate the lookback suffix ending at the completed window.
         let end_ns = complete.saturating_mul(ts.config().window_ns);
-        let lookback = self.cfg.lookback.max(1);
         let mut edges = 0usize;
 
-        let weight = ts.hist_mean(self.cfg.weight_hist, lookback, end_ns);
-        let total = ts.hist_count(Histogram::EkfMeanNis, lookback, end_ns);
+        let weight = ts.hist_mean(WEIGHT_HIST, LOOKBACK, end_ns);
+        let total = ts.hist_count(Histogram::EkfMeanNis, LOOKBACK, end_ns);
         let nis = (total > 0)
-            .then(|| nis_above(ts, INCONSISTENT_NIS, lookback, end_ns) as f64 / total as f64);
-        let gps = gaps_per_trip(ts, lookback, end_ns);
+            .then(|| nis_above(ts, INCONSISTENT_NIS, LOOKBACK, end_ns) as f64 / total as f64);
+        let gps = gaps_per_trip(ts, LOOKBACK, end_ns);
 
         for (i, value) in [weight, nis, gps].into_iter().enumerate() {
             let Some(value) = value else {
@@ -294,7 +276,7 @@ impl QualityMonitors {
 
 impl Default for QualityMonitors {
     fn default() -> Self {
-        Self::new(QualityConfig::default())
+        Self::new()
     }
 }
 
@@ -421,7 +403,7 @@ mod tests {
     #[test]
     fn page_hinkley_detects_a_step_without_false_positives() {
         // Pure detector: flat signal, then a step beyond delta.
-        let cfg = DetectorConfig { ewma_alpha: 1.0, delta: 0.01, lambda: 0.05, min_windows: 3 };
+        let cfg = DetectorConfig { delta: 0.01, lambda: 0.05 };
         let mut d = Detector::new(QualitySignal::NisOutOfBand, Direction::Up, cfg);
         for _ in 0..50 {
             assert_eq!(d.update(0.1), None, "flat signal must not alarm");

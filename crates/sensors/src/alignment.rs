@@ -175,15 +175,6 @@ impl<'a> MapMatcher<'a> {
             i += 1;
         }
     }
-
-    /// Road-direction change rate `w_road` (rad/s) for a vehicle at
-    /// `position` moving at `speed` m/s: map-matched curvature × speed.
-    /// The match already resolves the road index, so the curvature lookup
-    /// skips [`Route::locate`]'s second binary search.
-    pub fn w_road(&mut self, position: Vec2, speed: f64) -> f64 {
-        let (_, road, sr) = self.match_located(position);
-        self.route.heading_rate_located(road, sr, 12.0) * speed
-    }
 }
 
 /// Result of free-space map matching one trip against a road network:
@@ -310,11 +301,23 @@ impl<'a> NetworkMatcher<'a> {
 pub type SteeringProfile = Vec<(f64, f64)>;
 
 /// Reusable buffers for [`steering_rate_profile_into`]: per-fix `w_road`
-/// staging that survives across trips on a warm estimator.
+/// staging that survives across trips on a warm estimator, and the arc
+/// each fix matched to.
 #[derive(Debug, Clone, Default)]
 pub struct WRoadScratch {
     fix_times: Vec<f64>,
     fix_wroad: Vec<f64>,
+    fix_s: Vec<f64>,
+}
+
+impl WRoadScratch {
+    /// The route arc position of every GPS fix of the last
+    /// [`steering_rate_profile_into`] call, in fix order: the map match
+    /// of a valid fix, NaN for an invalid fix or one whose time is not
+    /// finite. Empty when that call had no map.
+    pub fn matched_s(&self) -> &[f64] {
+        &self.fix_s
+    }
 }
 
 /// Computes the steering rate `w_steer = ŵ_vehicle − w_road` per IMU
@@ -323,7 +326,9 @@ pub struct WRoadScratch {
 ///
 /// Identical arithmetic to [`steering_rate_profile`], but writes into the
 /// caller's buffer and stages per-fix state in `scratch`, so a warm caller
-/// pays no allocation. `out_w[i]` pairs with `t[i]`.
+/// pays no allocation. `out_w[i]` pairs with `t[i]`. With a map, each
+/// valid fix is matched once, and its arc is kept for the caller
+/// ([`WRoadScratch::matched_s`]).
 ///
 /// # Panics
 ///
@@ -338,26 +343,38 @@ pub fn steering_rate_profile_into(
 ) {
     assert_eq!(t.len(), gyro_z.len(), "column length mismatch");
     // Precompute w_road at each fix time.
-    let fix_times = &mut scratch.fix_times;
-    let fix_wroad = &mut scratch.fix_wroad;
+    let WRoadScratch { fix_times, fix_wroad, fix_s } = scratch;
     fix_times.clear();
     fix_wroad.clear();
+    fix_s.clear();
     if let Some(route) = route {
         let mut matcher = MapMatcher::new(route);
         let mut last_valid_t = f64::NEG_INFINITY;
         let mut last_w = 0.0;
-        // A fix whose time is not finite has no place on the IMU clock:
-        // it counts as absent, valid or not (one NaN time would stop the
-        // interior cursor scan below).
-        for fix in gps.iter().filter(|fix| fix.t.is_finite()) {
+        for fix in gps {
+            // A fix whose time is not finite has no place on the IMU
+            // clock: it counts as absent, valid or not (one NaN time
+            // would stop the interior cursor scan below).
+            if !fix.t.is_finite() {
+                fix_s.push(f64::NAN);
+                continue;
+            }
             let w = if fix.valid {
+                // w_road is the matched curvature × speed; the match
+                // resolves the road, so the curvature lookup skips
+                // `Route::locate`'s second binary search.
+                let (s, road, sr) = matcher.match_located(fix.position);
+                fix_s.push(s);
                 last_valid_t = fix.t;
-                last_w = matcher.w_road(fix.position, fix.speed_mps);
-                last_w
-            } else if fix.t - last_valid_t <= 3.0 {
+                last_w = route.heading_rate_located(road, sr, 12.0) * fix.speed_mps;
                 last_w
             } else {
-                0.0
+                fix_s.push(f64::NAN);
+                if fix.t - last_valid_t <= 3.0 {
+                    last_w
+                } else {
+                    0.0
+                }
             };
             fix_times.push(fix.t);
             fix_wroad.push(w);
@@ -784,19 +801,54 @@ mod tests {
     }
 
     #[test]
-    fn w_road_matches_unfused_lookup() {
+    fn steering_pass_records_one_match_per_fix() {
+        // A curved route with a GPS outage and one fix whose time is not
+        // finite: the steering pass keeps one arc per fix, which an
+        // independent matcher pass over the fixes on the IMU clock must
+        // reproduce bit for bit.
         let route = Route::new(vec![s_curve_road(150.0, 50.0)]).unwrap();
-        let mut a = MapMatcher::new(&route);
-        let mut b = MapMatcher::new(&route);
-        let mut s = 0.0;
-        while s < route.length() {
-            let pos = route.point_at(s) + Vec2::new(1.0, -0.5);
-            let w = a.w_road(pos, 13.0);
-            let s_hat = b.match_s(pos);
-            let w_ref = route.heading_rate_at(s_hat, 12.0) * 13.0;
-            assert!((w - w_ref).abs() < 1e-12, "at s={s}: {w} vs {w_ref}");
-            s += 25.0;
+        let traj = simulate_trip(&route, &quiet_cfg(), 37);
+        let cfg = SensorConfig { gps_outages: vec![(20.0, 35.0)], ..Default::default() };
+        let mut log = SensorSuite::new(cfg).run(&traj, 37);
+        log.gps[50].t = f64::NAN;
+        assert!(log.gps[50].valid && log.gps.iter().any(|f| !f.valid));
+        let cols = crate::columnar::ImuColumns::from_samples(&log.imu);
+        let mut scratch = WRoadScratch::default();
+        let mut w = Vec::new();
+        steering_rate_profile_into(
+            &cols.t,
+            &cols.gyro_z,
+            &log.gps,
+            Some(&route),
+            &mut scratch,
+            &mut w,
+        );
+        let mut matcher = MapMatcher::new(&route);
+        let want: Vec<f64> =
+            log.gps
+                .iter()
+                .map(|f| {
+                    if f.valid && f.t.is_finite() {
+                        matcher.match_s(f.position)
+                    } else {
+                        f64::NAN
+                    }
+                })
+                .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(scratch.matched_s()), bits(&want));
+        // Each valid fix's w_road is the curvature at its arc × speed;
+        // the located lookup agrees with `Route::locate`'s.
+        let on_clock = log.gps.iter().zip(&want).filter(|(f, _)| f.t.is_finite());
+        for ((fix, &s), &w_fix) in on_clock.zip(&scratch.fix_wroad) {
+            if fix.valid {
+                let w_ref = route.heading_rate_at(s, 12.0) * fix.speed_mps;
+                assert!((w_fix - w_ref).abs() < 1e-12, "at s={s}: {w_fix} vs {w_ref}");
+            }
         }
+        // Without a map no fix is matched.
+        steering_rate_profile_into(&cols.t, &cols.gyro_z, &log.gps, None, &mut scratch, &mut w);
+        assert!(scratch.matched_s().is_empty());
     }
 
     #[test]

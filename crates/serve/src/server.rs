@@ -60,8 +60,8 @@ use gradest_core::track::GradientTrack;
 use gradest_geo::tile::{decode_tile_bounds, edges_in_tile_into};
 use gradest_geo::{NetworkIndex, QueryScratch, RoadNetwork};
 use gradest_obs::{
-    saturating_ns, Counter, QualityConfig, QualityMonitors, Recorder, SloTable, Span, SpanTimer,
-    Tee, TimeSeries, TimeSeriesConfig, TimeSeriesRecorder, TraceEvent,
+    saturating_ns, Counter, QualityMonitors, Recorder, SloTable, Span, SpanTimer, Tee, TimeSeries,
+    TimeSeriesConfig, TimeSeriesRecorder, TraceEvent,
 };
 use std::fmt::Write as _;
 use std::io::Read;
@@ -104,11 +104,6 @@ pub struct ServeConfig {
     /// soaks shrink the window so drift and SLO behaviour plays out in
     /// milliseconds.
     pub timeseries: TimeSeriesConfig,
-    /// Gradient-quality drift-monitor tuning.
-    pub quality: QualityConfig,
-    /// The SLO table the `STATUS` frame evaluates. Lookbacks are in
-    /// ring windows, so retune them when `timeseries` changes.
-    pub slo: SloTable,
 }
 
 impl Default for ServeConfig {
@@ -120,9 +115,6 @@ impl Default for ServeConfig {
             estimator: EstimatorConfig::default(),
             read_timeout: Duration::from_millis(500),
             timeseries: TimeSeriesConfig::default(),
-            quality: QualityConfig::default(),
-            // 1 s windows: page on 10 s of hot burn, warn over a minute.
-            slo: SloTable::service_default(50.0e6, 10, 60),
         }
     }
 }
@@ -423,8 +415,10 @@ pub fn start<R: Recorder + Send + Sync + 'static>(
         estimator: GradientEstimator::new(cfg.estimator.clone()),
         read_timeout: cfg.read_timeout,
         started: Instant::now(),
-        quality: Mutex::new(QualityMonitors::new(cfg.quality)),
-        slo: cfg.slo.clone(),
+        quality: Mutex::new(QualityMonitors::new()),
+        // Lookbacks count ring windows; at the default 1 s windows this
+        // pages on 10 s of hot burn and warns over a minute.
+        slo: SloTable::service_default(50.0e6, 10, 60),
     });
     let workers = cfg.workers.max(1);
     let (conn_tx, conn_rx) = bounded::<(u32, TcpStream)>(cfg.queue_depth.max(1));

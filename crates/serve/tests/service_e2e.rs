@@ -74,7 +74,12 @@ fn reference_tile_payload(
 ) -> Vec<u8> {
     let cloud = CloudAggregator::new(grid_ds);
     let engine = FleetEngine::new(GradientEstimator::new(config.clone()), 2);
-    let _ = engine.process_batch_to_cloud_recorded(logs, road_ids, None, &cloud, &NoopRecorder);
+    // Fuse in upload order, as the server does for one connection: two
+    // workers uploading as they finish would sum each cell in a
+    // scheduling-dependent order, and the tile bytes would follow it.
+    for (est, &road_id) in engine.process_batch(logs, None).iter().zip(road_ids) {
+        cloud.upload(road_id, &est.fused);
+    }
     let index = NetworkIndex::build(net);
     let mut edges = Vec::new();
     let mut query = QueryScratch::new();

@@ -89,9 +89,10 @@
 #
 # Deep path (--deep, opt-in because of runtime) adds:
 #  12. loom model checks               — CloudAggregator upload shard protocol,
-#                                        fleet shutdown/drain ordering, and the
-#                                        gradest-serve drain gate under
-#                                        randomised schedule perturbation
+#                                        fleet ticket claims and scratch pool,
+#                                        and the gradest-serve drain gate
+#                                        under randomised schedule
+#                                        perturbation
 #  13. Miri (subset)                   — UB check on gradest-core; probed and
 #                                        SKIPped when the nightly component is
 #                                        not installed (offline containers)
