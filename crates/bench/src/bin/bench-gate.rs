@@ -51,9 +51,10 @@ use std::time::{SystemTime, UNIX_EPOCH};
 gradest_bench::install_counting_alloc!();
 
 /// One gated experiment: its committed baseline file, the title of its
-/// delta table, the metrics it gates, and how to run it. `run` gets the
-/// committed baseline (absent on a fresh checkout) so a suite can
-/// replay the baseline's workload shape.
+/// delta table, the metrics it gates, and how to run it. When gating,
+/// `run` gets the committed baseline, so a suite replays the baseline's
+/// workload shape; a refresh (`--update`) gets `None`, so the new
+/// baseline measures the suite's defaults on this host.
 struct Suite {
     file: &'static str,
     title: &'static str,
@@ -85,8 +86,9 @@ const SUITES: [Suite; 5] = [
         title: "Fleet scaling",
         specs: gate::FLEET_METRICS,
         run: |baseline| {
-            // Replay the baseline's trips and workers; fall back to the
-            // experiment binary's defaults on a fresh checkout.
+            // Replay the baseline's trips and workers; a refresh takes
+            // the experiment binary's defaults, with one worker per CPU
+            // up to four.
             let seed = 900;
             let trips = baseline_usize(baseline, "trips").unwrap_or(16);
             let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -311,8 +313,11 @@ fn main() -> ExitCode {
     }
 
     let commit = commit_stamp(&root);
-    let current: Vec<Value> =
-        SUITES.iter().zip(&baselines).map(|(suite, doc)| (suite.run)(doc.as_ref())).collect();
+    let current: Vec<Value> = SUITES
+        .iter()
+        .zip(&baselines)
+        .map(|(suite, doc)| (suite.run)(if args.update { None } else { doc.as_ref() }))
+        .collect();
 
     if args.update {
         let mut ok = true;

@@ -120,14 +120,14 @@ impl FleetEngine {
     }
 
     /// [`Self::process_batch`] with cloud fan-in, reporting to an
-    /// observability [`Recorder`]: each worker uploads its trip's fused
-    /// track to `cloud` under `road_ids[index]` the moment estimation
-    /// finishes, exercising the aggregator's concurrent (lock-striped)
-    /// upload path. Returned estimates are in submission order and
-    /// bit-identical for any worker count; the cloud's per-cell sums
-    /// accumulate the same multiset of uploads in a worker-dependent
-    /// order, so they match a sequential run up to floating-point
-    /// summation order.
+    /// observability [`Recorder`]: once the workers are joined, the
+    /// batch uploads each trip's fused track to `cloud` under
+    /// `road_ids[index]`, in submission order. Returned estimates and
+    /// the cloud's per-cell sums are therefore bit-identical for any
+    /// worker count, and equal to a serial upload in submission order,
+    /// even when trips share a road id. (`fleet_bench`'s
+    /// `cloud_upload_contention` row drives the aggregator's concurrent
+    /// upload path with threads of its own.)
     ///
     /// The per-trip pipeline and the cloud uploads record through `rec`,
     /// and the pool adds batch/worker spans, job counters and per-worker
@@ -178,7 +178,7 @@ impl FleetEngine {
                 .into_iter()
                 .map(|scratch| {
                     let next = &next;
-                    scope.spawn(move || self.work(logs, map, cloud, rec, next, scratch))
+                    scope.spawn(move || self.work(logs, map, rec, next, scratch))
                 })
                 .collect();
             // A worker's panic resumes here, as the scope would.
@@ -201,8 +201,14 @@ impl FleetEngine {
             }
         }
         // Every index was claimed exactly once, so sorting by it gives
-        // the submission order.
+        // the submission order. Uploading in that order keeps every
+        // cell's sums independent of which worker finished first.
         estimates.sort_unstable_by_key(|&(i, _)| i);
+        if let Some((road_ids, cloud)) = cloud {
+            for ((_, est), &road_id) in estimates.iter().zip(road_ids) {
+                cloud.upload_recorded(road_id, &est.fused, rec);
+            }
+        }
         batch_timer.finish(rec, Span::FleetBatch);
         estimates.into_iter().map(|(_, est)| est).collect()
     }
@@ -214,7 +220,6 @@ impl FleetEngine {
         &self,
         logs: &[SensorLog],
         map: MapMode<'_>,
-        cloud: Option<(&[u64], &CloudAggregator)>,
         rec: &R,
         // sync: the batch's ticket counter, see `run_pool`.
         next: &AtomicUsize,
@@ -257,9 +262,6 @@ impl FleetEngine {
             };
             let mut est = GradientEstimate::default();
             self.estimator.estimate_into_recorded(log, route, &mut scratch, &mut est, rec);
-            if let Some((road_ids, cloud)) = cloud {
-                cloud.upload_recorded(road_ids[i], &est.fused, rec);
-            }
             if let Some(t0) = t0 {
                 let ns = saturating_ns(t0);
                 busy_ns += ns;
@@ -511,6 +513,72 @@ mod tests {
                 self.all.wait();
             }
         }
+    }
+
+    /// A recorder that starts fleet job `i` of `jobs` only after every
+    /// higher-index job has ended, so the workers finish in reverse
+    /// index order.
+    struct ReverseFinish {
+        jobs: usize,
+        // sync: jobs ended so far; `wake` tells the held-back starts.
+        ended: std::sync::Mutex<usize>,
+        wake: std::sync::Condvar,
+    }
+
+    impl Recorder for ReverseFinish {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn event(&self, ev: TraceEvent) {
+            match ev {
+                TraceEvent::FleetJobStart { job } => {
+                    let later = self.jobs - 1 - job as usize;
+                    let ended = self.ended.lock().unwrap();
+                    drop(self.wake.wait_while(ended, |ended| *ended < later).unwrap());
+                }
+                TraceEvent::FleetJobEnd { .. } => {
+                    *self.ended.lock().unwrap() += 1;
+                    self.wake.notify_all();
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn cloud_cells_equal_a_serial_upload_when_workers_finish_in_reverse() {
+        let route = Route::new(vec![straight_road(400.0, 1.5)]).unwrap();
+        let logs = batch(&route, 4);
+        // Every trip on one road, one worker per trip.
+        let road_ids = vec![7u64; logs.len()];
+        let engine =
+            FleetEngine::new(GradientEstimator::new(EstimatorConfig::default()), logs.len());
+        let rec = ReverseFinish {
+            jobs: logs.len(),
+            ended: std::sync::Mutex::new(0),
+            wake: std::sync::Condvar::new(),
+        };
+        let cloud = CloudAggregator::new(5.0);
+        let ests =
+            engine.process_batch_to_cloud_recorded(&logs, &road_ids, Some(&route), &cloud, &rec);
+        assert_eq!(*rec.ended.lock().unwrap(), logs.len());
+        let serial = CloudAggregator::new(5.0);
+        for est in &ests {
+            serial.upload(7, &est.fused);
+        }
+        let (got, want) = (cloud.road_profile(7).unwrap(), serial.road_profile(7).unwrap());
+        assert_eq!(got.s, want.s);
+        let bits = |x: &f64| x.to_bits();
+        let differ = |a: &[f64], b: &[f64]| {
+            a.iter().map(bits).zip(b.iter().map(bits)).filter(|(x, y)| x != y).count()
+        };
+        assert_eq!(
+            (differ(&got.theta, &want.theta), differ(&got.variance, &want.variance)),
+            (0, 0),
+            "cells (θ, variance) that differ from a serial upload, of {}",
+            got.len()
+        );
     }
 
     #[test]

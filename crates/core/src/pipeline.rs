@@ -141,11 +141,9 @@ pub use gradest_obs::StageNanos;
 struct TrackScratch {
     measurements: Vec<(f64, f64)>,
     track: GradientTrack,
-    // Lazily built on the first *recorded* trip and then reset-and-
-    // reused (reset keeps the window's capacity), so the warm recorded
-    // path monitors filter consistency without allocating. Never
-    // touched by un-recorded runs.
-    monitor: Option<InnovationMonitor>,
+    // Reset and fed on recorded trips only; its window is a fixed ring,
+    // so monitoring never allocates.
+    monitor: InnovationMonitor,
 }
 
 /// Reusable working memory for [`GradientEstimator::estimate_into`].
@@ -555,8 +553,7 @@ impl GradientEstimator {
             rs[l] = cfg.source_variance(source);
             v0[l] = ts.measurements.first().map(|m| m.1).unwrap_or(10.0);
             if rec.enabled() {
-                let mon = ts.monitor.get_or_insert_with(InnovationMonitor::default);
-                mon.reset();
+                ts.monitor.reset();
             }
             ts.track.label.clear();
             ts.track.label.push_str(source.label());
@@ -615,13 +612,11 @@ impl GradientEstimator {
                     if rec.enabled() {
                         let innovation = corrected - ekf.velocity(l);
                         innovations.push(innovation);
-                        if let Some(mon) = ts.monitor.as_mut() {
-                            let before = mon.health();
-                            mon.record(innovation, ekf.innovation_variance(l, rs[l]));
-                            let after = mon.health();
-                            if after != before {
-                                record_health_transition(rec, srcs[l], before, after);
-                            }
+                        let before = ts.monitor.health();
+                        ts.monitor.record(innovation, ekf.innovation_variance(l, rs[l]));
+                        let after = ts.monitor.health();
+                        if after != before {
+                            record_health_transition(rec, srcs[l], before, after);
                         }
                     }
                     ekf.update(l, corrected, rs[l]);
@@ -669,15 +664,13 @@ impl GradientEstimator {
             for (l, ts) in lanes.iter().enumerate() {
                 rec.incr(Counter::EkfPredicts, n_imu as u64);
                 rec.incr(update_counter(srcs[l]), updates[l]);
-                if let Some(mon) = ts.monitor.as_ref() {
-                    if updates[l] > 0 {
-                        rec.observe(Histogram::EkfMeanNis, mon.mean_nis());
-                    }
-                    let verdict = mon.health();
-                    rec.incr(track_health_counter(verdict), 1);
-                    if verdict == FilterHealth::Diverged {
-                        rec.event(TraceEvent::TrackDiverged { source: trace_source(srcs[l]) });
-                    }
+                if updates[l] > 0 {
+                    rec.observe(Histogram::EkfMeanNis, ts.monitor.mean_nis());
+                }
+                let verdict = ts.monitor.health();
+                rec.incr(track_health_counter(verdict), 1);
+                if verdict == FilterHealth::Diverged {
+                    rec.event(TraceEvent::TrackDiverged { source: trace_source(srcs[l]) });
                 }
             }
         }
@@ -1014,16 +1007,10 @@ mod tests {
         let v0 = measurements.first().map(|m| m.1).unwrap_or(10.0);
         let mut ekf = GradientEkf::new(cfg.ekf, v0);
         let mut updates = 0u64;
-        // NIS consistency monitoring only runs when a recorder listens;
-        // the monitor is built once (first recorded trip) and reset
-        // thereafter, so warm recorded trips stay allocation-free.
-        let mut mon = if rec.enabled() {
-            let mon = monitor.get_or_insert_with(InnovationMonitor::default);
-            mon.reset();
-            Some(mon)
-        } else {
-            None
-        };
+        // NIS consistency monitoring only runs when a recorder listens.
+        if rec.enabled() {
+            monitor.reset();
+        }
         track.label.clear();
         track.label.push_str(source.label());
         track.s.clear();
@@ -1061,13 +1048,11 @@ mod tests {
                     // minus the predicted velocity state.
                     let innovation = corrected - ekf.velocity();
                     rec.observe(Histogram::EkfInnovation, innovation);
-                    if let Some(mon) = mon.as_deref_mut() {
-                        let before = mon.health();
-                        mon.record(innovation, ekf.innovation_variance(r));
-                        let after = mon.health();
-                        if after != before {
-                            record_health_transition(rec, source, before, after);
-                        }
+                    let before = monitor.health();
+                    monitor.record(innovation, ekf.innovation_variance(r));
+                    let after = monitor.health();
+                    if after != before {
+                        record_health_transition(rec, source, before, after);
                     }
                 }
                 ekf.update(corrected, r);
@@ -1113,15 +1098,13 @@ mod tests {
         if rec.enabled() {
             rec.incr(Counter::EkfPredicts, log.imu.len() as u64);
             rec.incr(update_counter(source), updates);
-            if let Some(mon) = mon {
-                if updates > 0 {
-                    rec.observe(Histogram::EkfMeanNis, mon.mean_nis());
-                }
-                let verdict = mon.health();
-                rec.incr(track_health_counter(verdict), 1);
-                if verdict == FilterHealth::Diverged {
-                    rec.event(TraceEvent::TrackDiverged { source: trace_source(source) });
-                }
+            if updates > 0 {
+                rec.observe(Histogram::EkfMeanNis, monitor.mean_nis());
+            }
+            let verdict = monitor.health();
+            rec.incr(track_health_counter(verdict), 1);
+            if verdict == FilterHealth::Diverged {
+                rec.event(TraceEvent::TrackDiverged { source: trace_source(source) });
             }
         }
     }

@@ -36,6 +36,7 @@
 
 use crate::metrics::{Counter, Histogram, Span};
 use crate::recorder::{saturating_ns, Recorder};
+use std::f64::consts::SQRT_2;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -69,10 +70,64 @@ pub const SKETCH_MAX_MAGNITUDE: f64 = 1.7592186044416e13; // 2^44
 /// the midpoint error is maximal) still compare inside the bound.
 pub const SKETCH_RELATIVE_ERROR: f64 = 0.090507732665258; // 2^(1/8) - 1, rounded up
 
+/// The sub-bucket edges of one octave as mantissas: `2^(j/4)` for
+/// `j = 0..=4`.
+const OCTAVE_EDGES: [f64; 5] = [1.0, 1.189_207_115_002_721, SQRT_2, 1.681_792_830_507_429, 2.0];
+
+/// Relative half-width of the window around each edge in which
+/// [`sketch_bucket`] falls back to [`log2_bucket`].
+const EDGE_WINDOW: f64 = 1e-12;
+
+/// Per sub-bucket `j`, the open range of mantissas more than
+/// [`EDGE_WINDOW`] from both of its edges `2^(j/4)` and `2^((j+1)/4)`.
+const CLEAR_MANTISSAS: [(f64, f64); 4] = [
+    clear_between(OCTAVE_EDGES[0], OCTAVE_EDGES[1]),
+    clear_between(OCTAVE_EDGES[1], OCTAVE_EDGES[2]),
+    clear_between(OCTAVE_EDGES[2], OCTAVE_EDGES[3]),
+    clear_between(OCTAVE_EDGES[3], OCTAVE_EDGES[4]),
+];
+
+/// The part of `[lo, hi)` more than [`EDGE_WINDOW`] from either end.
+const fn clear_between(lo: f64, hi: f64) -> (f64, f64) {
+    (lo * (1.0 + EDGE_WINDOW), hi * (1.0 - EDGE_WINDOW))
+}
+
 /// Bucket index for a positive magnitude; anything past
 /// [`SKETCH_MAX_MAGNITUDE`], `+∞` included, clamps into the top bucket.
-/// The clamp happens in floating point, before the integer cast.
+///
+/// Always equal to [`log2_bucket`], without calling `log2`: the octave
+/// is the exponent field, and the sub-bucket comes from comparing the
+/// mantissa `m ∈ [1, 2)` with `2^(1/4)`, `2^(1/2)` and `2^(3/4)`. The
+/// magnitudes where the two rules could disagree take `log2_bucket`
+/// itself: those that are not finite normals, and those whose mantissa
+/// lies within 1e-12 (relative) of an edge, 1 and 2 included (so exact
+/// powers of two do too). Outside those windows the true `log2(mag)` is
+/// at least `log2(1 + 1e-12) ≈ 1.44e-12` from the nearest edge
+/// `e + j/4`, while libm's `log2` is off by at most a few ulps — under
+/// 1e-14 wherever `|log2| ≤ 64`, and every magnitude past `2^44` clamps
+/// to the top bucket either way. `floor(4·log2(mag))` therefore lands
+/// on the same integer both ways (the `4·` is exact), and the f64
+/// constants for the irrational edges, each within one ulp of the true
+/// edge, sit far inside the window.
 fn sketch_bucket(mag: f64) -> usize {
+    let bits = mag.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as i64;
+    let m = f64::from_bits((bits & ((1 << 52) - 1)) | 1.0f64.to_bits());
+    let sub = (m >= OCTAVE_EDGES[1]) as usize
+        + (m >= OCTAVE_EDGES[2]) as usize
+        + (m >= OCTAVE_EDGES[3]) as usize;
+    let (lo, hi) = CLEAR_MANTISSAS[sub];
+    if biased == 0 || biased == 0x7ff || m <= lo || m >= hi {
+        return log2_bucket(mag);
+    }
+    let idx = (biased - 1023 - MIN_OCTAVE) * SUB_PER_OCTAVE + sub as i64;
+    idx.clamp(0, SKETCH_BUCKETS as i64 - 1) as usize
+}
+
+/// The bucket rule [`sketch_bucket`] reproduces:
+/// `floor(4·log2(mag)) + 80`, clamped to the buckets. The clamp happens
+/// in floating point, before the integer cast.
+fn log2_bucket(mag: f64) -> usize {
     let idx = (mag.log2() * SUB_PER_OCTAVE as f64).floor() - (MIN_OCTAVE * SUB_PER_OCTAVE) as f64;
     idx.clamp(0.0, (SKETCH_BUCKETS - 1) as f64) as usize
 }
@@ -182,6 +237,24 @@ impl SketchCell {
 
     fn observe(&mut self, value: f64) {
         self.summary.observe(value);
+        self.count_bucket(value);
+    }
+
+    /// [`SketchCell::observe`] for each value in order, leaving the same
+    /// state, in two passes: the summary in value order (its sums round
+    /// exactly as one `observe` per value would), then the buckets and
+    /// their counts, which do not depend on order.
+    fn observe_many(&mut self, values: &[f64]) {
+        for &value in values {
+            self.summary.observe(value);
+        }
+        for &value in values {
+            self.count_bucket(value);
+        }
+    }
+
+    /// Adds one to `value`'s bucket.
+    fn count_bucket(&mut self, value: f64) {
         let mag = value.abs();
         if mag.is_nan() || mag < SKETCH_MIN_MAGNITUDE {
             // Zero, sub-resolution-tiny, or NaN: counts, but carries no
@@ -361,10 +434,7 @@ impl TimeSeries {
         let w = self.window_index(t_ns);
         if let Ok(mut st) = self.state.lock() {
             if let Some(slot) = live_slot(&mut st, w, values.len() as u64) {
-                let cell = &mut slot.hists[hist as usize];
-                for &value in values {
-                    cell.observe(value);
-                }
+                slot.hists[hist as usize].observe_many(values);
             }
         }
     }
@@ -804,6 +874,47 @@ mod tests {
         assert_eq!(sketch_bucket(f64::INFINITY), SKETCH_BUCKETS - 1);
         assert_eq!(sketch_bucket(SKETCH_MAX_MAGNITUDE * 4.0), SKETCH_BUCKETS - 1);
         assert_eq!(sketch_bucket(SKETCH_MIN_MAGNITUDE), 0);
+    }
+
+    #[test]
+    fn the_bucket_rule_matches_log2_around_every_edge() {
+        let same = |v: f64, what: &str| {
+            assert_eq!(sketch_bucket(v), log2_bucket(v), "{v:e}: {what}");
+        };
+        // Every edge 2^(k/4) from two octaves below the covered range
+        // to four past it: up to ±4 ulps (inside the fallback window),
+        // and just outside the window on both sides.
+        let ks = (MIN_OCTAVE - 2) * SUB_PER_OCTAVE..=(MIN_OCTAVE + 68) * SUB_PER_OCTAVE;
+        for k in ks {
+            let edge = (k as f64 / SUB_PER_OCTAVE as f64).exp2();
+            for ulps in -4i64..=4 {
+                let v = f64::from_bits(edge.to_bits().wrapping_add_signed(ulps));
+                same(v, &format!("{ulps} ulps from 2^({k}/4)"));
+            }
+            for rel in [1.1e-12, 2e-12, 1e-9, 1e-6, 1e-3] {
+                same(edge * (1.0 + rel), &format!("2^({k}/4) × (1 + {rel:e})"));
+                same(edge * (1.0 - rel), &format!("2^({k}/4) × (1 − {rel:e})"));
+            }
+        }
+        // A dense geometric sweep across the covered range and past it.
+        let mut v = SKETCH_MIN_MAGNITUDE / 4.0;
+        while v < SKETCH_MAX_MAGNITUDE * 4.0 {
+            same(v, "sweep");
+            v *= 1.000_123_4;
+        }
+        // Zero, subnormals, the normal extremes, infinity and NaN.
+        let specials = [
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for v in specials {
+            same(v, "special");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! across window boundaries, and a `RunReport` over any window range
 //! matches a plain-vector oracle and a single `RunRecorder`. A batch of
 //! observations leaves the ring exactly as the same values recorded one
-//! at a time would.
+//! at a time would, bucket edges and non-finite values included.
 
 use gradest_obs::timeseries::{
     TimeSeries, TimeSeriesConfig, SKETCH_MAX_MAGNITUDE, SKETCH_MIN_MAGNITUDE, SKETCH_RELATIVE_ERROR,
@@ -324,6 +324,79 @@ proptest! {
         let first = (REPORT_WINDOWS - lookback) as u64;
         let recent = RunReport::from_series(&ts, lookback, now);
         assert_reports_match(&recent, &oracle_report(&records, first));
+    }
+}
+
+/// Values the sketch's bucket rule finds hardest: up to ±4 ulps from an
+/// edge `±2^(k/4)` of any covered octave (and two past either end),
+/// plus ±0, NaN, ±∞, subnormals, magnitudes past 2^44 and ordinary
+/// values across the range.
+fn edge_value() -> impl Strategy<Value = f64> {
+    const SPECIALS: [f64; 10] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        5e-324,
+        -1.0e-310,
+        3.0e13,
+        -1.0e20,
+        f64::MAX,
+    ];
+    (0..4usize, -88..184i64, -4..=4i64, any::<bool>(), 0..SPECIALS.len(), sketch_value()).prop_map(
+        |(kind, k, ulps, negative, special, ordinary)| {
+            let sign = if negative { -1.0 } else { 1.0 };
+            match kind {
+                0 | 1 => {
+                    let edge = (k as f64 / 4.0).exp2();
+                    sign * f64::from_bits(edge.to_bits().wrapping_add_signed(ulps))
+                }
+                2 => SPECIALS[special],
+                _ => sign * ordinary,
+            }
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A ring fed a batch through `observe_many_at` and a ring fed the
+    /// same values one `observe_at` at a time agree on every summary
+    /// bit, on the quantile at every nearest rank, and on the count
+    /// above every bucket edge.
+    #[test]
+    fn a_batch_leaves_the_cell_one_observe_per_value_leaves(
+        values in prop::collection::vec(edge_value(), 1..160),
+    ) {
+        let (batched, one_by_one) =
+            (TimeSeries::new(TimeSeriesConfig::default()), TimeSeries::new(TimeSeriesConfig::default()));
+        let (t, hist) = (10, Histogram::EkfInnovation);
+        batched.observe_many_at(t, hist, &values);
+        for &v in &values {
+            one_by_one.observe_at(t, hist, v);
+        }
+        let (a, b) = (batched.hist_summary(hist, 1, t), one_by_one.hist_summary(hist, 1, t));
+        prop_assert_eq!((a.count, a.finite), (b.count, b.finite));
+        for (x, y) in [(a.sum, b.sum), (a.sum_sq, b.sum_sq), (a.min, b.min), (a.max, b.max)] {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
+        }
+        let n = values.len();
+        for rank in 0..=n {
+            let q = rank as f64 / n as f64;
+            let (x, y) = (batched.hist_quantile(hist, q, 1, t), one_by_one.hist_quantile(hist, q, 1, t));
+            prop_assert_eq!(x.map(f64::to_bits), y.map(f64::to_bits), "rank {}", rank);
+        }
+        for k in -84..180i64 {
+            for edge in [(k as f64 / 4.0).exp2(), -(k as f64 / 4.0).exp2(), 0.0] {
+                prop_assert_eq!(
+                    batched.hist_count_above(hist, edge, 1, t),
+                    one_by_one.hist_count_above(hist, edge, 1, t),
+                    "above {}", edge
+                );
+            }
+        }
     }
 }
 
