@@ -17,6 +17,15 @@
 //! roads proceed in parallel; uploads for the same road serialise on one
 //! stripe's write lock, keeping the per-cell running sums exact. Reads
 //! (`road_profile`, `coverage_at`) take a shared lock on a single stripe.
+//!
+//! # Read path
+//!
+//! Vehicles read the map far more often than they write it, so the
+//! fused profile of a road is computed where it changes: every upload
+//! rebuilds its road's profile under the same write lock as the merge,
+//! and a profile read is a copy.
+//! A reader therefore sees either the profile before an upload or the
+//! profile after it, never a mix.
 
 use crate::sync::{AtomicU64, Ordering, RwLock};
 use crate::track::GradientTrack;
@@ -42,6 +51,31 @@ struct Cell {
 struct RoadAccumulator {
     /// Arc cells at `grid_ds` spacing, indexed by `floor(s/ds)`.
     cells: Vec<Cell>,
+    /// The fused `(s, θ, P)` of the cells with weight, in cell order
+    /// (label unused), rebuilt from `cells` by every upload that
+    /// changes them.
+    profile: GradientTrack,
+}
+
+impl RoadAccumulator {
+    /// Recomputes `profile` from `cells`: `s = (i + ½)·ds`,
+    /// `θ = Σθ/P ÷ Σ1/P` and `P = 1 ÷ Σ1/P`, skipping cells with
+    /// `Σ1/P ≤ 0`. Field pushes, not `GradientTrack::push`: an
+    /// overflowed `Σ1/P` gives `P = 0`, which its debug assert refuses.
+    fn rebuild_profile(&mut self, grid_ds: f64) {
+        let p = &mut self.profile;
+        p.s.clear();
+        p.theta.clear();
+        p.variance.clear();
+        for (i, cell) in self.cells.iter().enumerate() {
+            if cell.inv_variance <= 0.0 {
+                continue;
+            }
+            p.s.push((i as f64 + 0.5) * grid_ds);
+            p.theta.push(cell.weighted_theta / cell.inv_variance);
+            p.variance.push(1.0 / cell.inv_variance);
+        }
+    }
 }
 
 /// The cloud aggregation service.
@@ -49,6 +83,11 @@ struct RoadAccumulator {
 /// Shared-state concurrent: `upload` takes `&self`, so a `CloudAggregator`
 /// behind an `Arc` (or borrowed across scoped threads) ingests tracks from
 /// many vehicles in parallel.
+///
+/// Each road keeps its fused profile beside its cell sums: an upload
+/// rebuilds it under the stripe write lock (O(cells of the road), the
+/// order of the merge itself), and [`Self::road_profile_into`] copies it
+/// under the read lock instead of recomputing it.
 ///
 /// # Example
 ///
@@ -183,6 +222,7 @@ impl CloudAggregator {
                 cell.uploads += 1;
                 cells_touched += 1;
             }
+            acc.rebuild_profile(self.grid_ds);
         }
         timer.finish(rec, Span::CloudUpload);
         rec.incr(Counter::CloudUploads, 1);
@@ -192,32 +232,20 @@ impl CloudAggregator {
         }
     }
 
-    /// The fused profile of a road, or `None` if the road is unknown.
-    /// Cells that never received an estimate are skipped.
+    /// The fused profile of a road, labelled `cloud-road-{id}`, or
+    /// `None` if the road is unknown. Cells that never received an
+    /// estimate are skipped.
     pub fn road_profile(&self, road_id: u64) -> Option<GradientTrack> {
-        let shard = self.stripe(road_id).read();
-        let acc = shard.get(&road_id)?;
         let mut track = GradientTrack::new(format!("cloud-road-{road_id}"));
-        for (i, cell) in acc.cells.iter().enumerate() {
-            if cell.inv_variance <= 0.0 {
-                continue;
-            }
-            let s = (i as f64 + 0.5) * self.grid_ds;
-            track.push(s, cell.weighted_theta / cell.inv_variance, 1.0 / cell.inv_variance);
-        }
-        if track.is_empty() {
-            None
-        } else {
-            Some(track)
-        }
+        self.road_profile_into(road_id, &mut track).then_some(track)
     }
 
     /// [`Self::road_profile`] without the per-call allocations: fills
     /// `out` (cleared first, label untouched) and returns whether the
-    /// road produced any fused cells. The numbers written are the exact
-    /// same `(s, θ, P)` values `road_profile` computes, so wire
-    /// encodings built from either are byte-identical — this is the
-    /// ingestion service's warm tile read path.
+    /// road produced any fused cells. It copies the profile the road's
+    /// last upload kept, so wire encodings built from either read are
+    /// byte-identical — this is the ingestion service's warm tile read
+    /// path.
     pub fn road_profile_into(&self, road_id: u64, out: &mut GradientTrack) -> bool {
         out.s.clear();
         out.theta.clear();
@@ -226,13 +254,9 @@ impl CloudAggregator {
         let Some(acc) = shard.get(&road_id) else {
             return false;
         };
-        for (i, cell) in acc.cells.iter().enumerate() {
-            if cell.inv_variance <= 0.0 {
-                continue;
-            }
-            let s = (i as f64 + 0.5) * self.grid_ds;
-            out.push(s, cell.weighted_theta / cell.inv_variance, 1.0 / cell.inv_variance);
-        }
+        out.s.extend_from_slice(&acc.profile.s);
+        out.theta.extend_from_slice(&acc.profile.theta);
+        out.variance.extend_from_slice(&acc.profile.variance);
         !out.is_empty()
     }
 
@@ -251,6 +275,7 @@ impl CloudAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn track(theta: f64, var: f64, n: usize) -> GradientTrack {
         let mut t = GradientTrack::new("v");
@@ -258,6 +283,97 @@ mod tests {
             t.push(i as f64 * 5.0, theta, var);
         }
         t
+    }
+
+    fn bits(t: &GradientTrack) -> [Vec<u64>; 3] {
+        [&t.s, &t.theta, &t.variance].map(|v| v.iter().map(|x| x.to_bits()).collect())
+    }
+
+    /// The read-time fusion the kept profile replaced, verbatim: the
+    /// oracle every profile read is pinned to.
+    fn read_time_profile(cloud: &CloudAggregator, road_id: u64) -> Option<GradientTrack> {
+        let shard = cloud.stripe(road_id).read();
+        let acc = shard.get(&road_id)?;
+        let mut track = GradientTrack::new(format!("cloud-road-{road_id}"));
+        for (i, cell) in acc.cells.iter().enumerate() {
+            if cell.inv_variance <= 0.0 {
+                continue;
+            }
+            let s = (i as f64 + 0.5) * cloud.grid_ds;
+            track.push(s, cell.weighted_theta / cell.inv_variance, 1.0 / cell.inv_variance);
+        }
+        if track.is_empty() {
+            None
+        } else {
+            Some(track)
+        }
+    }
+
+    /// Roads on stripes 0, 1, 7 and 14, plus a second road on stripe 0.
+    const ROADS: [u64; 5] = [0, 1, 7, 300, 1 << 40];
+
+    /// One upload to a road of [`ROADS`]: arcs `step` apart from
+    /// `start`, so tracks overlap and leave gaps, reversed half the
+    /// time. About one sample in ten carries a value the upload filter
+    /// skips (a NaN, infinite or non-positive variance, a non-finite θ,
+    /// a non-finite or negative `s`), and in one upload in eight every
+    /// sample does.
+    fn upload() -> impl Strategy<Value = (u64, GradientTrack)> {
+        let sample = (-0.15..0.15f64, -6.0..-2.0f64, 0usize..90);
+        let samples = prop::collection::vec(sample, 0..30);
+        (0..ROADS.len(), 0.0..120.0f64, 0.5..14.0f64, any::<bool>(), 0u32..8, samples).prop_map(
+            |(road, start, step, reversed, all_invalid, samples)| {
+                let mut t = GradientTrack::new("vehicle");
+                for (i, (mut theta, log_var, fault)) in samples.into_iter().enumerate() {
+                    let (mut s, mut var) = (start + i as f64 * step, 10f64.powf(log_var));
+                    let fault = if all_invalid == 0 { fault % 9 } else { fault };
+                    match fault {
+                        0 => var = f64::NAN,
+                        1 => var = f64::INFINITY,
+                        2 => var = 0.0,
+                        3 => var = -var,
+                        4 => theta = f64::NAN,
+                        5 => theta = f64::NEG_INFINITY,
+                        6 => s = f64::NAN,
+                        7 => s = f64::INFINITY,
+                        8 => s = -s - 1.0,
+                        _ => {}
+                    }
+                    // Field pushes: `push` refuses out-of-order arcs and
+                    // the values the filter must skip.
+                    t.s.push(s);
+                    t.theta.push(theta);
+                    t.variance.push(var);
+                }
+                if reversed {
+                    t.s.reverse();
+                }
+                (ROADS[road], t)
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn kept_profile_equals_read_time_fusion(uploads in prop::collection::vec(upload(), 1..24)) {
+            let cloud = CloudAggregator::new(5.0);
+            let mut out = GradientTrack::new("scratch");
+            out.push(1.0, 2.0, 3.0);
+            for (road, upload) in uploads {
+                cloud.upload(road, &upload);
+                for road in ROADS.into_iter().chain([404]) {
+                    let want = read_time_profile(&cloud, road);
+                    let got = cloud.road_profile(road);
+                    prop_assert_eq!(got.as_ref().map(|t| &t.label), want.as_ref().map(|t| &t.label));
+                    prop_assert_eq!(got.as_ref().map(bits), want.as_ref().map(bits));
+                    let found = cloud.road_profile_into(road, &mut out);
+                    prop_assert_eq!(found, want.is_some());
+                    prop_assert_eq!(out.label.as_str(), "scratch");
+                    let empty = GradientTrack::default();
+                    prop_assert_eq!(bits(&out), bits(want.as_ref().unwrap_or(&empty)));
+                }
+            }
+        }
     }
 
     #[test]
@@ -388,9 +504,6 @@ mod tests {
         both.upload(4, &hostile);
         let alone = CloudAggregator::new(5.0);
         alone.upload(4, &clean);
-        let bits = |t: &GradientTrack| {
-            [&t.s, &t.theta, &t.variance].map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
-        };
         let (got, want) = (both.road_profile(4).unwrap(), alone.road_profile(4).unwrap());
         assert_eq!(bits(&got), bits(&want));
     }

@@ -39,6 +39,10 @@ fn dyadic_track(theta: f64, n: usize) -> GradientTrack {
 /// overlapping roads must never lose an upload, never lose a cell
 /// contribution, and (for dyadic inputs) fuse to exactly the
 /// sequential result — whatever order the stripe locks are won in.
+/// A reader running beside them must never see a torn profile: every
+/// profile it reads is the sequential profile of some subset of the
+/// uploads, because each upload rebuilds its road's kept profile under
+/// the write lock of its merge.
 #[test]
 fn cloud_upload_shard_protocol_holds() {
     let thetas = [0.25, -0.5, 0.125];
@@ -50,9 +54,41 @@ fn cloud_upload_shard_protocol_holds() {
         }
     }
     let expected: Vec<_> = (0..2u64).map(|r| reference.road_profile(r).unwrap()).collect();
+    // Every subset of one road's uploads, applied sequentially (the
+    // empty subset reads as empty columns): the profiles a reader may
+    // see while the uploads run. Both roads receive the same uploads.
+    let subsets = Arc::new(
+        (0..1u32 << thetas.len())
+            .map(|mask| {
+                let cloud = CloudAggregator::new(5.0);
+                for (i, &th) in thetas.iter().enumerate() {
+                    if mask & (1 << i) != 0 {
+                        cloud.upload(0, &dyadic_track(th, 4));
+                    }
+                }
+                let mut t = GradientTrack::default();
+                cloud.road_profile_into(0, &mut t);
+                [t.s, t.theta, t.variance]
+            })
+            .collect::<Vec<_>>(),
+    );
 
     loom::model(move || {
         let cloud = Arc::new(CloudAggregator::new(5.0));
+        let reader = {
+            let cloud = Arc::clone(&cloud);
+            let subsets = Arc::clone(&subsets);
+            loom::thread::spawn(move || {
+                let mut t = GradientTrack::default();
+                for _ in 0..4 {
+                    for road in 0..2u64 {
+                        cloud.road_profile_into(road, &mut t);
+                        let seen = [t.s.clone(), t.theta.clone(), t.variance.clone()];
+                        assert!(subsets.contains(&seen), "road {road}: torn profile {seen:?}");
+                    }
+                }
+            })
+        };
         let handles: Vec<_> = thetas
             .iter()
             .map(|&th| {
@@ -71,6 +107,7 @@ fn cloud_upload_shard_protocol_holds() {
         for h in handles {
             h.join().unwrap();
         }
+        reader.join().unwrap();
         assert_eq!(cloud.uploads(), (thetas.len() * 2) as u64, "lost an upload");
         assert_eq!(cloud.road_count(), 2, "lost a road");
         for (road, want) in expected.iter().enumerate() {

@@ -386,12 +386,18 @@ pub fn decode_ack(payload: &[u8]) -> Result<u64, DecodeError> {
     Ok(road_id)
 }
 
+/// Bytes of one encoded tile cell: `s`, `θ` and `P` as `f64le`.
+const CELL_BYTES: usize = 24;
+
 /// Streaming writer for TILE reply payloads. Both the service worker
 /// and the direct-aggregation reference path in the soak test build
 /// their tile bytes through this one encoder, so "bit-identical tiles"
-/// compares fusion output, not formatting.
+/// compares fusion output, not formatting. Each edge is encoded as one
+/// block: its cells are sized once and filled in place.
 pub struct TileWriter<'a> {
     out: &'a mut Vec<u8>,
+    /// Offset of the edge-count placeholder in `out`.
+    start: usize,
     edges: u32,
 }
 
@@ -401,25 +407,42 @@ impl<'a> TileWriter<'a> {
     /// caller frames it.
     pub fn begin(out: &'a mut Vec<u8>) -> Self {
         out.clear();
-        out.extend_from_slice(&0u32.to_le_bytes());
-        TileWriter { out, edges: 0 }
+        Self::append(out)
     }
 
-    /// Appends one edge's fused profile.
+    /// Starts a tile payload after the bytes already in `out`, such as
+    /// a frame header from [`begin_frame`], so a reply frame needs no
+    /// staging copy of its tile.
+    pub(crate) fn append(out: &'a mut Vec<u8>) -> Self {
+        let start = out.len();
+        put_u32(out, 0);
+        TileWriter { out, start, edges: 0 }
+    }
+
+    /// Appends one edge's fused profile: the edge id, the cell count
+    /// `n` — the shortest of the three columns — and exactly `n`
+    /// `(s, θ, P)` cells.
     pub fn push_edge(&mut self, edge_id: u32, track: &GradientTrack) {
+        let n = track.s.len().min(track.theta.len()).min(track.variance.len());
+        let n = n.min(u32::MAX as usize);
         put_u32(self.out, edge_id);
-        put_u32(self.out, track.len() as u32);
-        for ((s, theta), var) in track.s.iter().zip(&track.theta).zip(&track.variance) {
-            put_f64(self.out, *s);
-            put_f64(self.out, *theta);
-            put_f64(self.out, *var);
+        put_u32(self.out, n as u32);
+        let at = self.out.len();
+        self.out.resize(at + n * CELL_BYTES, 0);
+        let (cells, _) = self.out[at..].as_chunks_mut::<CELL_BYTES>();
+        for (((cell, s), theta), var) in
+            cells.iter_mut().zip(&track.s).zip(&track.theta).zip(&track.variance)
+        {
+            cell[..8].copy_from_slice(&s.to_le_bytes());
+            cell[8..16].copy_from_slice(&theta.to_le_bytes());
+            cell[16..].copy_from_slice(&var.to_le_bytes());
         }
         self.edges += 1;
     }
 
     /// Patches the edge count and returns it.
     pub fn finish(self) -> u32 {
-        if let Some(slot) = self.out.get_mut(0..4) {
+        if let Some(slot) = self.out.get_mut(self.start..self.start + 4) {
             slot.copy_from_slice(&self.edges.to_le_bytes());
         }
         self.edges
@@ -454,6 +477,8 @@ pub fn decode_tile(payload: &[u8]) -> Result<Vec<(u32, GradientTrack)>, DecodeEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gradest_core::cloud::CloudAggregator;
+    use proptest::prelude::*;
 
     fn sample_log() -> SensorLog {
         let mut log = SensorLog::default();
@@ -598,6 +623,121 @@ mod tests {
         assert_eq!(tiles[0].1.theta, a.theta);
         assert_eq!(tiles[1].1.len(), 0);
         assert_eq!(tiles[2].1.variance, c.variance);
+    }
+
+    /// The per-value edge encoder the block writer replaced, verbatim:
+    /// the oracle `push_edge` is pinned to on well-formed tracks.
+    fn push_edge_per_value(out: &mut Vec<u8>, edge_id: u32, track: &GradientTrack) {
+        put_u32(out, edge_id);
+        put_u32(out, track.len() as u32);
+        for ((s, theta), var) in track.s.iter().zip(&track.theta).zip(&track.variance) {
+            put_f64(out, *s);
+            put_f64(out, *theta);
+            put_f64(out, *var);
+        }
+    }
+
+    fn per_value_tile(edges: &[(u32, GradientTrack)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u32(&mut out, edges.len() as u32);
+        for (edge, track) in edges {
+            push_edge_per_value(&mut out, *edge, track);
+        }
+        out
+    }
+
+    /// `edges` through [`TileWriter::begin`], over stale bytes it must
+    /// clear.
+    fn block_tile(edges: &[(u32, GradientTrack)]) -> Vec<u8> {
+        let mut out = vec![0xaa; 7];
+        let mut writer = TileWriter::begin(&mut out);
+        for (edge, track) in edges {
+            writer.push_edge(*edge, track);
+        }
+        assert_eq!(writer.finish() as usize, edges.len());
+        out
+    }
+
+    /// One upload to road 0–3 (four stripes): arcs `step` apart from
+    /// `start`, so tracks overlap and leave gaps, reversed half the
+    /// time; about one sample in ten has a non-finite variance or θ,
+    /// which the upload filter skips.
+    fn upload() -> impl Strategy<Value = (u64, GradientTrack)> {
+        let samples = prop::collection::vec((-0.15..0.15f64, -6.0..-2.0f64, 0u32..20), 0..30);
+        (0u64..4, 0.0..120.0f64, 0.5..14.0f64, any::<bool>(), samples).prop_map(
+            |(road, start, step, reversed, samples)| {
+                let mut t = GradientTrack::new("vehicle");
+                for (i, (theta, log_var, fault)) in samples.into_iter().enumerate() {
+                    t.s.push(start + i as f64 * step);
+                    t.theta.push(if fault == 0 { f64::NAN } else { theta });
+                    t.variance.push(if fault == 1 { f64::INFINITY } else { 10f64.powf(log_var) });
+                }
+                if reversed {
+                    t.s.reverse();
+                }
+                (road, t)
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn block_writer_matches_per_value_writer(uploads in prop::collection::vec(upload(), 1..24)) {
+            let cloud = CloudAggregator::new(5.0);
+            let mut track = GradientTrack::new("");
+            for (road, upload) in uploads {
+                cloud.upload(road, &upload);
+                let mut edges = vec![(404, GradientTrack::default())];
+                for road in 0..4u32 {
+                    if cloud.road_profile_into(u64::from(road), &mut track) {
+                        edges.push((road, track.clone()));
+                    }
+                }
+                prop_assert_eq!(block_tile(&edges), per_value_tile(&edges));
+            }
+        }
+    }
+
+    #[test]
+    fn tile_after_a_frame_header_equals_the_framed_payload() {
+        let mut a = GradientTrack::new("");
+        a.push(2.5, 0.03, 1e-4);
+        a.push(7.5, f64::NAN, 2e-4);
+        let mut c = GradientTrack::new("");
+        c.push(12.5, -0.01, 5e-4);
+        let edges = [(3, a), (9, GradientTrack::default()), (11, c)];
+        let mut direct = Vec::new();
+        begin_frame(TAG_TILE, &mut direct);
+        let mut writer = TileWriter::append(&mut direct);
+        for (edge, track) in &edges {
+            writer.push_edge(*edge, track);
+        }
+        assert_eq!(writer.finish(), 3);
+        finish_frame(&mut direct);
+        let mut staged = Vec::new();
+        begin_frame(TAG_TILE, &mut staged);
+        staged.extend_from_slice(&block_tile(&edges));
+        finish_frame(&mut staged);
+        assert_eq!(direct, staged);
+    }
+
+    #[test]
+    fn push_edge_announces_the_cells_it_writes() {
+        let mut short = GradientTrack::new("");
+        short.push(2.5, 0.03, 1e-4);
+        short.push(7.5, 0.031, 2e-4);
+        short.push(12.5, 0.032, 3e-4);
+        short.theta.pop(); // θ column one value short
+        let mut next = GradientTrack::new("");
+        next.push(2.5, -0.01, 5e-4);
+        let tile = decode_tile(&block_tile(&[(1, short.clone()), (2, next.clone())]))
+            .expect("the tile decodes");
+        assert_eq!(tile.len(), 2);
+        assert_eq!(tile[0].0, 1);
+        assert_eq!(tile[0].1.s, short.s[..2]);
+        assert_eq!(tile[0].1.theta, short.theta);
+        assert_eq!(tile[0].1.variance, short.variance[..2]);
+        assert_eq!(tile[1], (2, next));
     }
 
     #[test]

@@ -45,10 +45,10 @@
 
 use crate::drain::DrainGate;
 use crate::protocol::{
-    decode_header, decode_upload_into, encode_ack_frame, encode_busy_frame, encode_err_frame,
-    finish_frame, DecodeError, TileWriter, UploadScratch, BUSY_DRAINING, BUSY_QUEUE_FULL,
-    HEADER_BYTES, TAG_METRICS, TAG_METRICS_TEXT, TAG_STATUS, TAG_STATUS_TEXT, TAG_TILE,
-    TAG_TILE_QUERY, TAG_UPLOAD,
+    begin_frame, decode_header, decode_upload_into, encode_ack_frame, encode_busy_frame,
+    encode_err_frame, finish_frame, DecodeError, TileWriter, UploadScratch, BUSY_DRAINING,
+    BUSY_QUEUE_FULL, HEADER_BYTES, TAG_METRICS, TAG_METRICS_TEXT, TAG_STATUS, TAG_STATUS_TEXT,
+    TAG_TILE, TAG_TILE_QUERY, TAG_UPLOAD,
 };
 use crate::sync::{AtomicU64, Ordering};
 use crossbeam::channel::{bounded, Receiver, TrySendError};
@@ -550,7 +550,9 @@ struct WorkerScratch {
     upload: UploadScratch,
     est: EstimatorScratch,
     out: GradientEstimate,
+    /// The request frame's payload.
     payload: Vec<u8>,
+    /// The reply frame; a tile reply is encoded straight into it.
     reply: Vec<u8>,
     tile_track: GradientTrack,
     tile_edges: Vec<u32>,
@@ -641,7 +643,7 @@ fn handle_conn<R: Recorder + Send + Sync>(
             TAG_TILE_QUERY => handle_tile_query(shared, conn, &mut stream, scratch),
             TAG_METRICS => {
                 let text = shared.prometheus();
-                crate::protocol::begin_frame(TAG_METRICS_TEXT, &mut scratch.reply);
+                begin_frame(TAG_METRICS_TEXT, &mut scratch.reply);
                 scratch.reply.extend_from_slice(text.as_bytes());
                 finish_frame(&mut scratch.reply);
                 stream.write_all(&scratch.reply).is_ok()
@@ -649,7 +651,7 @@ fn handle_conn<R: Recorder + Send + Sync>(
             TAG_STATUS => {
                 let status_timer = SpanTimer::start(&shared.rec());
                 let text = shared.status_json();
-                crate::protocol::begin_frame(TAG_STATUS_TEXT, &mut scratch.reply);
+                begin_frame(TAG_STATUS_TEXT, &mut scratch.reply);
                 scratch.reply.extend_from_slice(text.as_bytes());
                 finish_frame(&mut scratch.reply);
                 status_timer.finish(&shared.rec(), Span::ServiceStatus);
@@ -759,21 +761,14 @@ fn handle_tile_query<R: Recorder + Send + Sync>(
     };
     let tile_timer = SpanTimer::start(&shared.rec());
     edges_in_tile_into(&shared.index, bounds, &mut scratch.query, &mut scratch.tile_edges);
-    crate::protocol::begin_frame(TAG_TILE, &mut scratch.reply);
-    // TileWriter writes the bare payload; splice it after the header
-    // by writing directly into the reply past the frame prefix. The
-    // writer clears its buffer, so use a dedicated payload region:
-    // reuse `payload` (its request bytes are already consumed).
-    {
-        let mut writer = TileWriter::begin(&mut scratch.payload);
-        for edge in &scratch.tile_edges {
-            if shared.cloud.road_profile_into(u64::from(*edge), &mut scratch.tile_track) {
-                writer.push_edge(*edge, &scratch.tile_track);
-            }
+    begin_frame(TAG_TILE, &mut scratch.reply);
+    let mut writer = TileWriter::append(&mut scratch.reply);
+    for edge in &scratch.tile_edges {
+        if shared.cloud.road_profile_into(u64::from(*edge), &mut scratch.tile_track) {
+            writer.push_edge(*edge, &scratch.tile_track);
         }
-        writer.finish();
     }
-    scratch.reply.extend_from_slice(&scratch.payload);
+    writer.finish();
     finish_frame(&mut scratch.reply);
     tile_timer.finish(&shared.rec(), Span::ServiceTileQuery);
     // sync: Relaxed statistic (see Stats).
