@@ -18,9 +18,12 @@
 //! baseline files (the error names each absent baseline and the
 //! `--update` command that regenerates it).
 //!
-//! Every `--update` also appends one compact JSON line (timestamp,
-//! git commit, all gated metrics) to `BENCH_HISTORY.jsonl` at the
-//! repository root — commit it alongside the refreshed baselines so
+//! `--update` runs each suite three times and writes the run nearest
+//! the per-row medians (`gate::nearest_to_median`), so one lucky or
+//! unlucky run cannot set a baseline; it takes three times as long as a
+//! gate run. Every `--update` also appends one compact
+//! JSON line (timestamp, git commit, all gated metrics of the kept
+//! runs) to `BENCH_HISTORY.jsonl` at the repository root — commit it alongside the refreshed baselines so
 //! the perf trajectory across refreshes stays in one greppable file.
 //! The commit is read before anything is written and carries a
 //! `-dirty` suffix when tracked files differ from it, so a refresh
@@ -44,6 +47,10 @@ use serde_json::{Map, Number, Value};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{SystemTime, UNIX_EPOCH};
+
+/// Runs of each suite a baseline refresh measures before it keeps the
+/// one nearest the per-row medians.
+const UPDATE_RUNS: usize = 3;
 
 // The hot-path benchmark can only record `allocs_per_trip_warm*` when
 // the process counts allocations, and the committed baseline must carry
@@ -229,6 +236,20 @@ fn append_history(root: &Path, commit: Value, current: &[Value]) -> Result<PathB
     Ok(path)
 }
 
+/// Runs `suite` [`UPDATE_RUNS`] times at its defaults and returns the
+/// run nearest the per-row medians of its gated metrics.
+fn refresh_run(suite: &Suite) -> Value {
+    let mut runs: Vec<Value> = (0..UPDATE_RUNS).map(|_| (suite.run)(None)).collect();
+    let rows: Vec<_> = runs.iter().map(|run| gate::extract(run, suite.specs)).collect();
+    let keep = gate::nearest_to_median(&rows);
+    println!(
+        "bench-gate: {} keeps run {} of {UPDATE_RUNS}, the nearest the per-row medians",
+        suite.file,
+        keep + 1
+    );
+    runs.swap_remove(keep)
+}
+
 /// Loads a committed baseline document, or `None` when the file is
 /// absent (fresh checkout before the first `--update`).
 fn load_baseline(path: &Path) -> Result<Option<Value>, String> {
@@ -316,7 +337,9 @@ fn main() -> ExitCode {
     let current: Vec<Value> = SUITES
         .iter()
         .zip(&baselines)
-        .map(|(suite, doc)| (suite.run)(if args.update { None } else { doc.as_ref() }))
+        .map(
+            |(suite, doc)| if args.update { refresh_run(suite) } else { (suite.run)(doc.as_ref()) },
+        )
         .collect();
 
     if args.update {

@@ -5,9 +5,9 @@
 //! cargo run --release -p gradest-bench --bin gradest-experiments -- fig8  # name filter
 //! ```
 //!
-//! Identical to running the individual bench targets; this entry point
-//! exists for users who want the complete evaluation (and its JSON
-//! artifacts under `target/experiment-results/`) in one command.
+//! The one entry point to the evaluation: each named group runs one
+//! experiment at its committed seeds and writes its JSON artifact under
+//! `target/experiment-results/`; with no filter, every group runs.
 
 use gradest_bench::experiments::*;
 use gradest_bench::perfbench::alloc_counter;

@@ -1,6 +1,7 @@
 //! Flight-recorder demo: a canonical simulated fleet run with the
 //! trace ring teed into the metrics recorder, rendered as a per-trip
-//! timeline and exported in standard telemetry formats.
+//! timeline plus the run's report, and exported in standard telemetry
+//! formats.
 //!
 //! Usage: `cargo run -p gradest-bench --release --bin gradest-trace`
 //!
@@ -9,7 +10,7 @@
 //! * `TRACE_fleet.json` — Chrome/Perfetto `trace_event` JSON; open it
 //!   in `ui.perfetto.dev` or `chrome://tracing`.
 //! * `gradest-metrics.prom` — Prometheus text exposition of the run's
-//!   counters, spans, histograms, and the fleet health report.
+//!   counters, spans and histograms.
 
 use gradest_bench::report::results_dir;
 use gradest_bench::scenarios::red_road_drive;
@@ -17,8 +18,7 @@ use gradest_core::cloud::CloudAggregator;
 use gradest_core::fleet::FleetEngine;
 use gradest_core::pipeline::{EstimatorConfig, GradientEstimator};
 use gradest_obs::{
-    chrome_trace_json, prometheus_text, validate_prometheus_text, FleetHealth, RunRecorder, Tee,
-    TraceRing,
+    chrome_trace_json, prometheus_text, validate_prometheus_text, RunRecorder, Tee, TraceRing,
 };
 
 /// Trips in the canonical fleet batch.
@@ -45,8 +45,8 @@ fn main() {
 
     let snapshot = ring.snapshot();
     println!("{}", snapshot.render());
-    let health = FleetHealth::from_run(&run);
-    println!("{}", health.render());
+    let report = run.report();
+    println!("{}", report.render());
 
     let dir = results_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
@@ -66,7 +66,7 @@ fn main() {
         snapshot.dropped
     );
 
-    let prom = prometheus_text(&run.report(), Some(&health));
+    let prom = prometheus_text(&report, &[]);
     if let Err(e) = validate_prometheus_text(&prom) {
         eprintln!("error: generated exposition failed validation: {e}");
         std::process::exit(1);

@@ -297,6 +297,38 @@ pub fn compare(
     GateReport { tolerance, rows }
 }
 
+/// Which of several runs of one suite a baseline refresh keeps: the
+/// run nearest the per-row medians, by the smallest sum over rows of
+/// `|ln(run / median)|`, so one lucky (or unlucky) run cannot set a
+/// baseline. Rows match by position (every run is [`extract`]ed with
+/// the same specs). A row's median is over the runs that measured it; a
+/// run missing a row another run measured is never nearest, and a row
+/// no run measured is skipped. Ties keep the earlier run; no runs
+/// gives 0.
+pub fn nearest_to_median(runs: &[Vec<(&'static str, Option<f64>)>]) -> usize {
+    let rows = runs.first().map_or(0, Vec::len);
+    let mut scores = vec![0.0f64; runs.len()];
+    for row in 0..rows {
+        let value = |run: &Vec<(&'static str, Option<f64>)>| run.get(row).and_then(|(_, v)| *v);
+        let mut present: Vec<f64> = runs.iter().filter_map(value).collect();
+        if present.is_empty() {
+            continue;
+        }
+        present.sort_by(f64::total_cmp);
+        let mid = present.len() / 2;
+        let median = if present.len() % 2 == 1 {
+            present[mid]
+        } else {
+            (present[mid - 1] + present[mid]) / 2.0
+        };
+        for (score, run) in scores.iter_mut().zip(runs) {
+            *score +=
+                value(run).map_or(f64::INFINITY, |v| (v.max(1.0) / median.max(1.0)).ln().abs());
+        }
+    }
+    (0..runs.len()).min_by(|&a, &b| scores[a].total_cmp(&scores[b])).unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,6 +408,33 @@ mod tests {
         assert_eq!(by_name("pipeline/span/steering"), Some(7.0));
         // Spans the doc lacks extract as None, not a panic.
         assert_eq!(by_name("pipeline/span/fusion"), None);
+    }
+
+    #[test]
+    fn refresh_keeps_the_run_nearest_the_medians() {
+        // Row medians a = 100, b = 11. Run 0 is the fastest (lucky on
+        // `a`) and run 2 is the last; run 1 sits on both medians.
+        let runs = [
+            metrics(&[("a", 50.0), ("b", 10.0)]),
+            metrics(&[("a", 100.0), ("b", 11.0)]),
+            metrics(&[("a", 110.0), ("b", 30.0)]),
+        ];
+        assert_eq!(nearest_to_median(&runs), 1);
+        // The summed distance decides, not the number of rows won: run 1
+        // sits on the medians of `a` and `c` but far off on `b`, run 2
+        // a little off on `a` and `c` and on the median of `b`.
+        let runs = [
+            metrics(&[("a", 99.0), ("b", 40.0), ("c", 50.0)]),
+            metrics(&[("a", 100.0), ("b", 5.0), ("c", 50.0)]),
+            metrics(&[("a", 104.0), ("b", 11.0), ("c", 51.0)]),
+        ];
+        assert_eq!(nearest_to_median(&runs), 2);
+        // A run that lost a row is never kept; ties keep the earlier run.
+        let lost = vec![("a", None), ("b", Some(11.0))];
+        let runs =
+            [lost, metrics(&[("a", 100.0), ("b", 11.0)]), metrics(&[("a", 100.0), ("b", 11.0)])];
+        assert_eq!(nearest_to_median(&runs), 1);
+        assert_eq!(nearest_to_median(&[]), 0);
     }
 
     #[test]

@@ -17,8 +17,8 @@ use gradest_core::pipeline::{
 use gradest_geo::generate::red_road;
 use gradest_geo::Route;
 use gradest_obs::{
-    chrome_trace_json, prometheus_text, validate_prometheus_text, FleetHealth, RunRecorder, Tee,
-    TraceRing, TraceSnapshot,
+    chrome_trace_json, prometheus_text, validate_prometheus_text, RunRecorder, Tee, TraceRing,
+    TraceSnapshot,
 };
 use gradest_sensors::suite::{SensorConfig, SensorSuite};
 use gradest_sim::driver::DriverProfile;
@@ -84,10 +84,11 @@ fn canonical_trip_exports_are_well_formed() {
     assert_eq!(events.len(), snapshot.events.len(), "one trace record per ring event");
 
     // The Prometheus exposition passes the text-format grammar
-    // line by line.
-    let health = FleetHealth::from_run(&run);
-    assert_eq!(health.trips, 1);
-    assert_eq!(health.tracks_healthy, 4);
-    let prom = prometheus_text(&run.report(), Some(&health));
+    // line by line and carries the track verdicts.
+    let report = run.report();
+    assert_eq!(report.counter("trips-processed"), Some(1));
+    assert_eq!(report.counter("tracks-healthy"), Some(4));
+    let prom = prometheus_text(&report, &[]);
     validate_prometheus_text(&prom).expect("exposition must satisfy the text-format grammar");
+    assert!(prom.contains("\ngradest_tracks_healthy_total 4\n"), "{prom}");
 }

@@ -9,25 +9,28 @@
 //!   instants (`"i"`), and Eq-6 fusion-weight snapshots become counter
 //!   (`"C"`) tracks — load the file in `ui.perfetto.dev` or
 //!   `chrome://tracing`.
-//! - [`prometheus_text`]: a `RunReport` (and optionally a
-//!   [`FleetHealth`]) in Prometheus text exposition format, ready for a
-//!   scrape endpoint or the textfile collector. Metric names are the
-//!   taxonomy names with `-`/`:` mapped to `_` under a `gradest_`
-//!   prefix; spans and histograms export as labelled families so the
-//!   metric set stays fixed as the taxonomy grows.
+//! - [`prometheus_text`]: a `RunReport` plus the caller's own
+//!   [`Sample`]s in Prometheus text exposition format — the `METRICS`
+//!   frame of `gradest-serve` and the `gradest-trace` textfile. It is
+//!   the workspace's one writer of `# TYPE` and `# HELP` lines. Metric
+//!   names are the taxonomy names with `-`/`:` mapped to `_` under a
+//!   `gradest_` prefix; spans and histograms export as labelled
+//!   families so the metric set stays fixed as the taxonomy grows.
 //!
 //! [`validate_prometheus_text`] checks an exposition line-by-line
 //! against the text-format grammar (comments, metric names, label
-//! syntax, float values) — the golden tests run every export through
-//! it.
+//! syntax, float values, one `# TYPE` and one `# HELP` per family, the
+//! `# TYPE` before the family's first sample) — the golden tests run
+//! every export through it.
 //!
 //! The trace_event payload is hand-written: the vendored serde derive
 //! supports named-field structs only, and the event array mixes shapes
 //! per phase, so a small JSON writer is simpler than fighting the shim.
 
-use crate::health::FleetHealth;
-use crate::run::RunReport;
+use crate::metrics::Counter;
+use crate::run::{HistogramReport, RunReport};
 use crate::trace::{TraceEvent, TraceSnapshot, TraceSource};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// A JSON number from an `f64`: non-finite values (unrepresentable in
@@ -224,19 +227,46 @@ fn push_family(out: &mut String, name: &str, kind: &str, help: &str) {
     let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
-/// Render a report (and optionally fleet health) in Prometheus text
+/// The Prometheus type of a caller's [`Sample`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SampleKind {
+    /// A cumulative count that never falls.
+    Counter,
+    /// A value that may go up and down.
+    Gauge,
+}
+
+/// One caller-supplied sample for [`prometheus_text`]: an unlabelled
+/// family holding one value, with an optional timestamp. Its name must
+/// not be one the report's families already use.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Sample {
+    /// Full metric name, e.g. `gradest_service_in_flight`.
+    pub name: &'static str,
+    /// The family's type.
+    pub kind: SampleKind,
+    /// The sample value.
+    pub value: f64,
+    /// Milliseconds since the Unix epoch, for samples that carry their
+    /// own scrape time.
+    pub timestamp_ms: Option<u64>,
+}
+
+/// Render a report plus the caller's samples in Prometheus text
 /// exposition format.
 ///
-/// Counters become `gradest_<name>_total` counter families; spans and
-/// histograms become labelled families (`gradest_span_*{span="…"}`,
-/// `gradest_hist_*{hist="…"}`); fleet health becomes `gradest_fleet_*`
-/// gauges. Every output line passes [`validate_prometheus_text`].
-pub fn prometheus_text(report: &RunReport, health: Option<&FleetHealth>) -> String {
+/// Every taxonomy counter becomes a `gradest_<name>_total` counter
+/// family, at zero when the report omits it, so a scraper sees each
+/// counter from its first scrape. Spans and histograms become labelled
+/// families (`gradest_span_*{span="…"}`, `gradest_hist_*{hist="…"}`);
+/// `samples` follow, one family each. Every output line passes
+/// [`validate_prometheus_text`].
+pub fn prometheus_text(report: &RunReport, samples: &[Sample]) -> String {
     let mut out = String::new();
-    for c in &report.counters {
-        let name = format!("gradest_{}_total", sanitize(&c.name));
+    for c in Counter::ALL {
+        let name = format!("gradest_{}_total", sanitize(c.name()));
         push_family(&mut out, &name, "counter", "Cumulative event count from the obs taxonomy.");
-        let _ = writeln!(out, "{name} {}", c.value);
+        let _ = writeln!(out, "{name} {}", report.counter(c.name()).unwrap_or(0));
     }
     if !report.spans.is_empty() {
         push_family(
@@ -269,7 +299,7 @@ pub fn prometheus_text(report: &RunReport, health: Option<&FleetHealth>) -> Stri
         }
     }
     if !report.histograms.is_empty() {
-        type HistStat = fn(&crate::run::HistogramReport) -> f64;
+        type HistStat = fn(&HistogramReport) -> f64;
         let stats: [(&str, &str, HistStat); 5] = [
             ("gradest_hist_count", "Observations recorded per histogram.", |h| h.count as f64),
             ("gradest_hist_mean", "Mean observed value per histogram.", |h| h.mean),
@@ -289,74 +319,17 @@ pub fn prometheus_text(report: &RunReport, health: Option<&FleetHealth>) -> Stri
             }
         }
     }
-    if let Some(fh) = health {
-        push_family(&mut out, "gradest_fleet_trips", "gauge", "Trips folded into fleet health.");
-        let _ = writeln!(out, "gradest_fleet_trips {}", fh.trips);
-        push_family(
-            &mut out,
-            "gradest_fleet_tracks",
-            "gauge",
-            "Per-source track count by final InnovationMonitor verdict.",
-        );
-        for (verdict, n) in [
-            ("healthy", fh.tracks_healthy),
-            ("degraded", fh.tracks_degraded),
-            ("diverged", fh.tracks_diverged),
-        ] {
-            let _ = writeln!(out, "gradest_fleet_tracks{{verdict=\"{verdict}\"}} {n}");
+    for s in samples {
+        let kind = match s.kind {
+            SampleKind::Counter => "counter",
+            SampleKind::Gauge => "gauge",
+        };
+        let _ = writeln!(out, "# TYPE {} {kind}", s.name);
+        let _ = write!(out, "{} {}", s.name, prom_value(s.value));
+        if let Some(ts) = s.timestamp_ms {
+            let _ = write!(out, " {ts}");
         }
-        push_family(
-            &mut out,
-            "gradest_fleet_health_transitions_total",
-            "counter",
-            "InnovationMonitor verdict transitions during tracking.",
-        );
-        for (dir, n) in [
-            ("degraded", fh.health_degraded_transitions),
-            ("recovered", fh.health_recovered_transitions),
-        ] {
-            let _ =
-                writeln!(out, "gradest_fleet_health_transitions_total{{direction=\"{dir}\"}} {n}");
-        }
-        push_family(
-            &mut out,
-            "gradest_fleet_nis_mean",
-            "gauge",
-            "Mean of per-track windowed mean NIS (about 1 when filters are honest).",
-        );
-        let _ = writeln!(out, "gradest_fleet_nis_mean {}", prom_value(fh.nis_mean));
-        push_family(
-            &mut out,
-            "gradest_fleet_nis_band",
-            "gauge",
-            "Tracks per mean-NIS band (sketch resolution at 10 and 100).",
-        );
-        for (band, n) in [
-            ("lt_1", fh.nis_band_lt_1),
-            ("1_to_10", fh.nis_band_1_to_10),
-            ("10_to_100", fh.nis_band_10_to_100),
-            ("ge_100", fh.nis_band_ge_100),
-        ] {
-            let _ = writeln!(out, "gradest_fleet_nis_band{{band=\"{band}\"}} {n}");
-        }
-        push_family(
-            &mut out,
-            "gradest_fleet_gps_gaps_total",
-            "counter",
-            "GPS dropouts detected across the fleet.",
-        );
-        let _ = writeln!(out, "gradest_fleet_gps_gaps_total {}", fh.gps_gaps);
-        push_family(
-            &mut out,
-            "gradest_fleet_gps_gap_rate_per_trip",
-            "gauge",
-            "Mean GPS dropouts per trip.",
-        );
-        let _ = writeln!(
-            out,
-            "gradest_fleet_gps_gap_rate_per_trip {}",
-            prom_value(fh.gps_gap_rate_per_trip)
-        );
+        out.push('\n');
     }
     out
 }
@@ -372,8 +345,9 @@ fn valid_name(s: &str, allow_colon: bool) -> bool {
     head_ok && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || (allow_colon && c == ':'))
 }
 
-/// Check one `name{label="v",…}` sample line against the grammar.
-fn validate_sample(line: &str, lineno: usize) -> Result<(), String> {
+/// Check one `name{label="v",…}` sample line against the grammar and
+/// return its metric name.
+fn validate_sample(line: &str, lineno: usize) -> Result<&str, String> {
     let err = |msg: &str| Err(format!("line {lineno}: {msg}: {line:?}"));
     // Split off the metric name: everything before '{' or whitespace.
     let name_end = line.find(|c: char| c == '{' || c.is_ascii_whitespace()).unwrap_or(line.len());
@@ -416,19 +390,26 @@ fn validate_sample(line: &str, lineno: usize) -> Result<(), String> {
     if fields.next().is_some() {
         return err("trailing tokens after sample");
     }
-    Ok(())
+    Ok(name)
 }
 
 /// Validate a full exposition line-by-line against the Prometheus text
 /// format grammar: `# HELP`/`# TYPE` headers (with known metric types),
 /// other comments, blank lines, and `name{labels} value [timestamp]`
-/// samples. Returns the first offending line on failure.
+/// samples. A name may have one `# HELP` and one `# TYPE` line, and its
+/// `# TYPE` must come before the family's first sample (for a
+/// histogram or summary `m`, samples named `m_sum`, `m_count` and
+/// `m_bucket` belong to it). Returns the first offending line on
+/// failure.
 ///
 /// # Errors
 ///
 /// A message naming the line number and the grammar rule it broke.
 pub fn validate_prometheus_text(text: &str) -> Result<(), String> {
     const TYPES: [&str; 5] = ["counter", "gauge", "histogram", "summary", "untyped"];
+    let mut helped = HashSet::new();
+    let mut typed = HashSet::new();
+    let mut sampled = HashSet::new();
     for (idx, line) in text.lines().enumerate() {
         let lineno = idx + 1;
         if line.trim().is_empty() {
@@ -442,6 +423,9 @@ pub fn validate_prometheus_text(text: &str) -> Result<(), String> {
                     let name = rest.split_ascii_whitespace().next().unwrap_or("");
                     if !valid_name(name, true) {
                         return Err(format!("line {lineno}: HELP without valid metric name"));
+                    }
+                    if !helped.insert(name) {
+                        return Err(format!("line {lineno}: second HELP for {name}"));
                     }
                 }
                 Some("TYPE") => {
@@ -458,13 +442,23 @@ pub fn validate_prometheus_text(text: &str) -> Result<(), String> {
                     if parts.next().is_some() {
                         return Err(format!("line {lineno}: trailing tokens after TYPE"));
                     }
+                    if !typed.insert(name) {
+                        return Err(format!("line {lineno}: second TYPE for {name}"));
+                    }
+                    let family_sampled = sampled.contains(name)
+                        || ["_sum", "_count", "_bucket"]
+                            .iter()
+                            .any(|suffix| sampled.contains(format!("{name}{suffix}").as_str()));
+                    if family_sampled {
+                        return Err(format!("line {lineno}: TYPE for {name} after its samples"));
+                    }
                 }
                 // Any other comment is legal.
                 _ => {}
             }
             continue;
         }
-        validate_sample(line, lineno)?;
+        sampled.insert(validate_sample(line, lineno)?);
     }
     Ok(())
 }
@@ -536,17 +530,39 @@ mod tests {
 
     #[test]
     fn prometheus_text_passes_its_own_validator() {
-        let rec = RunRecorder::new();
-        rec.incr(Counter::TripsProcessed, 4);
-        rec.incr(Counter::TracksHealthy, 3);
-        rec.observe(Histogram::EkfMeanNis, 1.2);
-        let health = FleetHealth::from_run(&rec);
-        let text = prometheus_text(&sample_report(), Some(&health));
+        let samples = [
+            Sample {
+                name: "gradest_service_roads",
+                kind: SampleKind::Gauge,
+                value: 3.0,
+                timestamp_ms: None,
+            },
+            Sample {
+                name: "gradest_service_uptime_seconds",
+                kind: SampleKind::Gauge,
+                value: 12.5,
+                timestamp_ms: Some(1_700_000_000_000),
+            },
+        ];
+        let text = prometheus_text(&sample_report(), &samples);
         validate_prometheus_text(&text).expect("exposition conforms to the grammar");
         // Taxonomy punctuation must be gone from metric names.
         assert!(text.contains("gradest_ekf_updates_gps_total 140"));
         assert!(!text.lines().any(|l| !l.starts_with('#') && (l.contains('-') || l.contains(':'))));
-        assert!(text.contains("gradest_fleet_tracks{verdict=\"healthy\"} 3"));
+        // Every taxonomy counter is there, also at zero.
+        assert!(text.contains("# TYPE gradest_service_busy_rejects_total counter\n"));
+        assert!(text.contains("\ngradest_service_busy_rejects_total 0\n"));
+        assert!(text.contains("gradest_span_count_total{span=\"trip\"} 1\n"));
+        assert!(text.contains("# TYPE gradest_service_roads gauge\ngradest_service_roads 3\n"));
+        assert!(text.ends_with("gradest_service_uptime_seconds 12.5 1700000000000\n"));
+        // A sample that reuses a report family's name is caught.
+        let clash = Sample {
+            name: "gradest_trips_processed_total",
+            kind: SampleKind::Counter,
+            value: 1.0,
+            timestamp_ms: None,
+        };
+        assert!(validate_prometheus_text(&prometheus_text(&sample_report(), &[clash])).is_err());
     }
 
     #[test]
@@ -572,6 +588,16 @@ mod tests {
         )
         .is_ok());
         assert!(validate_prometheus_text("m 1 1.5\n").is_err(), "timestamps are integral ms");
+        // One HELP and one TYPE per family, the TYPE before its samples.
+        assert!(validate_prometheus_text("# HELP m a\n# TYPE m counter\nm 1\nn 2\n").is_ok());
+        assert!(validate_prometheus_text("# TYPE m counter\n# TYPE m counter\nm 1\n").is_err());
+        assert!(validate_prometheus_text("# TYPE m counter\nm 1\n# TYPE m gauge\n").is_err());
+        assert!(validate_prometheus_text("# HELP m a\n# HELP m b\nm 1\n").is_err());
+        assert!(validate_prometheus_text("# HELP m a\nm 1\n# HELP m a\n").is_err());
+        assert!(validate_prometheus_text("m 1\n# TYPE m counter\n").is_err(), "TYPE after sample");
+        assert!(validate_prometheus_text("m_sum 1\n# TYPE m summary\n").is_err());
+        assert!(validate_prometheus_text("m_bucket{le=\"1\"} 1\n# TYPE m histogram\n").is_err());
+        assert!(validate_prometheus_text("m_total 1\n# TYPE m counter\n").is_ok(), "other family");
     }
 
     #[test]

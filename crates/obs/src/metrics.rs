@@ -214,6 +214,8 @@ pub enum Counter {
     ServiceTileQueries,
     /// STATUS frames answered.
     ServiceStatusQueries,
+    /// Uploads fused into the cloud aggregator and acknowledged.
+    ServiceUploadsAcked,
     /// Quality drift alerts raised (any signal entering `Drifting`).
     QualityAlertsRaised,
     /// Quality drift alerts cleared (any signal returning to `Ok`).
@@ -222,7 +224,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 26] = [
+    pub const ALL: [Counter; 27] = [
         Counter::TripsProcessed,
         Counter::LaneChangesDetected,
         Counter::LaneChangesRejected,
@@ -247,6 +249,7 @@ impl Counter {
         Counter::ServiceBusyRejects,
         Counter::ServiceTileQueries,
         Counter::ServiceStatusQueries,
+        Counter::ServiceUploadsAcked,
         Counter::QualityAlertsRaised,
         Counter::QualityAlertsCleared,
     ];
@@ -281,6 +284,7 @@ impl Counter {
             Counter::ServiceBusyRejects => "service-busy-rejects",
             Counter::ServiceTileQueries => "service-tile-queries",
             Counter::ServiceStatusQueries => "service-status-queries",
+            Counter::ServiceUploadsAcked => "service-uploads-acked",
             Counter::QualityAlertsRaised => "quality-alerts-raised",
             Counter::QualityAlertsCleared => "quality-alerts-cleared",
         }

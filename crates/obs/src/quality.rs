@@ -226,9 +226,14 @@ impl QualityMonitors {
 
         let weight = ts.hist_mean(WEIGHT_HIST, LOOKBACK, end_ns);
         let total = ts.hist_count(Histogram::EkfMeanNis, LOOKBACK, end_ns);
-        let nis = (total > 0)
-            .then(|| nis_above(ts, INCONSISTENT_NIS, LOOKBACK, end_ns) as f64 / total as f64);
-        let gps = gaps_per_trip(ts, LOOKBACK, end_ns);
+        let nis = (total > 0).then(|| {
+            let above =
+                ts.hist_count_above(Histogram::EkfMeanNis, INCONSISTENT_NIS, LOOKBACK, end_ns);
+            above as f64 / total as f64
+        });
+        let trips = ts.delta(Counter::TripsProcessed, LOOKBACK, end_ns);
+        let gps =
+            (trips > 0).then(|| ts.delta(Counter::GpsGaps, LOOKBACK, end_ns) as f64 / trips as f64);
 
         for (i, value) in [weight, nis, gps].into_iter().enumerate() {
             let Some(value) = value else {
@@ -278,24 +283,6 @@ impl Default for QualityMonitors {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// GPS dropouts per processed trip over the `lookback` windows ending
-/// at `now_ns`'s window, `None` when no trip ran — the
-/// [`QualitySignal::GpsDropoutRate`] statistic and
-/// `FleetHealth::gps_gap_rate_per_trip`.
-pub(crate) fn gaps_per_trip(ts: &TimeSeries, lookback: usize, now_ns: u64) -> Option<f64> {
-    let trips = ts.delta(Counter::TripsProcessed, lookback, now_ns);
-    let gaps = ts.delta(Counter::GpsGaps, lookback, now_ns);
-    (trips > 0).then(|| gaps as f64 / trips as f64)
-}
-
-/// Mean-NIS observations the sketch places above `threshold` over the
-/// `lookback` windows ending at `now_ns`'s window — the
-/// [`QualitySignal::NisOutOfBand`] count at [`INCONSISTENT_NIS`] and
-/// `FleetHealth`'s bands at 1/10/100.
-pub(crate) fn nis_above(ts: &TimeSeries, threshold: f64, lookback: usize, now_ns: u64) -> u64 {
-    ts.hist_count_above(Histogram::EkfMeanNis, threshold, lookback, now_ns)
 }
 
 #[cfg(test)]

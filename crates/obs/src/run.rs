@@ -4,10 +4,11 @@
 //! A `RunRecorder` is the clock-free front end of the one aggregator,
 //! `obs::timeseries`: a [`TimeSeries`] whose single window never
 //! rotates, recorded at one fixed timestamp. [`RunReport::from_series`]
-//! reads any window range of any series into the serializable report,
-//! so combining runs is a wider window range, not a report merge.
-//! Report building allocates, so it lives here rather than in the
-//! warm-gated ring module.
+//! reads everything any series kept — its live windows plus the totals
+//! rotation retired — into the serializable report, so a live ring and
+//! one `RunRecorder` fed the same records report the same run. Report
+//! building allocates, so it lives here rather than in the warm-gated
+//! ring module.
 
 use crate::metrics::{Counter, Histogram, Span};
 use crate::recorder::Recorder;
@@ -17,7 +18,7 @@ use std::fmt::Write as _;
 
 /// The timestamp every `RunRecorder` record carries: with a window as
 /// wide as the clock, it always lands in window 0.
-pub(crate) const RUN_T_NS: u64 = 0;
+const RUN_T_NS: u64 = 0;
 
 /// An aggregating [`Recorder`] over a whole run: a [`TimeSeries`] whose
 /// one window spans all of time, so nothing ever rotates out and no
@@ -47,7 +48,7 @@ impl RunRecorder {
     /// are omitted, so the report doubles as the "which metrics did
     /// this workload emit" set the snapshot test pins.
     pub fn report(&self) -> RunReport {
-        RunReport::from_series(&self.series, 1, RUN_T_NS)
+        RunReport::from_series(&self.series)
     }
 
     /// A deterministic, integers-only rendering of what was recorded:
@@ -68,12 +69,6 @@ impl RunRecorder {
             let _ = writeln!(out, "hist {} count={}", h.name, h.count);
         }
         out
-    }
-
-    /// The backing series, for the other whole-run view
-    /// (`FleetHealth::from_run`): lookback 1 at [`RUN_T_NS`] covers it.
-    pub(crate) fn series(&self) -> &TimeSeries {
-        &self.series
     }
 }
 
@@ -154,20 +149,24 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// The report over the `lookback` windows of `series` ending at
-    /// `now_ns`'s window. Span counts, totals, and extremes, counter
+    /// Everything `series` kept, read in one locked pass over its
+    /// counters and summaries (never the sketch buckets): the retired
+    /// totals plus every live window, so a counter never falls as the
+    /// ring turns over. Span counts, totals, and extremes, counter
     /// values, and histogram counts and extremes are exact; histogram
     /// mean and stddev come from the summed moments. Ids with nothing
-    /// recorded in the range are omitted.
-    pub fn from_series(series: &TimeSeries, lookback: usize, now_ns: u64) -> RunReport {
+    /// recorded are omitted, and so are late drops.
+    pub fn from_series(series: &TimeSeries) -> RunReport {
+        let totals = series.totals();
         let spans = Span::ALL
             .iter()
-            .filter_map(|&s| {
-                let stats = series.span_summary(s, lookback, now_ns);
+            .zip(&totals.spans)
+            .filter(|(_, stats)| stats.count > 0)
+            .map(|(s, stats)| {
                 // Durations are integers: the f64 sum and extremes are
                 // exact below 2^53 ns.
                 let total_ns = stats.sum as u64;
-                (stats.count > 0).then(|| SpanReport {
+                SpanReport {
                     name: s.name().to_string(),
                     depth: s.depth() as u64,
                     count: stats.count,
@@ -175,28 +174,26 @@ impl RunReport {
                     mean_ns: total_ns / stats.count,
                     min_ns: stats.min as u64,
                     max_ns: stats.max as u64,
-                })
+                }
             })
             .collect();
         let counters = Counter::ALL
             .iter()
-            .filter_map(|&c| {
-                let value = series.delta(c, lookback, now_ns);
-                (value > 0).then(|| CounterReport { name: c.name().to_string(), value })
-            })
+            .zip(&totals.counters)
+            .filter(|(_, value)| **value > 0)
+            .map(|(c, value)| CounterReport { name: c.name().to_string(), value: *value })
             .collect();
         let histograms = Histogram::ALL
             .iter()
-            .filter_map(|&h| {
-                let stats = series.hist_summary(h, lookback, now_ns);
-                (stats.count > 0).then(|| HistogramReport {
-                    name: h.name().to_string(),
-                    count: stats.count,
-                    mean: stats.mean().unwrap_or(f64::NAN),
-                    stddev: stats.stddev().unwrap_or(f64::NAN),
-                    min: stats.min,
-                    max: stats.max,
-                })
+            .zip(&totals.hists)
+            .filter(|(_, stats)| stats.count > 0)
+            .map(|(h, stats)| HistogramReport {
+                name: h.name().to_string(),
+                count: stats.count,
+                mean: stats.mean().unwrap_or(f64::NAN),
+                stddev: stats.stddev().unwrap_or(f64::NAN),
+                min: stats.min,
+                max: stats.max,
             })
             .collect();
         RunReport { spans, counters, histograms }

@@ -1,14 +1,15 @@
-//! Declarative service-level objectives over the live time-series ring.
+//! The service-level objectives of `gradest-serve`, evaluated over
+//! the live time-series ring.
 //!
-//! An [`SloSpec`] names an objective ("99% of frames answer within
-//! 50 ms"), how to measure its error ratio from a
-//! [`crate::timeseries::TimeSeries`] ([`SloKind`]), and when to escalate.
-//! Escalation uses the standard multi-window burn-rate scheme: the
-//! error ratio is normalised by the error budget `1 − target` into a
-//! *burn rate* (1 = exactly consuming budget at the sustainable pace),
-//! and an alert fires only when **both** a short and a long lookback
-//! burn hot — the short window makes alerts reset quickly once the
-//! problem stops, the long window keeps one bad scrape from paging.
+//! Three fixed objectives: frame availability (99% of decoded frames
+//! answered without a typed error), frame latency (99% within 50 ms)
+//! and admission (95% of frames not shed with BUSY). Escalation uses
+//! the standard multi-window burn-rate scheme: the error ratio is
+//! normalised by the error budget `1 − target` into a *burn rate* (1 =
+//! exactly consuming budget at the sustainable pace), and an alert
+//! fires only when **both** a short and a long lookback burn hot — the
+//! short window makes alerts reset quickly once the problem stops, the
+//! long window keeps one bad scrape from paging.
 //!
 //! Everything is hand-rolled over the ring's counters and sketches —
 //! no external SLO machinery — and evaluation allocates only the
@@ -17,49 +18,68 @@
 use crate::metrics::{Counter, Span};
 use crate::timeseries::TimeSeries;
 
+/// Short lookback, ring windows (fast alert reset): 10 s at the
+/// default 1 s windows.
+const SHORT_WINDOWS: usize = 10;
+/// Long lookback, ring windows (flake suppression): a minute at the
+/// default 1 s windows.
+const LONG_WINDOWS: usize = 60;
+/// Burn rate at which both lookbacks must run to `Warn`.
+const WARN_BURN: f64 = 1.0;
+
 /// How one objective's error ratio is measured from the ring.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SloKind {
-    /// Ratio of `bad` events to `bad + good` events (availability-style
-    /// objectives). No traffic means no errors.
-    EventRatio {
-        /// Counter of budget-consuming events.
-        bad: Counter,
-        /// Counter of in-objective events.
-        good: Counter,
-    },
-    /// Fraction of a span's durations above `bound_ns`
-    /// (latency-style objectives: "target of frames finish within
-    /// bound"). Subject to the sketch's relative error at the bound.
-    SpanLatency {
-        /// The timed region the objective covers.
-        span: Span,
-        /// The latency bound, nanoseconds.
-        bound_ns: f64,
-    },
+#[derive(Debug, Clone, Copy)]
+enum Measure {
+    /// Ratio of `bad` events to `bad + good` events. No traffic means
+    /// no errors.
+    Events { bad: Counter, good: Counter },
+    /// Fraction of a span's durations above `bound_ns`, subject to the
+    /// sketch's relative error at the bound.
+    Latency { span: Span, bound_ns: f64 },
 }
 
-/// One declarative objective.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloSpec {
+/// One objective.
+#[derive(Debug, Clone, Copy)]
+struct SloSpec {
     /// Stable identifier (STATUS JSON key).
-    pub name: &'static str,
-    /// How the error ratio is measured.
-    pub kind: SloKind,
-    /// Target good fraction in `(0, 1)`, e.g. `0.99`.
-    pub target: f64,
-    /// Short lookback, windows (fast alert reset).
-    pub short_windows: usize,
-    /// Long lookback, windows (flake suppression).
-    pub long_windows: usize,
-    /// Burn rate at which both lookbacks must run to `Warn`.
-    pub warn_burn: f64,
+    name: &'static str,
+    measure: Measure,
+    /// Target good fraction in `(0, 1)`.
+    target: f64,
     /// Burn rate at which both lookbacks must run to `Page`.
-    pub page_burn: f64,
+    page_burn: f64,
 }
 
-/// Escalation state of one objective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The objectives, in report order.
+const OBJECTIVES: [SloSpec; 3] = [
+    SloSpec {
+        name: "frame-availability",
+        measure: Measure::Events {
+            bad: Counter::ServiceFramesRejected,
+            good: Counter::ServiceFramesOk,
+        },
+        target: 0.99,
+        page_burn: 10.0,
+    },
+    SloSpec {
+        name: "frame-latency",
+        measure: Measure::Latency { span: Span::ServiceFrame, bound_ns: 50.0e6 },
+        target: 0.99,
+        page_burn: 10.0,
+    },
+    SloSpec {
+        name: "admission",
+        measure: Measure::Events {
+            bad: Counter::ServiceBusyRejects,
+            good: Counter::ServiceFramesOk,
+        },
+        target: 0.95,
+        page_burn: 6.0,
+    },
+];
+
+/// Escalation state of one objective, ordered by severity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SloState {
     /// Burn rates below the warn threshold.
     Healthy,
@@ -83,11 +103,11 @@ impl SloState {
 /// One objective's evaluated state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloReport {
-    /// The spec's name.
+    /// The objective's name.
     pub name: &'static str,
     /// Escalation state.
     pub state: SloState,
-    /// The spec's target good fraction.
+    /// The objective's target good fraction.
     pub target: f64,
     /// Error ratio over the short lookback.
     pub error_short: f64,
@@ -99,93 +119,16 @@ pub struct SloReport {
     pub burn_long: f64,
 }
 
-/// An ordered set of objectives evaluated together.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloTable {
-    specs: Vec<SloSpec>,
+/// Evaluates every objective against the ring at `now_ns`, in report
+/// order.
+pub fn evaluate(ts: &TimeSeries, now_ns: u64) -> Vec<SloReport> {
+    OBJECTIVES.iter().map(|spec| evaluate_spec(spec, ts, now_ns)).collect()
 }
 
-impl SloTable {
-    /// A table of the given objectives (order is report order).
-    pub fn new(specs: Vec<SloSpec>) -> Self {
-        SloTable { specs }
-    }
-
-    /// The default `gradest-serve` objectives, with lookbacks in units
-    /// of ring windows (tune them to the configured window width):
-    /// frame availability (99% of decoded frames answered without a
-    /// typed error), frame latency (99% within `frame_bound_ns`), and
-    /// admission (95% of frames not shed with BUSY).
-    pub fn service_default(frame_bound_ns: f64, short_windows: usize, long_windows: usize) -> Self {
-        let short_windows = short_windows.max(1);
-        let long_windows = long_windows.max(short_windows);
-        SloTable::new(vec![
-            SloSpec {
-                name: "frame-availability",
-                kind: SloKind::EventRatio {
-                    bad: Counter::ServiceFramesRejected,
-                    good: Counter::ServiceFramesOk,
-                },
-                target: 0.99,
-                short_windows,
-                long_windows,
-                warn_burn: 1.0,
-                page_burn: 10.0,
-            },
-            SloSpec {
-                name: "frame-latency",
-                kind: SloKind::SpanLatency { span: Span::ServiceFrame, bound_ns: frame_bound_ns },
-                target: 0.99,
-                short_windows,
-                long_windows,
-                warn_burn: 1.0,
-                page_burn: 10.0,
-            },
-            SloSpec {
-                name: "admission",
-                kind: SloKind::EventRatio {
-                    bad: Counter::ServiceBusyRejects,
-                    good: Counter::ServiceFramesOk,
-                },
-                target: 0.95,
-                short_windows,
-                long_windows,
-                warn_burn: 1.0,
-                page_burn: 6.0,
-            },
-        ])
-    }
-
-    /// The objectives, in report order.
-    pub fn specs(&self) -> &[SloSpec] {
-        &self.specs
-    }
-
-    /// Evaluates every objective against the ring at `now_ns`.
-    pub fn evaluate(&self, ts: &TimeSeries, now_ns: u64) -> Vec<SloReport> {
-        self.specs.iter().map(|spec| evaluate_spec(spec, ts, now_ns)).collect()
-    }
-
-    /// The most severe state across all objectives at `now_ns`
-    /// (`Healthy` for an empty table).
-    pub fn worst_state(&self, ts: &TimeSeries, now_ns: u64) -> SloState {
-        let mut worst = SloState::Healthy;
-        for spec in &self.specs {
-            let state = evaluate_spec(spec, ts, now_ns).state;
-            worst = match (worst, state) {
-                (_, SloState::Page) | (SloState::Page, _) => SloState::Page,
-                (_, SloState::Warn) | (SloState::Warn, _) => SloState::Warn,
-                _ => SloState::Healthy,
-            };
-        }
-        worst
-    }
-}
-
-/// Error ratio of one kind over one lookback; `None` when no traffic.
-fn error_ratio(kind: SloKind, ts: &TimeSeries, lookback: usize, now_ns: u64) -> Option<f64> {
-    match kind {
-        SloKind::EventRatio { bad, good } => {
+/// Error ratio of one measure over one lookback; `None` when no traffic.
+fn error_ratio(measure: Measure, ts: &TimeSeries, lookback: usize, now_ns: u64) -> Option<f64> {
+    match measure {
+        Measure::Events { bad, good } => {
             let bad = ts.delta(bad, lookback, now_ns);
             let total = bad + ts.delta(good, lookback, now_ns);
             if total == 0 {
@@ -194,7 +137,7 @@ fn error_ratio(kind: SloKind, ts: &TimeSeries, lookback: usize, now_ns: u64) -> 
                 Some(bad as f64 / total as f64)
             }
         }
-        SloKind::SpanLatency { span, bound_ns } => {
+        Measure::Latency { span, bound_ns } => {
             ts.span_fraction_above(span, bound_ns, lookback, now_ns)
         }
     }
@@ -202,14 +145,14 @@ fn error_ratio(kind: SloKind, ts: &TimeSeries, lookback: usize, now_ns: u64) -> 
 
 fn evaluate_spec(spec: &SloSpec, ts: &TimeSeries, now_ns: u64) -> SloReport {
     let budget = (1.0 - spec.target).max(f64::MIN_POSITIVE);
-    let error_short = error_ratio(spec.kind, ts, spec.short_windows, now_ns).unwrap_or(0.0);
-    let error_long = error_ratio(spec.kind, ts, spec.long_windows, now_ns).unwrap_or(0.0);
+    let error_short = error_ratio(spec.measure, ts, SHORT_WINDOWS, now_ns).unwrap_or(0.0);
+    let error_long = error_ratio(spec.measure, ts, LONG_WINDOWS, now_ns).unwrap_or(0.0);
     let burn_short = error_short / budget;
     let burn_long = error_long / budget;
     let both_at = |thr: f64| burn_short >= thr && burn_long >= thr;
     let state = if both_at(spec.page_burn) {
         SloState::Page
-    } else if both_at(spec.warn_burn) {
+    } else if both_at(WARN_BURN) {
         SloState::Warn
     } else {
         SloState::Healthy
@@ -236,63 +179,53 @@ mod tests {
         TimeSeries::new(TimeSeriesConfig { window_ns: W, windows: 64 })
     }
 
-    fn availability_spec() -> SloSpec {
-        SloSpec {
-            name: "avail",
-            kind: SloKind::EventRatio {
-                bad: Counter::ServiceFramesRejected,
-                good: Counter::ServiceFramesOk,
-            },
-            target: 0.99,
-            short_windows: 2,
-            long_windows: 10,
-            warn_burn: 1.0,
-            page_burn: 10.0,
+    fn report(ts: &TimeSeries, now_ns: u64, name: &str) -> SloReport {
+        let reports = evaluate(ts, now_ns);
+        *reports.iter().find(|r| r.name == name).expect("objective evaluated")
+    }
+
+    /// `ok` good and `bad` rejected frames in each of `windows`.
+    fn frames(ts: &TimeSeries, windows: std::ops::Range<u64>, ok: u64, bad: u64) {
+        for w in windows {
+            ts.incr_at(w * W, Counter::ServiceFramesOk, ok);
+            ts.incr_at(w * W, Counter::ServiceFramesRejected, bad);
         }
     }
 
     #[test]
     fn no_traffic_is_healthy() {
-        let ts = ring();
-        let table = SloTable::new(vec![availability_spec()]);
-        let reports = table.evaluate(&ts, 5 * W);
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].state, SloState::Healthy);
-        assert_eq!(reports[0].error_long, 0.0);
-        assert_eq!(table.worst_state(&ts, 5 * W), SloState::Healthy);
+        let reports = evaluate(&ring(), 5 * W);
+        let names: Vec<&str> = reports.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["frame-availability", "frame-latency", "admission"]);
+        for r in &reports {
+            assert_eq!(r.state, SloState::Healthy);
+            assert_eq!(r.error_long, 0.0);
+            assert!(r.target > 0.0 && r.target < 1.0);
+        }
     }
 
     #[test]
     fn sustained_errors_escalate_to_page() {
         let ts = ring();
-        let table = SloTable::new(vec![availability_spec()]);
         // 50% error ratio sustained over the long window: burn 50 ≥ 10.
-        for w in 0..10u64 {
-            ts.incr_at(w * W, Counter::ServiceFramesOk, 5);
-            ts.incr_at(w * W, Counter::ServiceFramesRejected, 5);
-        }
-        let now = 9 * W;
-        let r = table.evaluate(&ts, now)[0];
+        frames(&ts, 0..LONG_WINDOWS as u64, 5, 5);
+        let now = (LONG_WINDOWS as u64 - 1) * W;
+        let r = report(&ts, now, "frame-availability");
         assert_eq!(r.state, SloState::Page);
         assert!((r.error_short - 0.5).abs() < 1e-12);
         assert!((r.burn_long - 50.0).abs() < 1e-9);
-        assert_eq!(table.worst_state(&ts, now), SloState::Page);
+        assert_eq!(report(&ts, now, "admission").state, SloState::Healthy);
     }
 
     #[test]
     fn short_recovery_downgrades_page() {
         let ts = ring();
-        let table = SloTable::new(vec![availability_spec()]);
-        // Errors stop at window 8; the short window goes clean while
-        // the long window still remembers the incident.
-        for w in 0..8u64 {
-            ts.incr_at(w * W, Counter::ServiceFramesOk, 5);
-            ts.incr_at(w * W, Counter::ServiceFramesRejected, 5);
-        }
-        for w in 8..10u64 {
-            ts.incr_at(w * W, Counter::ServiceFramesOk, 10);
-        }
-        let r = table.evaluate(&ts, 9 * W)[0];
+        // Errors stop SHORT_WINDOWS before now: the short window goes
+        // clean while the long window still remembers the incident.
+        let clean_from = (LONG_WINDOWS - SHORT_WINDOWS) as u64;
+        frames(&ts, 0..clean_from, 5, 5);
+        frames(&ts, clean_from..LONG_WINDOWS as u64, 10, 0);
+        let r = report(&ts, (LONG_WINDOWS as u64 - 1) * W, "frame-availability");
         assert_eq!(r.error_short, 0.0, "short window is clean");
         assert!(r.error_long > 0.0, "long window remembers");
         assert_eq!(r.state, SloState::Healthy, "paging requires both windows hot");
@@ -301,50 +234,41 @@ mod tests {
     #[test]
     fn warn_band_sits_between_healthy_and_page() {
         let ts = ring();
-        let table = SloTable::new(vec![availability_spec()]);
         // 5% errors: burn 5 — above warn (1), below page (10).
-        for w in 0..10u64 {
-            ts.incr_at(w * W, Counter::ServiceFramesOk, 95);
-            ts.incr_at(w * W, Counter::ServiceFramesRejected, 5);
-        }
-        let r = table.evaluate(&ts, 9 * W)[0];
+        frames(&ts, 0..LONG_WINDOWS as u64, 95, 5);
+        let r = report(&ts, (LONG_WINDOWS as u64 - 1) * W, "frame-availability");
         assert_eq!(r.state, SloState::Warn);
     }
 
     #[test]
-    fn latency_kind_uses_span_sketch() {
+    fn latency_objective_uses_span_sketch() {
         let ts = ring();
-        let spec = SloSpec {
-            name: "latency",
-            kind: SloKind::SpanLatency { span: Span::ServiceFrame, bound_ns: 1.0e6 },
-            target: 0.5,
-            short_windows: 2,
-            long_windows: 4,
-            warn_burn: 1.0,
-            page_burn: 1.8,
-        };
-        let table = SloTable::new(vec![spec]);
-        // All frames answer at 10 ms, 10× over the 1 ms bound: error
-        // ratio 1.0, budget 0.5, burn 2.0 ≥ page.
+        // All frames answer at 100 ms, twice the 50 ms bound: error
+        // ratio 1.0, budget 0.01, burn 100 ≥ page.
         for _ in 0..10 {
-            ts.span_at(100, Span::ServiceFrame, 10_000_000);
+            ts.span_at(100, Span::ServiceFrame, 100_000_000);
         }
-        let r = table.evaluate(&ts, 100)[0];
+        let r = report(&ts, 100, "frame-latency");
         assert_eq!(r.state, SloState::Page);
         assert!((r.error_long - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn service_default_table_shape() {
-        let table = SloTable::service_default(50.0e6, 5, 0);
-        assert_eq!(table.specs().len(), 3);
-        // long is clamped up to short.
-        assert!(table.specs().iter().all(|s| s.long_windows >= s.short_windows));
-        let names: Vec<&str> = table.specs().iter().map(|s| s.name).collect();
-        assert_eq!(names, ["frame-availability", "frame-latency", "admission"]);
-        for s in table.specs() {
-            assert!(s.page_burn > s.warn_burn);
-            assert!(s.target > 0.0 && s.target < 1.0);
+    fn admission_pages_at_its_own_burn() {
+        let ts = ring();
+        // 40% shed: burn 8 — past admission's page burn of 6, short of
+        // the frame objectives' 10.
+        for w in 0..LONG_WINDOWS as u64 {
+            ts.incr_at(w * W, Counter::ServiceFramesOk, 6);
+            ts.incr_at(w * W, Counter::ServiceBusyRejects, 4);
         }
+        let r = report(&ts, (LONG_WINDOWS as u64 - 1) * W, "admission");
+        assert!((r.burn_long - 8.0).abs() < 1e-9);
+        assert_eq!(r.state, SloState::Page);
+    }
+
+    #[test]
+    fn states_order_by_severity() {
+        assert!(SloState::Healthy < SloState::Warn && SloState::Warn < SloState::Page);
     }
 }

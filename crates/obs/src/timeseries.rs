@@ -6,11 +6,14 @@
 //! [`TimeSeries::delta`], [`TimeSeries::span_quantile`]/
 //! [`TimeSeries::hist_quantile`] and the exact [`Summary`] reads over
 //! any suffix of that ring — the queries behind the `STATUS` frame, the
-//! quality drift monitors (`obs::quality`), SLO burn rates
-//! (`obs::slo`), and the whole-run views `RunReport` and `FleetHealth`.
-//! Two front ends record into it: [`TimeSeriesRecorder`] stamps records
-//! from a wall clock, and `RunRecorder` records at one fixed timestamp
-//! into a window that never rotates.
+//! quality drift monitors (`obs::quality`) and SLO burn rates
+//! (`obs::slo`). When rotation recycles a window, its counters and
+//! summaries fold into retired totals, so a whole-series read
+//! (`RunReport::from_series`, behind `METRICS`) sees every record the
+//! series kept and its counters never fall; only the sketch buckets
+//! are windowed. Two front ends record into it: [`TimeSeriesRecorder`]
+//! stamps records from a wall clock, and `RunRecorder` records at one
+//! fixed timestamp into a window that never rotates.
 //!
 //! Every span duration and histogram value lands in one `SketchCell`:
 //! exact summary statistics (count, sum, sum of squares, min, max) next
@@ -28,9 +31,9 @@
 //! only.
 //!
 //! All window memory is allocated once at construction, recording
-//! mutates fixed slots under one mutex, and rotation resets slots in
-//! place — zero allocations after warm-up, which the hot-path smoke and
-//! the service soak's alloc probe assert. Core methods are keyed by
+//! mutates fixed slots under one mutex, and rotation retires and resets
+//! slots in place — zero allocations after warm-up, which the hot-path
+//! smoke and the service soak's alloc probe assert. Core methods are keyed by
 //! explicit nanosecond timestamps (`*_at`), so rotation and boundary
 //! behaviour are deterministic under test.
 
@@ -290,7 +293,11 @@ impl Window {
         }
     }
 
-    fn reset(&mut self, index: u64) {
+    /// Folds this window's counters and summaries into `retired`, then
+    /// empties it to hold window `index`: what leaves the ring is kept
+    /// in the totals, never lost. The sketch buckets are not kept.
+    fn recycle(&mut self, index: u64, retired: &mut Totals) {
+        retired.add(self);
         self.index = index;
         self.counters = [0; Counter::COUNT];
         for c in &mut self.spans {
@@ -298,6 +305,39 @@ impl Window {
         }
         for c in &mut self.hists {
             c.reset();
+        }
+    }
+}
+
+/// Counters and exact [`Summary`] statistics with no window and no
+/// sketch buckets: the totals rotation retires, and what a
+/// whole-series read returns.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Totals {
+    /// Per-counter totals, indexed by `Counter as usize`.
+    pub(crate) counters: [u64; Counter::COUNT],
+    /// Per-span duration summaries, indexed by `Span as usize`.
+    pub(crate) spans: [Summary; Span::COUNT],
+    /// Per-histogram summaries, indexed by `Histogram as usize`.
+    pub(crate) hists: [Summary; Histogram::COUNT],
+}
+
+impl Totals {
+    const EMPTY: Totals = Totals {
+        counters: [0; Counter::COUNT],
+        spans: [Summary::EMPTY; Span::COUNT],
+        hists: [Summary::EMPTY; Histogram::COUNT],
+    };
+
+    fn add(&mut self, w: &Window) {
+        for (acc, n) in self.counters.iter_mut().zip(&w.counters) {
+            *acc += n;
+        }
+        for (acc, cell) in self.spans.iter_mut().zip(&w.spans) {
+            acc.merge(&cell.summary);
+        }
+        for (acc, cell) in self.hists.iter_mut().zip(&w.hists) {
+            acc.merge(&cell.summary);
         }
     }
 }
@@ -317,8 +357,10 @@ impl Default for TimeSeriesConfig {
     }
 }
 
-/// Everything behind the ring mutex: the slot array plus the rotation
-/// cursor.
+/// Everything behind the ring mutex: the slot array, the rotation
+/// cursor, and the totals of every window rotation recycled. Each
+/// record sits in exactly one place: a slot, `retired`, or
+/// `late_drops`.
 #[derive(Debug)]
 struct RingState {
     /// Highest absolute window index any record has reached.
@@ -326,6 +368,8 @@ struct RingState {
     /// Slot `i` holds absolute window `w` iff `w % slots.len() == i`
     /// and `w` is within the live suffix ending at `cur`.
     slots: Vec<Window>,
+    /// Counters and summaries of the windows rotation recycled.
+    retired: Totals,
     /// Records that arrived too late for their window (older than the
     /// ring covers) and were discarded.
     late_drops: u64,
@@ -354,7 +398,8 @@ impl TimeSeries {
         for _ in 0..cfg.windows {
             slots.push(Window::new());
         }
-        TimeSeries { cfg, state: Mutex::new(RingState { cur: 0, slots, late_drops: 0 }) }
+        let state = RingState { cur: 0, slots, retired: Totals::EMPTY, late_drops: 0 };
+        TimeSeries { cfg, state: Mutex::new(state) }
     }
 
     /// The configuration the ring was built with (after clamping).
@@ -545,6 +590,24 @@ impl TimeSeries {
         (merged.count > 0).then(|| merged.count_above(threshold_ns) as f64 / merged.count as f64)
     }
 
+    /// Everything the series kept, in one locked pass: the retired
+    /// totals plus every live window, oldest first. Late drops are not
+    /// in it, and the sketch buckets are not read.
+    pub(crate) fn totals(&self) -> Totals {
+        let Ok(st) = self.state.lock() else {
+            return Totals::EMPTY;
+        };
+        let len = st.slots.len() as u64;
+        let mut totals = st.retired;
+        for w in st.cur.saturating_sub(len - 1)..=st.cur {
+            let slot = &st.slots[(w % len) as usize];
+            if slot.index == w {
+                totals.add(slot);
+            }
+        }
+        totals
+    }
+
     /// Runs `f` over every live window in the `lookback`-window suffix
     /// ending at `now_ns`'s window.
     fn fold_windows<F: FnMut(&Window)>(&self, lookback: usize, now_ns: u64, mut f: F) {
@@ -568,7 +631,8 @@ impl TimeSeries {
 }
 
 /// Rotate the ring forward to absolute window `w` (no-op if already
-/// there or past it), resetting every slot the move recycles.
+/// there or past it), retiring and resetting every slot the move
+/// recycles.
 fn advance(st: &mut RingState, w: u64) {
     if w <= st.cur {
         return;
@@ -578,7 +642,7 @@ fn advance(st: &mut RingState, w: u64) {
     // would reset the same slots twice.
     let first = (st.cur + 1).max(w.saturating_sub(len - 1));
     for idx in first..=w {
-        st.slots[(idx % len) as usize].reset(idx);
+        st.slots[(idx % len) as usize].recycle(idx, &mut st.retired);
     }
     st.cur = w;
 }
@@ -595,10 +659,9 @@ fn live_slot(st: &mut RingState, w: u64, records: u64) -> Option<&mut Window> {
     }
     let slot = &mut st.slots[(w % len) as usize];
     if slot.index != w {
-        // First touch of this window: the slot still holds an expired
-        // window (or has never been used) because rotation only resets
-        // slots from `cur+1` forward.
-        slot.reset(w);
+        // First touch of this window: the slot has never been used,
+        // because rotation only resets slots from `cur+1` forward.
+        slot.recycle(w, &mut st.retired);
     }
     Some(slot)
 }
@@ -768,12 +831,18 @@ mod tests {
     fn rotation_evicts_old_windows() {
         let ts = ring(1_000, 3);
         ts.incr_at(500, Counter::ServiceFramesOk, 7); // window 0
+        ts.span_at(500, Span::Trip, 300);
         ts.incr_at(3_500, Counter::ServiceFramesOk, 1); // window 3 evicts 0
         assert_eq!(ts.delta(Counter::ServiceFramesOk, 4, 3_900), 1);
         // A record into an evicted window is dropped, not resurrected.
         ts.incr_at(500, Counter::ServiceFramesOk, 9);
         assert_eq!(ts.delta(Counter::ServiceFramesOk, 4, 3_900), 1);
         assert_eq!(ts.late_drops(), 1);
+        // The evicted window lives on in the totals; the late record
+        // does not.
+        let totals = ts.totals();
+        assert_eq!(totals.counters[Counter::ServiceFramesOk as usize], 8);
+        assert_eq!(totals.spans[Span::Trip as usize].sum, 300.0);
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //! quantile estimates stay inside the advertised relative-error bound
 //! against an exact nearest-rank oracle, the ring's rotation /
 //! `delta()` bookkeeping matches a straightforward per-window model
-//! across window boundaries, and a `RunReport` over any window range
-//! matches a plain-vector oracle and a single `RunRecorder`. A batch of
-//! observations leaves the ring exactly as the same values recorded one
-//! at a time would, bucket edges and non-finite values included.
+//! across window boundaries, the window-range reads match a
+//! plain-vector oracle, and `RunReport::from_series` over a ring that
+//! turned over several times matches that oracle and a single
+//! `RunRecorder`. A batch of observations leaves the ring exactly as
+//! the same values recorded one at a time would, bucket edges and
+//! non-finite values included.
 
 use gradest_obs::timeseries::{
     TimeSeries, TimeSeriesConfig, SKETCH_MAX_MAGNITUDE, SKETCH_MIN_MAGNITUDE, SKETCH_RELATIVE_ERROR,
@@ -155,9 +157,12 @@ proptest! {
     }
 }
 
-/// Window width and count of the ring the report oracle records into.
+/// Window width and count of the ring the report oracle records into,
+/// and how many windows the records spread over: three times the ring,
+/// so it turns over twice.
 const REPORT_WINDOW_NS: u64 = 1_000;
 const REPORT_WINDOWS: usize = 6;
+const RECORD_WINDOWS: u64 = 3 * REPORT_WINDOWS as u64;
 
 /// One record: window, kind (0 span, 1 counter, 2 histogram, 3 batch of
 /// one histogram), taxonomy id, integer payload (span duration, counter
@@ -175,7 +180,7 @@ fn finite_value() -> impl Strategy<Value = f64> {
 
 fn record_strategy() -> impl Strategy<Value = Record> {
     (
-        0..REPORT_WINDOWS as u64,
+        0..RECORD_WINDOWS,
         0..4usize,
         0..64usize,
         0..10_000_000_000u64,
@@ -184,12 +189,17 @@ fn record_strategy() -> impl Strategy<Value = Record> {
     )
 }
 
-/// Feeds one record to two rings at its window and to a recorder. The
-/// rings differ only in how a batch arrives: whole into `ts`, one value
-/// at a time into `one_by_one`.
+/// A record's timestamp: its window plus an in-window offset.
+fn record_t(record: &Record) -> u64 {
+    record.0 * REPORT_WINDOW_NS + record.3 % REPORT_WINDOW_NS
+}
+
+/// Feeds one record to two rings at its timestamp and to a recorder.
+/// The rings differ only in how a batch arrives: whole into `ts`, one
+/// value at a time into `one_by_one`.
 fn replay(ts: &TimeSeries, one_by_one: &TimeSeries, run: &RunRecorder, record: &Record) {
-    let &(w, kind, id, n, x, ref batch) = record;
-    let t = w * REPORT_WINDOW_NS + n % REPORT_WINDOW_NS;
+    let &(_, kind, id, n, x, ref batch) = record;
+    let t = record_t(record);
     match kind {
         0 => {
             let span = Span::ALL[id % Span::COUNT];
@@ -295,35 +305,81 @@ fn assert_reports_match(actual: &RunReport, expected: &RunReport) {
     }
 }
 
+/// The report over the `lookback` windows ending at `now_ns`'s window,
+/// from the ring's window-range reads — the reads behind STATUS.
+fn window_report(ts: &TimeSeries, lookback: usize, now_ns: u64) -> RunReport {
+    let spans = Span::ALL
+        .iter()
+        .filter_map(|&s| {
+            let stats = ts.span_summary(s, lookback, now_ns);
+            let total_ns = stats.sum as u64;
+            (stats.count > 0).then(|| SpanReport {
+                name: s.name().to_string(),
+                depth: s.depth() as u64,
+                count: stats.count,
+                total_ns,
+                mean_ns: total_ns / stats.count,
+                min_ns: stats.min as u64,
+                max_ns: stats.max as u64,
+            })
+        })
+        .collect();
+    let counters = Counter::ALL
+        .iter()
+        .filter_map(|&c| {
+            let value = ts.delta(c, lookback, now_ns);
+            (value > 0).then(|| CounterReport { name: c.name().to_string(), value })
+        })
+        .collect();
+    let histograms = Histogram::ALL
+        .iter()
+        .filter_map(|&h| {
+            let stats = ts.hist_summary(h, lookback, now_ns);
+            (stats.count > 0).then(|| HistogramReport {
+                name: h.name().to_string(),
+                count: stats.count,
+                mean: stats.mean().unwrap_or(f64::NAN),
+                stddev: stats.stddev().unwrap_or(f64::NAN),
+                min: stats.min,
+                max: stats.max,
+            })
+        })
+        .collect();
+    RunReport { spans, counters, histograms }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A report over any window range of a multi-window ring equals the
-    /// plain-vector oracle over the records in that range, and the
-    /// report over the whole ring equals what one `RunRecorder` fed
-    /// the same records reports — combining runs is a wider range. A
+    /// Records with non-decreasing timestamps spread over three times
+    /// the ring's windows, so the ring turns over twice. The report over
+    /// everything the ring kept equals the plain-vector oracle over all
+    /// records and what one `RunRecorder` fed the same records reports:
+    /// the windows rotation recycled live on in the retired totals. A
     /// ring fed each batch one value at a time reports exactly what the
-    /// batched ring does.
+    /// batched ring does, and a window-range read equals the oracle over
+    /// the records in that range.
     #[test]
-    fn window_range_reports_match_the_oracle_and_one_recorder(
+    fn whole_ring_reports_match_the_oracle_and_one_recorder(
         records in prop::collection::vec(record_strategy(), 0..120),
         lookback in 1..=REPORT_WINDOWS,
     ) {
+        let mut records = records;
+        records.sort_by_key(record_t);
         let cfg = TimeSeriesConfig { window_ns: REPORT_WINDOW_NS, windows: REPORT_WINDOWS };
         let (ts, one_by_one) = (TimeSeries::new(cfg), TimeSeries::new(cfg));
         let run = RunRecorder::new();
         for r in &records {
             replay(&ts, &one_by_one, &run, r);
         }
-        let now = (REPORT_WINDOWS as u64 - 1) * REPORT_WINDOW_NS;
         prop_assert_eq!(ts.late_drops(), 0);
-        let whole = RunReport::from_series(&ts, REPORT_WINDOWS, now);
+        let whole = RunReport::from_series(&ts);
         assert_reports_match(&whole, &oracle_report(&records, 0));
         assert_reports_match(&whole, &run.report());
-        prop_assert_eq!(&RunReport::from_series(&one_by_one, REPORT_WINDOWS, now), &whole);
-        let first = (REPORT_WINDOWS - lookback) as u64;
-        let recent = RunReport::from_series(&ts, lookback, now);
-        assert_reports_match(&recent, &oracle_report(&records, first));
+        prop_assert_eq!(&RunReport::from_series(&one_by_one), &whole);
+        let now = (RECORD_WINDOWS - 1) * REPORT_WINDOW_NS;
+        let first = RECORD_WINDOWS - lookback as u64;
+        assert_reports_match(&window_report(&ts, lookback, now), &oracle_report(&records, first));
     }
 }
 

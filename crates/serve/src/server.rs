@@ -28,11 +28,20 @@
 //! lands in a windowed ring, and each handled frame ticks the ring
 //! plus the [`QualityMonitors`] drift detectors. The `STATUS` frame
 //! serves a JSON snapshot of the resulting live state — per-SLO burn
-//! rates and escalation ([`SloTable`]), per-signal drift flags, window
-//! quantiles of the frame path, dropped-record counts, and uptime —
-//! without touching the caller's recorder. The time-series record
-//! path is allocation-free (fixed ring slots), so attaching it does
-//! not relax the warm-frame 0-alloc gate.
+//! rates and escalation ([`gradest_obs::slo`]), per-signal drift flags,
+//! window quantiles of the frame path, dropped-record counts, and
+//! uptime — without touching the caller's recorder. The time-series
+//! record path is allocation-free (fixed ring slots), so attaching it
+//! does not relax the warm-frame 0-alloc gate.
+//!
+//! Each service event is counted once, as a ring [`Counter`]. The ring
+//! keeps the totals of the windows it rotates out, so
+//! [`RunReport::from_series`] over it is cumulative: the `METRICS`
+//! frame is [`prometheus_text`] over that report plus four service
+//! samples (in-flight uploads, roads, timestamped uptime, dropped
+//! telemetry events), and [`ServerStats`] reads the same report. A
+//! record stamped later than the ring's span (120 s at the default
+//! shape) is a dropped event, not a count.
 //!
 //! # Shutdown
 //!
@@ -60,8 +69,9 @@ use gradest_core::track::GradientTrack;
 use gradest_geo::tile::{decode_tile_bounds, edges_in_tile_into};
 use gradest_geo::{NetworkIndex, QueryScratch, RoadNetwork};
 use gradest_obs::{
-    saturating_ns, Counter, QualityMonitors, Recorder, SloTable, Span, SpanTimer, Tee, TimeSeries,
-    TimeSeriesConfig, TimeSeriesRecorder, TraceEvent,
+    prometheus_text, saturating_ns, slo, Counter, QualityMonitors, Recorder, RunReport, Sample,
+    SampleKind, SloState, Span, SpanTimer, Tee, TimeSeries, TimeSeriesConfig, TimeSeriesRecorder,
+    TraceEvent,
 };
 use std::fmt::Write as _;
 use std::io::Read;
@@ -119,7 +129,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// Point-in-time operational counters of a running server.
+/// Point-in-time operational counters of a running server: the live
+/// ring's totals of the service counters, the same counts `METRICS`
+/// serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
     /// Connections accepted.
@@ -144,24 +156,11 @@ pub struct ServerStats {
 
 #[derive(Debug, Default)]
 struct Stats {
-    // sync: all fields are standalone monotone statistics — Relaxed
-    // fetch_add/load everywhere; exactness comes from atomicity, no
-    // memory is published through them.
+    // sync: hands out connection ids — Relaxed fetch_add; exactness
+    // comes from atomicity, no memory is published through it.
     connections: AtomicU64,
-    // sync: see struct comment.
-    frames_ok: AtomicU64,
-    // sync: see struct comment.
-    frames_rejected: AtomicU64,
-    // sync: see struct comment.
-    busy_rejects: AtomicU64,
-    // sync: see struct comment.
-    tile_queries: AtomicU64,
-    // sync: see struct comment.
-    status_queries: AtomicU64,
-    // sync: see struct comment.
-    uploads_acked: AtomicU64,
     // sync: fetch_max keeps the worst warm-frame allocation diff;
-    // Relaxed for the same reason as the counters.
+    // Relaxed for the same reason as `connections`.
     max_warm_frame_allocs: AtomicU64,
     // sync: how many warm frames were probe-measured (distinguishes
     // "measured 0" from "never measured"); Relaxed statistic.
@@ -185,7 +184,6 @@ struct Shared<R> {
     // a window, so plain mutual exclusion is enough. Poisoning is
     // ignored (skip the tick), matching the obs lock idiom.
     quality: Mutex<QualityMonitors>,
-    slo: SloTable,
 }
 
 impl<R: Recorder + Send + Sync> Shared<R> {
@@ -198,18 +196,18 @@ impl<R: Recorder + Send + Sync> Shared<R> {
     }
 
     fn stats_snapshot(&self) -> ServerStats {
+        let report = RunReport::from_series(self.ts.series());
+        let count = |c: Counter| report.counter(c.name()).unwrap_or(0);
         // sync: Relaxed statistic reads (see Stats).
         let measured = self.stats.warm_frames_measured.load(Ordering::Relaxed);
         ServerStats {
-            // sync: Relaxed statistic reads (see Stats).
-            connections: self.stats.connections.load(Ordering::Relaxed),
-            frames_ok: self.stats.frames_ok.load(Ordering::Relaxed),
-            frames_rejected: self.stats.frames_rejected.load(Ordering::Relaxed),
-            // sync: Relaxed statistic reads (see Stats).
-            busy_rejects: self.stats.busy_rejects.load(Ordering::Relaxed),
-            tile_queries: self.stats.tile_queries.load(Ordering::Relaxed),
-            status_queries: self.stats.status_queries.load(Ordering::Relaxed),
-            uploads_acked: self.stats.uploads_acked.load(Ordering::Relaxed),
+            connections: count(Counter::ServiceConnections),
+            frames_ok: count(Counter::ServiceFramesOk),
+            frames_rejected: count(Counter::ServiceFramesRejected),
+            busy_rejects: count(Counter::ServiceBusyRejects),
+            tile_queries: count(Counter::ServiceTileQueries),
+            status_queries: count(Counter::ServiceStatusQueries),
+            uploads_acked: count(Counter::ServiceUploadsAcked),
             max_warm_frame_allocs: if measured > 0 {
                 // sync: Relaxed statistic reads (see Stats).
                 Some(self.stats.max_warm_frame_allocs.load(Ordering::Relaxed))
@@ -219,44 +217,34 @@ impl<R: Recorder + Send + Sync> Shared<R> {
         }
     }
 
-    /// Prometheus exposition of the live service counters (the METRICS
-    /// frame payload; grammar-checked against
-    /// `gradest_obs::validate_prometheus_text` in the e2e tests).
+    /// The METRICS frame payload: everything the live ring kept, plus
+    /// the service samples, through the one Prometheus builder
+    /// (grammar-checked against `gradest_obs::validate_prometheus_text`
+    /// in the e2e tests).
     fn prometheus(&self) -> String {
-        let s = self.stats_snapshot();
-        let mut out = String::new();
-        let counters: [(&str, u64); 8] = [
-            ("gradest_service_connections_total", s.connections),
-            ("gradest_service_frames_ok_total", s.frames_ok),
-            ("gradest_service_frames_rejected_total", s.frames_rejected),
-            ("gradest_service_busy_rejects_total", s.busy_rejects),
-            ("gradest_service_tile_queries_total", s.tile_queries),
-            ("gradest_service_status_queries_total", s.status_queries),
-            ("gradest_service_uploads_acked_total", s.uploads_acked),
+        let report = RunReport::from_series(self.ts.series());
+        let gauge =
+            |name, value| Sample { name, kind: SampleKind::Gauge, value, timestamp_ms: None };
+        let uptime = self.started.elapsed().as_secs_f64();
+        let samples = [
+            gauge("gradest_service_in_flight", self.gate.in_flight() as f64),
+            gauge("gradest_service_roads", self.cloud.road_count() as f64),
+            // The uptime gauge carries an explicit scrape timestamp
+            // (epoch milliseconds) so downstream stores can align
+            // samples pulled through relays.
+            Sample {
+                timestamp_ms: Some(epoch_millis()),
+                ..gauge("gradest_service_uptime_seconds", uptime)
+            },
             // Telemetry loss across every attached sink (trace-ring
-            // overflow, time-series late windows) — scrape this to know
-            // when the rest of the exposition under-counts.
-            ("gradest_trace_dropped_events_total", self.rec().dropped_events()),
+            // overflow, records later than the ring's span) — scrape
+            // this to know when the rest of the exposition under-counts.
+            Sample {
+                kind: SampleKind::Counter,
+                ..gauge("gradest_trace_dropped_events_total", self.rec().dropped_events() as f64)
+            },
         ];
-        for (name, value) in counters {
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
-        }
-        let _ = writeln!(out, "# TYPE gradest_service_in_flight gauge");
-        let _ = writeln!(out, "gradest_service_in_flight {}", self.gate.in_flight());
-        let _ = writeln!(out, "# TYPE gradest_service_roads gauge");
-        let _ = writeln!(out, "gradest_service_roads {}", self.cloud.road_count());
-        // The uptime gauge carries an explicit scrape timestamp
-        // (epoch milliseconds) so downstream stores can align samples
-        // pulled through relays.
-        let _ = writeln!(out, "# TYPE gradest_service_uptime_seconds gauge");
-        let _ = writeln!(
-            out,
-            "gradest_service_uptime_seconds {} {}",
-            self.started.elapsed().as_secs_f64(),
-            epoch_millis()
-        );
-        out
+        prometheus_text(&report, &samples)
     }
 
     /// Advances the live ring to "now" and runs the drift monitors
@@ -287,7 +275,8 @@ impl<R: Recorder + Send + Sync> Shared<R> {
         push_json_f64(&mut out, series.window_secs());
         let _ = write!(out, ",\"windows\":{windows}");
         let _ = write!(out, ",\"dropped_events\":{}", self.rec().dropped_events());
-        let worst = self.slo.worst_state(series, now);
+        let slos = slo::evaluate(series, now);
+        let worst = slos.iter().map(|slo| slo.state).max().unwrap_or(SloState::Healthy);
         let _ = write!(out, ",\"state\":\"{}\"", worst.name());
         let (drifting, quality) = match self.quality.lock() {
             Ok(q) => (q.any_drifting(), Some(q.report())),
@@ -295,7 +284,7 @@ impl<R: Recorder + Send + Sync> Shared<R> {
         };
         let _ = write!(out, ",\"drifting\":{drifting}");
         out.push_str(",\"slos\":[");
-        for (i, slo) in self.slo.evaluate(series, now).iter().enumerate() {
+        for (i, slo) in slos.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -347,8 +336,8 @@ impl<R: Recorder + Send + Sync> Shared<R> {
 }
 
 /// Milliseconds since the Unix epoch (0 if the clock is before it).
-fn epoch_millis() -> u128 {
-    SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis()).unwrap_or(0)
+fn epoch_millis() -> u64 {
+    SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0)
 }
 
 /// Writes `v` as a JSON number, mapping non-finite values to `null`
@@ -416,9 +405,6 @@ pub fn start<R: Recorder + Send + Sync + 'static>(
         read_timeout: cfg.read_timeout,
         started: Instant::now(),
         quality: Mutex::new(QualityMonitors::new()),
-        // Lookbacks count ring windows; at the default 1 s windows this
-        // pages on 10 s of hot burn and warns over a minute.
-        slo: SloTable::service_default(50.0e6, 10, 60),
     });
     let workers = cfg.workers.max(1);
     let (conn_tx, conn_rx) = bounded::<(u32, TcpStream)>(cfg.queue_depth.max(1));
@@ -530,8 +516,6 @@ fn accept_loop<R: Recorder + Send + Sync>(
         match conn_tx.try_send((conn, stream)) {
             Ok(()) => {}
             Err(TrySendError::Full((conn, mut stream))) => {
-                // sync: Relaxed statistic (see Stats).
-                shared.stats.busy_rejects.fetch_add(1, Ordering::Relaxed);
                 shared.rec().incr(Counter::ServiceBusyRejects, 1);
                 if shared.rec().enabled() {
                     shared.rec().event(TraceEvent::ServiceBusy { conn, reason: BUSY_QUEUE_FULL });
@@ -606,8 +590,6 @@ fn reject_frame<R: Recorder + Send + Sync>(
     reply: &mut Vec<u8>,
     err: DecodeError,
 ) {
-    // sync: Relaxed statistic (see Stats).
-    shared.stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
     shared.rec().incr(Counter::ServiceFramesRejected, 1);
     if shared.rec().enabled() {
         shared.rec().event(TraceEvent::ServiceFrameRejected { conn, code: err.code() });
@@ -655,8 +637,6 @@ fn handle_conn<R: Recorder + Send + Sync>(
                 scratch.reply.extend_from_slice(text.as_bytes());
                 finish_frame(&mut scratch.reply);
                 status_timer.finish(&shared.rec(), Span::ServiceStatus);
-                // sync: Relaxed statistic (see Stats).
-                shared.stats.status_queries.fetch_add(1, Ordering::Relaxed);
                 shared.rec().incr(Counter::ServiceStatusQueries, 1);
                 stream.write_all(&scratch.reply).is_ok()
             }
@@ -675,8 +655,6 @@ fn handle_conn<R: Recorder + Send + Sync>(
         if !ok {
             break;
         }
-        // sync: Relaxed statistic (see Stats).
-        shared.stats.frames_ok.fetch_add(1, Ordering::Relaxed);
         shared.rec().incr(Counter::ServiceFramesOk, 1);
         frames += 1;
         shared.tick_telemetry();
@@ -695,8 +673,6 @@ fn handle_upload<R: Recorder + Send + Sync>(
     warm_frames: &mut u64,
 ) -> bool {
     if !shared.gate.begin() {
-        // sync: Relaxed statistic (see Stats).
-        shared.stats.busy_rejects.fetch_add(1, Ordering::Relaxed);
         shared.rec().incr(Counter::ServiceBusyRejects, 1);
         if shared.rec().enabled() {
             shared.rec().event(TraceEvent::ServiceBusy { conn, reason: BUSY_DRAINING });
@@ -735,8 +711,7 @@ fn handle_upload<R: Recorder + Send + Sync>(
     }
     shared.cloud.upload_recorded(scratch.upload.road_id, &scratch.out.fused, &shared.rec());
     shared.gate.end();
-    // sync: Relaxed statistic (see Stats).
-    shared.stats.uploads_acked.fetch_add(1, Ordering::Relaxed);
+    shared.rec().incr(Counter::ServiceUploadsAcked, 1);
     encode_ack_frame(scratch.upload.road_id, &mut scratch.reply);
     stream.write_all(&scratch.reply).is_ok()
 }
@@ -771,8 +746,6 @@ fn handle_tile_query<R: Recorder + Send + Sync>(
     writer.finish();
     finish_frame(&mut scratch.reply);
     tile_timer.finish(&shared.rec(), Span::ServiceTileQuery);
-    // sync: Relaxed statistic (see Stats).
-    shared.stats.tile_queries.fetch_add(1, Ordering::Relaxed);
     shared.rec().incr(Counter::ServiceTileQueries, 1);
     stream.write_all(&scratch.reply).is_ok()
 }

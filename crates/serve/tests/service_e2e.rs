@@ -11,14 +11,17 @@ use gradest_core::track::GradientTrack;
 use gradest_geo::road::{build_from_sections, RoadClass, SectionSpec};
 use gradest_geo::tile::edges_in_tile_into;
 use gradest_geo::{NetworkIndex, QueryScratch, RoadNetwork, Route};
-use gradest_obs::{validate_prometheus_text, NoopRecorder, RunRecorder, TraceRing};
+use gradest_obs::{
+    validate_prometheus_text, NoopRecorder, RunRecorder, TimeSeriesConfig, TraceRing,
+};
 use gradest_sensors::suite::{SensorConfig, SensorLog, SensorSuite};
 use gradest_serve::client::{Client, ServerReply};
 use gradest_serve::protocol::{
     decode_tile, TileWriter, BUSY_QUEUE_FULL, HEADER_BYTES, MAX_PAYLOAD_LEN, TAG_UPLOAD,
 };
-use gradest_serve::server::{start, ServeConfig};
+use gradest_serve::server::{start, ServeConfig, ServerStats};
 use gradest_sim::trip::{simulate_trip, TripConfig};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -165,6 +168,120 @@ fn metrics_frame_serves_valid_prometheus() {
     assert!(text.contains("gradest_service_uptime_seconds "));
     drop(client);
     assert!(server.shutdown().is_clean());
+}
+
+/// The service counters METRICS serves, present also at zero.
+const SERVICE_COUNTERS: [&str; 8] = [
+    "gradest_service_connections_total",
+    "gradest_service_frames_ok_total",
+    "gradest_service_frames_rejected_total",
+    "gradest_service_busy_rejects_total",
+    "gradest_service_tile_queries_total",
+    "gradest_service_status_queries_total",
+    "gradest_service_uploads_acked_total",
+    "gradest_trace_dropped_events_total",
+];
+
+/// Every sample of a `counter` family, keyed by its name and labels.
+fn counter_samples(text: &str) -> BTreeMap<&str, f64> {
+    let counters: HashSet<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.strip_suffix(" counter"))
+        .collect();
+    text.lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.rsplit_once(' '))
+        .filter(|(series, _)| counters.contains(series.split('{').next().unwrap_or(series)))
+        .map(|(series, value)| (series, value.parse().expect("counter value")))
+        .collect()
+}
+
+#[test]
+fn metrics_counters_never_fall_as_the_ring_turns_over() {
+    // An 8 × 50 ms ring turns over in 0.4 s, so the 1 s pause retires
+    // every window the first phase recorded into.
+    let net = parallel_roads_network(2);
+    let cfg = ServeConfig {
+        timeseries: TimeSeriesConfig { window_ns: 50_000_000, windows: 8 },
+        ..Default::default()
+    };
+    let server = start(&cfg, "127.0.0.1:0", &net, Arc::new(NoopRecorder)).expect("bind loopback");
+    let index = NetworkIndex::build(&net);
+    let logs = [trip_log(&net, 0, 61), trip_log(&net, 1, 62)];
+    let mut expected = ServerStats::default();
+    let mut client = Client::connect(server.addr(), TIMEOUT).expect("connect");
+    expected.connections += 1;
+    let scrape = |client: &mut Client, expected: &mut ServerStats| {
+        let text = match client.metrics().expect("metrics") {
+            ServerReply::Metrics(text) => text,
+            other => panic!("unexpected metrics reply: {other:?}"),
+        };
+        expected.frames_ok += 1;
+        validate_prometheus_text(&text).expect("exposition grammar");
+        text
+    };
+    let serve = |client: &mut Client, expected: &mut ServerStats| {
+        for (road_id, log) in logs.iter().enumerate() {
+            match client.upload(road_id as u64, log).expect("upload") {
+                ServerReply::Ack { .. } => {}
+                other => panic!("unexpected upload reply: {other:?}"),
+            }
+        }
+        match client.tile_query(&index.bounds()).expect("tile query") {
+            ServerReply::Tile(_) => {}
+            other => panic!("unexpected tile reply: {other:?}"),
+        }
+        match client.status().expect("status") {
+            ServerReply::Status(_) => {}
+            other => panic!("unexpected status reply: {other:?}"),
+        }
+        expected.uploads_acked += logs.len() as u64;
+        expected.tile_queries += 1;
+        expected.status_queries += 1;
+        expected.frames_ok += logs.len() as u64 + 2;
+        // A garbage tag on its own connection: ERR(unknown-tag).
+        let mut hostile = Client::connect(server.addr(), TIMEOUT).expect("connect");
+        match hostile.send_raw(&[0x7f, 0, 0, 0, 0]).expect("reply") {
+            ServerReply::Err { code } => assert_eq!(code, 1, "unknown-tag code"),
+            other => panic!("unexpected reply: {other:?}"),
+        }
+        expected.connections += 1;
+        expected.frames_rejected += 1;
+    };
+
+    serve(&mut client, &mut expected);
+    let before = scrape(&mut client, &mut expected);
+    std::thread::sleep(Duration::from_secs(1));
+    // The pause also outlasted the read timeout, which closed the
+    // first connection.
+    let mut client = Client::connect(server.addr(), TIMEOUT).expect("connect");
+    expected.connections += 1;
+    serve(&mut client, &mut expected);
+    let after = scrape(&mut client, &mut expected);
+
+    for text in [&before, &after] {
+        for name in SERVICE_COUNTERS {
+            assert!(text.contains(&format!("\n{name} ")), "{name} missing:\n{text}");
+        }
+    }
+    assert!(before.contains("\ngradest_service_busy_rejects_total 0\n"), "{before}");
+    assert!(after.contains("\ngradest_trace_dropped_events_total 0\n"), "{after}");
+    // The ring's span and histogram families ride along.
+    assert!(after.contains("gradest_span_count_total{span=\"service_frame\"}"), "{after}");
+    assert!(after.contains("gradest_hist_count{hist=\"ekf_innovation\"}"), "{after}");
+    let (before, after) = (counter_samples(&before), counter_samples(&after));
+    assert!(before.len() >= SERVICE_COUNTERS.len());
+    for (series, value) in &before {
+        let now = after.get(series).copied();
+        assert!(now.is_some_and(|now| now >= *value), "{series} fell from {value} to {now:?}");
+    }
+    assert_eq!(after["gradest_service_uploads_acked_total"], 4.0);
+
+    drop(client);
+    let report = server.shutdown();
+    assert!(report.is_clean(), "drain: {report:?}");
+    assert_eq!(report.stats, expected);
 }
 
 #[test]

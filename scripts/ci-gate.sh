@@ -61,10 +61,12 @@
 #                                        Malformed, and values the estimator
 #                                        never reads must still decode
 #  10. obs aggregator property tests   — the time-series ring against exact
-#                                        oracles: a RunReport over any window
-#                                        range matches a plain-vector oracle
-#                                        and one RunRecorder fed the same
-#                                        records, sketch quantiles stay in
+#                                        oracles: the report over a ring that
+#                                        turned over twice matches a
+#                                        plain-vector oracle and one
+#                                        RunRecorder fed the same records,
+#                                        window-range reads match the oracle,
+#                                        sketch quantiles stay in
 #                                        the error bound, non-finite values
 #                                        follow one policy, and reports
 #                                        round-trip through JSON
@@ -206,10 +208,11 @@ if [[ "$MODE" != quick ]]; then
   run_step "serve protocol robustness" \
     cargo test -q -p gradest-serve --test protocol_robustness
 
-  # Telemetry-aggregator oracles: RunReport over window ranges of the
-  # time-series ring pinned against plain vectors and a single
-  # RunRecorder, the sketch's quantile bound, the non-finite policy,
-  # and the report JSON round trip.
+  # Telemetry-aggregator oracles: the RunReport of a time-series ring
+  # that turned over twice (its retired totals plus its live windows)
+  # pinned against plain vectors and a single RunRecorder, window-range
+  # reads against plain vectors, the sketch's quantile bound, the
+  # non-finite policy, and the report JSON round trip.
   run_step "obs aggregator property tests" \
     cargo test -q -p gradest-obs --test timeseries_props --test report_roundtrip
 
