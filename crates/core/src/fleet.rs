@@ -6,12 +6,21 @@
 //! independent trips, which the single-trip pipeline
 //! ([`GradientEstimator::estimate`]) only exercises one core at a time.
 //! [`FleetEngine`] closes that gap. A batch is a slice of [`SensorLog`]s,
-//! fully known before any worker starts: workers claim trip indices from
-//! one atomic ticket counter until the slice runs out, so a long trip
-//! never holds the other workers back, and each keeps its own
+//! fully known before any worker starts: workers claim trips from one
+//! atomic ticket counter until the slice runs out, so a long trip never
+//! holds the other workers back, and each keeps its own
 //! `(index, estimate)` pairs. Joining the workers hands the pairs back,
 //! and the batch returns the estimates in **submission order** — so a
 //! 1-worker and an N-worker run produce bit-identical output.
+//!
+//! Tickets hand the trips out **longest first**: ticket `k` claims the
+//! `k`-th trip of the batch stably sorted by descending IMU sample
+//! count. Estimate work grows with the sample count, and match work
+//! with the GPS fixes, which grow with the same duration; so the batch
+//! ends on short trips instead of one worker running the longest trip
+//! while the others idle (greedy longest-first finishes within
+//! 4/3 − 1/(3m) of the optimal time on `m` workers). Which worker runs
+//! which trip does not change any estimate.
 //!
 //! Each worker estimates its trips through one [`EstimatorScratch`],
 //! taken from the engine's pool before the workers spawn and returned
@@ -168,17 +177,24 @@ impl FleetEngine {
             let mut pool = self.scratches.lock();
             (0..workers).map(|_| pool.pop().unwrap_or_default()).collect()
         };
-        // sync: the ticket counter. Each `fetch_add` claims one trip
-        // index, so every index goes to exactly one worker. Relaxed is
-        // enough: the slice is shared before the spawn and the pairs
-        // come back through the join, and both synchronise.
+        // The claim order: longest trip (most IMU samples) first, so the
+        // batch does not end on one worker running its longest trip
+        // alone. The sort is stable, so equal lengths keep submission
+        // order.
+        let mut order: Vec<(usize, &SensorLog)> = logs.iter().enumerate().collect();
+        order.sort_by_key(|&(_, log)| std::cmp::Reverse(log.imu.len()));
+        // sync: the ticket counter. Each `fetch_add` claims one slot of
+        // `order`, so every index goes to exactly one worker. Relaxed is
+        // enough: the slice and the order are shared before the spawn
+        // and the pairs come back through the join, and both
+        // synchronise.
         let next = AtomicUsize::new(0);
         let joined: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = taken
                 .into_iter()
                 .map(|scratch| {
-                    let next = &next;
-                    scope.spawn(move || self.work(logs, map, rec, next, scratch))
+                    let (next, order) = (&next, &order);
+                    scope.spawn(move || self.work(order, map, rec, next, scratch))
                 })
                 .collect();
             // A worker's panic resumes here, as the scope would.
@@ -213,12 +229,12 @@ impl FleetEngine {
         estimates.into_iter().map(|(_, est)| est).collect()
     }
 
-    /// One worker: claims trip indices from `next` until the batch runs
-    /// out, estimates each trip through `scratch`, and hands its
-    /// `(index, estimate)` pairs back with the scratch.
+    /// One worker: claims `(index, trip)` slots of `order` from `next`
+    /// until the batch runs out, estimates each trip through `scratch`,
+    /// and hands its `(index, estimate)` pairs back with the scratch.
     fn work<R: Recorder>(
         &self,
-        logs: &[SensorLog],
+        order: &[(usize, &SensorLog)],
         map: MapMode<'_>,
         rec: &R,
         // sync: the batch's ticket counter, see `run_pool`.
@@ -238,8 +254,8 @@ impl FleetEngine {
         let mut done = Vec::new();
         loop {
             // sync: Relaxed ticket claim, see `run_pool`.
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(log) = logs.get(i) else {
+            let ticket = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&(i, log)) = order.get(ticket) else {
                 break;
             };
             let t0 = if rec.enabled() { Some(Instant::now()) } else { None };
@@ -579,6 +595,56 @@ mod tests {
             "cells (θ, variance) that differ from a serial upload, of {}",
             got.len()
         );
+    }
+
+    /// A recorder that keeps the order fleet jobs start in.
+    #[derive(Default)]
+    struct JobStarts(std::sync::Mutex<Vec<usize>>);
+
+    impl Recorder for JobStarts {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn event(&self, ev: TraceEvent) {
+            if let TraceEvent::FleetJobStart { job } = ev {
+                self.0.lock().unwrap().push(job as usize);
+            }
+        }
+    }
+
+    #[test]
+    fn workers_claim_the_longest_trips_first() {
+        // Submitted in no order of length, with one length twice.
+        let lengths = [300.0, 700.0, 450.0, 700.0, 200.0, 550.0];
+        let logs: Vec<SensorLog> = lengths
+            .iter()
+            .map(|&m| {
+                let route = Route::new(vec![straight_road(m, 1.0)]).unwrap();
+                let traj = simulate_trip(&route, &TripConfig::default(), 80);
+                SensorSuite::new(SensorConfig::default()).run(&traj, 80)
+            })
+            .collect();
+        let samples: Vec<usize> = logs.iter().map(|log| log.imu.len()).collect();
+        assert_eq!(samples[1], samples[3], "the tie");
+        let estimator = GradientEstimator::new(EstimatorConfig::default());
+        let rec = JobStarts::default();
+        let one = FleetEngine::new(estimator.clone(), 1).run_pool(
+            &logs,
+            MapMode::Shared(None),
+            None,
+            &rec,
+        );
+        // Descending sample count, ties in submission order.
+        let started = rec.0.into_inner().unwrap();
+        assert_eq!(started, [1, 3, 5, 2, 0, 4], "samples per trip: {samples:?}");
+        // Estimates still come back in submission order, and equal
+        // every worker count's bit for bit.
+        assert_eq!(one, serial(&estimator, &logs, |_| None));
+        for workers in [2, 3] {
+            let many = FleetEngine::new(estimator.clone(), workers).process_batch(&logs, None);
+            assert_eq!(many, one, "{workers} workers");
+        }
     }
 
     #[test]

@@ -119,28 +119,39 @@ fn cloud_upload_shard_protocol_holds() {
     });
 }
 
-/// `FleetEngine::run_pool`'s ticket protocol: workers claim trip
-/// indices from one atomic counter until they pass the batch length.
-/// Whatever order the claims land in, every index goes to exactly one
-/// worker and every worker finishes, so the batch can join them all.
+/// `FleetEngine::run_pool`'s ticket protocol: the batch builds its
+/// claim order (a permutation of the trip indices, longest trip first)
+/// before it spawns the workers, and each worker claims `order[ticket]`
+/// for tickets from one atomic counter until they pass the batch
+/// length. Whatever order the claims land in, every index goes to
+/// exactly one worker and every worker finishes, so the batch can join
+/// them all.
 #[test]
 fn fleet_tickets_claim_every_trip_once() {
     const JOBS: usize = 6;
     const WORKERS: usize = 3;
     loom::model(|| {
+        // Trip lengths in submission order; the order sorts them
+        // stably, longest first, as `run_pool` does.
+        let lengths = [4usize, 9, 1, 9, 6, 2];
+        let mut order: Vec<usize> = (0..JOBS).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(lengths[i]));
+        assert_eq!(order, [1, 3, 4, 0, 5, 2]);
+        let order = Arc::new(order);
         let next = Arc::new(AtomicUsize::new(0));
         let workers: Vec<_> = (0..WORKERS)
             .map(|_| {
-                let next = Arc::clone(&next);
+                let (next, order) = (Arc::clone(&next), Arc::clone(&order));
                 loom::thread::spawn(move || {
                     let mut mine = Vec::new();
                     loop {
-                        // sync: Relaxed, as in `run_pool`: the join
-                        // hands the claimed indices back.
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= JOBS {
+                        // sync: Relaxed, as in `run_pool`: the order is
+                        // shared before the spawn, and the join hands
+                        // the claimed indices back.
+                        let ticket = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&i) = order.get(ticket) else {
                             break mine;
-                        }
+                        };
                         mine.push(i);
                     }
                 })

@@ -121,12 +121,25 @@ fn hilbert_d(mut x: u32, mut y: u32) -> u64 {
 /// Holds the bounding-box stack and the nearest-query priority stack;
 /// both retain capacity across queries, so a warm query allocates
 /// nothing. One scratch per querying thread.
+///
+/// The scratch also remembers the segment its last
+/// [`SegmentIndex::nearest`] query returned. The next nearest query
+/// starts its branch-and-bound from that segment's exact distance to
+/// the new point instead of from +∞, so a walk of nearby points (the
+/// fixes of one trip) prunes most of the tree from the first pop. The
+/// hint only narrows the search: every hit equals the hit of a fresh
+/// scratch, bit for bit, whichever index the hint came from.
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
     /// (level, index-within-level) stack for bbox traversal.
     stack: Vec<(u32, u32)>,
     /// (min dist², level, index) stack for nearest traversal.
     near: Vec<(f64, u32, u32)>,
+    /// Segment id the last nearest query returned.
+    last: Option<u32>,
+    /// Nodes the nearest queries popped, counted for the tests.
+    #[cfg(test)]
+    popped: usize,
 }
 
 impl QueryScratch {
@@ -282,10 +295,17 @@ impl PackedRtree {
     /// `(id, dist_sq)`, or `None` when empty. Ties resolve to the
     /// first leaf reached, which the Hilbert packing makes
     /// deterministic for a given build.
+    ///
+    /// `bound`, when given, is the exact distance of some item: the
+    /// search starts with it as the best distance, so it only prunes,
+    /// and the first leaf at or under it is accepted (later ones must
+    /// beat the best strictly, as without a bound). `None` if no leaf
+    /// is at or under the bound.
     fn nearest_with<F>(
         &self,
         p: Vec2,
         scratch: &mut QueryScratch,
+        bound: Option<f64>,
         mut leaf_dist_sq: F,
     ) -> Option<(u32, f64)>
     where
@@ -299,8 +319,15 @@ impl PackedRtree {
         let top = self.level_counts.len() - 1;
         stack.push((0.0, top as u32, 0));
         let mut best: Option<(u32, f64)> = None;
-        let mut best_d = f64::INFINITY;
+        let mut best_d = bound.unwrap_or(f64::INFINITY);
+        // A bound is a real item's distance, so a leaf that ties it is
+        // accepted; without one, +∞ is no item and is never accepted.
+        let mut tie_ok = bound.is_some();
         while let Some((d, lvl, idx)) = stack.pop() {
+            #[cfg(test)]
+            {
+                scratch.popped += 1;
+            }
             if d > best_d {
                 continue;
             }
@@ -309,9 +336,10 @@ impl PackedRtree {
             if lvl == 0 {
                 let id = self.ids[idx];
                 let dl = leaf_dist_sq(id);
-                if dl < best_d {
+                if dl < best_d || (tie_ok && dl <= best_d) {
                     best_d = dl;
                     best = Some((id, dl));
+                    tie_ok = false;
                 }
                 continue;
             }
@@ -498,12 +526,33 @@ impl SegmentIndex {
     /// Exact nearest segment to `p` (branch-and-bound over the tree,
     /// closed-form projection at the leaves). Allocation-free on a
     /// warm scratch. Returns `None` when empty.
+    ///
+    /// The search starts from the exact distance of the segment this
+    /// scratch returned last (see [`QueryScratch`]); the hit is the one
+    /// a fresh scratch returns.
     pub fn nearest(&self, p: Vec2, scratch: &mut QueryScratch) -> Option<SegmentHit> {
-        let (id, _) = self.tree.nearest_with(p, scratch, |id| {
-            let i = id as usize;
-            let (a, b) = self.seg_points(i);
+        let leaf_dist_sq = |id: u32| {
+            let (a, b) = self.seg_points(id as usize);
             project_point_segment(p, a, b).1
-        })?;
+        };
+        // The bound only removes nodes from the search, and those left
+        // are visited in the unbounded order. Every node that holds a
+        // nearest leaf stays (a box is never farther than a segment
+        // inside it), so the first nearest leaf reached is the
+        // unbounded search's, tie included. A hint out of range or at a
+        // non-finite distance is not used, and a bounded search that
+        // accepts nothing reruns unbounded.
+        let bound = scratch
+            .last
+            .filter(|&id| (id as usize) < self.len())
+            .map(leaf_dist_sq)
+            .filter(|d| d.is_finite());
+        let mut found = self.tree.nearest_with(p, scratch, bound, leaf_dist_sq);
+        if found.is_none() && bound.is_some() {
+            found = self.tree.nearest_with(p, scratch, None, leaf_dist_sq);
+        }
+        scratch.last = found.map(|(id, _)| id);
+        let (id, _) = found?;
         Some(self.hit_for(p, id as usize))
     }
 
@@ -795,6 +844,39 @@ mod tests {
         let d2 = hilbert_d(0, 1);
         assert_ne!(d1, d2);
         assert!(d1 < 4 && d2 < 4, "first quadrant cells come first: {d1} {d2}");
+    }
+
+    #[test]
+    fn a_seeded_walk_pops_at_most_half_the_nodes() {
+        // GPS-like fixes every 12 m along a city route, ±3 m off the
+        // centerline: each query seeded by the previous hit, against
+        // the same query from a fresh scratch. The bound mostly saves
+        // stack traffic: about as many nodes are expanded and as many
+        // leaves evaluated either way, but far fewer children are
+        // pushed and popped.
+        let net = city_network(13);
+        let idx = NetworkIndex::build(&net);
+        let segs = idx.segments();
+        let route = net.route_between(3, 77, |r| r.length()).unwrap();
+        let mut walked = QueryScratch::new();
+        let (mut fresh_popped, mut queries) = (0usize, 0usize);
+        let mut s = 0.0;
+        while s <= route.length() {
+            let off = if queries % 2 == 0 { 3.0 } else { -3.0 };
+            let p = route.point_at(s) + Vec2::new(off, 0.5 * off);
+            let mut fresh = QueryScratch::new();
+            let want = segs.nearest(p, &mut fresh);
+            assert_eq!(segs.nearest(p, &mut walked), want, "fix at s = {s}");
+            fresh_popped += fresh.popped;
+            s += 12.0;
+            queries += 1;
+        }
+        assert!(queries > 100, "{queries} fixes");
+        let seeded_popped = walked.popped;
+        assert!(
+            2 * seeded_popped <= fresh_popped,
+            "nodes popped: {seeded_popped} seeded vs {fresh_popped} fresh, {queries} fixes"
+        );
     }
 
     #[test]

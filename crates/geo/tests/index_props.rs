@@ -4,11 +4,13 @@
 //! `SegmentIndex::query_bbox`) must agree with a linear scan on
 //! randomized segment sets — including degenerate zero-length and
 //! collinear segments the Hilbert sort and projection must not choke
-//! on — and on generated road networks.
+//! on — and on generated road networks. A warm scratch, whose last hit
+//! bounds the next nearest search, must return exactly the hit of a
+//! fresh scratch.
 
 use gradest_geo::generate::{city_network, country_network};
 use gradest_geo::index::{
-    network_segments, project_point_segment, Aabb, NetworkIndex, QueryScratch, Segment,
+    network_segments, project_point_segment, Aabb, NetworkIndex, QueryScratch, Segment, SegmentHit,
     SegmentIndex,
 };
 use gradest_math::Vec2;
@@ -33,6 +35,60 @@ fn segment_strategy() -> impl Strategy<Value = Segment> {
 /// Brute-force nearest: exact projection against every segment.
 fn oracle_nearest_d2(segments: &[Segment], p: Vec2) -> f64 {
     segments.iter().map(|s| project_point_segment(p, s.a, s.b).1).fold(f64::INFINITY, f64::min)
+}
+
+/// A hit as bits: segment, edge, and the bits of `s`, `point` and
+/// `dist_m`.
+type HitBits = (usize, usize, u64, u64, u64, u64);
+
+fn hit_bits(hit: Option<SegmentHit>) -> Option<HitBits> {
+    hit.map(|h| {
+        let (s, x, y, d) = (h.s.to_bits(), h.point.x.to_bits(), h.point.y.to_bits(), h.dist_m);
+        (h.segment, h.edge, s, x, y, d.to_bits())
+    })
+}
+
+/// Queries `p` through the warm `scratch` and through a fresh one: the
+/// two hits must agree bit for bit, and a finite point's hit must be at
+/// the brute-force distance.
+fn check_warm_query(
+    index: &SegmentIndex,
+    segments: &[Segment],
+    scratch: &mut QueryScratch,
+    p: Vec2,
+) {
+    let warm = index.nearest(p, scratch);
+    let fresh = index.nearest(p, &mut QueryScratch::new());
+    assert_eq!(hit_bits(warm), hit_bits(fresh), "query {p:?}");
+    if p.x.is_finite() && p.y.is_finite() {
+        let hit = warm.expect("non-empty index");
+        let oracle = oracle_nearest_d2(segments, p).sqrt();
+        assert!((hit.dist_m - oracle).abs() < 1e-9, "index {} vs oracle {oracle}", hit.dist_m);
+    } else {
+        assert!(warm.is_none(), "non-finite query {p:?} hit {warm:?}");
+    }
+}
+
+/// Horizontal and vertical 5 m segments between the vertices of an
+/// `n × n` lattice: every inner vertex is shared by four segments, and
+/// lattice points, cell centres and edge midpoints sit at exactly equal
+/// distances from several segments.
+fn lattice_segments(n: usize) -> Vec<Segment> {
+    let v = |i: usize, j: usize| Vec2::new(5.0 * i as f64, 5.0 * j as f64);
+    let mut out = Vec::new();
+    for i in 0..n {
+        for j in 0..n {
+            if i + 1 < n {
+                out.push((v(i, j), v(i + 1, j)));
+            }
+            if j + 1 < n {
+                out.push((v(i, j), v(i, j + 1)));
+            }
+        }
+    }
+    let segment =
+        |k: usize, (a, b): (Vec2, Vec2)| Segment { a, b, edge: k as u32 / 3, s0: k as f64 };
+    out.into_iter().enumerate().map(|(k, ab)| segment(k, ab)).collect()
 }
 
 proptest! {
@@ -64,6 +120,62 @@ proptest! {
         let (t, d2) = project_point_segment(p, seg.a, seg.b);
         prop_assert!((d2.sqrt() - hit.dist_m).abs() < 1e-9);
         prop_assert!((0.0..=1.0).contains(&t));
+    }
+
+    #[test]
+    fn a_warm_scratch_returns_the_fresh_hit(
+        segments in prop::collection::vec(segment_strategy(), 1..80),
+        start in (-550.0..550.0f64, -550.0..550.0f64),
+        steps in prop::collection::vec((-6.0..6.0f64, -6.0..6.0f64, 0u8..8), 1..60),
+        lattice_n in 2usize..10,
+        lattice_probes in prop::collection::vec((0u32..44, 0u32..44, any::<bool>()), 1..40),
+    ) {
+        let mut segments = segments;
+        for (i, s) in segments.iter_mut().enumerate() {
+            s.edge = i as u32;
+            s.s0 = 0.5 * i as f64;
+        }
+        let random = SegmentIndex::build(&segments);
+        let lattice = lattice_segments(lattice_n);
+        let grid = SegmentIndex::build(&lattice);
+        // One scratch across both indexes: each switch leaves it a hint
+        // from the other index, stale or out of range.
+        let mut scratch = QueryScratch::new();
+        // A walk of steps a few metres long, with jumps across the set.
+        let mut p = Vec2::new(start.0, start.1);
+        for &(dx, dy, kind) in &steps {
+            p = if kind == 0 { Vec2::new(90.0 * dx, 90.0 * dy) } else { p + Vec2::new(dx, dy) };
+            check_warm_query(&random, &segments, &mut scratch, p);
+        }
+        // Lattice probes on a 2.5 m grid hit exact ties; half of them are
+        // taken at the same spot off the lattice's random set, so the
+        // hint alternates between the two indexes.
+        for &(i, j, switch) in &lattice_probes {
+            let q = Vec2::new(2.5 * f64::from(i) - 5.0, 2.5 * f64::from(j) - 5.0);
+            check_warm_query(&grid, &lattice, &mut scratch, q);
+            if switch {
+                check_warm_query(&random, &segments, &mut scratch, q);
+            }
+        }
+        // A one-segment index after the lattice: any lattice hint but
+        // segment 0 is out of its range.
+        let single = SegmentIndex::build(&segments[..1]);
+        check_warm_query(&grid, &lattice, &mut scratch, Vec2::new(12.5, 7.5));
+        check_warm_query(&single, &segments[..1], &mut scratch, p);
+        // Non-finite points return nothing, warm or fresh, and leave the
+        // next query exact.
+        for bad in [
+            Vec2::new(f64::INFINITY, 0.0),
+            Vec2::new(0.0, f64::NEG_INFINITY),
+            Vec2::new(f64::NEG_INFINITY, f64::INFINITY),
+            Vec2::new(f64::NAN, 1.0),
+            Vec2::new(f64::NAN, f64::NAN),
+        ] {
+            check_warm_query(&grid, &lattice, &mut scratch, Vec2::new(2.5, 5.0));
+            check_warm_query(&grid, &lattice, &mut scratch, bad);
+            check_warm_query(&random, &segments, &mut scratch, p);
+            check_warm_query(&random, &segments, &mut scratch, bad);
+        }
     }
 
     #[test]

@@ -214,12 +214,6 @@ impl<'a> NetworkMatcher<'a> {
         NetworkMatcher { net, index, scratch: QueryScratch::new() }
     }
 
-    /// Exact nearest point on the network to `p` (edge, arc position,
-    /// snapped point, distance), or `None` for an empty network.
-    pub fn nearest(&mut self, p: Vec2) -> Option<SegmentHit> {
-        self.index.nearest_s_on_network(p, &mut self.scratch)
-    }
-
     /// Matches a whole trip: snaps every valid fix, records the edge
     /// visit sequence, and recovers a drivable route through it.
     pub fn match_trip(&mut self, gps: &[GpsSample]) -> TripMatch {

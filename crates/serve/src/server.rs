@@ -70,8 +70,7 @@ use gradest_geo::tile::{decode_tile_bounds, edges_in_tile_into};
 use gradest_geo::{NetworkIndex, QueryScratch, RoadNetwork};
 use gradest_obs::{
     prometheus_text, saturating_ns, slo, Counter, QualityMonitors, Recorder, RunReport, Sample,
-    SampleKind, SloState, Span, SpanTimer, Tee, TimeSeries, TimeSeriesConfig, TimeSeriesRecorder,
-    TraceEvent,
+    SampleKind, SloState, Span, SpanTimer, Tee, TimeSeriesConfig, TimeSeriesRecorder, TraceEvent,
 };
 use std::fmt::Write as _;
 use std::io::Read;
@@ -434,12 +433,6 @@ impl<R: Recorder + Send + Sync + 'static> ServerHandle<R> {
     /// Current operational counters.
     pub fn stats(&self) -> ServerStats {
         self.shared.stats_snapshot()
-    }
-
-    /// The live time-series ring (for in-process oracles: pass
-    /// [`ServerHandle::telemetry_now_ns`] as the query timestamp).
-    pub fn timeseries(&self) -> &TimeSeries {
-        self.shared.ts.series()
     }
 
     /// "Now" on the telemetry clock (nanoseconds since server start).
