@@ -18,10 +18,12 @@
 //! baseline files (the error names each absent baseline and the
 //! `--update` command that regenerates it).
 //!
-//! `--update` runs each suite three times and writes the run nearest
-//! the per-row medians (`gate::nearest_to_median`), so one lucky or
-//! unlucky run cannot set a baseline; it takes three times as long as a
-//! gate run. Every `--update` also appends one compact
+//! `--update` runs every suite three times in rounds (every suite once,
+//! then every suite again, …), so the other suites' runtime separates
+//! one suite's runs, and writes each suite's run nearest the per-row
+//! medians (`gate::nearest_to_median`): neither one lucky run nor one
+//! fast stretch of the host sets a baseline. It takes three times as
+//! long as a gate run. Every `--update` also appends one compact
 //! JSON line (timestamp, git commit, all gated metrics of the kept
 //! runs) to `BENCH_HISTORY.jsonl` at the repository root — commit it alongside the refreshed baselines so
 //! the perf trajectory across refreshes stays in one greppable file.
@@ -48,8 +50,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// Runs of each suite a baseline refresh measures before it keeps the
-/// one nearest the per-row medians.
+/// Rounds of runs across all suites a baseline refresh measures before
+/// it keeps each suite's run nearest the per-row medians.
 const UPDATE_RUNS: usize = 3;
 
 // The hot-path benchmark can only record `allocs_per_trip_warm*` when
@@ -236,18 +238,31 @@ fn append_history(root: &Path, commit: Value, current: &[Value]) -> Result<PathB
     Ok(path)
 }
 
-/// Runs `suite` [`UPDATE_RUNS`] times at its defaults and returns the
-/// run nearest the per-row medians of its gated metrics.
-fn refresh_run(suite: &Suite) -> Value {
-    let mut runs: Vec<Value> = (0..UPDATE_RUNS).map(|_| (suite.run)(None)).collect();
-    let rows: Vec<_> = runs.iter().map(|run| gate::extract(run, suite.specs)).collect();
-    let keep = gate::nearest_to_median(&rows);
-    println!(
-        "bench-gate: {} keeps run {} of {UPDATE_RUNS}, the nearest the per-row medians",
-        suite.file,
-        keep + 1
-    );
-    runs.swap_remove(keep)
+/// Runs every suite at its defaults in [`UPDATE_RUNS`] rounds (round 1
+/// of every suite, then round 2, …) and returns, per suite in table
+/// order, the run nearest the per-row medians of its gated metrics.
+fn refresh_runs() -> Vec<Value> {
+    let mut runs: Vec<Vec<Value>> = SUITES.iter().map(|_| Vec::new()).collect();
+    for _ in 0..UPDATE_RUNS {
+        for (suite, suite_runs) in SUITES.iter().zip(&mut runs) {
+            suite_runs.push((suite.run)(None));
+        }
+    }
+    SUITES
+        .iter()
+        .zip(runs)
+        .map(|(suite, mut suite_runs)| {
+            let rows: Vec<_> =
+                suite_runs.iter().map(|run| gate::extract(run, suite.specs)).collect();
+            let keep = gate::nearest_to_median(&rows);
+            println!(
+                "bench-gate: {} keeps round {} of {UPDATE_RUNS}, the nearest the per-row medians",
+                suite.file,
+                keep + 1
+            );
+            suite_runs.swap_remove(keep)
+        })
+        .collect()
 }
 
 /// Loads a committed baseline document, or `None` when the file is
@@ -334,13 +349,11 @@ fn main() -> ExitCode {
     }
 
     let commit = commit_stamp(&root);
-    let current: Vec<Value> = SUITES
-        .iter()
-        .zip(&baselines)
-        .map(
-            |(suite, doc)| if args.update { refresh_run(suite) } else { (suite.run)(doc.as_ref()) },
-        )
-        .collect();
+    let current: Vec<Value> = if args.update {
+        refresh_runs()
+    } else {
+        SUITES.iter().zip(&baselines).map(|(suite, doc)| (suite.run)(doc.as_ref())).collect()
+    };
 
     if args.update {
         let mut ok = true;

@@ -8,21 +8,11 @@
 //! a divergence latch.
 
 use gradest_obs::quality::INCONSISTENT_NIS;
-use serde::{Deserialize, Serialize};
 
-/// Health verdict of a monitored filter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FilterHealth {
-    /// Innovations are consistent with the filter's covariance.
-    #[default]
-    Healthy,
-    /// Innovations run persistently hot (underestimated noise or model
-    /// mismatch) — estimates remain usable but variances are optimistic.
-    Inconsistent,
-    /// Innovations are far outside bounds; estimates should be discarded
-    /// and the filter re-initialized.
-    Diverged,
-}
+/// Health verdict of a monitored filter, ordered by severity. The type
+/// lives in `gradest-obs` (re-exported here), beside the counters each
+/// verdict names.
+pub use gradest_obs::FilterHealth;
 
 /// Sliding window length, in updates.
 const WINDOW: usize = 50;

@@ -24,7 +24,7 @@
 use crate::diagnostics::{FilterHealth, InnovationMonitor};
 use crate::ekf_lanes::{EkfLanes, MAX_LANES};
 use crate::lane_change::LaneChangeDetection;
-use crate::pipeline::EstimatorConfig;
+use crate::pipeline::{EstimatorConfig, VelocitySource, MEASUREMENT_VARIANCE};
 use crate::track::GradientTrack;
 use gradest_geo::Route;
 use gradest_math::angle::wrap_pi;
@@ -46,13 +46,16 @@ pub enum OnlineSource {
 }
 
 impl OnlineSource {
-    /// The filter lane (and `sources` slot) this source runs on.
+    /// The filter lane (and `sources` slot) this source runs on: its
+    /// batch [`VelocitySource`]'s index, which also picks its
+    /// measurement variance.
     fn lane(self) -> usize {
-        match self {
-            OnlineSource::Gps => 0,
-            OnlineSource::Speedometer => 1,
-            OnlineSource::CanBus => 2,
-        }
+        let source = match self {
+            OnlineSource::Gps => VelocitySource::Gps,
+            OnlineSource::Speedometer => VelocitySource::Speedometer,
+            OnlineSource::CanBus => VelocitySource::CanBus,
+        };
+        source as usize
     }
 }
 
@@ -72,9 +75,8 @@ pub struct OnlineEstimate {
 
 /// Internal per-source measurement state; the source's filter is its
 /// lane of [`OnlineEstimator`]'s `lanes`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct SourceState {
-    r: f64,
     initialized: bool,
     monitor: InnovationMonitor,
 }
@@ -140,14 +142,11 @@ impl OnlineEstimator {
     /// Creates a streaming estimator. `map` enables road-curvature
     /// subtraction and GPS arc anchoring.
     pub fn new(config: EstimatorConfig, map: Option<Route>) -> Self {
-        let mk =
-            |r: f64| SourceState { r, initialized: false, monitor: InnovationMonitor::default() };
-        let sources = [mk(config.r_gps), mk(config.r_speedometer), mk(config.r_can)];
         OnlineEstimator {
             lanes: EkfLanes::new(config.ekf, [10.0; MAX_LANES]),
             config,
             map,
-            sources,
+            sources: Default::default(),
             steering_window: VecDeque::new(),
             smoothed: 0.0,
             w_road: 0.0,
@@ -269,31 +268,22 @@ impl OnlineEstimator {
             self.last_speed
         };
         let k = source.lane();
+        let r = MEASUREMENT_VARIANCE[k];
         let src = &mut self.sources[k];
         if !src.initialized {
             self.lanes.reset_lane(k, corrected);
             src.initialized = true;
         } else {
             let innovation = corrected - self.lanes.velocity(k);
-            src.monitor.record(innovation, self.lanes.innovation_variance(k, src.r));
-            self.lanes.update(k, corrected, src.r);
+            src.monitor.record(innovation, self.lanes.innovation_variance(k, r));
+            self.lanes.update(k, corrected, r);
         }
     }
 
     /// Worst filter-health verdict across the velocity sources (NIS
     /// innovation monitoring; see [`crate::diagnostics`]).
     pub fn health(&self) -> FilterHealth {
-        let mut worst = FilterHealth::Healthy;
-        for src in &self.sources {
-            match (src.monitor.health(), worst) {
-                (FilterHealth::Diverged, _) => return FilterHealth::Diverged,
-                (FilterHealth::Inconsistent, FilterHealth::Healthy) => {
-                    worst = FilterHealth::Inconsistent;
-                }
-                _ => {}
-            }
-        }
-        worst
+        self.sources.iter().map(|src| src.monitor.health()).max().unwrap_or_default()
     }
 
     fn fused_theta(&self) -> (f64, f64) {

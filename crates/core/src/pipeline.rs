@@ -19,10 +19,7 @@ use crate::steering::{smooth_profile_into, SmoothedProfile};
 use crate::track::GradientTrack;
 use gradest_geo::Route;
 use gradest_math::lowess::LowessScratch;
-use gradest_obs::{
-    Counter, Histogram, NoopRecorder, Recorder, Span, SpanTimer, TraceEvent, TraceHealth,
-    TraceSource,
-};
+use gradest_obs::{Counter, Histogram, NoopRecorder, Recorder, Span, SpanTimer, TraceEvent};
 use gradest_sensors::alignment::{steering_rate_profile_into, WRoadScratch};
 use gradest_sensors::columnar::ImuColumns;
 use gradest_sensors::samples::SpeedSample;
@@ -30,43 +27,31 @@ use gradest_sensors::suite::SensorLog;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// A velocity source feeding one EKF track (Section III-C3: "vehicle
-/// velocity can be obtained through different ways such as GPS data,
-/// speedometer and accelerometer", plus CAN-bus over Bluetooth).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum VelocitySource {
-    /// GPS Doppler speed (1 Hz, outage-prone).
-    Gps,
-    /// Speedometer app (10 Hz, slight scale bias).
-    Speedometer,
-    /// CAN-bus wheel speed (20 Hz, quantized).
-    CanBus,
-    /// Velocity integrated from the accelerometer, drift-corrected toward
-    /// GPS with a slow complementary filter.
-    Accelerometer,
-}
+/// A velocity source feeding one EKF track. The type lives in
+/// `gradest-obs` (re-exported here), beside the span, counter and
+/// histogram ids each source names.
+pub use gradest_obs::VelocitySource;
 
-impl VelocitySource {
-    /// All four sources, in the paper's order.
-    pub const ALL: [VelocitySource; 4] = [
-        VelocitySource::Gps,
-        VelocitySource::Speedometer,
-        VelocitySource::CanBus,
-        VelocitySource::Accelerometer,
-    ];
+/// Measurement variance of each source's EKF updates, (m/s)², indexed
+/// by `VelocitySource as usize`: GPS speed, the speedometer, CAN wheel
+/// speed, accelerometer-integrated velocity. The batch lane sweep and
+/// [`crate::online::OnlineEstimator`] both read it.
+pub(crate) const MEASUREMENT_VARIANCE: [f64; 4] = [0.15, 0.04, 0.01, 1.5];
 
-    /// Human-readable label used on tracks.
-    pub fn label(self) -> &'static str {
-        match self {
-            VelocitySource::Gps => "gps",
-            VelocitySource::Speedometer => "speedometer",
-            VelocitySource::CanBus => "can-bus",
-            VelocitySource::Accelerometer => "accelerometer",
-        }
-    }
-}
+/// Complementary-filter time constant pulling the integrated
+/// accelerometer velocity toward GPS, seconds.
+const ACCEL_BLEND_TAU_S: f64 = 3.0;
+
+/// Arc spacing of the fused output grid, metres.
+const TRACK_DS: f64 = 5.0;
 
 /// Pipeline configuration.
+///
+/// Tuning no caller varies is constant in this module: each source's
+/// measurement variance `MEASUREMENT_VARIANCE` (GPS 0.15, speedometer
+/// 0.04, CAN 0.01, accelerometer 1.5 (m/s)²), the accelerometer
+/// velocity's GPS blend time constant `ACCEL_BLEND_TAU_S` (3 s), and the
+/// fused-grid spacing `TRACK_DS` (5 m).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EstimatorConfig {
     /// EKF model and tuning.
@@ -75,20 +60,6 @@ pub struct EstimatorConfig {
     pub lane_change: LaneChangeConfig,
     /// Which velocity sources to run (one EKF track each).
     pub sources: Vec<VelocitySource>,
-    /// Arc spacing of the fused output grid, metres.
-    pub track_ds: f64,
-    /// Measurement variance for GPS speed, (m/s)².
-    pub r_gps: f64,
-    /// Measurement variance for the speedometer, (m/s)².
-    pub r_speedometer: f64,
-    /// Measurement variance for CAN wheel speed, (m/s)².
-    pub r_can: f64,
-    /// Measurement variance for accelerometer-integrated velocity,
-    /// (m/s)².
-    pub r_accelerometer: f64,
-    /// Complementary-filter time constant pulling the integrated
-    /// accelerometer velocity toward GPS, seconds.
-    pub accel_blend_tau_s: f64,
     /// Disable the Eq-2 lane-change velocity correction (ablation).
     pub disable_lane_correction: bool,
     /// Apply a backward RTS smoothing pass over each track (batch-mode
@@ -103,26 +74,8 @@ impl Default for EstimatorConfig {
             ekf: EkfConfig::default(),
             lane_change: LaneChangeConfig::default(),
             sources: VelocitySource::ALL.to_vec(),
-            track_ds: 5.0,
-            r_gps: 0.15,
-            r_speedometer: 0.04,
-            r_can: 0.01,
-            r_accelerometer: 1.5,
-            accel_blend_tau_s: 3.0,
             disable_lane_correction: false,
             rts_smoothing: true,
-        }
-    }
-}
-
-impl EstimatorConfig {
-    /// Measurement variance of one velocity source's EKF updates.
-    fn source_variance(&self, source: VelocitySource) -> f64 {
-        match source {
-            VelocitySource::Gps => self.r_gps,
-            VelocitySource::Speedometer => self.r_speedometer,
-            VelocitySource::CanBus => self.r_can,
-            VelocitySource::Accelerometer => self.r_accelerometer,
         }
     }
 }
@@ -397,14 +350,14 @@ impl GradientEstimator {
         // hostile log, e.g. a huge IMU time gap stepped at the first
         // interval: give the empty estimate instead of resampling onto
         // it. Honest trips stay below 250 m/s at 50 Hz and 5 m spacing.
-        if length.is_nan() || length > cfg.track_ds * log.imu.len() as f64 {
+        if length.is_nan() || length > TRACK_DS * log.imu.len() as f64 {
             distances.clear();
         }
         // One distance per non-empty track.
         out.tracks.resize_with(distances.len(), GradientTrack::default);
         let aligned = track_scratch[..n_src].iter().filter(|ts| !ts.track.is_empty());
         for (ts, track) in aligned.zip(out.tracks.iter_mut()) {
-            ts.track.resample_into(length, cfg.track_ds, track);
+            ts.track.resample_into(length, TRACK_DS, track);
         }
         if fuse_tracks_into(&out.tracks, &mut out.fused).is_err() {
             clear_fused(&mut out.fused);
@@ -429,62 +382,11 @@ impl GradientEstimator {
             rec.record_span(Span::Fusion, stages.fusion);
             rec.record_span(Span::Trip, stages.total());
             rec.incr(Counter::TripsProcessed, 1);
-            record_fusion_weights(rec, &out.tracks, &out.fused);
+            // `out.tracks` holds the non-empty lanes' tracks in lane order.
+            let lanes = cfg.sources.iter().zip(&track_scratch[..n_src]);
+            let sources = lanes.filter(|(_, ts)| !ts.track.is_empty()).map(|(&source, _)| source);
+            record_fusion_weights(rec, sources.zip(&out.tracks), &out.fused);
             rec.event(TraceEvent::TripEnd { detections: out.detections.len() as u32 });
-        }
-    }
-
-    /// Builds the `(t, v)` measurement series for one source into a
-    /// caller-owned buffer (overwritten).
-    fn measurement_series_into(
-        &self,
-        log: &SensorLog,
-        source: VelocitySource,
-        out: &mut Vec<(f64, f64)>,
-    ) {
-        out.clear();
-        match source {
-            VelocitySource::Gps => out.extend(gps_speeds(log)),
-            VelocitySource::Speedometer => out.extend(speeds(&log.speedometer)),
-            VelocitySource::CanBus => out.extend(speeds(&log.can)),
-            VelocitySource::Accelerometer => self.integrate_accel_velocity_into(log, out),
-        }
-    }
-
-    /// Velocity from the accelerometer: raw integration of the
-    /// longitudinal specific force, drift-corrected toward the latest GPS
-    /// speed with time constant `accel_blend_tau_s`. Emitted at 10 Hz into
-    /// a caller-owned buffer (already cleared by the caller).
-    fn integrate_accel_velocity_into(&self, log: &SensorLog, out: &mut Vec<(f64, f64)>) {
-        let tau = self.config.accel_blend_tau_s.max(1.0);
-        let mut gps_iter = gps_speeds(log).peekable();
-        let mut latest_gps: Option<f64> = None;
-        let mut v = gps_speeds(log).next().map(|(_, v)| v).unwrap_or(10.0);
-        let mut last_t = log.imu.first().map(|s| s.t).unwrap_or(0.0);
-        let mut next_emit = last_t;
-        for imu in &log.imu {
-            let dt = (imu.t - last_t).max(0.0);
-            last_t = imu.t;
-            while let Some(&(t, speed)) = gps_iter.peek() {
-                if t <= imu.t {
-                    latest_gps = Some(speed);
-                    gps_iter.next();
-                } else {
-                    break;
-                }
-            }
-            // Integrate the specific force (contains the g·sinθ leak —
-            // that is exactly why this is the worst source) and bleed
-            // toward GPS.
-            v += imu.accel_long * dt;
-            if let Some(g) = latest_gps {
-                v += (g - v) * (dt / tau);
-            }
-            v = v.max(0.0);
-            if imu.t >= next_emit {
-                out.push((imu.t, v));
-                next_emit += 0.1;
-            }
         }
     }
 
@@ -548,9 +450,9 @@ impl GradientEstimator {
         let mut v0 = [10.0f64; MAX_LANES];
         for (l, (ts, &source)) in lanes.iter_mut().zip(&cfg.sources).enumerate() {
             let timer = SpanTimer::start(rec);
-            self.measurement_series_into(log, source, &mut ts.measurements);
+            measurement_series_into(log, source, &mut ts.measurements);
             srcs[l] = source;
-            rs[l] = cfg.source_variance(source);
+            rs[l] = MEASUREMENT_VARIANCE[source as usize];
             v0[l] = ts.measurements.first().map(|m| m.1).unwrap_or(10.0);
             if rec.enabled() {
                 ts.monitor.reset();
@@ -560,7 +462,7 @@ impl GradientEstimator {
             ts.track.s.clear();
             ts.track.theta.clear();
             ts.track.variance.clear();
-            timer.finish(rec, track_span(source));
+            timer.finish(rec, source.span());
         }
         history.clear();
         if rec.enabled() {
@@ -663,14 +565,14 @@ impl GradientEstimator {
             rec.observe_many(Histogram::EkfInnovation, innovations);
             for (l, ts) in lanes.iter().enumerate() {
                 rec.incr(Counter::EkfPredicts, n_imu as u64);
-                rec.incr(update_counter(srcs[l]), updates[l]);
+                rec.incr(srcs[l].update_counter(), updates[l]);
                 if updates[l] > 0 {
                     rec.observe(Histogram::EkfMeanNis, ts.monitor.mean_nis());
                 }
                 let verdict = ts.monitor.health();
-                rec.incr(track_health_counter(verdict), 1);
+                rec.incr(verdict.track_counter(), 1);
                 if verdict == FilterHealth::Diverged {
-                    rec.event(TraceEvent::TrackDiverged { source: trace_source(srcs[l]) });
+                    rec.event(TraceEvent::TrackDiverged { source: srcs[l] });
                 }
             }
         }
@@ -688,54 +590,6 @@ fn write_smoothed(lanes: &mut [TrackScratch], k: usize, smoothed: &LaneEstimate)
     }
 }
 
-/// The per-track span of a velocity source.
-fn track_span(source: VelocitySource) -> Span {
-    match source {
-        VelocitySource::Gps => Span::TrackGps,
-        VelocitySource::Speedometer => Span::TrackSpeedometer,
-        VelocitySource::CanBus => Span::TrackCanBus,
-        VelocitySource::Accelerometer => Span::TrackAccelerometer,
-    }
-}
-
-/// The EKF-update counter of a velocity source.
-fn update_counter(source: VelocitySource) -> Counter {
-    match source {
-        VelocitySource::Gps => Counter::EkfUpdatesGps,
-        VelocitySource::Speedometer => Counter::EkfUpdatesSpeedometer,
-        VelocitySource::CanBus => Counter::EkfUpdatesCanBus,
-        VelocitySource::Accelerometer => Counter::EkfUpdatesAccelerometer,
-    }
-}
-
-/// The trace-event identity of a velocity source.
-fn trace_source(source: VelocitySource) -> TraceSource {
-    match source {
-        VelocitySource::Gps => TraceSource::Gps,
-        VelocitySource::Speedometer => TraceSource::Speedometer,
-        VelocitySource::CanBus => TraceSource::CanBus,
-        VelocitySource::Accelerometer => TraceSource::Accelerometer,
-    }
-}
-
-/// The trace-event spelling of a filter-health verdict.
-fn trace_health(health: FilterHealth) -> TraceHealth {
-    match health {
-        FilterHealth::Healthy => TraceHealth::Healthy,
-        FilterHealth::Inconsistent => TraceHealth::Inconsistent,
-        FilterHealth::Diverged => TraceHealth::Diverged,
-    }
-}
-
-/// The end-of-track verdict counter of a filter-health state.
-fn track_health_counter(health: FilterHealth) -> Counter {
-    match health {
-        FilterHealth::Healthy => Counter::TracksHealthy,
-        FilterHealth::Inconsistent => Counter::TracksDegraded,
-        FilterHealth::Diverged => Counter::TracksDiverged,
-    }
-}
-
 /// Counts an in-flight health transition and emits the typed event.
 /// Recovery is a transition *to* Healthy; anything else degrades.
 fn record_health_transition<R: Recorder>(
@@ -750,11 +604,7 @@ fn record_health_transition<R: Recorder>(
         Counter::EkfHealthDegraded
     };
     rec.incr(counter, 1);
-    rec.event(TraceEvent::EkfHealth {
-        source: trace_source(source),
-        from: trace_health(from),
-        to: trace_health(to),
-    });
+    rec.event(TraceEvent::EkfHealth { source, from, to });
 }
 
 /// A GPS outage long enough to matter: the nominal fix cadence is 1 Hz,
@@ -779,31 +629,21 @@ fn record_gps_gaps<R: Recorder>(rec: &R, log: &SensorLog) {
     }
 }
 
-/// The fusion-weight histogram of a source track, by label.
-fn fusion_weight_hist(label: &str) -> Option<Histogram> {
-    match label {
-        "gps" => Some(Histogram::FusionWeightGps),
-        "speedometer" => Some(Histogram::FusionWeightSpeedometer),
-        "can-bus" => Some(Histogram::FusionWeightCanBus),
-        "accelerometer" => Some(Histogram::FusionWeightAccelerometer),
-        _ => None,
-    }
-}
-
 /// Observes each source track's mean Eq-6 fusion weight: at grid point
 /// `i` the convex-combination weight of track `k` is
 /// `(1/P_k[i]) / Σ_j (1/P_j[i])`, and the fused variance is the
 /// reciprocal of that sum, so the weight equals
 /// `fused.variance[i] / track.variance[i]`.
-fn record_fusion_weights<R: Recorder>(rec: &R, tracks: &[GradientTrack], fused: &GradientTrack) {
-    // Snapshot slots follow `TraceSource::ALL` order; absent sources
-    // stay at 0.0 so the event shape is fixed.
+fn record_fusion_weights<'t, R: Recorder>(
+    rec: &R,
+    tracks: impl Iterator<Item = (VelocitySource, &'t GradientTrack)>,
+    fused: &GradientTrack,
+) {
+    // Slot `i` is `VelocitySource::ALL[i]`; absent sources stay at 0.0
+    // so the event shape is fixed.
     let mut weights = [0.0f64; 4];
     let mut any = false;
-    for track in tracks {
-        let Some(hist) = fusion_weight_hist(&track.label) else {
-            continue;
-        };
+    for (source, track) in tracks {
         let mut sum = 0.0;
         let mut n = 0u64;
         for (tv, fv) in track.variance.iter().zip(&fused.variance) {
@@ -814,16 +654,8 @@ fn record_fusion_weights<R: Recorder>(rec: &R, tracks: &[GradientTrack], fused: 
         }
         if n > 0 {
             let mean = sum / n as f64;
-            rec.observe(hist, mean);
-            let slot = match hist {
-                Histogram::FusionWeightGps => 0usize,
-                Histogram::FusionWeightSpeedometer => 1,
-                Histogram::FusionWeightCanBus => 2,
-                _ => 3,
-            };
-            if let Some(w) = weights.get_mut(slot) {
-                *w = mean;
-            }
+            rec.observe(source.fusion_weight(), mean);
+            weights[source as usize] = mean;
             any = true;
         }
     }
@@ -849,6 +681,54 @@ fn speeds(samples: &[SpeedSample]) -> impl Iterator<Item = (f64, f64)> + '_ {
 /// `(t, v)` of the valid GPS fixes.
 fn gps_speeds(log: &SensorLog) -> impl Iterator<Item = (f64, f64)> + '_ {
     log.gps.iter().filter(|g| g.valid).map(|g| (g.t, g.speed_mps))
+}
+
+/// Builds the `(t, v)` measurement series for one source into a
+/// caller-owned buffer (overwritten).
+fn measurement_series_into(log: &SensorLog, source: VelocitySource, out: &mut Vec<(f64, f64)>) {
+    out.clear();
+    match source {
+        VelocitySource::Gps => out.extend(gps_speeds(log)),
+        VelocitySource::Speedometer => out.extend(speeds(&log.speedometer)),
+        VelocitySource::CanBus => out.extend(speeds(&log.can)),
+        VelocitySource::Accelerometer => integrate_accel_velocity_into(log, out),
+    }
+}
+
+/// Velocity from the accelerometer: raw integration of the
+/// longitudinal specific force, drift-corrected toward the latest GPS
+/// speed with time constant [`ACCEL_BLEND_TAU_S`]. Emitted at 10 Hz into
+/// a caller-owned buffer (already cleared by the caller).
+fn integrate_accel_velocity_into(log: &SensorLog, out: &mut Vec<(f64, f64)>) {
+    let mut gps_iter = gps_speeds(log).peekable();
+    let mut latest_gps: Option<f64> = None;
+    let mut v = gps_speeds(log).next().map(|(_, v)| v).unwrap_or(10.0);
+    let mut last_t = log.imu.first().map(|s| s.t).unwrap_or(0.0);
+    let mut next_emit = last_t;
+    for imu in &log.imu {
+        let dt = (imu.t - last_t).max(0.0);
+        last_t = imu.t;
+        while let Some(&(t, speed)) = gps_iter.peek() {
+            if t <= imu.t {
+                latest_gps = Some(speed);
+                gps_iter.next();
+            } else {
+                break;
+            }
+        }
+        // Integrate the specific force (contains the g·sinθ leak —
+        // that is exactly why this is the worst source) and bleed
+        // toward GPS.
+        v += imu.accel_long * dt;
+        if let Some(g) = latest_gps {
+            v += (g - v) * (dt / ACCEL_BLEND_TAU_S);
+        }
+        v = v.max(0.0);
+        if imu.t >= next_emit {
+            out.push((imu.t, v));
+            next_emit += 0.1;
+        }
+    }
 }
 
 /// Stages the best available speed stream into `(ts, vs)` columns:
@@ -1001,7 +881,7 @@ mod tests {
         ts: &mut TrackScratch,
         rec: &R,
     ) {
-        let r = cfg.source_variance(source);
+        let r = MEASUREMENT_VARIANCE[source as usize];
         let TrackScratch { measurements, track, monitor } = ts;
         let measurements: &[(f64, f64)] = measurements;
         let v0 = measurements.first().map(|m| m.1).unwrap_or(10.0);
@@ -1097,14 +977,14 @@ mod tests {
         }
         if rec.enabled() {
             rec.incr(Counter::EkfPredicts, log.imu.len() as u64);
-            rec.incr(update_counter(source), updates);
+            rec.incr(source.update_counter(), updates);
             if updates > 0 {
                 rec.observe(Histogram::EkfMeanNis, monitor.mean_nis());
             }
             let verdict = monitor.health();
-            rec.incr(track_health_counter(verdict), 1);
+            rec.incr(verdict.track_counter(), 1);
             if verdict == FilterHealth::Diverged {
-                rec.event(TraceEvent::TrackDiverged { source: trace_source(source) });
+                rec.event(TraceEvent::TrackDiverged { source });
             }
         }
     }
@@ -1124,7 +1004,7 @@ mod tests {
             .iter()
             .map(|&source| {
                 let mut ts = TrackScratch::default();
-                estimator.measurement_series_into(log, source, &mut ts.measurements);
+                measurement_series_into(log, source, &mut ts.measurements);
                 scalar_track_into(
                     &estimator.config,
                     log,

@@ -525,12 +525,18 @@ impl SegmentIndex {
 
     /// Exact nearest segment to `p` (branch-and-bound over the tree,
     /// closed-form projection at the leaves). Allocation-free on a
-    /// warm scratch. Returns `None` when empty.
+    /// warm scratch. Returns `None` when empty, and at once (clearing
+    /// the scratch's hint) for a point with a NaN or infinite
+    /// coordinate, which no segment is at a finite distance from.
     ///
     /// The search starts from the exact distance of the segment this
     /// scratch returned last (see [`QueryScratch`]); the hit is the one
     /// a fresh scratch returns.
     pub fn nearest(&self, p: Vec2, scratch: &mut QueryScratch) -> Option<SegmentHit> {
+        if !p.is_finite() {
+            scratch.last = None;
+            return None;
+        }
         let leaf_dist_sq = |id: u32| {
             let (a, b) = self.seg_points(id as usize);
             project_point_segment(p, a, b).1
@@ -877,6 +883,27 @@ mod tests {
             2 * seeded_popped <= fresh_popped,
             "nodes popped: {seeded_popped} seeded vs {fresh_popped} fresh, {queries} fixes"
         );
+    }
+
+    #[test]
+    fn a_non_finite_point_pops_no_node() {
+        let net = city_network(13);
+        let idx = NetworkIndex::build(&net);
+        let segs = idx.segments();
+        let on_road = net.nodes()[0];
+        for bad in [
+            Vec2::new(f64::INFINITY, 0.0),
+            Vec2::new(0.0, f64::NEG_INFINITY),
+            Vec2::new(f64::NAN, 1.0),
+            Vec2::new(f64::NAN, f64::NAN),
+        ] {
+            let mut scratch = QueryScratch::new();
+            assert!(segs.nearest(on_road, &mut scratch).is_some());
+            let popped = scratch.popped;
+            assert_eq!(segs.nearest(bad, &mut scratch), None, "query {bad:?}");
+            assert_eq!(scratch.popped, popped, "query {bad:?} walked the tree");
+            assert_eq!(scratch.last, None, "query {bad:?} kept the hint");
+        }
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! supports named-field structs only, and the event array mixes shapes
 //! per phase, so a small JSON writer is simpler than fighting the shim.
 
-use crate::metrics::Counter;
+use crate::metrics::{Counter, VelocitySource};
 use crate::run::{HistogramReport, RunReport};
-use crate::trace::{TraceEvent, TraceSnapshot, TraceSource};
+use crate::trace::{TraceEvent, TraceSnapshot};
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
@@ -121,11 +121,11 @@ pub fn chrome_trace_json(snapshot: &TraceSnapshot) -> String {
             }
             TraceEvent::FusionWeights { weights } => {
                 let mut args = String::new();
-                for (i, (src, w)) in TraceSource::ALL.iter().zip(weights.iter()).enumerate() {
+                for (i, (src, w)) in VelocitySource::ALL.iter().zip(weights.iter()).enumerate() {
                     if i > 0 {
                         args.push_str(", ");
                     }
-                    let _ = write!(args, "\"{}\": {}", src.name(), json_num(*w));
+                    let _ = write!(args, "\"{}\": {}", src.label(), json_num(*w));
                 }
                 push_trace_record(
                     &mut out,
@@ -166,11 +166,11 @@ fn instant_args(ev: TraceEvent) -> String {
         ),
         TraceEvent::EkfHealth { source, from, to } => format!(
             "\"source\": \"{}\", \"from\": \"{}\", \"to\": \"{}\"",
-            source.name(),
+            source.label(),
             from.name(),
             to.name()
         ),
-        TraceEvent::TrackDiverged { source } => format!("\"source\": \"{}\"", source.name()),
+        TraceEvent::TrackDiverged { source } => format!("\"source\": \"{}\"", source.label()),
         TraceEvent::GpsGap { t_start_s, duration_s } => format!(
             "\"t_start_s\": {}, \"duration_s\": {}",
             json_num(t_start_s),

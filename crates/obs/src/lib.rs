@@ -6,7 +6,11 @@
 //! - [`metrics`]: the closed taxonomy of [`Span`]s (a static forest of
 //!   timed regions: trip stages, per-source EKF tracks, fleet workers,
 //!   cloud uploads), [`Counter`]s, and [`Histogram`]s, plus the shared
-//!   [`StageNanos`] per-trip stage split.
+//!   [`StageNanos`] per-trip stage split, and the two domain enums
+//!   telemetry is keyed by: [`VelocitySource`] (each EKF track source
+//!   names its label, span, update counter and fusion-weight histogram)
+//!   and [`FilterHealth`] (verdicts ordered by severity, each naming its
+//!   `tracks-*` counter). `gradest-core` re-exports both.
 //! - [`recorder`]: the [`Recorder`] trait instrumented code is generic
 //!   over, the statically zero-cost [`NoopRecorder`], and the
 //!   [`SpanTimer`] helper that only reads the clock when the recorder
@@ -19,8 +23,9 @@
 //!   snapshot string for tests, the `METRICS` exposition).
 //! - [`trace`]: the flight recorder — a bounded, allocation-free
 //!   [`TraceRing`] of typed [`TraceEvent`]s (trip/lane-change/EKF
-//!   health/fusion-weight/GPS-gap/fleet/cloud), plus [`Tee`] to fan a
-//!   run out to metrics and trace simultaneously.
+//!   health/fusion-weight/GPS-gap/fleet/cloud; per-track events carry
+//!   a [`VelocitySource`] and [`FilterHealth`] verdicts), plus [`Tee`]
+//!   to fan a run out to metrics and trace simultaneously.
 //! - [`export`]: standard telemetry formats — Perfetto/Chrome
 //!   `trace_event` JSON for trace snapshots and the one Prometheus text
 //!   builder, for a report plus the caller's own [`Sample`]s.
@@ -32,9 +37,9 @@
 //!   front end, answering "what is p99 frame latency *right now*" for
 //!   the `STATUS` frame.
 //! - [`quality`]: fleet-wide estimation-quality drift monitors —
-//!   EWMA + Page–Hinkley detectors over mean fusion weight, NIS
-//!   out-of-band fraction, and GPS-dropout rate, emitting
-//!   [`TraceEvent::QualityAlert`] transitions.
+//!   EWMA + Page–Hinkley detectors over the three [`QualitySignal`]s
+//!   (mean fusion weight, NIS out-of-band fraction, GPS-dropout rate),
+//!   emitting [`TraceEvent::QualityAlert`] transitions.
 //! - [`slo`]: the service's three objectives evaluated over the
 //!   time-series ring with burn-rate thresholds, driving the
 //!   `Healthy`/`Warn`/`Page` states the service reports.
@@ -66,12 +71,10 @@ pub mod trace;
 pub use export::{
     chrome_trace_json, prometheus_text, validate_prometheus_text, Sample, SampleKind,
 };
-pub use metrics::{Counter, Histogram, Span, StageNanos};
-pub use quality::{QualityMonitors, QualityReport, SignalReport};
+pub use metrics::{Counter, FilterHealth, Histogram, Span, StageNanos, VelocitySource};
+pub use quality::{QualityMonitors, QualityReport, QualitySignal, SignalReport};
 pub use recorder::{saturating_ns, NoopRecorder, Recorder, SpanTimer};
 pub use run::{CounterReport, HistogramReport, RunRecorder, RunReport, SpanReport};
 pub use slo::{SloReport, SloState};
 pub use timeseries::{TimeSeries, TimeSeriesConfig, TimeSeriesRecorder, SKETCH_RELATIVE_ERROR};
-pub use trace::{
-    QualitySignal, Tee, TraceEvent, TraceHealth, TraceRecord, TraceRing, TraceSnapshot, TraceSource,
-};
+pub use trace::{Tee, TraceEvent, TraceRecord, TraceRing, TraceSnapshot};

@@ -1,5 +1,7 @@
 //! The metric taxonomy: every span, counter, and histogram the gradest
-//! layers emit, as closed enums.
+//! layers emit, as closed enums, plus the two domain enums telemetry is
+//! keyed by — [`VelocitySource`] and [`FilterHealth`] — each naming its
+//! own spans and counters.
 //!
 //! Typed ids (rather than string keys) keep recording allocation-free —
 //! a recorder backs each id with a fixed array slot — and make the set
@@ -349,6 +351,116 @@ impl Histogram {
     }
 }
 
+/// A velocity source feeding one EKF track (Section III-C3: "vehicle
+/// velocity can be obtained through different ways such as GPS data,
+/// speedometer and accelerometer", plus CAN-bus over Bluetooth).
+///
+/// The one statement of the source list: `ALL[i]` is lane `i` of the
+/// fused track sweep and slot `i` of the
+/// [`TraceEvent::FusionWeights`](crate::trace::TraceEvent::FusionWeights)
+/// array, and each source names its own telemetry ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum VelocitySource {
+    /// GPS Doppler speed (1 Hz, outage-prone).
+    Gps,
+    /// Speedometer app (10 Hz, slight scale bias).
+    Speedometer,
+    /// CAN-bus wheel speed (20 Hz, quantized).
+    CanBus,
+    /// Velocity integrated from the accelerometer, drift-corrected toward
+    /// GPS with a slow complementary filter.
+    Accelerometer,
+}
+
+impl VelocitySource {
+    /// All four sources, in the paper's order (`ALL[i] as usize == i`).
+    pub const ALL: [VelocitySource; 4] = [
+        VelocitySource::Gps,
+        VelocitySource::Speedometer,
+        VelocitySource::CanBus,
+        VelocitySource::Accelerometer,
+    ];
+
+    /// Stable label: the track label, and the suffix of the source's
+    /// span, counter and histogram names.
+    pub fn label(self) -> &'static str {
+        match self {
+            VelocitySource::Gps => "gps",
+            VelocitySource::Speedometer => "speedometer",
+            VelocitySource::CanBus => "can-bus",
+            VelocitySource::Accelerometer => "accelerometer",
+        }
+    }
+
+    /// The span of the source's track staging (`track:<label>`).
+    pub fn span(self) -> Span {
+        match self {
+            VelocitySource::Gps => Span::TrackGps,
+            VelocitySource::Speedometer => Span::TrackSpeedometer,
+            VelocitySource::CanBus => Span::TrackCanBus,
+            VelocitySource::Accelerometer => Span::TrackAccelerometer,
+        }
+    }
+
+    /// The counter of the source's EKF updates (`ekf-updates:<label>`).
+    pub fn update_counter(self) -> Counter {
+        match self {
+            VelocitySource::Gps => Counter::EkfUpdatesGps,
+            VelocitySource::Speedometer => Counter::EkfUpdatesSpeedometer,
+            VelocitySource::CanBus => Counter::EkfUpdatesCanBus,
+            VelocitySource::Accelerometer => Counter::EkfUpdatesAccelerometer,
+        }
+    }
+
+    /// The histogram of the source track's per-trip mean Eq-6 fusion
+    /// weight (`fusion-weight:<label>`); `const`, so the drift monitor
+    /// names its canary histogram through it.
+    pub const fn fusion_weight(self) -> Histogram {
+        match self {
+            VelocitySource::Gps => Histogram::FusionWeightGps,
+            VelocitySource::Speedometer => Histogram::FusionWeightSpeedometer,
+            VelocitySource::CanBus => Histogram::FusionWeightCanBus,
+            VelocitySource::Accelerometer => Histogram::FusionWeightAccelerometer,
+        }
+    }
+}
+
+/// Health verdict of a monitored filter (`gradest_core`'s NIS
+/// innovation monitor), ordered by severity: the worst of several
+/// verdicts is their `max`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub enum FilterHealth {
+    /// Innovations are consistent with the filter's covariance.
+    #[default]
+    Healthy,
+    /// Innovations run persistently hot (underestimated noise or model
+    /// mismatch) — estimates remain usable but variances are optimistic.
+    Inconsistent,
+    /// Innovations are far outside bounds; estimates should be discarded
+    /// and the filter re-initialized.
+    Diverged,
+}
+
+impl FilterHealth {
+    /// Stable name (trace lines and trace-event arguments).
+    pub fn name(self) -> &'static str {
+        match self {
+            FilterHealth::Healthy => "healthy",
+            FilterHealth::Inconsistent => "inconsistent",
+            FilterHealth::Diverged => "diverged",
+        }
+    }
+
+    /// The counter of tracks that finish their trip with this verdict.
+    pub fn track_counter(self) -> Counter {
+        match self {
+            FilterHealth::Healthy => Counter::TracksHealthy,
+            FilterHealth::Inconsistent => Counter::TracksDegraded,
+            FilterHealth::Diverged => Counter::TracksDiverged,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,6 +493,29 @@ mod tests {
     fn stage_nanos_total() {
         let s = StageNanos { steering: 1, detection: 2, tracks: 3, fusion: 4 };
         assert_eq!(s.total(), 10);
+    }
+
+    #[test]
+    fn each_source_and_verdict_names_its_own_ids() {
+        for (i, source) in VelocitySource::ALL.into_iter().enumerate() {
+            assert_eq!(i, source as usize, "VelocitySource::ALL out of declaration order");
+            let label = source.label();
+            assert_eq!(source.span().name(), format!("track:{label}"));
+            assert_eq!(source.update_counter().name(), format!("ekf-updates:{label}"));
+            assert_eq!(source.fusion_weight().name(), format!("fusion-weight:{label}"));
+        }
+        let verdicts = [
+            (FilterHealth::Healthy, "healthy", "tracks-healthy"),
+            (FilterHealth::Inconsistent, "inconsistent", "tracks-degraded"),
+            (FilterHealth::Diverged, "diverged", "tracks-diverged"),
+        ];
+        for (health, name, counter) in verdicts {
+            assert_eq!(health.name(), name);
+            assert_eq!(health.track_counter().name(), counter);
+        }
+        assert!(FilterHealth::Healthy < FilterHealth::Inconsistent);
+        assert!(FilterHealth::Inconsistent < FilterHealth::Diverged);
+        assert_eq!(FilterHealth::default(), FilterHealth::Healthy);
     }
 
     #[test]

@@ -27,10 +27,10 @@
 //! the recorder, so drift lands in the flight recorder and the
 //! Prometheus exposition without polling.
 
-use crate::metrics::{Counter, Histogram};
+use crate::metrics::{Counter, Histogram, VelocitySource};
 use crate::recorder::Recorder;
 use crate::timeseries::TimeSeries;
-use crate::trace::{QualitySignal, TraceEvent};
+use crate::trace::TraceEvent;
 
 /// Mean-NIS bound above which a filter's innovations run hot: a
 /// track's `InnovationMonitor` calls the filter inconsistent, and the
@@ -39,8 +39,32 @@ use crate::trace::{QualitySignal, TraceEvent};
 /// transients.
 pub const INCONSISTENT_NIS: f64 = 2.5;
 
+/// A monitored fleet-quality signal: the subject of each detector and
+/// of every [`TraceEvent::QualityAlert`] transition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QualitySignal {
+    /// Per-window mean Eq-6 fusion weight of the monitored source.
+    MeanFusionWeight,
+    /// Fraction of per-track windowed mean-NIS observations outside
+    /// the consistency band.
+    NisOutOfBand,
+    /// GPS dropout events per processed trip.
+    GpsDropoutRate,
+}
+
+impl QualitySignal {
+    /// Stable label (trace lines, STATUS JSON keys).
+    pub fn name(self) -> &'static str {
+        match self {
+            QualitySignal::MeanFusionWeight => "mean-fusion-weight",
+            QualitySignal::NisOutOfBand => "nis-out-of-band",
+            QualitySignal::GpsDropoutRate => "gps-dropout-rate",
+        }
+    }
+}
+
 /// Which fusion-weight histogram the canary watches.
-const WEIGHT_HIST: Histogram = Histogram::FusionWeightAccelerometer;
+const WEIGHT_HIST: Histogram = VelocitySource::Accelerometer.fusion_weight();
 /// Windows each per-window statistic aggregates over (smooths the shot
 /// noise of sparse uploads).
 const LOOKBACK: usize = 5;
@@ -164,7 +188,8 @@ pub struct SignalReport {
 /// Snapshot of all monitored signals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QualityReport {
-    /// One entry per [`QualitySignal::ALL`], in that order.
+    /// One entry per signal, in detector order: mean fusion weight,
+    /// NIS out of band, GPS dropout rate.
     pub signals: Vec<SignalReport>,
 }
 
@@ -272,11 +297,6 @@ impl QualityMonitors {
             .collect();
         QualityReport { signals }
     }
-
-    /// Whether any signal is currently drifting.
-    pub fn any_drifting(&self) -> bool {
-        self.detectors.iter().any(|d| d.alert)
-    }
 }
 
 impl Default for QualityMonitors {
@@ -325,7 +345,6 @@ mod tests {
             healthy_window(&ts, w);
             assert_eq!(mon.tick(&ts, (w + 1) * W, &rec), 0, "window {w}");
         }
-        assert!(!mon.any_drifting());
         assert_eq!(rec.report().counter(Counter::QualityAlertsRaised.name()), None);
         let report = mon.report();
         assert_eq!(report.signals.len(), 3);
@@ -346,7 +365,7 @@ mod tests {
             healthy_window(&ts, w);
             mon.tick(&ts, (w + 1) * W, &rec);
         }
-        assert!(!mon.any_drifting(), "healthy baseline must stay quiet");
+        assert!(!mon.report().any_drifting(), "healthy baseline must stay quiet");
         let mut raised_at = None;
         for w in 8..20 {
             degraded_window(&ts, w);
@@ -356,7 +375,6 @@ mod tests {
         }
         let raised_at = raised_at.expect("sustained degradation must raise an alert");
         assert!(raised_at <= 14, "alert latency too high: window {raised_at}");
-        assert!(mon.any_drifting());
         assert!(run.report().counter(Counter::QualityAlertsRaised.name()) >= Some(1));
         let seq = trace.snapshot().sequence_string();
         assert!(seq.contains("quality-alert"), "alert edge must land in the trace:\n{seq}");

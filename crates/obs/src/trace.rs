@@ -18,104 +18,14 @@
 //! golden-test sequence, and feeds the Perfetto export
 //! (`obs::export::chrome_trace_json`).
 
-use crate::metrics::{Counter, Histogram, Span};
+use crate::metrics::{Counter, FilterHealth, Histogram, Span, VelocitySource};
+use crate::quality::QualitySignal;
 use crate::recorder::{saturating_ns, Recorder};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::Instant;
-
-/// Velocity source of a per-track event, mirrored from the core
-/// pipeline's source set (obs sits below `gradest-core`, so the enum is
-/// duplicated here rather than imported).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceSource {
-    /// GPS Doppler speed track.
-    Gps,
-    /// Speedometer track.
-    Speedometer,
-    /// CAN-bus wheel-speed track.
-    CanBus,
-    /// Accelerometer-integrated velocity track.
-    Accelerometer,
-}
-
-impl TraceSource {
-    /// All four sources, in the pipeline's order (the order of the
-    /// [`TraceEvent::FusionWeights`] array).
-    pub const ALL: [TraceSource; 4] = [
-        TraceSource::Gps,
-        TraceSource::Speedometer,
-        TraceSource::CanBus,
-        TraceSource::Accelerometer,
-    ];
-
-    /// Stable label, matching the pipeline's track labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceSource::Gps => "gps",
-            TraceSource::Speedometer => "speedometer",
-            TraceSource::CanBus => "can-bus",
-            TraceSource::Accelerometer => "accelerometer",
-        }
-    }
-}
-
-/// The fleet-quality signal a [`TraceEvent::QualityAlert`] transition
-/// refers to, mirroring `obs::quality`'s monitored signals (defined
-/// here so the event stays a leaf type with no module cycle).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QualitySignal {
-    /// Per-window mean Eq-6 fusion weight of the monitored source.
-    MeanFusionWeight,
-    /// Fraction of per-track windowed mean-NIS observations outside
-    /// the consistency band.
-    NisOutOfBand,
-    /// GPS dropout events per processed trip.
-    GpsDropoutRate,
-}
-
-impl QualitySignal {
-    /// All monitored signals, in report order.
-    pub const ALL: [QualitySignal; 3] = [
-        QualitySignal::MeanFusionWeight,
-        QualitySignal::NisOutOfBand,
-        QualitySignal::GpsDropoutRate,
-    ];
-
-    /// Stable label (trace lines, STATUS JSON keys).
-    pub fn name(self) -> &'static str {
-        match self {
-            QualitySignal::MeanFusionWeight => "mean-fusion-weight",
-            QualitySignal::NisOutOfBand => "nis-out-of-band",
-            QualitySignal::GpsDropoutRate => "gps-dropout-rate",
-        }
-    }
-}
-
-/// Health verdict carried by [`TraceEvent::EkfHealth`] transitions,
-/// mirroring `gradest_core::diagnostics::FilterHealth`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceHealth {
-    /// Innovations consistent with the filter covariance.
-    Healthy,
-    /// Windowed NIS persistently hot; variances optimistic.
-    Inconsistent,
-    /// Divergence latched; the track should be discarded.
-    Diverged,
-}
-
-impl TraceHealth {
-    /// Stable label.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceHealth::Healthy => "healthy",
-            TraceHealth::Inconsistent => "inconsistent",
-            TraceHealth::Diverged => "diverged",
-        }
-    }
-}
 
 /// One typed flight-recorder event. Every variant is `Copy` and
 /// heap-free by construction — recording an event never allocates.
@@ -146,19 +56,20 @@ pub enum TraceEvent {
     /// An EKF track's `InnovationMonitor` verdict changed.
     EkfHealth {
         /// The track whose monitor transitioned.
-        source: TraceSource,
+        source: VelocitySource,
         /// Verdict before the update.
-        from: TraceHealth,
+        from: FilterHealth,
         /// Verdict after the update.
-        to: TraceHealth,
+        to: FilterHealth,
     },
     /// A track finished its trip with divergence latched.
     TrackDiverged {
         /// The diverged track.
-        source: TraceSource,
+        source: VelocitySource,
     },
-    /// Per-trip mean Eq-6 fusion weights, one slot per
-    /// [`TraceSource::ALL`] entry (0 when a source produced no track).
+    /// Per-trip mean Eq-6 fusion weights: slot `i` is
+    /// [`VelocitySource::ALL`]`[i]` (0 when that source produced no
+    /// track).
     FusionWeights {
         /// Mean convex-combination weight per source.
         weights: [f64; 4],
@@ -279,15 +190,15 @@ impl TraceEvent {
                 format!("lane-change-rejected t={t_mid_s:.2}s w={displacement_m:.3}m")
             }
             TraceEvent::EkfHealth { source, from, to } => {
-                format!("ekf-health {} {}->{}", source.name(), from.name(), to.name())
+                format!("ekf-health {} {}->{}", source.label(), from.name(), to.name())
             }
             TraceEvent::TrackDiverged { source } => {
-                format!("track-diverged {}", source.name())
+                format!("track-diverged {}", source.label())
             }
             TraceEvent::FusionWeights { weights } => {
                 let mut line = String::from("fusion-weights");
-                for (src, w) in TraceSource::ALL.iter().zip(weights.iter()) {
-                    let _ = write!(line, " {}={:.3}", src.name(), w);
+                for (src, w) in VelocitySource::ALL.iter().zip(weights.iter()) {
+                    let _ = write!(line, " {}={:.3}", src.label(), w);
                 }
                 line
             }
@@ -747,11 +658,11 @@ mod tests {
             TraceEvent::LaneChangeAccepted { t_mid_s: 0.0, displacement_m: 0.0 },
             TraceEvent::LaneChangeRejected { t_mid_s: 0.0, displacement_m: 0.0 },
             TraceEvent::EkfHealth {
-                source: TraceSource::Gps,
-                from: TraceHealth::Healthy,
-                to: TraceHealth::Inconsistent,
+                source: VelocitySource::Gps,
+                from: FilterHealth::Healthy,
+                to: FilterHealth::Inconsistent,
             },
-            TraceEvent::TrackDiverged { source: TraceSource::Gps },
+            TraceEvent::TrackDiverged { source: VelocitySource::Gps },
             TraceEvent::FusionWeights { weights: [0.25; 4] },
             TraceEvent::GpsGap { t_start_s: 0.0, duration_s: 0.0 },
             TraceEvent::FleetJobStart { job: 0 },

@@ -277,10 +277,8 @@ impl<R: Recorder + Send + Sync> Shared<R> {
         let slos = slo::evaluate(series, now);
         let worst = slos.iter().map(|slo| slo.state).max().unwrap_or(SloState::Healthy);
         let _ = write!(out, ",\"state\":\"{}\"", worst.name());
-        let (drifting, quality) = match self.quality.lock() {
-            Ok(q) => (q.any_drifting(), Some(q.report())),
-            Err(_) => (false, None),
-        };
+        let quality = self.quality.lock().ok().map(|q| q.report());
+        let drifting = quality.as_ref().is_some_and(|report| report.any_drifting());
         let _ = write!(out, ",\"drifting\":{drifting}");
         out.push_str(",\"slos\":[");
         for (i, slo) in slos.iter().enumerate() {
