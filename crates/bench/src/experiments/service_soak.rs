@@ -3,9 +3,10 @@
 //!
 //! Not a paper artifact — the engineering benchmark for the crowd
 //! ingestion path (DESIGN.md §14). Emits `BENCH_service.json` with
-//! sustained upload throughput, client-observed frame latency
-//! percentiles, and the tile-query cost, so regressions in the
-//! decode → estimate → fuse service path are diffable across commits.
+//! the server's start cost, sustained upload throughput,
+//! client-observed frame latency percentiles, and the tile-query cost,
+//! so regressions in set-up and in the decode → estimate → fuse service
+//! path are diffable across commits.
 //! Alongside the timings it carries the correctness bar as booleans:
 //! tiles served over the wire bit-identical to direct `FleetEngine` +
 //! `CloudAggregator` aggregation, typed BUSY rejects under overload
@@ -65,6 +66,8 @@ const TELEMETRY_WINDOWS: usize = 120;
 const HEALTHY_WINDOWS: u64 = 14;
 /// Degraded windows after which an unfired drift alert is a failure.
 const ALERT_DEADLINE_WINDOWS: u64 = 40;
+/// Timed `start` calls behind the `start` row; the row is their median.
+const START_SAMPLES: usize = 11;
 /// Floor (in windows) applied to the *gated* alert latency: the alarm
 /// lands on a window boundary ±1 window of alignment jitter, so
 /// latencies under the floor are quantization noise, not signal. The
@@ -89,6 +92,10 @@ pub struct ServiceSoakBench {
     pub workers: usize,
     /// Bounded accept-queue depth of the throughput server.
     pub queue_depth: usize,
+    /// `start` with `ServeConfig::default()` on the soak network: index
+    /// build, telemetry ring, worker and accept threads. Each call is
+    /// timed alone; the shutdown after it is not timed.
+    pub start: BenchReport,
     /// Wall clock of the upload phase, first send to last ack.
     pub upload_elapsed_ns: u64,
     /// Sustained upload throughput over loopback.
@@ -299,6 +306,25 @@ fn reference_tile(
     (payload, edges.len())
 }
 
+/// Times [`START_SAMPLES`] calls of `start` with the default
+/// configuration on `net`, after one untimed warm-up, each followed by
+/// an untimed shutdown.
+fn start_bench(net: &RoadNetwork) -> BenchReport {
+    let rec = Arc::new(NoopRecorder);
+    let mut per_op = Vec::with_capacity(START_SAMPLES);
+    for sample in 0..=START_SAMPLES {
+        let t = Instant::now();
+        let server = start(&ServeConfig::default(), "127.0.0.1:0", net, Arc::clone(&rec))
+            .expect("bind loopback");
+        let ns = t.elapsed().as_nanos() as f64;
+        if sample > 0 {
+            per_op.push(ns);
+        }
+        server.shutdown();
+    }
+    BenchReport::from_samples("service_start", 1, per_op)
+}
+
 fn percentile(sorted_ns: &[u64], q: f64) -> f64 {
     if sorted_ns.is_empty() {
         return 0.0;
@@ -323,9 +349,10 @@ fn save_artifact(name: &str, body: &str) {
     }
 }
 
-/// Runs the ingestion soak: a throughput/identity phase with `phones`
-/// concurrent clients, a sequential warm-allocation phase, an overload
-/// phase at ~2x capacity, and a drain raced by a live uploader.
+/// Runs the ingestion soak: timed server starts, a throughput/identity
+/// phase with `phones` concurrent clients, a sequential
+/// warm-allocation phase, an overload phase at ~2x capacity, a drain
+/// raced by a live uploader, and the telemetry phase.
 pub fn run(seed: u64, phones: usize, trips_per_phone: usize) -> ServiceSoakBench {
     assert!(phones > 0 && trips_per_phone > 0, "need at least one phone and trip");
     let net = soak_network();
@@ -334,6 +361,7 @@ pub fn run(seed: u64, phones: usize, trips_per_phone: usize) -> ServiceSoakBench
     if alloc_counter::is_installed() {
         install_alloc_probe(alloc_counter::allocations);
     }
+    let start_cost = start_bench(&net);
 
     // ---- Phase 1: throughput + identity -------------------------------
     let cfg = ServeConfig { workers: 2, queue_depth: phones.max(2), ..Default::default() };
@@ -591,6 +619,7 @@ pub fn run(seed: u64, phones: usize, trips_per_phone: usize) -> ServiceSoakBench
         roads: ROADS,
         workers: cfg.workers,
         queue_depth: cfg.queue_depth,
+        start: start_cost,
         upload_elapsed_ns,
         sustained_trips_per_sec,
         sustained_ns_per_trip,
@@ -624,6 +653,7 @@ pub fn run(seed: u64, phones: usize, trips_per_phone: usize) -> ServiceSoakBench
 /// Renders the soak summary and saves `service_soak.json`.
 pub fn print_report(r: &ServiceSoakBench) {
     let rows = vec![
+        vec!["server start".to_string(), format!("{:.2} ms", r.start.median_ns_per_op / 1e6)],
         vec![
             "uploads".to_string(),
             format!("{} ({} phones x {})", r.trips_total, r.phones, r.trips_per_phone),

@@ -135,22 +135,36 @@ pub fn run_bench(
     assert!(samples > 0, "need at least one sample");
     assert!(ops_per_sample > 0, "need at least one op per sample");
     f(); // warm-up: page in code and data
-    let mut per_op: Vec<f64> = (0..samples)
+    let per_op: Vec<f64> = (0..samples)
         .map(|_| {
             let start = Instant::now();
             f();
             start.elapsed().as_nanos() as f64 / ops_per_sample as f64
         })
         .collect();
-    per_op.sort_by(f64::total_cmp);
-    let median = per_op[per_op.len() / 2];
-    BenchReport {
-        name: name.to_string(),
-        samples,
-        ops_per_sample,
-        median_ns_per_op: median,
-        min_ns_per_op: per_op[0],
-        ops_per_sec: 1e9 / median.max(f64::MIN_POSITIVE),
+    BenchReport::from_samples(name, ops_per_sample, per_op)
+}
+
+impl BenchReport {
+    /// The summary of timed samples already taken, given as nanoseconds
+    /// per operation, for a benchmark whose samples cannot be one
+    /// closure call each (an untimed teardown between them).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_op` is empty.
+    pub fn from_samples(name: &str, ops_per_sample: u64, mut per_op: Vec<f64>) -> BenchReport {
+        assert!(!per_op.is_empty(), "need at least one sample");
+        per_op.sort_by(f64::total_cmp);
+        let median = per_op[per_op.len() / 2];
+        BenchReport {
+            name: name.to_string(),
+            samples: per_op.len(),
+            ops_per_sample,
+            median_ns_per_op: median,
+            min_ns_per_op: per_op[0],
+            ops_per_sec: 1e9 / median.max(f64::MIN_POSITIVE),
+        }
     }
 }
 

@@ -94,24 +94,67 @@ const NODE_SIZE: usize = 16;
 /// the data bounds before computing curve positions.
 const HILBERT_ORDER: u32 = 16;
 
-/// Hilbert curve position of quantized cell `(x, y)` on the
-/// `2^HILBERT_ORDER` grid (the classic xy→d bit-interleave walk).
-fn hilbert_d(mut x: u32, mut y: u32) -> u64 {
-    let n: u32 = 1 << HILBERT_ORDER;
-    let mut d: u64 = 0;
-    let mut s = n >> 1;
-    while s > 0 {
-        let rx: u32 = u32::from(x & s > 0);
-        let ry: u32 = u32::from(y & s > 0);
-        d += (s as u64) * (s as u64) * ((3 * rx) ^ ry) as u64;
-        if ry == 0 {
-            if rx == 1 {
-                x = n - 1 - x;
-                y = n - 1 - y;
-            }
-            std::mem::swap(&mut x, &mut y);
+// A curve position has two bits per level, so it fits the upper half
+// of the packed `d << 32 | id` sort key, and the levels split into
+// whole nibbles for the table walk.
+const _: () = assert!(2 * HILBERT_ORDER <= 32 && HILBERT_ORDER.is_multiple_of(4));
+
+/// One level of the curve walk, indexed by `state << 2 | x_bit << 1 |
+/// y_bit`: `digit << 2 | next_state`. The state is the frame the levels
+/// above left behind (bit 0: axes swapped, bit 1: both axes
+/// complemented); in that frame the level's quadrant digit is
+/// `3·rx ^ ry`, and a level with `ry = 0` swaps the axes, complementing
+/// both first when `rx = 1`.
+const HILBERT_STEP: [u8; 16] = {
+    let mut table = [0u8; 16];
+    let mut i = 0;
+    while i < 16 {
+        let (state, x_bit, y_bit) = (i >> 2, (i >> 1) & 1, i & 1);
+        let flip = state >> 1;
+        let (rx, ry) = if state & 1 == 1 { (y_bit, x_bit) } else { (x_bit, y_bit) };
+        let (rx, ry) = (rx ^ flip, ry ^ flip);
+        let next = if ry == 0 { state ^ 1 ^ (rx << 1) } else { state };
+        table[i] = (((3 * rx) ^ ry) << 2 | next) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// [`HILBERT_STEP`] composed four levels deep, indexed by
+/// `state << 8 | x_nibble << 4 | y_nibble`: the nibble's four digits
+/// (eight bits of curve position) `<< 2 | next_state`.
+const HILBERT_NIBBLE: [u16; 1024] = {
+    let mut table = [0u16; 1024];
+    let mut i = 0;
+    while i < 1024 {
+        let (mut state, x, y) = (i >> 8, (i >> 4) & 0xF, i & 0xF);
+        let mut digits = 0;
+        let mut bit = 4;
+        while bit > 0 {
+            bit -= 1;
+            let step = HILBERT_STEP[state << 2 | ((x >> bit) & 1) << 1 | ((y >> bit) & 1)] as usize;
+            digits = digits << 2 | step >> 2;
+            state = step & 3;
         }
-        s >>= 1;
+        table[i] = (digits << 2 | state) as u16;
+        i += 1;
+    }
+    table
+};
+
+/// Hilbert curve position of quantized cell `(x, y)` on the
+/// `2^HILBERT_ORDER` grid: four [`HILBERT_NIBBLE`] lookups, from the
+/// top nibble down. Bits above the grid are ignored.
+fn hilbert_d(x: u32, y: u32) -> u64 {
+    let mut d = 0u64;
+    let mut state = 0usize;
+    for nibble in (0..HILBERT_ORDER / 4).rev() {
+        let shift = 4 * nibble;
+        let cell = (((x >> shift) & 0xF) << 4 | ((y >> shift) & 0xF)) as usize;
+        // In range: state < 4 and cell < 256.
+        let step = HILBERT_NIBBLE[state << 8 | cell];
+        d = d << 8 | u64::from(step >> 2);
+        state = usize::from(step & 3);
     }
     d
 }
@@ -178,8 +221,29 @@ impl PackedRtree {
     /// the data bounds, sort by Hilbert curve position (ties broken by
     /// id, so the build is deterministic), then pack parent levels.
     /// Building allocates; queries never do.
+    ///
+    /// The sort runs on one `u64` per item, `d << 32 | id`: the curve
+    /// position has 32 bits, so these keys order exactly as the
+    /// `(d, id)` pairs do.
     pub fn build(items: &[Aabb]) -> PackedRtree {
-        let n = items.len();
+        let bounds = items.iter().fold(Aabb::EMPTY, |acc, b| acc.union(b));
+        let mut keys: Vec<u64> = grid_cells(items, &bounds)
+            .zip(0u32..)
+            .map(|((qx, qy), id)| hilbert_d(qx, qy) << 32 | u64::from(id))
+            .collect();
+        keys.sort_unstable();
+        PackedRtree::pack(items, bounds, keys.iter().map(|&key| key as u32))
+    }
+
+    /// Packs the tree from its leaf order: `leaf_ids` lists the item ids
+    /// in Hilbert order, every `NODE_SIZE` consecutive boxes of a level
+    /// get one parent, and the levels go into one flat `Vec`.
+    fn pack(
+        items: &[Aabb],
+        bounds: Aabb,
+        leaf_ids: impl ExactSizeIterator<Item = u32>,
+    ) -> PackedRtree {
+        let n = leaf_ids.len();
         if n == 0 {
             return PackedRtree {
                 boxes: Vec::new(),
@@ -189,29 +253,6 @@ impl PackedRtree {
                 bounds: Aabb::EMPTY,
             };
         }
-        let mut bounds = Aabb::EMPTY;
-        for b in items {
-            bounds = bounds.union(b);
-        }
-        let w = bounds.max_x - bounds.min_x;
-        let h = bounds.max_y - bounds.min_y;
-        let side = f64::from((1u32 << HILBERT_ORDER) - 1);
-        // Degenerate spans (all centers on one line/point) quantize to
-        // cell 0 on that axis; the sort then falls back to id order.
-        let sx = if w > 0.0 { side / w } else { 0.0 };
-        let sy = if h > 0.0 { side / h } else { 0.0 };
-        let mut order: Vec<(u64, u32)> = items
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                let c = b.center();
-                let qx = ((c.x - bounds.min_x) * sx) as u32;
-                let qy = ((c.y - bounds.min_y) * sy) as u32;
-                (hilbert_d(qx, qy), i as u32)
-            })
-            .collect();
-        order.sort_unstable();
-
         // Level sizes bottom-up until a single root.
         let mut level_counts = vec![n];
         while *level_counts.last().unwrap_or(&1) > 1 {
@@ -226,9 +267,8 @@ impl PackedRtree {
         }
         let mut boxes = vec![Aabb::EMPTY; acc];
         let mut ids = Vec::with_capacity(n);
-        for (slot, &(_, id)) in order.iter().enumerate() {
-            let i = id as usize;
-            boxes[slot] = items[i];
+        for (slot, id) in leaf_ids.enumerate() {
+            boxes[slot] = items[id as usize];
             ids.push(id);
         }
         // Pack parents: each groups NODE_SIZE children of the level below.
@@ -375,6 +415,23 @@ impl PackedRtree {
         }
         best
     }
+}
+
+/// Each item's center quantized onto the 2¹⁶ × 2¹⁶ Hilbert grid over
+/// `bounds`, in item order. Degenerate spans (all centers on one
+/// line/point) quantize to cell 0 on that axis, and a NaN coordinate
+/// to 0; the sort then falls back to id order.
+fn grid_cells<'a>(items: &'a [Aabb], bounds: &Aabb) -> impl Iterator<Item = (u32, u32)> + 'a {
+    let w = bounds.max_x - bounds.min_x;
+    let h = bounds.max_y - bounds.min_y;
+    let side = f64::from((1u32 << HILBERT_ORDER) - 1);
+    let sx = if w > 0.0 { side / w } else { 0.0 };
+    let sy = if h > 0.0 { side / h } else { 0.0 };
+    let (min_x, min_y) = (bounds.min_x, bounds.min_y);
+    items.iter().map(move |b| {
+        let c = b.center();
+        (((c.x - min_x) * sx) as u32, ((c.y - min_y) * sy) as u32)
+    })
 }
 
 /// Lazy bounding-box query over a [`PackedRtree`] (see
@@ -838,6 +895,127 @@ mod tests {
                 && start.y <= q.max_y;
             if inside {
                 assert!(hits.contains(&(ei as u32)), "edge {ei} missing from bbox result");
+            }
+        }
+    }
+
+    /// The bit-by-bit curve walk the tables replace, as the release
+    /// build runs it: the complement wraps, so a cell past the grid
+    /// (the center of an inverted box) keeps only its low 16 bits.
+    fn hilbert_d_loop(mut x: u32, mut y: u32) -> u64 {
+        let n: u32 = 1 << HILBERT_ORDER;
+        let mut d: u64 = 0;
+        let mut s = n >> 1;
+        while s > 0 {
+            let rx: u32 = u32::from(x & s > 0);
+            let ry: u32 = u32::from(y & s > 0);
+            d += (s as u64) * (s as u64) * ((3 * rx) ^ ry) as u64;
+            if ry == 0 {
+                if rx == 1 {
+                    x = (n - 1).wrapping_sub(x);
+                    y = (n - 1).wrapping_sub(y);
+                }
+                std::mem::swap(&mut x, &mut y);
+            }
+            s >>= 1;
+        }
+        d
+    }
+
+    /// The build with the loop key and a sort of `(d, id)` pairs.
+    fn reference_build(items: &[Aabb]) -> PackedRtree {
+        let bounds = items.iter().fold(Aabb::EMPTY, |acc, b| acc.union(b));
+        let mut order: Vec<(u64, u32)> = grid_cells(items, &bounds)
+            .zip(0u32..)
+            .map(|((qx, qy), id)| (hilbert_d_loop(qx, qy), id))
+            .collect();
+        order.sort_unstable();
+        PackedRtree::pack(items, bounds, order.iter().map(|&(_, id)| id))
+    }
+
+    fn box_bits(b: &Aabb) -> [u64; 4] {
+        [b.min_x.to_bits(), b.min_y.to_bits(), b.max_x.to_bits(), b.max_y.to_bits()]
+    }
+
+    fn assert_same_tree(got: &PackedRtree, want: &PackedRtree) {
+        assert_eq!(got.ids, want.ids);
+        assert_eq!(got.level_offsets, want.level_offsets);
+        assert_eq!(got.level_counts, want.level_counts);
+        assert_eq!(box_bits(&got.bounds), box_bits(&want.bounds));
+        let bits = |t: &PackedRtree| t.boxes.iter().map(box_bits).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want));
+    }
+
+    /// One raw box: four coordinates and a selector for the non-finite
+    /// shape.
+    type RawBox = (f64, f64, f64, f64, u8);
+
+    /// `n` boxes of one shape: 0 general, 1 centers repeated from the
+    /// first three boxes, 2 every center on one horizontal line, 3
+    /// every box on one point, 4 NaN or ±∞ in some coordinates (boxes
+    /// may come out inverted).
+    fn shaped_boxes(raw: &[RawBox], n: usize, shape: u8) -> Vec<Aabb> {
+        let corners =
+            |&(ax, ay, bx, by, _): &RawBox| Aabb::of_corners(Vec2::new(ax, ay), Vec2::new(bx, by));
+        (0..n)
+            .map(|i| match shape {
+                1 => corners(&raw[i % 3]),
+                2 => Aabb { min_y: 7.0, max_y: 7.0, ..corners(&raw[i]) },
+                3 => corners(&raw[0]),
+                4 => {
+                    let (ax, ay, bx, by, k) = raw[i];
+                    let mut b = Aabb { min_x: ax, min_y: ay, max_x: bx, max_y: by };
+                    match k {
+                        0 => b.min_x = f64::NAN,
+                        1 => b.max_y = f64::INFINITY,
+                        2 => b.min_x = f64::NEG_INFINITY,
+                        3 => b.min_y = f64::INFINITY,
+                        4 => (b.max_x, b.max_y) = (f64::NAN, f64::NEG_INFINITY),
+                        _ => {}
+                    }
+                    b
+                }
+                _ => corners(&raw[i]),
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn build_equals_the_reference_build(
+            size in 0usize..5,
+            shape in 0u8..5,
+            raw in proptest::collection::vec(
+                (-1e3..1e3f64, -1e3..1e3f64, -1e3..1e3f64, -1e3..1e3f64, 0u8..12),
+                257,
+            ),
+        ) {
+            let n = [0, 1, 16, 17, 257][size];
+            let items = shaped_boxes(&raw, n, shape);
+            assert_same_tree(&PackedRtree::build(&items), &reference_build(&items));
+        }
+    }
+
+    #[test]
+    fn the_table_key_equals_the_loop() {
+        let top = 1u32 << HILBERT_ORDER;
+        let block = 256u32;
+        let (far, centre) = (top - block, top / 2 - block / 2);
+        for (x0, y0) in [(0, 0), (far, 0), (0, far), (far, far), (centre, centre)] {
+            for x in x0..x0 + block {
+                for y in y0..y0 + block {
+                    assert_eq!(hilbert_d(x, y), hilbert_d_loop(x, y), "cell ({x}, {y})");
+                }
+            }
+        }
+        // Random cells on the grid, and the same draws over the whole
+        // u32 range, whose bits above the grid both ignore.
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..200_000 {
+            s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let (x, y) = ((s >> 32) as u32, s as u32 ^ (s >> 17) as u32);
+            for (x, y) in [(x & (top - 1), y & (top - 1)), (x, y)] {
+                assert_eq!(hilbert_d(x, y), hilbert_d_loop(x, y), "cell ({x}, {y})");
             }
         }
     }

@@ -36,7 +36,8 @@ impl Default for RunRecorder {
 }
 
 impl RunRecorder {
-    /// A recorder with nothing recorded. All memory is allocated here.
+    /// A recorder with nothing recorded. Its ring's memory is reserved
+    /// here, and its one window is built at the first record.
     pub fn new() -> Self {
         // Two windows is the ring minimum; only window 0 is ever used.
         RunRecorder {

@@ -30,12 +30,15 @@
 //! the sums, extremes, and mean/stddev denominators cover finite values
 //! only.
 //!
-//! All window memory is allocated once at construction, recording
-//! mutates fixed slots under one mutex, and rotation retires and resets
-//! slots in place — zero allocations after warm-up, which the hot-path
-//! smoke and the service soak's alloc probe assert. Core methods are keyed by
-//! explicit nanosecond timestamps (`*_at`), so rotation and boundary
-//! behaviour are deterministic under test.
+//! Window memory is reserved once at construction but written only as
+//! time reaches it: a window is built the first time rotation or a
+//! record reaches its slot, inside the reserved capacity, so a new ring
+//! costs one allocation and no page of it is written up front.
+//! Recording mutates fixed slots under one mutex, and rotation retires
+//! and resets slots in place — zero allocations after construction,
+//! which the hot-path smoke and the service soak's alloc probe assert.
+//! Core methods are keyed by explicit nanosecond timestamps (`*_at`), so
+//! rotation and boundary behaviour are deterministic under test.
 
 use crate::metrics::{Counter, Histogram, Span};
 use crate::recorder::{saturating_ns, Recorder};
@@ -365,8 +368,11 @@ impl Default for TimeSeriesConfig {
 struct RingState {
     /// Highest absolute window index any record has reached.
     cur: u64,
-    /// Slot `i` holds absolute window `w` iff `w % slots.len() == i`
-    /// and `w` is within the live suffix ending at `cur`.
+    /// Slot `i` holds absolute window `w` iff `w % windows == i` and `w`
+    /// is within the live suffix ending at `cur`. Slots are built in
+    /// index order as time first reaches them, so the vector is short
+    /// until the ring's first turn ends; a slot not built yet holds no
+    /// window.
     slots: Vec<Window>,
     /// Counters and summaries of the windows rotation recycled.
     retired: Totals,
@@ -390,16 +396,19 @@ pub struct TimeSeries {
 }
 
 impl TimeSeries {
-    /// A ring with every window empty. All memory is allocated here;
-    /// recording and rotation never allocate again.
+    /// A ring with every window empty. The slots' memory is reserved
+    /// here and written as time reaches each window; recording and
+    /// rotation never allocate.
     pub fn new(cfg: TimeSeriesConfig) -> Self {
         let cfg = TimeSeriesConfig { window_ns: cfg.window_ns.max(1), windows: cfg.windows.max(2) };
-        let mut slots = Vec::with_capacity(cfg.windows);
-        for _ in 0..cfg.windows {
-            slots.push(Window::new());
-        }
+        let slots = Vec::with_capacity(cfg.windows);
         let state = RingState { cur: 0, slots, retired: Totals::EMPTY, late_drops: 0 };
         TimeSeries { cfg, state: Mutex::new(state) }
+    }
+
+    /// The window count: the modulus of every slot index.
+    fn windows(&self) -> u64 {
+        self.cfg.windows as u64
     }
 
     /// The configuration the ring was built with (after clamping).
@@ -432,7 +441,7 @@ impl TimeSeries {
     pub fn advance_to(&self, t_ns: u64) {
         let w = self.window_index(t_ns);
         if let Ok(mut st) = self.state.lock() {
-            advance(&mut st, w);
+            advance(&mut st, w, self.windows());
         }
     }
 
@@ -440,7 +449,7 @@ impl TimeSeries {
     pub fn incr_at(&self, t_ns: u64, counter: Counter, by: u64) {
         let w = self.window_index(t_ns);
         if let Ok(mut st) = self.state.lock() {
-            if let Some(slot) = live_slot(&mut st, w, 1) {
+            if let Some(slot) = live_slot(&mut st, w, self.windows(), 1) {
                 slot.counters[counter as usize] += by;
             }
         }
@@ -450,7 +459,7 @@ impl TimeSeries {
     pub fn span_at(&self, t_ns: u64, span: Span, ns: u64) {
         let w = self.window_index(t_ns);
         if let Ok(mut st) = self.state.lock() {
-            if let Some(slot) = live_slot(&mut st, w, 1) {
+            if let Some(slot) = live_slot(&mut st, w, self.windows(), 1) {
                 slot.spans[span as usize].observe(ns as f64);
             }
         }
@@ -461,7 +470,7 @@ impl TimeSeries {
     pub fn observe_at(&self, t_ns: u64, hist: Histogram, value: f64) {
         let w = self.window_index(t_ns);
         if let Ok(mut st) = self.state.lock() {
-            if let Some(slot) = live_slot(&mut st, w, 1) {
+            if let Some(slot) = live_slot(&mut st, w, self.windows(), 1) {
                 slot.hists[hist as usize].observe(value);
             }
         }
@@ -478,7 +487,7 @@ impl TimeSeries {
         }
         let w = self.window_index(t_ns);
         if let Ok(mut st) = self.state.lock() {
-            if let Some(slot) = live_slot(&mut st, w, values.len() as u64) {
+            if let Some(slot) = live_slot(&mut st, w, self.windows(), values.len() as u64) {
                 slot.hists[hist as usize].observe_many(values);
             }
         }
@@ -597,11 +606,10 @@ impl TimeSeries {
         let Ok(st) = self.state.lock() else {
             return Totals::EMPTY;
         };
-        let len = st.slots.len() as u64;
+        let len = self.windows();
         let mut totals = st.retired;
         for w in st.cur.saturating_sub(len - 1)..=st.cur {
-            let slot = &st.slots[(w % len) as usize];
-            if slot.index == w {
+            if let Some(slot) = slot_holding(&st.slots, w, len) {
                 totals.add(slot);
             }
         }
@@ -617,53 +625,68 @@ impl TimeSeries {
         let Ok(st) = self.state.lock() else {
             return;
         };
-        let len = st.slots.len() as u64;
+        let len = self.windows();
         for w in start..=end {
             // Only slots still holding exactly window `w` contribute —
             // `cur` may trail `now_ns` (nothing recorded lately) or a
             // slot may have been recycled for a newer window.
-            let slot = &st.slots[(w % len) as usize];
-            if slot.index == w {
+            if let Some(slot) = slot_holding(&st.slots, w, len) {
                 f(slot);
             }
         }
     }
 }
 
-/// Rotate the ring forward to absolute window `w` (no-op if already
-/// there or past it), retiring and resetting every slot the move
-/// recycles.
-fn advance(st: &mut RingState, w: u64) {
+/// Rotate a ring of `len` windows forward to absolute window `w`
+/// (no-op if already there or past it), retiring and resetting every
+/// slot the move recycles.
+fn advance(st: &mut RingState, w: u64, len: u64) {
     if w <= st.cur {
         return;
     }
-    let len = st.slots.len() as u64;
     // Only the last `len` windows can be live; skipping further back
     // would reset the same slots twice.
     let first = (st.cur + 1).max(w.saturating_sub(len - 1));
     for idx in first..=w {
-        st.slots[(idx % len) as usize].recycle(idx, &mut st.retired);
+        slot_or_build(&mut st.slots, idx % len).recycle(idx, &mut st.retired);
     }
     st.cur = w;
 }
 
-/// The slot for absolute window `w`, rotating forward if `w` is new;
-/// `None` when `w` already left the ring (the caller's `records`
-/// records are counted as late drops).
-fn live_slot(st: &mut RingState, w: u64, records: u64) -> Option<&mut Window> {
-    advance(st, w);
-    let len = st.slots.len() as u64;
+/// The slot for absolute window `w` in a ring of `len` windows,
+/// rotating forward if `w` is new; `None` when `w` already left the
+/// ring (the caller's `records` records are counted as late drops).
+fn live_slot(st: &mut RingState, w: u64, len: u64, records: u64) -> Option<&mut Window> {
+    advance(st, w, len);
     if st.cur.saturating_sub(w) >= len {
         st.late_drops += records;
         return None;
     }
-    let slot = &mut st.slots[(w % len) as usize];
+    let slot = slot_or_build(&mut st.slots, w % len);
     if slot.index != w {
         // First touch of this window: the slot has never been used,
         // because rotation only resets slots from `cur+1` forward.
         slot.recycle(w, &mut st.retired);
     }
     Some(slot)
+}
+
+/// Slot `i`, first building it and every slot before it that time has
+/// not reached yet. `i` is a window index modulo the window count, and
+/// `TimeSeries::new` reserved that many slots, so a build pushes inside
+/// the capacity and never allocates.
+fn slot_or_build(slots: &mut Vec<Window>, i: u64) -> &mut Window {
+    let i = i as usize;
+    while slots.len() <= i {
+        slots.push(Window::new());
+    }
+    &mut slots[i]
+}
+
+/// The built slot holding exactly window `w` in a ring of `len`
+/// windows, if any: a slot not built yet holds no window.
+fn slot_holding(slots: &[Window], w: u64, len: u64) -> Option<&Window> {
+    slots.get((w % len) as usize).filter(|slot| slot.index == w)
 }
 
 /// Accumulator merging several windows' sketch cells for one query.
@@ -843,6 +866,32 @@ mod tests {
         let totals = ts.totals();
         assert_eq!(totals.counters[Counter::ServiceFramesOk as usize], 8);
         assert_eq!(totals.spans[Span::Trip as usize].sum, 300.0);
+    }
+
+    #[test]
+    fn a_window_is_built_when_time_first_reaches_it() {
+        let windows = 8;
+        let ts = ring(1_000, windows);
+        let built = |ts: &TimeSeries| ts.state.lock().expect("ring lock").slots.len();
+        let buffer = |ts: &TimeSeries| ts.state.lock().expect("ring lock").slots.as_ptr();
+        let reserved = buffer(&ts);
+        assert_eq!(built(&ts), 0, "a new ring builds no window");
+        ts.incr_at(3_500, Counter::ServiceFramesOk, 1); // window 3
+        assert_eq!(built(&ts), 4, "a record in window 3 builds slots 0..=3");
+        // Records in windows already built build nothing more.
+        ts.span_at(3_900, Span::Trip, 10);
+        ts.incr_at(1_200, Counter::ServiceFramesOk, 1); // window 1, still live
+        assert_eq!(built(&ts), 4);
+        ts.advance_to(5_000); // an idle gap up to window 5
+        assert_eq!(built(&ts), 6, "the gap builds the slots it skips");
+        ts.advance_to(20_000); // past a whole turn
+        assert_eq!(built(&ts), windows);
+        ts.incr_at(1_000_000, Counter::ServiceFramesOk, 1);
+        assert_eq!(built(&ts), windows);
+        assert_eq!(buffer(&ts), reserved, "a build reallocated the slots");
+        let totals = ts.totals();
+        assert_eq!(totals.counters[Counter::ServiceFramesOk as usize], 3);
+        assert_eq!(totals.spans[Span::Trip as usize].sum, 10.0);
     }
 
     #[test]
