@@ -9,7 +9,7 @@
 
 use crate::mlp::{Activation, Mlp, TrainConfig};
 use gradest_core::track::GradientTrack;
-use gradest_math::interp::interp1;
+use gradest_math::interp::interp1_or;
 use gradest_sensors::suite::SensorLog;
 use serde::{Deserialize, Serialize};
 
@@ -67,16 +67,15 @@ impl TrainingSet {
         let (at, av): (Vec<f64>, Vec<f64>) = log.imu.iter().map(|s| (s.t, s.accel_long)).unzip();
         let (zt, zv): (Vec<f64>, Vec<f64>) =
             log.barometer.iter().map(|s| (s.t, s.altitude_m)).unzip();
+        let (v_at, a_at, z_at) =
+            (interp1_or(&vt, &vv, 10.0), interp1_or(&at, &av, 0.0), interp1_or(&zt, &zv, 0.0));
         let t0 = log.imu.first().expect("nonempty").t;
         let t1 = log.imu.last().expect("nonempty").t;
         let mut features = Vec::with_capacity(n);
         let mut labels = Vec::with_capacity(n);
         for i in 0..n {
             let t = t0 + (t1 - t0) * i as f64 / n.max(1) as f64;
-            let v = interp1(&vt, &vv, t).unwrap_or(10.0);
-            let a = interp1(&at, &av, t).unwrap_or(0.0);
-            let z = interp1(&zt, &zv, t).unwrap_or(0.0);
-            features.push([v, a, z]);
+            features.push([v_at(t), a_at(t), z_at(t)]);
             labels.push(truth_theta_at(t));
         }
         TrainingSet { features, labels }
@@ -158,6 +157,7 @@ impl AnnGradientEstimator {
         let (zt, zv): (Vec<f64>, Vec<f64>) =
             log.barometer.iter().map(|s| (s.t, s.altitude_m)).unzip();
         let (at, av): (Vec<f64>, Vec<f64>) = log.imu.iter().map(|s| (s.t, s.accel_long)).unzip();
+        let (a_at, z_at) = (interp1_or(&at, &av, 0.0), interp1_or(&zt, &zv, 0.0));
         let mut track = GradientTrack::new("ann");
         let mut s = 0.0;
         let mut last_t = log.speedometer[0].t;
@@ -165,9 +165,7 @@ impl AnnGradientEstimator {
             let dt = (sp.t - last_t).max(0.0);
             last_t = sp.t;
             s += sp.speed_mps * dt;
-            let a = interp1(&at, &av, sp.t).unwrap_or(0.0);
-            let z = interp1(&zt, &zv, sp.t).unwrap_or(0.0);
-            let theta = self.predict([sp.speed_mps, a, z]);
+            let theta = self.predict([sp.speed_mps, a_at(sp.t), z_at(sp.t)]);
             track.push(s, theta, self.residual_var);
         }
         track

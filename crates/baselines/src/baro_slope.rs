@@ -8,39 +8,26 @@
 //! gradient sensor.
 
 use gradest_core::track::GradientTrack;
-use gradest_math::interp::interp1;
+use gradest_math::interp::interp1_or;
 use gradest_math::signal::moving_average;
 use gradest_sensors::suite::SensorLog;
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the naive baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BaroSlopeConfig {
-    /// Half-width of the altitude moving-average window, in samples
-    /// (at the barometer rate).
-    pub smooth_half_window: usize,
-    /// Differentiation baseline, metres of travel.
-    pub baseline_m: f64,
-}
+/// Half-width of the altitude moving-average window, in samples (at the
+/// barometer rate).
+const SMOOTH_HALF_WINDOW: usize = 25;
 
-impl Default for BaroSlopeConfig {
-    fn default() -> Self {
-        BaroSlopeConfig { smooth_half_window: 25, baseline_m: 60.0 }
-    }
-}
+/// Differentiation baseline, metres of travel.
+const BASELINE_M: f64 = 60.0;
 
-/// The naive estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct BaroSlope {
-    config: BaroSlopeConfig,
-}
+/// The naive estimator, built with `BaroSlope::default()`. Its tuning is
+/// constant: a 25-sample half-window for the altitude moving average and
+/// a 60 m differentiation baseline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[non_exhaustive]
+pub struct BaroSlope;
 
 impl BaroSlope {
-    /// Creates the baseline with explicit tuning.
-    pub fn new(config: BaroSlopeConfig) -> Self {
-        BaroSlope { config }
-    }
-
     /// Estimates a gradient track from barometer + speedometer data.
     ///
     /// The (constant) per-sample variance reported on the track is the
@@ -59,25 +46,25 @@ impl BaroSlope {
         // speedometer.
         let (vt, vv): (Vec<f64>, Vec<f64>) =
             log.speedometer.iter().map(|s| (s.t, s.speed_mps)).unzip();
+        let v_at = interp1_or(&vt, &vv, 10.0);
         let mut s_at = Vec::with_capacity(log.barometer.len());
         let mut s_acc = 0.0;
         let mut prev_t = log.barometer[0].t;
         for b in &log.barometer {
-            let v = interp1(&vt, &vv, b.t).unwrap_or(10.0);
+            let v = v_at(b.t);
             s_acc += v * (b.t - prev_t).max(0.0);
             prev_t = b.t;
             s_at.push(s_acc);
         }
         let z_raw: Vec<f64> = log.barometer.iter().map(|b| b.altitude_m).collect();
-        let z = moving_average(&z_raw, self.config.smooth_half_window)
-            .expect("nonempty barometer stream");
+        let z = moving_average(&z_raw, SMOOTH_HALF_WINDOW).expect("nonempty barometer stream");
 
-        // Central difference over ~baseline_m of travel.
+        // Central difference over ~BASELINE_M of travel.
         let mut track = GradientTrack::new("baro-slope");
-        let var = self.track_variance();
+        let var = track_variance();
         for i in 0..z.len() {
-            // Find j ahead of i by at least baseline_m.
-            let target = s_at[i] + self.config.baseline_m;
+            // Find j ahead of i by at least BASELINE_M.
+            let target = s_at[i] + BASELINE_M;
             let j = s_at.partition_point(|&sv| sv < target);
             if j >= z.len() {
                 break;
@@ -92,17 +79,17 @@ impl BaroSlope {
         }
         track
     }
+}
 
-    /// Propagated variance of the differentiated, smoothed barometer
-    /// noise (rad², small-angle).
-    fn track_variance(&self) -> f64 {
-        // Smoothing divides the white variance by the window size; the
-        // difference of two smoothed values doubles it.
-        let baro_sd = 1.2;
-        let window = (2 * self.config.smooth_half_window + 1) as f64;
-        let z_var = 2.0 * baro_sd * baro_sd / window;
-        (z_var / (self.config.baseline_m * self.config.baseline_m)).max(1e-9)
-    }
+/// Propagated variance of the differentiated, smoothed barometer noise
+/// (rad², small-angle).
+fn track_variance() -> f64 {
+    // Smoothing divides the white variance by the window size; the
+    // difference of two smoothed values doubles it.
+    let baro_sd = 1.2;
+    let window = (2 * SMOOTH_HALF_WINDOW + 1) as f64;
+    let z_var = 2.0 * baro_sd * baro_sd / window;
+    (z_var / (BASELINE_M * BASELINE_M)).max(1e-9)
 }
 
 #[cfg(test)]

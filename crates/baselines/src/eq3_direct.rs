@@ -25,7 +25,7 @@
 //! the estimate (see the unit tests).
 
 use gradest_core::track::GradientTrack;
-use gradest_math::interp::interp1;
+use gradest_math::interp::interp1_or;
 use gradest_math::signal::{differentiate, moving_average};
 use gradest_sensors::suite::SensorLog;
 use gradest_sim::VehicleParams;
@@ -88,6 +88,7 @@ impl Eq3Direct {
 
         // Accelerometer specific force interpolated onto the speed clock.
         let (at, av): (Vec<f64>, Vec<f64>) = log.imu.iter().map(|s| (s.t, s.accel_long)).unzip();
+        let a_at = interp1_or(&at, &av, 0.0);
 
         // Per-sample Eq (3).
         let mut theta_raw = Vec::with_capacity(ts.len());
@@ -101,7 +102,7 @@ impl Eq3Direct {
             // the specific force â = v̇ + g·sinθ means
             // m·â + F_aero + F_roll is the tractive force the engine
             // delivers including the gradient load — without needing θ.
-            let a_meas = interp1(&at, &av, ts[i]).unwrap_or(0.0);
+            let a_meas = a_at(ts[i]);
             let force = p.mass_kg * a_meas + p.aero_force(v) + p.rolling_force(0.0);
             let m_torque = p.torque_from_force(force);
             // Eq (3)'s `a` is the kinematic acceleration from wheel speed.

@@ -142,8 +142,7 @@ mod tests {
         let road = drive.route.roads()[0].clone();
         let truth = reference_profile(&road, 1.0, |_| 0.0);
         let causal_alt =
-            AltitudeEkf::new(AltitudeEkfConfig { rts_smoothing: false, ..Default::default() })
-                .estimate(&drive.log);
+            AltitudeEkf::new(AltitudeEkfConfig { rts_smoothing: false }).estimate(&drive.log);
         let causal_alt_mre = track_mre(&causal_alt, &truth, 100.0).expect("overlap");
         assert!(mre("OPS (streaming)") < causal_alt_mre);
         assert!(mre("OPS (streaming)") < mre("ANN"));

@@ -4,6 +4,7 @@
 
 use crate::report::{print_table, save_json};
 use crate::scenarios::Drive;
+use gradest_core::lane_change::SMOOTHING_WINDOW_S;
 use gradest_core::steering::smooth_profile;
 use gradest_geo::generate::two_lane_straight;
 use gradest_geo::Route;
@@ -51,7 +52,7 @@ pub fn run(seed: u64) -> Fig34 {
             Vec::new(),
         );
         let raw = steering_rate_profile(&drive.log.imu, &drive.log.gps, Some(&drive.route));
-        let smoothed = smooth_profile(&raw, 0.8);
+        let smoothed = smooth_profile(&raw, SMOOTHING_WINDOW_S);
         for event in drive.traj.events() {
             let (t0, t1) = (event.start_t - 1.0, event.end_t + 1.0);
             let mut series = Vec::new();

@@ -7,10 +7,13 @@
 
 use crate::report::{print_table, save_json};
 use crate::scenarios::Drive;
-use gradest_core::lane_change::{LaneChangeConfig, LaneChangeDetector};
+use gradest_core::lane_change::{
+    LaneChangeConfig, LaneChangeDetector, MAX_DISPLACEMENT_M, SMOOTHING_WINDOW_S,
+};
 use gradest_core::steering::smooth_profile;
 use gradest_geo::generate::{s_curve_road, two_lane_straight};
 use gradest_geo::Route;
+use gradest_math::interp::interp1_or;
 use gradest_sensors::alignment::steering_rate_profile;
 use serde::{Deserialize, Serialize};
 
@@ -44,22 +47,19 @@ pub struct Fig5 {
 pub fn run(seed: u64) -> Fig5 {
     // Wider pairing gap so the Eq-1 test, not the gap test, does the
     // discriminating — mirroring the paper's framing.
-    let cfg = LaneChangeConfig { max_pair_gap_s: 60.0, ..Default::default() };
-    let detector = LaneChangeDetector::new(cfg);
+    let detector = LaneChangeDetector::new(LaneChangeConfig { max_pair_gap_s: 60.0 });
 
     let outcome = |name: &str, drive: &Drive| -> ScenarioOutcome {
         let raw = steering_rate_profile(&drive.log.imu, &drive.log.gps, None);
-        let profile = smooth_profile(&raw, 0.8);
+        let profile = smooth_profile(&raw, SMOOTHING_WINDOW_S);
         let bumps = detector.find_bumps(&profile);
-        let displacement = bumps.windows(2).find(|w| w[0].sign != w[1].sign).map(|w| {
-            let (vt, vv): (Vec<f64>, Vec<f64>) =
-                drive.log.speedometer.iter().map(|s| (s.t, s.speed_mps)).unzip();
-            let v_at = move |t: f64| gradest_math::interp::interp1(&vt, &vv, t).unwrap_or(10.0);
-            detector.displacement(&profile, &v_at, w[0].t_start, w[1].t_end)
-        });
         let (vt, vv): (Vec<f64>, Vec<f64>) =
             drive.log.speedometer.iter().map(|s| (s.t, s.speed_mps)).unzip();
-        let v_at = move |t: f64| gradest_math::interp::interp1(&vt, &vv, t).unwrap_or(10.0);
+        let v_at = interp1_or(&vt, &vv, 10.0);
+        let displacement = bumps
+            .windows(2)
+            .find(|w| w[0].sign != w[1].sign)
+            .map(|w| detector.displacement(&profile, &v_at, w[0].t_start, w[1].t_end));
         let detections = detector.detect(&profile, &v_at).len();
         ScenarioOutcome {
             name: name.into(),
@@ -96,7 +96,7 @@ pub fn run(seed: u64) -> Fig5 {
     Fig5 {
         lane_change: outcome("right lane change", &lane_drive),
         s_curve: outcome("S-curve road", &s_drive),
-        threshold_m: 3.0 * 3.65,
+        threshold_m: MAX_DISPLACEMENT_M,
     }
 }
 

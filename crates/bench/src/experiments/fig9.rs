@@ -101,8 +101,7 @@ pub fn run(cfg: &Fig9Config) -> Fig9 {
         // headline comparison runs it without the RTS enhancement this
         // repository adds (that variant is scored in extended_baselines).
         let ekf_track =
-            AltitudeEkf::new(AltitudeEkfConfig { rts_smoothing: false, ..Default::default() })
-                .estimate(&drive.log);
+            AltitudeEkf::new(AltitudeEkfConfig { rts_smoothing: false }).estimate(&drive.log);
         let ann_track = ann.estimate(&drive.log);
 
         let mut collect = |track: &GradientTrack, bucket: usize, map: bool| {

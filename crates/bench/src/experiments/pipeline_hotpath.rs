@@ -25,6 +25,7 @@
 use crate::perfbench::{alloc_counter, run_bench, BenchReport};
 use crate::report::{print_table, save_json};
 use crate::scenarios::red_road_drive;
+use gradest_core::lane_change::SMOOTHING_WINDOW_S;
 use gradest_core::pipeline::{
     EstimatorConfig, EstimatorScratch, GradientEstimate, GradientEstimator, StageNanos,
 };
@@ -139,8 +140,7 @@ pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
         &mut w_raw,
     );
     let span_s = cols.t.last().copied().unwrap_or(0.0) - cols.t.first().copied().unwrap_or(0.0);
-    let window_s = estimator.config().lane_change.smoothing_window_s;
-    let fraction = (window_s / span_s.max(1e-9)).clamp(1e-4, 1.0);
+    let fraction = (SMOOTHING_WINDOW_S / span_s.max(1e-9)).clamp(1e-4, 1.0);
     let mut fast_w = Vec::new();
     lowess_into(&cols.t, &w_raw, fraction, &mut LowessScratch::new(), &mut fast_w)
         .expect("steering series on increasing times");

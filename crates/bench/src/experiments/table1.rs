@@ -9,6 +9,7 @@
 
 use crate::report::{print_table, save_json};
 use crate::scenarios::Drive;
+use gradest_core::lane_change::SMOOTHING_WINDOW_S;
 use gradest_core::steering::{extract_bump_features, smooth_profile, SmoothedProfile};
 use gradest_geo::generate::two_lane_straight;
 use gradest_geo::Route;
@@ -58,7 +59,7 @@ pub fn run(drivers: usize) -> Table1 {
             Vec::new(),
         );
         let raw = steering_rate_profile(&drive.log.imu, &drive.log.gps, Some(&drive.route));
-        let profile = smooth_profile(&raw, 0.8);
+        let profile = smooth_profile(&raw, SMOOTHING_WINDOW_S);
         for event in drive.traj.events() {
             let window = slice_profile(&profile, event.start_t - 0.5, event.end_t + 0.5);
             if let Some(f) = extract_bump_features(&window) {

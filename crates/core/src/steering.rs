@@ -6,16 +6,9 @@
 //! (δ = peak magnitude, T = dwell time above 0.7·δ) from a maneuver's
 //! profile.
 
+use crate::lane_change::dwells;
 use gradest_math::lowess::{lowess_into, LowessScratch};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-
-thread_local! {
-    /// Per-thread LOWESS working buffers: `smooth_profile` runs once per
-    /// trip, and a fleet worker thread smooths thousands of trips — the
-    /// scratch turns that into zero intermediate allocations per call.
-    static LOWESS_SCRATCH: RefCell<LowessScratch> = RefCell::new(LowessScratch::new());
-}
 
 /// A uniformly sampled, smoothed steering-rate profile.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -86,18 +79,17 @@ pub fn smooth_profile_into(
 /// Smooths a raw `(t, w_steer)` series with LOWESS.
 ///
 /// `window_s` is the smoothing window in seconds (converted internally to
-/// a LOWESS fraction). Defaults used by the pipeline: 0.8 s — short enough
-/// to preserve 4–7 s lane-change bumps, long enough to kill gyro noise.
+/// a LOWESS fraction); the pipeline uses
+/// [`SMOOTHING_WINDOW_S`](crate::lane_change::SMOOTHING_WINDOW_S).
 ///
-/// Returns an empty profile for fewer than 3 input samples. Allocating
-/// wrapper over [`smooth_profile_into`].
+/// Inputs shorter than 3 samples pass through unsmoothed. Allocating
+/// wrapper over [`smooth_profile_into`] for experiments and tests; a warm
+/// caller (the pipeline's `EstimatorScratch`) calls that directly.
 pub fn smooth_profile(raw: &[(f64, f64)], window_s: f64) -> SmoothedProfile {
     let t: Vec<f64> = raw.iter().map(|p| p.0).collect();
     let w: Vec<f64> = raw.iter().map(|p| p.1).collect();
     let mut out = SmoothedProfile { t: Vec::new(), w: Vec::new() };
-    LOWESS_SCRATCH.with(|scratch| {
-        smooth_profile_into(&t, &w, window_s, &mut scratch.borrow_mut(), &mut out);
-    });
+    smooth_profile_into(&t, &w, window_s, &mut LowessScratch::new(), &mut out);
     out
 }
 
@@ -130,8 +122,8 @@ pub fn extract_bump_features(profile: &SmoothedProfile) -> Option<BumpFeatures> 
     if pos_peak <= 0.0 || neg_peak >= 0.0 {
         return None;
     }
-    let t_pos = profile.w.iter().filter(|&&w| w >= 0.7 * pos_peak).count() as f64 * dt;
-    let t_neg = profile.w.iter().filter(|&&w| w <= 0.7 * neg_peak).count() as f64 * dt;
+    let t_pos = profile.w.iter().filter(|&&w| dwells(w, pos_peak)).count() as f64 * dt;
+    let t_neg = profile.w.iter().filter(|&&w| dwells(-w, -neg_peak)).count() as f64 * dt;
     Some(BumpFeatures { delta_pos: pos_peak, t_pos, delta_neg: -neg_peak, t_neg })
 }
 

@@ -720,11 +720,6 @@ impl NetworkIndex {
         self.edge_tree.bounds()
     }
 
-    /// The segment-level index (for direct access / oracles).
-    pub fn segments(&self) -> &SegmentIndex {
-        &self.segments
-    }
-
     /// Index of the network edge nearest to `p` (exact: ranked by
     /// point-to-segment projection distance), or `None` for an empty
     /// network.
@@ -1040,7 +1035,7 @@ mod tests {
         // pushed and popped.
         let net = city_network(13);
         let idx = NetworkIndex::build(&net);
-        let segs = idx.segments();
+        let segs = &idx.segments;
         let route = net.route_between(3, 77, |r| r.length()).unwrap();
         let mut walked = QueryScratch::new();
         let (mut fresh_popped, mut queries) = (0usize, 0usize);
@@ -1067,7 +1062,7 @@ mod tests {
     fn a_non_finite_point_pops_no_node() {
         let net = city_network(13);
         let idx = NetworkIndex::build(&net);
-        let segs = idx.segments();
+        let segs = &idx.segments;
         let on_road = net.nodes()[0];
         for bad in [
             Vec2::new(f64::INFINITY, 0.0),

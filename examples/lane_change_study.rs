@@ -6,9 +6,9 @@
 //! cargo run --release --example lane_change_study
 //! ```
 
-use gradest::core::lane_change::{LaneChangeConfig, LaneChangeDetector};
+use gradest::core::lane_change::{LaneChangeConfig, LaneChangeDetector, SMOOTHING_WINDOW_S};
 use gradest::core::steering::smooth_profile;
-use gradest::math::interp::interp1;
+use gradest::math::interp::interp1_or;
 use gradest::prelude::*;
 use gradest::sensors::alignment::steering_rate_profile;
 
@@ -40,7 +40,7 @@ fn main() {
 
     let log = SensorSuite::new(SensorConfig::default()).run(&traj, seed);
     let raw = steering_rate_profile(&log.imu, &log.gps, Some(&route));
-    let profile = smooth_profile(&raw, 0.8);
+    let profile = smooth_profile(&raw, SMOOTHING_WINDOW_S);
 
     // ASCII render of the steering profile around the first maneuver.
     let ev = traj.events()[0];
@@ -66,7 +66,7 @@ fn main() {
     // Algorithm 1 over the whole drive.
     let detector = LaneChangeDetector::new(LaneChangeConfig::default());
     let (ts, vs): (Vec<f64>, Vec<f64>) = log.speedometer.iter().map(|s| (s.t, s.speed_mps)).unzip();
-    let v_at = move |t: f64| interp1(&ts, &vs, t).unwrap_or(10.0);
+    let v_at = interp1_or(&ts, &vs, 10.0);
     let detections = detector.detect(&profile, &v_at);
     println!("\nAlgorithm 1 detections: {}", detections.len());
     for d in &detections {
@@ -81,11 +81,11 @@ fn main() {
     let s_traj = simulate_trip(&s_route, &TripConfig::default(), 9);
     let s_log = SensorSuite::new(SensorConfig::default()).run(&s_traj, 9);
     let s_raw = steering_rate_profile(&s_log.imu, &s_log.gps, None); // no map!
-    let s_profile = smooth_profile(&s_raw, 0.8);
+    let s_profile = smooth_profile(&s_raw, SMOOTHING_WINDOW_S);
     let bumps = detector.find_bumps(&s_profile);
     let (ts2, vs2): (Vec<f64>, Vec<f64>) =
         s_log.speedometer.iter().map(|s| (s.t, s.speed_mps)).unzip();
-    let v_at2 = move |t: f64| interp1(&ts2, &vs2, t).unwrap_or(10.0);
+    let v_at2 = interp1_or(&ts2, &vs2, 10.0);
     let s_detections = detector.detect(&s_profile, &v_at2);
     println!(
         "\nS-curve road (no map): {} bump(s) in the profile, {} lane change(s) detected \

@@ -39,19 +39,25 @@
 #                                        both with full call chains or this
 #                                        step fails (proves the taint pass is
 #                                        actually wired in, not a no-op)
-#   6. pipeline_hotpath_smoke          — zero warm-path allocations (plain,
+#   6. estimator outputs pinned        — word-wise FNV-1a digests of the batch
+#                                        estimator (four trips, one through
+#                                        the fleet engine's network path),
+#                                        the streaming estimator and the
+#                                        baselines, bit for bit: an output
+#                                        drift fails this step by name
+#   7. pipeline_hotpath_smoke          — zero warm-path allocations (plain,
 #                                        recorded AND traced), LOWESS fast path
 #                                        vs lowess_reference agreement,
 #                                        warm-vs-cold and recorder
 #                                        bit-identity
-#   7. geo index property tests        — packed R-tree nearest/bbox queries
+#   8. geo index property tests        — packed R-tree nearest/bbox queries
 #                                        pinned against brute-force oracles
 #                                        on randomized segment sets
-#   8. geo_index_smoke                 — country-scale (≥1e5-segment) network:
+#   9. geo_index_smoke                 — country-scale (≥1e5-segment) network:
 #                                        indexed nearest must match the oracle
 #                                        exactly, beat it ≥10x, and allocate
 #                                        nothing per warm query
-#   9. serve protocol robustness       — wire-codec property tests: truncated /
+#  10. serve protocol robustness       — wire-codec property tests: truncated /
 #                                        oversized / garbage-tagged /
 #                                        length-lying frames must produce typed
 #                                        errors, never panic, never allocate
@@ -60,7 +66,7 @@
 #                                        per SensorLog::validate rule) must be
 #                                        Malformed, and values the estimator
 #                                        never reads must still decode
-#  10. obs aggregator property tests   — the time-series ring against exact
+#  11. obs aggregator property tests   — the time-series ring against exact
 #                                        oracles: the report over a ring that
 #                                        turned over twice matches a
 #                                        plain-vector oracle and one
@@ -70,7 +76,7 @@
 #                                        the error bound, non-finite values
 #                                        follow one policy, and reports
 #                                        round-trip through JSON
-#  11. service_soak_smoke              — gradest-serve on an ephemeral loopback
+#  12. service_soak_smoke              — gradest-serve on an ephemeral loopback
 #                                        port under 64 simulated phones: ≥500
 #                                        trips/s sustained, tiles bit-identical
 #                                        to direct aggregation, typed BUSY
@@ -90,15 +96,15 @@
 #                                        as CI artifacts)
 #
 # Deep path (--deep, opt-in because of runtime) adds:
-#  12. loom model checks               — CloudAggregator upload shard protocol,
+#  13. loom model checks               — CloudAggregator upload shard protocol,
 #                                        fleet ticket claims and scratch pool,
 #                                        and the gradest-serve drain gate
 #                                        under randomised schedule
 #                                        perturbation
-#  13. Miri (subset)                   — UB check on gradest-core; probed and
+#  14. Miri (subset)                   — UB check on gradest-core; probed and
 #                                        SKIPped when the nightly component is
 #                                        not installed (offline containers)
-#  14. ThreadSanitizer                 — data-race check on the loom suite;
+#  15. ThreadSanitizer                 — data-race check on the loom suite;
 #                                        probed and SKIPped without rust-src
 #                                        (needs -Zbuild-std)
 #
@@ -153,6 +159,11 @@ skip_step() { # skip_step <name> <reason>
   record_step "$1" SKIP 0
 }
 
+pinned_outputs() { # the batch and streaming estimators' and the baselines' digests
+  cargo test -q -p gradest-core --lib output_is_pinned \
+    && cargo test -q -p gradest-baselines --test output_pins
+}
+
 # --- quick steps: every mode -------------------------------------------------
 run_step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 run_step "fmt" cargo fmt --check
@@ -179,6 +190,12 @@ if [[ "$MODE" != quick ]]; then
   # interprocedural gate silently rotting into a no-op.
   run_step "gradest-lint --inject-violation" \
     cargo run --release -q -p gradest-lint -- --inject-violation
+
+  # Output pins: the batch estimator's digests (batch_output_is_pinned),
+  # the streaming estimator's (online_output_is_pinned) and every
+  # baseline's (output_pins.rs), each captured bit for bit. A change that
+  # moves any estimate fails here by name, before any figure is rerun.
+  run_step "estimator outputs pinned" pinned_outputs
 
   # Hot-path smoke: one trip through the pipeline benchmark; the binary
   # asserts zero warm-path allocations (plain, recorded, and traced),
