@@ -33,15 +33,15 @@ use serde::{Deserialize, Serialize};
 
 /// Configuration of the direct Eq (3) estimator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Eq3DirectConfig {
+struct Eq3DirectConfig {
     /// Vehicle parameters (Eq 3's constants).
-    pub vehicle: VehicleParams,
+    vehicle: VehicleParams,
     /// Half-window (samples at 10 Hz) for smoothing the speed series
     /// before differentiation.
-    pub speed_smooth_half: usize,
+    speed_smooth_half: usize,
     /// Half-window (samples at 10 Hz) for smoothing the resulting θ
     /// series.
-    pub theta_smooth_half: usize,
+    theta_smooth_half: usize,
 }
 
 impl Default for Eq3DirectConfig {
@@ -61,11 +61,6 @@ pub struct Eq3Direct {
 }
 
 impl Eq3Direct {
-    /// Creates the estimator with explicit tuning.
-    pub fn new(config: Eq3DirectConfig) -> Self {
-        Eq3Direct { config }
-    }
-
     /// Estimates a gradient track from speedometer + IMU data via Eq (3).
     ///
     /// # Panics
@@ -171,10 +166,12 @@ mod tests {
         use gradest_core::pipeline::{EstimatorConfig, GradientEstimator};
         let route = Route::new(vec![red_road()]).unwrap();
         let log = log_for(&route, 2);
-        let direct = Eq3Direct::new(Eq3DirectConfig {
-            theta_smooth_half: 0, // the raw per-sample inversion
-            ..Default::default()
-        })
+        let direct = Eq3Direct {
+            config: Eq3DirectConfig {
+                theta_smooth_half: 0, // the raw per-sample inversion
+                ..Default::default()
+            },
+        }
         .estimate(&log);
         let ops = GradientEstimator::new(EstimatorConfig::default()).estimate(&log, Some(&route));
         let jitter = |t: &GradientTrack| {

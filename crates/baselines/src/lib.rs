@@ -29,5 +29,5 @@ pub mod mlp;
 pub use altitude_ekf::{AltitudeEkf, AltitudeEkfConfig};
 pub use ann::{AnnConfig, AnnGradientEstimator, TrainingSet};
 pub use baro_slope::BaroSlope;
-pub use eq3_direct::{Eq3Direct, Eq3DirectConfig};
+pub use eq3_direct::Eq3Direct;
 pub use mlp::{Activation, Mlp, TrainConfig};

@@ -62,11 +62,6 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
-/// Formats radians as degrees with two decimals.
-pub fn deg(rad: f64) -> String {
-    format!("{:.2}", rad.to_degrees())
-}
-
 /// Formats a ratio as a percentage with one decimal.
 pub fn pct(ratio: f64) -> String {
     format!("{:.1}%", ratio * 100.0)
@@ -93,7 +88,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(deg(std::f64::consts::PI), "180.00");
         assert_eq!(pct(0.224), "22.4%");
     }
 

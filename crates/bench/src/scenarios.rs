@@ -56,7 +56,7 @@ impl Drive {
     }
 
     /// Ground-truth gradient lookup by trip time (for ANN training).
-    pub fn truth_theta_at(&self, t: f64) -> f64 {
+    fn truth_theta_at(&self, t: f64) -> f64 {
         let samples = self.traj.samples();
         let idx = samples
             .binary_search_by(|s| s.t.total_cmp(&t))

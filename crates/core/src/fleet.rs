@@ -81,11 +81,6 @@ impl FleetEngine {
         FleetEngine { estimator, workers: workers.max(1), scratches: Mutex::default() }
     }
 
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// The underlying per-trip estimator.
     pub fn estimator(&self) -> &GradientEstimator {
         &self.estimator
@@ -358,7 +353,7 @@ mod tests {
     #[test]
     fn worker_count_is_clamped_to_one() {
         let engine = FleetEngine::new(GradientEstimator::new(EstimatorConfig::default()), 0);
-        assert_eq!(engine.workers(), 1);
+        assert_eq!(engine.workers, 1);
     }
 
     #[test]

@@ -271,11 +271,6 @@ impl OnlineEstimator {
         Some(OnlineEstimate { t, s: self.s, theta, variance })
     }
 
-    /// Lane changes detected so far.
-    pub fn detections(&self) -> &[LaneChangeDetection] {
-        &self.detections
-    }
-
     /// Consumes the estimator, returning the fused history track.
     pub fn into_track(self) -> GradientTrack {
         self.track
@@ -424,6 +419,13 @@ mod tests {
     use gradest_sensors::suite::{SensorConfig, SensorSuite};
     use gradest_sim::driver::DriverProfile;
     use gradest_sim::trip::{simulate_trip, TripConfig};
+
+    impl OnlineEstimator {
+        /// Lane changes detected so far.
+        fn detections(&self) -> &[LaneChangeDetection] {
+            &self.detections
+        }
+    }
 
     /// Streams a recorded log through the online estimator in timestamp
     /// order.

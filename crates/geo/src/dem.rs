@@ -4,7 +4,8 @@
 //! 1/3-arc-second DEMs and the like). [`DemTerrain`] is that workflow's
 //! terrain type: a regular grid of elevations with bilinear interpolation,
 //! implementing the same [`Terrain`] trait as the
-//! analytic models so the two are interchangeable everywhere.
+//! analytic models so the two are interchangeable everywhere. Grids are
+//! built by sampling a terrain ([`DemTerrain::sample_from`]).
 
 use crate::terrain::Terrain;
 use gradest_math::Vec2;
@@ -16,20 +17,14 @@ use serde::{Deserialize, Serialize};
 ///
 /// ```
 /// use gradest_geo::dem::DemTerrain;
-/// use gradest_geo::terrain::Terrain;
+/// use gradest_geo::terrain::{hilly_terrain, Terrain};
 /// use gradest_math::Vec2;
 ///
-/// // A 3×3 grid rising 1 m per cell eastward, 10 m cells.
-/// let dem = DemTerrain::from_rows(
-///     Vec2::new(0.0, 0.0),
-///     10.0,
-///     &[
-///         &[0.0, 1.0, 2.0],
-///         &[0.0, 1.0, 2.0],
-///         &[0.0, 1.0, 2.0],
-///     ],
-/// ).unwrap();
-/// assert!((dem.altitude(Vec2::new(5.0, 5.0)) - 0.5).abs() < 1e-12);
+/// // A 40×40 grid of 25 m cells over procedural hills.
+/// let hills = hilly_terrain(5);
+/// let dem = DemTerrain::sample_from(&hills, Vec2::ZERO, 25.0, 40, 40);
+/// let p = Vec2::new(500.0, 500.0);
+/// assert!((dem.altitude(p) - hills.altitude(p)).abs() < 0.3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DemTerrain {
@@ -41,63 +36,7 @@ pub struct DemTerrain {
     data: Vec<f64>,
 }
 
-/// Errors constructing a DEM.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DemError {
-    /// Grid must be at least 2×2.
-    TooSmall,
-    /// Rows must have equal, nonzero lengths.
-    RaggedRows,
-    /// Cell size must be positive; data must be finite.
-    InvalidData,
-}
-
-impl std::fmt::Display for DemError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DemError::TooSmall => write!(f, "DEM needs at least a 2x2 grid"),
-            DemError::RaggedRows => write!(f, "DEM rows must have equal lengths"),
-            DemError::InvalidData => write!(f, "DEM cell size or data invalid"),
-        }
-    }
-}
-
-impl std::error::Error for DemError {}
-
 impl DemTerrain {
-    /// Builds a DEM from elevation rows (south to north), anchored at
-    /// `origin` with square cells of `cell_m` metres.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DemError`] for grids smaller than 2×2, ragged rows,
-    /// non-positive cell size, or non-finite elevations.
-    pub fn from_rows(origin: Vec2, cell_m: f64, rows: &[&[f64]]) -> Result<Self, DemError> {
-        if rows.len() < 2 {
-            return Err(DemError::TooSmall);
-        }
-        let cols = rows[0].len();
-        if cols < 2 {
-            return Err(DemError::TooSmall);
-        }
-        if rows.iter().any(|r| r.len() != cols) {
-            return Err(DemError::RaggedRows);
-        }
-        if cell_m.is_nan() || cell_m <= 0.0 {
-            return Err(DemError::InvalidData);
-        }
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            for &v in *r {
-                if !v.is_finite() {
-                    return Err(DemError::InvalidData);
-                }
-                data.push(v);
-            }
-        }
-        Ok(DemTerrain { origin, cell_m, cols, rows: rows.len(), data })
-    }
-
     /// Samples any [`Terrain`] onto a DEM grid — e.g. to test raster
     /// fidelity against an analytic model, or to "bake" procedural
     /// terrain into the raster workflow.
@@ -153,6 +92,12 @@ mod tests {
     use super::*;
     use crate::terrain::{hilly_terrain, Terrain};
 
+    /// A grid from elevation rows, south to north.
+    fn from_rows(cell_m: f64, rows: &[&[f64]]) -> DemTerrain {
+        let (cols, data) = (rows[0].len(), rows.concat());
+        DemTerrain { origin: Vec2::ZERO, cell_m, cols, rows: rows.len(), data }
+    }
+
     #[test]
     fn bilinear_interpolation_exact_on_planes() {
         // z = 0.1·x + 0.2·y is reproduced exactly by bilinear interp.
@@ -160,7 +105,7 @@ mod tests {
             .map(|r| (0..4).map(|c| 0.1 * (c as f64 * 10.0) + 0.2 * (r as f64 * 10.0)).collect())
             .collect();
         let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let dem = DemTerrain::from_rows(Vec2::ZERO, 10.0, &refs).unwrap();
+        let dem = from_rows(10.0, &refs);
         for &(x, y) in &[(5.0, 5.0), (12.3, 7.7), (29.0, 29.0), (0.0, 0.0)] {
             let expect = 0.1 * x + 0.2 * y;
             assert!((dem.altitude(Vec2::new(x, y)) - expect).abs() < 1e-9, "at ({x},{y})");
@@ -169,7 +114,7 @@ mod tests {
 
     #[test]
     fn edges_clamp_instead_of_panicking() {
-        let dem = DemTerrain::from_rows(Vec2::ZERO, 10.0, &[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
+        let dem = from_rows(10.0, &[&[1.0, 2.0], &[3.0, 4.0]]);
         // Far outside the grid: clamped to the nearest cell values.
         assert!((dem.altitude(Vec2::new(-100.0, -100.0)) - 1.0).abs() < 1e-9);
         let far = dem.altitude(Vec2::new(1e6, 1e6));
@@ -207,31 +152,5 @@ mod tests {
             let d = (via_dem.gradient_at(s) - via_analytic.gradient_at(s)).abs();
             assert!(d.to_degrees() < 0.25, "gradient diff {}°", d.to_degrees());
         }
-    }
-
-    #[test]
-    fn construction_validation() {
-        assert_eq!(
-            DemTerrain::from_rows(Vec2::ZERO, 10.0, &[&[1.0, 2.0]]).unwrap_err(),
-            DemError::TooSmall
-        );
-        assert_eq!(
-            DemTerrain::from_rows(Vec2::ZERO, 10.0, &[&[1.0], &[2.0]]).unwrap_err(),
-            DemError::TooSmall
-        );
-        assert_eq!(
-            DemTerrain::from_rows(Vec2::ZERO, 10.0, &[&[1.0, 2.0], &[3.0]]).unwrap_err(),
-            DemError::RaggedRows
-        );
-        assert_eq!(
-            DemTerrain::from_rows(Vec2::ZERO, 0.0, &[&[1.0, 2.0], &[3.0, 4.0]]).unwrap_err(),
-            DemError::InvalidData
-        );
-        assert_eq!(
-            DemTerrain::from_rows(Vec2::ZERO, 10.0, &[&[1.0, f64::NAN], &[3.0, 4.0]]).unwrap_err(),
-            DemError::InvalidData
-        );
-        let ok = DemTerrain::from_rows(Vec2::ZERO, 10.0, &[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        assert_eq!((ok.rows, ok.cols, ok.cell_m), (2, 2, 10.0));
     }
 }

@@ -7,7 +7,7 @@
 //! linear scan over the segment list is O(n) per fix; this module
 //! provides the sublinear substrate:
 //!
-//! * [`PackedRtree`] — a build-once, flatbush-style packed R-tree:
+//! * a build-once, flatbush-style packed R-tree (private to this module):
 //!   item AABBs are sorted by the Hilbert value of their centers,
 //!   grouped into fixed-fanout nodes, and packed level-by-level into
 //!   one flat `Vec`. No pointers, no per-query allocation — queries
@@ -41,7 +41,7 @@ pub struct Aabb {
 
 impl Aabb {
     /// An inverted box that unions to any other box.
-    pub const EMPTY: Aabb = Aabb {
+    const EMPTY: Aabb = Aabb {
         min_x: f64::INFINITY,
         min_y: f64::INFINITY,
         max_x: f64::NEG_INFINITY,
@@ -159,7 +159,8 @@ fn hilbert_d(x: u32, y: u32) -> u64 {
     d
 }
 
-/// Reusable traversal state for [`PackedRtree`] queries.
+/// Reusable traversal state for [`SegmentIndex`] and [`NetworkIndex`]
+/// queries.
 ///
 /// Holds the bounding-box stack and the nearest-query priority stack;
 /// both retain capacity across queries, so a warm query allocates
@@ -198,10 +199,10 @@ impl QueryScratch {
 /// leaves land in curve order (spatially coherent), every
 /// `NODE_SIZE` consecutive boxes get one parent, and all levels pack
 /// into a single flat `Vec` (leaves first, root last). The tree is
-/// immutable after [`PackedRtree::build`]; queries are read-only and
+/// immutable after `PackedRtree::build`; queries are read-only and
 /// allocation-free through a caller [`QueryScratch`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PackedRtree {
+struct PackedRtree {
     /// All node boxes: level 0 (leaves, Hilbert order) through the root.
     boxes: Vec<Aabb>,
     /// Leaf slot → original item id.
@@ -225,7 +226,7 @@ impl PackedRtree {
     /// The sort runs on one `u64` per item, `d << 32 | id`: the curve
     /// position has 32 bits, so these keys order exactly as the
     /// `(d, id)` pairs do.
-    pub fn build(items: &[Aabb]) -> PackedRtree {
+    fn build(items: &[Aabb]) -> PackedRtree {
         let bounds = items.iter().fold(Aabb::EMPTY, |acc, b| acc.union(b));
         let mut keys: Vec<u64> = grid_cells(items, &bounds)
             .zip(0u32..)
@@ -291,17 +292,17 @@ impl PackedRtree {
     }
 
     /// Number of indexed items.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.ids.len()
     }
 
     /// Whether the tree is empty.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
 
     /// Bounds of the indexed items ([`Aabb::EMPTY`] when empty).
-    pub fn bounds(&self) -> Aabb {
+    fn bounds(&self) -> Aabb {
         self.bounds
     }
 
@@ -316,7 +317,7 @@ impl PackedRtree {
     /// driving a depth-first traversal through `scratch` (no
     /// allocation on a warm scratch). Order is traversal order, not
     /// sorted.
-    pub fn query_bbox<'t, 's>(
+    fn query_bbox<'t, 's>(
         &'t self,
         query: Aabb,
         scratch: &'s mut QueryScratch,
@@ -434,9 +435,10 @@ fn grid_cells<'a>(items: &'a [Aabb], bounds: &Aabb) -> impl Iterator<Item = (u32
     })
 }
 
-/// Lazy bounding-box query over a [`PackedRtree`] (see
-/// [`PackedRtree::query_bbox`]). Borrows the caller's scratch stack, so
-/// iteration allocates nothing once the stack is warm.
+/// Lazy bounding-box query over a packed R-tree (see
+/// [`SegmentIndex::query_bbox`] and [`NetworkIndex::edges_in_bbox`]).
+/// Borrows the caller's scratch stack, so iteration allocates nothing
+/// once the stack is warm.
 #[derive(Debug)]
 pub struct BboxIter<'t, 's> {
     tree: &'t PackedRtree,

@@ -86,11 +86,6 @@ impl LocalFrame {
         LocalFrame { origin, cos_lat: deg_to_rad(origin.lat_deg).cos() }
     }
 
-    /// The anchor position.
-    pub fn origin(&self) -> LatLon {
-        self.origin
-    }
-
     /// Projects a position into local metres (x East, y North).
     pub fn to_local(&self, p: LatLon) -> Vec2 {
         let dlat = deg_to_rad(p.lat_deg - self.origin.lat_deg);

@@ -202,25 +202,6 @@ impl Polyline {
         }
         out
     }
-
-    /// Concatenates another polyline whose first point must coincide with
-    /// this polyline's last point (within `tol` metres).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolylineError::DegenerateSegment`] if the endpoints do not
-    /// match within `tol`.
-    pub fn concat(&self, other: &Polyline, tol: f64) -> Result<Polyline, PolylineError> {
-        let gap = (*other.points.first().expect("nonempty")
-            - *self.points.last().expect("nonempty"))
-        .norm();
-        if gap > tol {
-            return Err(PolylineError::DegenerateSegment { index: self.points.len() - 1 });
-        }
-        let mut pts = self.points.clone();
-        pts.extend_from_slice(&other.points[1..]);
-        Polyline::new(pts)
-    }
 }
 
 #[cfg(test)]
@@ -312,22 +293,6 @@ mod tests {
         }
         // Straight stretches give exact spacing.
         assert!(((pts[1] - pts[0]).norm() - 30.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn concat_matching_endpoints() {
-        let a = Polyline::new(vec![Vec2::new(0.0, 0.0), Vec2::new(10.0, 0.0)]).unwrap();
-        let b = Polyline::new(vec![Vec2::new(10.0, 0.0), Vec2::new(10.0, 10.0)]).unwrap();
-        let c = a.concat(&b, 1e-6).unwrap();
-        assert_eq!(c.length(), 20.0);
-        assert_eq!(c.points().len(), 3);
-    }
-
-    #[test]
-    fn concat_rejects_gap() {
-        let a = Polyline::new(vec![Vec2::new(0.0, 0.0), Vec2::new(10.0, 0.0)]).unwrap();
-        let b = Polyline::new(vec![Vec2::new(11.0, 0.0), Vec2::new(20.0, 0.0)]).unwrap();
-        assert!(a.concat(&b, 1e-6).is_err());
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl GradientProfile {
         Ok(GradientProfile { s, theta })
     }
 
-    /// Gradient values θ (radians) at the sample positions.
-    pub fn thetas(&self) -> &[f64] {
-        &self.theta
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.s.len()

@@ -50,11 +50,11 @@ impl RoadClass {
 /// A step in the lane-count profile: `lanes` from `start_s` (metres from
 /// road start) until the next section.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LaneSection {
+struct LaneSection {
     /// Arc length where this section begins.
-    pub start_s: f64,
+    start_s: f64,
     /// Lane count in the travel direction.
-    pub lanes: u32,
+    lanes: u32,
 }
 
 /// Errors constructing a [`Road`].
@@ -135,7 +135,7 @@ impl Road {
     ///
     /// Returns [`RoadError`] if the centerline is invalid, the altitude
     /// profile length mismatches, or lane sections are malformed.
-    pub fn new(
+    fn new(
         id: u64,
         name: impl Into<String>,
         centerline: Vec<Vec2>,

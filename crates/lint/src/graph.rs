@@ -99,6 +99,81 @@ pub struct PubItem {
     /// signature, a struct's `pub` fields, an enum's payloads, a trait's
     /// item signatures, a type alias's target, a const/static's type.
     pub names: BTreeSet<String>,
+    /// The inherent impl's type, for an associated fn or const.
+    pub self_ty: Option<String>,
+    /// A fn that takes `self`, so method-call syntax reaches it.
+    pub method: bool,
+}
+
+/// The role one identifier occurrence plays, as the unused-`pub` audit
+/// counts it. No receiver types are inferred: a method call counts for
+/// every method of that name.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Use {
+    /// Any occurrence: uses a type, trait, or module-level const or static.
+    Ident(String),
+    /// `T::name` as a call, fn pointer or const read: uses `T`'s
+    /// associated item `name`.
+    Assoc(String, String),
+    /// `.name(` or `.name::<`: uses every method `name`.
+    Method(String),
+    /// `name(`, a path ending in `::name`, or a `use` naming it: uses a
+    /// free fn `name`.
+    Free(String),
+}
+
+impl PubItem {
+    /// The uses that count for this item.
+    fn counted_by(&self) -> Vec<Use> {
+        let name = self.name.clone();
+        match &self.self_ty {
+            Some(ty) if self.method => {
+                vec![Use::Assoc(ty.clone(), name.clone()), Use::Method(name)]
+            }
+            Some(ty) => vec![Use::Assoc(ty.clone(), name)],
+            None if self.kind == "fn" => vec![Use::Free(name)],
+            None => vec![Use::Ident(name)],
+        }
+    }
+}
+
+/// Every [`Use`] in one token stream, except the names in `pub use`
+/// re-exports: re-exporting an item does not use it.
+pub fn uses_in(toks: &[Tok]) -> BTreeSet<Use> {
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text.as_str());
+    let mut uses = BTreeSet::new();
+    // Inside a `use` item: `Some(true)` for a `pub use`.
+    let mut in_use: Option<bool> = None;
+    for (i, t) in toks.iter().enumerate() {
+        if t.text == ";" {
+            in_use = None;
+        }
+        if t.kind != TokKind::Ident {
+            continue;
+        }
+        let prev = if i > 0 { text(i - 1) } else { "" };
+        if t.text == "use" {
+            in_use = Some(prev == "pub");
+            continue;
+        }
+        if in_use == Some(true) {
+            continue;
+        }
+        let name = &t.text;
+        let called = text(i + 1) == "(" || (text(i + 1) == "::" && text(i + 2) == "<");
+        if prev == "::" {
+            if i >= 2 && toks[i - 2].kind == TokKind::Ident {
+                uses.insert(Use::Assoc(toks[i - 2].text.clone(), name.clone()));
+            }
+            uses.insert(Use::Free(name.clone()));
+        } else if prev == "." && called {
+            uses.insert(Use::Method(name.clone()));
+        } else if in_use.is_some() || (called && prev != "fn") {
+            uses.insert(Use::Free(name.clone()));
+        }
+        uses.insert(Use::Ident(name.clone()));
+    }
+    uses
 }
 
 /// The workspace call graph plus everything needed to phrase
@@ -320,11 +395,7 @@ impl Graph {
                 if file.excluded.get(span.kw).copied().unwrap_or(false) {
                     continue;
                 }
-                let self_ty = impls
-                    .iter()
-                    .filter(|(range, _)| range.0 < span.kw && span.kw < range.1)
-                    .map(|(_, ty)| ty.clone())
-                    .next_back();
+                let self_ty = impl_type_at(&impls, span.kw);
                 let warm_shape = rules::is_warm_fn(toks, &span);
                 fns.push(FnDef {
                     name: span.name,
@@ -337,7 +408,7 @@ impl Graph {
                     warm_shape,
                 });
             }
-            collect_pub_items(toks, &file.excluded, fi, &mut pub_items);
+            collect_pub_items(toks, &file.excluded, &impls, fi, &mut pub_items);
         }
 
         // Symbol table: name -> fn indices.
@@ -458,15 +529,16 @@ impl Graph {
 
     /// `pub` items in internal crates (`crates/*/src`, `bin/` excluded)
     /// that nothing uses — the unused-`pub` audit. An item is used when
-    /// its name occurs in another file of `corpus` (which should span
-    /// the whole repo, tests and benches included, with `pub use`
-    /// re-exports left out), or, for a type, trait, const or static,
-    /// when a used item of the same file names it in its declaration
-    /// (the items rustc's `private_interfaces` lint would not let
-    /// anyone demote). The second rule runs to a fixed point.
+    /// another file of `corpus` (which should span the whole repo,
+    /// tests and benches included, see [`uses_in`]) holds a [`Use`] in
+    /// the role the item can be used in, or,
+    /// for a type, trait, or module-level const or static, when a used
+    /// item of the same file names it in its declaration (the items
+    /// rustc's `private_interfaces` lint would not let anyone demote).
+    /// The second rule runs to a fixed point.
     pub fn unused_pub_items(
         &self,
-        corpus: &BTreeMap<PathBuf, BTreeSet<String>>,
+        corpus: &BTreeMap<PathBuf, BTreeSet<Use>>,
     ) -> Vec<(PubItem, String)> {
         let audited = |item: &PubItem| {
             let path = self.files[item.file].path.to_string_lossy();
@@ -481,15 +553,18 @@ impl Graph {
             .iter()
             .map(|item| {
                 let path = &self.files[item.file].path;
+                let counted = item.counted_by();
                 !audited(item)
-                    || corpus.iter().any(|(p, idents)| p != path && idents.contains(&item.name))
+                    || corpus
+                        .iter()
+                        .any(|(p, uses)| p != path && counted.iter().any(|u| uses.contains(u)))
             })
             .collect();
         let mut changed = true;
         while changed {
             changed = false;
             for (i, item) in self.pub_items.iter().enumerate() {
-                if used[i] || item.kind == "fn" {
+                if used[i] || item.kind == "fn" || item.self_ty.is_some() {
                     continue;
                 }
                 let named = self.pub_items.iter().enumerate().any(|(j, by)| {
@@ -596,6 +671,11 @@ fn impl_ranges(toks: &[Tok]) -> Vec<((usize, usize), String)> {
         }
     }
     out
+}
+
+/// The `Self` type of the [`impl_ranges`] block around token `at`.
+fn impl_type_at(impls: &[((usize, usize), String)], at: usize) -> Option<String> {
+    impls.iter().filter(|(r, _)| r.0 < at && at < r.1).map(|(_, ty)| ty.clone()).next_back()
 }
 
 /// A syntactic call site before resolution.
@@ -911,7 +991,13 @@ fn qualifier_matches(
 
 /// Collects `pub` item declarations (excluding `pub use` / `pub mod`)
 /// from one file's token stream.
-fn collect_pub_items(toks: &[Tok], excluded: &[bool], file: usize, out: &mut Vec<PubItem>) {
+fn collect_pub_items(
+    toks: &[Tok],
+    excluded: &[bool],
+    impls: &[((usize, usize), String)],
+    file: usize,
+    out: &mut Vec<PubItem>,
+) {
     const KINDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "static"];
     for i in 0..toks.len() {
         if excluded[i] || !(toks[i].kind == TokKind::Ident && toks[i].text == "pub") {
@@ -951,12 +1037,19 @@ fn collect_pub_items(toks: &[Tok], excluded: &[bool], file: usize, out: &mut Vec
         if name_tok.kind != TokKind::Ident {
             continue;
         }
+        let self_ty = impl_type_at(impls, i);
+        // A `self` in the signature that does not start a `self::` path.
+        let head = toks[j..].iter().take_while(|t| !matches!(t.text.as_str(), "{" | ";"));
+        let head: Vec<&str> = head.map(|t| t.text.as_str()).collect();
+        let method = kind == "fn" && head.windows(2).any(|w| w[0] == "self" && w[1] != "::");
         out.push(PubItem {
             name: name_tok.text.clone(),
             kind,
             file,
             line: toks[i].line,
             names: declared_names(toks, kind, j),
+            self_ty,
+            method,
         });
     }
 }

@@ -7,10 +7,10 @@
 //! * **no-panic / hot-index** — no `unwrap`/`expect`/`panic!`-family
 //!   macros and no computed index expressions in the modules reachable
 //!   from `GradientEstimator::estimate_into` and the fleet workers
-//!   ([`HOT_PATH_MODULES`]).
+//!   (every `GATED_MODULES` entry).
 //! * **no-alloc-into** — functions named `*_into` or taking
-//!   `&mut EstimatorScratch` may not allocate
-//!   ([`WARM_ALLOC_GATED_MODULES`]).
+//!   `&mut EstimatorScratch` may not allocate (the entries gated
+//!   `NoPanicNoAlloc`).
 //! * **float-div / total-cmp** — no float literal divided by an
 //!   unguarded symbol in hot modules; no `partial_cmp(..).unwrap()`
 //!   anywhere (use `total_cmp`).
@@ -20,9 +20,9 @@
 //! * **unused-pub** — every `pub` item of an internal crate has a
 //!   caller outside its own file ([`graph::Graph::unused_pub_items`]).
 //!
-//! [`WARM_ALLOC_GATED_MODULES`] is the one list of warm modules; every
+//! `GATED_MODULES` is the one table of gated modules; every
 //! [`analyze`] run checks the call-graph-derived warm modules against
-//! it ([`warm_drift_findings`]).
+//! its alloc-gated entries ([`warm_drift_findings`]).
 //!
 //! Run it with `cargo run -p gradest-lint`; its verdict is the finding
 //! count of one [`analyze`] run. See DESIGN.md §8 and §13.
@@ -41,68 +41,61 @@ use rules::Scope;
 
 use std::path::{Path, PathBuf};
 
-/// Modules reachable from `GradientEstimator::estimate_into` and the
-/// fleet workers: the no-panic, hot-index, and float-div rules apply
-/// here. `<crate>::<module>` maps to `crates/<crate>/src/<module>.rs`.
-pub const HOT_PATH_MODULES: &[&str] = &[
-    "core::pipeline",
-    "core::ekf",
-    "core::ekf_lanes",
-    "core::fusion",
-    "core::lane_change",
-    "core::steering",
-    "core::smoother",
-    "core::track",
-    "core::fleet",
-    "geo::index",
-    "geo::tile",
-    "math::lowess",
-    "math::interp",
-    "math::signal",
-    "obs::metrics",
-    "obs::quality",
-    "obs::recorder",
-    "obs::run",
-    "obs::slo",
-    "obs::timeseries",
-    "obs::trace",
-    "sensors::alignment",
-    "sensors::columnar",
-    "serve::drain",
-    "serve::protocol",
-    "serve::server",
-];
+/// The gates on one [`GATED_MODULES`] entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Gates {
+    /// The no-panic, hot-index and float-div rules.
+    NoPanic,
+    /// Those rules plus the zero-allocation `_into` discipline of the
+    /// warm per-trip path.
+    NoPanicNoAlloc,
+}
 
-/// Modules under the zero-allocation `_into` discipline (the warm
-/// per-trip path). [`HOT_PATH_MODULES`] minus `core::fleet`,
-/// `obs::run`, `obs::quality`, and `obs::slo`: the fleet engine
-/// allocates per batch (worker handles, result buffers) by design and its
-/// per-trip work happens inside these modules; `obs::run` allocates
-/// only when *building* a `RunReport` after the measured work;
-/// `obs::quality` / `obs::slo` allocate when building reports off the
-/// record path (the per-frame tick itself is allocation-free). The
-/// time-series ring's record path (`obs::timeseries`) IS on the warm
-/// path via `TimeSeriesRecorder`, so it stays gated.
-pub const WARM_ALLOC_GATED_MODULES: &[&str] = &[
-    "core::pipeline",
-    "core::ekf",
-    "core::ekf_lanes",
-    "core::fusion",
-    "core::lane_change",
-    "core::steering",
-    "core::smoother",
-    "core::track",
-    "geo::index",
-    "math::lowess",
-    "math::interp",
-    "math::signal",
-    "obs::metrics",
-    "obs::recorder",
-    "obs::timeseries",
-    "obs::trace",
-    "sensors::alignment",
-    "sensors::columnar",
-    "serve::protocol",
+use Gates::{NoPanic, NoPanicNoAlloc};
+
+/// Modules reachable from `GradientEstimator::estimate_into` and the
+/// fleet workers, each named once with its gates. `<crate>::<module>`
+/// maps to `crates/<crate>/src/<module>.rs`. A `NoPanic`-only module
+/// allocates off the per-trip path, for the reason beside it. The
+/// time-series ring's record path (`obs::timeseries`) is on the warm
+/// path through `TimeSeriesRecorder`, so it is alloc-gated.
+const GATED_MODULES: &[(&str, Gates)] = &[
+    ("core::pipeline", NoPanicNoAlloc),
+    ("core::ekf", NoPanicNoAlloc),
+    ("core::ekf_lanes", NoPanicNoAlloc),
+    ("core::fusion", NoPanicNoAlloc),
+    ("core::lane_change", NoPanicNoAlloc),
+    ("core::steering", NoPanicNoAlloc),
+    ("core::smoother", NoPanicNoAlloc),
+    ("core::track", NoPanicNoAlloc),
+    // Allocates per batch (worker handles, result buffers) by design;
+    // its per-trip work happens inside the alloc-gated modules.
+    ("core::fleet", NoPanic),
+    ("geo::index", NoPanicNoAlloc),
+    // Tile serialization grows the caller's byte buffer.
+    ("geo::tile", NoPanic),
+    ("math::lowess", NoPanicNoAlloc),
+    ("math::interp", NoPanicNoAlloc),
+    ("math::signal", NoPanicNoAlloc),
+    ("obs::metrics", NoPanicNoAlloc),
+    // Allocates when building drift reports off the record path; the
+    // per-frame tick is allocation-free.
+    ("obs::quality", NoPanic),
+    ("obs::recorder", NoPanicNoAlloc),
+    // Allocates only when building a `RunReport` after the measured work.
+    ("obs::run", NoPanic),
+    // Allocates when building SLO tables off the record path; the
+    // per-frame tick is allocation-free.
+    ("obs::slo", NoPanic),
+    ("obs::timeseries", NoPanicNoAlloc),
+    ("obs::trace", NoPanicNoAlloc),
+    ("sensors::alignment", NoPanicNoAlloc),
+    ("sensors::columnar", NoPanicNoAlloc),
+    // The connection and drain layers allocate at accept and shutdown,
+    // never per frame: `serve::protocol` is the per-frame piece.
+    ("serve::drain", NoPanic),
+    ("serve::protocol", NoPanicNoAlloc),
+    ("serve::server", NoPanic),
 ];
 
 /// Maps a workspace-relative source path to its `<crate>::<module>`
@@ -139,27 +132,32 @@ const SKIP_DIRS: &[&str] = &["shims", "tests", "benches", "examples", "fixtures"
 
 /// Options for the full interprocedural [`analyze`] pass.
 pub struct AnalyzeOptions {
-    /// Hot-path module list (no-panic taint roots). Defaults to
-    /// [`HOT_PATH_MODULES`]; fixtures and the `--inject-violation`
+    /// Hot-path module list (no-panic taint roots). Defaults to every
+    /// `GATED_MODULES` entry; fixtures and the `--inject-violation`
     /// self-test extend it.
     pub hot_modules: Vec<String>,
     /// Warm alloc-gated module list (no-alloc taint roots). Defaults to
-    /// [`WARM_ALLOC_GATED_MODULES`].
+    /// the `GATED_MODULES` entries gated `NoPanicNoAlloc`.
     pub warm_modules: Vec<String>,
     /// Run the unused-`pub` audit. Off only for fixtures that exercise
-    /// other rules and for the `--inject-violation` self-test.
+    /// other rules.
     pub unused_pub: bool,
-    /// Virtual `(path, source)` files appended to the scanned set —
-    /// the `--inject-violation` self-test seeds a cross-module
-    /// violation this way without touching the working tree.
+    /// Virtual `(path, source)` files appended to the scanned set and
+    /// to the unused-`pub` audit's corpus — the `--inject-violation`
+    /// self-test seeds its violations this way without touching the
+    /// working tree.
     pub extra_sources: Vec<(PathBuf, String)>,
 }
 
 impl Default for AnalyzeOptions {
     fn default() -> Self {
         AnalyzeOptions {
-            hot_modules: HOT_PATH_MODULES.iter().map(|s| s.to_string()).collect(),
-            warm_modules: WARM_ALLOC_GATED_MODULES.iter().map(|s| s.to_string()).collect(),
+            hot_modules: GATED_MODULES.iter().map(|(m, _)| m.to_string()).collect(),
+            warm_modules: GATED_MODULES
+                .iter()
+                .filter(|(_, gates)| *gates == NoPanicNoAlloc)
+                .map(|(m, _)| m.to_string())
+                .collect(),
             unused_pub: true,
             extra_sources: Vec::new(),
         }
@@ -187,7 +185,7 @@ pub fn analyze(root: &Path, opts: &AnalyzeOptions) -> Vec<FileDiagnostics> {
     let graph = graph::Graph::build(sources);
     let mut by_file = taint::transitive_findings(&graph, &opts.hot_modules, &opts.warm_modules);
     if opts.unused_pub {
-        for (item, msg) in graph.unused_pub_items(&ident_corpus(root)) {
+        for (item, msg) in graph.unused_pub_items(&use_corpus(root, &opts.extra_sources)) {
             let diag = Diagnostic { rule: rules::RULE_UNUSED_PUB, line: item.line, msg };
             by_file.entry(item.file).or_default().push(diag);
         }
@@ -313,8 +311,8 @@ pub fn warm_drift_findings(
                 line,
                 msg: format!(
                     "call graph derives warm module `{m}` (a `_into`/scratch fn here is \
-                     reachable from the warm entry points) but WARM_ALLOC_GATED_MODULES does \
-                     not gate it"
+                     reachable from the warm entry points) but GATED_MODULES does not gate \
+                     it against allocation"
                 ),
             };
             (graph.files[file].path.clone(), diag)
@@ -322,14 +320,14 @@ pub fn warm_drift_findings(
         .collect()
 }
 
-/// Identifier corpus over the whole repo (tests, benches, examples
-/// and `e2ebench/` included — a test-only consumer still counts as a
-/// use) for the unused-`pub` audit. Skips vendored shims, lint
-/// fixtures and build output, and the names inside `pub use`
-/// re-exports: re-exporting an item does not use it.
-fn ident_corpus(
+/// Use corpus over the whole repo (tests, benches, examples and
+/// `e2ebench/` included — a test-only consumer still counts as a use)
+/// plus `extra` virtual files, for the unused-`pub` audit. Skips
+/// vendored shims, lint fixtures and build output.
+fn use_corpus(
     root: &Path,
-) -> std::collections::BTreeMap<PathBuf, std::collections::BTreeSet<String>> {
+    extra: &[(PathBuf, String)],
+) -> std::collections::BTreeMap<PathBuf, std::collections::BTreeSet<graph::Use>> {
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
         let Ok(entries) = std::fs::read_dir(dir) else {
             return;
@@ -349,28 +347,13 @@ fn ident_corpus(
     }
     let mut files = Vec::new();
     walk(root, &mut files);
-    let mut corpus = std::collections::BTreeMap::new();
-    for file in files {
-        let Ok(src) = std::fs::read_to_string(&file) else {
-            continue;
-        };
-        let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
-        let toks = lexer::lex(&src).tokens;
-        let mut idents = std::collections::BTreeSet::new();
-        let mut in_pub_use = false;
-        for (i, t) in toks.iter().enumerate() {
-            let is_ident = t.kind == lexer::TokKind::Ident;
-            if is_ident && t.text == "pub" && toks.get(i + 1).is_some_and(|n| n.text == "use") {
-                in_pub_use = true;
-            } else if in_pub_use && t.text == ";" {
-                in_pub_use = false;
-            } else if !in_pub_use && is_ident {
-                idents.insert(t.text.clone());
-            }
-        }
-        corpus.insert(rel, idents);
-    }
-    corpus
+    let read = files.into_iter().filter_map(|file| {
+        let src = std::fs::read_to_string(&file).ok()?;
+        Some((file.strip_prefix(root).unwrap_or(&file).to_path_buf(), src))
+    });
+    read.chain(extra.iter().cloned())
+        .map(|(rel, src)| (rel, graph::uses_in(&lexer::lex(&src).tokens)))
+        .collect()
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -396,35 +379,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn warm_modules_are_hot_minus_batch_layers() {
-        for m in WARM_ALLOC_GATED_MODULES {
-            assert!(HOT_PATH_MODULES.contains(m), "{m} warm but not hot");
-        }
-        // Hot modules outside the warm no-alloc gate: the
-        // batch-allocating fleet engine, the report-building side of
-        // obs (run summaries, drift monitors, SLO tables — their
-        // record/tick paths are alloc-free but report construction is
-        // not), tile serialization (grows the caller's byte buffer),
-        // and the service's connection/drain layers (allocate at
-        // accept/shutdown, never per frame — serve::protocol is the
-        // per-frame piece and IS warm-gated).
-        let hot_only: Vec<&&str> =
-            HOT_PATH_MODULES.iter().filter(|m| !WARM_ALLOC_GATED_MODULES.contains(m)).collect();
-        assert_eq!(
-            hot_only,
-            vec![
-                &"core::fleet",
-                &"geo::tile",
-                &"obs::quality",
-                &"obs::run",
-                &"obs::slo",
-                &"serve::drain",
-                &"serve::server"
-            ]
-        );
-    }
-
-    #[test]
     fn path_to_module_mapping() {
         assert_eq!(
             module_for_path(Path::new("crates/core/src/pipeline.rs")).as_deref(),
@@ -432,9 +386,8 @@ mod tests {
         );
         assert_eq!(module_for_path(Path::new("src/lib.rs")), None);
         assert_eq!(module_for_path(Path::new("crates/bench/src/bin/gradest-experiments.rs")), None);
-        let lists = |list: &[&str]| list.iter().map(|m| m.to_string()).collect::<Vec<_>>();
-        let (hot, warm) = (lists(HOT_PATH_MODULES), lists(WARM_ALLOC_GATED_MODULES));
-        let scope = |p: &str| scope_for_list(Path::new(p), &hot, &warm);
+        let opts = AnalyzeOptions::default();
+        let scope = |p: &str| scope_for_list(Path::new(p), &opts.hot_modules, &opts.warm_modules);
         assert!(scope("crates/math/src/lowess.rs").hot && scope("crates/math/src/lowess.rs").warm);
         let fleet = scope("crates/core/src/fleet.rs");
         assert!(fleet.hot && !fleet.warm);
@@ -445,10 +398,10 @@ mod tests {
     #[test]
     fn every_hot_module_file_exists() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        for m in HOT_PATH_MODULES {
+        for (m, _) in GATED_MODULES {
             let (krate, module) = m.split_once("::").expect("crate::module");
             let path = root.join(format!("crates/{krate}/src/{module}.rs"));
-            assert!(path.is_file(), "hot module list names missing file {}", path.display());
+            assert!(path.is_file(), "module table names missing file {}", path.display());
         }
     }
 }

@@ -11,7 +11,7 @@
 //! the `--report` JSON is written for people and never read back.
 
 use gradest_lint::report::Report;
-use gradest_lint::rules::{RULE_TRANSITIVE_ALLOC, RULE_TRANSITIVE_PANIC};
+use gradest_lint::rules::{RULE_TRANSITIVE_ALLOC, RULE_TRANSITIVE_PANIC, RULE_UNUSED_PUB};
 use gradest_lint::AnalyzeOptions;
 use std::path::{Path, PathBuf};
 
@@ -30,8 +30,10 @@ fn main() {
              OPTIONS:\n\
                --report <path>      also write the findings as a JSON report\n\
                --inject-violation   self-test: seed a cross-module warm-path\n\
-                                    allocation + panic and verify the gate\n\
-                                    reports both with multi-hop call chains\n\n\
+                                    allocation + panic and an uncalled method\n\
+                                    named like a field, and verify the gate\n\
+                                    reports the first two with multi-hop call\n\
+                                    chains and the method as unused-pub\n\n\
              Exit status: 0 clean, 1 findings (or self-test failure), 2\n\
              usage or report-write error."
         );
@@ -90,17 +92,22 @@ fn main() {
     println!("gradest-lint: clean");
 }
 
-/// `--inject-violation`: proves the interprocedural gate actually fires.
-/// Seeds a virtual warm entry in `core` calling a virtual `geo` helper
-/// that both allocates and unwraps, then requires a transitive-alloc
-/// AND a transitive-panic finding, each with a multi-hop call chain.
+/// `--inject-violation`: proves the interprocedural gate and the
+/// unused-pub audit actually fire. Seeds a virtual warm entry in `core`
+/// calling a virtual `geo` helper that both allocates and unwraps, and
+/// an uncalled `geo` method named like a field of a `core` struct, then
+/// requires a transitive-alloc AND a transitive-panic finding, each with
+/// a multi-hop call chain, AND an unused-pub finding on the method.
 fn self_test(root: &Path) {
     let mut opts = AnalyzeOptions {
-        // Virtual files only — nothing written to the working tree.
+        // Virtual files only — nothing written to the working tree. The
+        // audit reads them too, so the field counts if the audit
+        // mistakes it for a call of the method.
         extra_sources: vec![
             (
                 PathBuf::from("crates/core/src/__lint_selftest.rs"),
-                "pub fn seeded_estimate_into(out: &mut [f64]) {\n    \
+                "pub struct SeededConfig {\n    pub seeded_window: usize,\n}\n\
+                 pub fn seeded_estimate_into(out: &mut [f64]) {\n    \
                  gradest_geo::__lint_selftest_helper::seeded_leaf(out);\n}\n"
                     .to_string(),
             ),
@@ -108,11 +115,13 @@ fn self_test(root: &Path) {
                 PathBuf::from("crates/geo/src/__lint_selftest_helper.rs"),
                 "pub fn seeded_leaf(out: &mut [f64]) {\n    \
                  let v: Vec<f64> = vec![1.0];\n    \
-                 out[0] = *v.first().unwrap();\n}\n"
+                 out[0] = *v.first().unwrap();\n}\n\
+                 pub struct SeededProbe;\n\
+                 impl SeededProbe {\n    \
+                 pub fn seeded_window(&self) -> usize {\n        0\n    }\n}\n"
                     .to_string(),
             ),
         ],
-        unused_pub: false,
         ..AnalyzeOptions::default()
     };
     opts.hot_modules.push("core::__lint_selftest".to_string());
@@ -128,10 +137,13 @@ fn self_test(root: &Path) {
         seeded.iter().any(|d| d.rule == RULE_TRANSITIVE_ALLOC && d.msg.contains("->"));
     let chained_panic =
         seeded.iter().any(|d| d.rule == RULE_TRANSITIVE_PANIC && d.msg.contains("->"));
-    if chained_alloc && chained_panic {
+    let unused_method =
+        seeded.iter().any(|d| d.rule == RULE_UNUSED_PUB && d.msg.contains("fn `seeded_window`"));
+    if chained_alloc && chained_panic && unused_method {
         println!(
             "gradest-lint: self-test OK — seeded cross-module allocation and panic both \
-             reported with call chains ({} finding(s) on the seeded helper)",
+             reported with call chains, and the uncalled method named like a field flagged \
+             ({} finding(s) on the seeded helper)",
             seeded.len()
         );
         return;
@@ -141,7 +153,7 @@ fn self_test(root: &Path) {
     }
     eprintln!(
         "gradest-lint: SELF-TEST FAILED — transitive-alloc chained: {chained_alloc}, \
-         transitive-panic chained: {chained_panic}"
+         transitive-panic chained: {chained_panic}, unused method flagged: {unused_method}"
     );
     std::process::exit(1);
 }

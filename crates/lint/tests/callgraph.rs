@@ -142,9 +142,23 @@ fn unused_pub_audit_sees_through_reexports_and_into_declarations() {
     assert!(has("crates/gears/src/report.rs", RULE_UNUSED_PUB, "`only_tested`"), "{all:?}");
     // A stale `lint:allow(unused-pub)` is an error.
     assert!(has("crates/gears/src/report.rs", RULE_ALLOWLIST, "stale"), "{all:?}");
+    // A name counts only in the role its item can be used in: a method
+    // named like a field or a local, a free fn named like a method or a
+    // parameter, and an associated const named like another type's.
+    for (path, item) in [
+        ("crates/gears/src/shift.rs", "fn `counts`"),
+        ("crates/gears/src/shift.rs", "fn `gears`"),
+        ("crates/gears/src/shift.rs", "const `ALL`"),
+        ("crates/gears/src/report.rs", "fn `lerp`"),
+        ("crates/gears/src/report.rs", "fn `teeth`"),
+    ] {
+        assert!(has(path, RULE_UNUSED_PUB, item), "{item} not flagged: {all:?}");
+    }
     // Nothing else: the type a used fn returns, the type its pub field
-    // names, and the justified allow stay silent.
-    assert_eq!(all.len(), 3, "{all:?}");
+    // names, the justified allow, and the items used as `T::f(..)`,
+    // `.f(..)`, `.f::<U>(..)`, `.map(T::f)`, `T::CONST` and `use path::f`
+    // then `f(..)` stay silent.
+    assert_eq!(all.len(), 8, "{all:?}");
 }
 
 /// Transitive findings rendered order-insensitively: the graph's file
@@ -152,10 +166,8 @@ fn unused_pub_audit_sees_through_reexports_and_into_declarations() {
 /// comparison robust even if that ever changes.
 fn taint_signature(sources: Vec<(PathBuf, String)>) -> Vec<(String, u32, &'static str, String)> {
     let graph = gradest_lint::graph::Graph::build(sources);
-    let hot: Vec<String> = gradest_lint::HOT_PATH_MODULES.iter().map(|m| m.to_string()).collect();
-    let warm: Vec<String> =
-        gradest_lint::WARM_ALLOC_GATED_MODULES.iter().map(|m| m.to_string()).collect();
-    gradest_lint::taint::transitive_findings(&graph, &hot, &warm)
+    let opts = AnalyzeOptions::default();
+    gradest_lint::taint::transitive_findings(&graph, &opts.hot_modules, &opts.warm_modules)
         .into_iter()
         .flat_map(|(file, diags)| {
             let path = graph.files[file].path.to_string_lossy().into_owned();
@@ -215,20 +227,14 @@ fn real_workspace_is_clean_and_drift_check_engages() {
         .filter(|m| m.split("::").count() == 2)
         .collect();
     assert!(derived.len() >= 3, "derivation should reach several warm modules, got {derived:?}");
+    let gated = AnalyzeOptions::default().warm_modules;
     for m in &derived {
-        assert!(
-            gradest_lint::WARM_ALLOC_GATED_MODULES.contains(&m.as_str()),
-            "derived {m} missing from the gated list"
-        );
+        assert!(gated.contains(m), "derived {m} missing from the gated list");
     }
     // Removing any derived module from the gated list must surface as
     // drift on the real workspace, not only on fixtures.
     let first = derived.iter().next().expect("nonempty").clone();
-    let ungated: Vec<String> = gradest_lint::WARM_ALLOC_GATED_MODULES
-        .iter()
-        .filter(|m| **m != first)
-        .map(|m| m.to_string())
-        .collect();
+    let ungated: Vec<String> = gated.into_iter().filter(|m| *m != first).collect();
     let drift = gradest_lint::warm_drift_findings(&graph, &ungated);
     assert_eq!(drift.len(), 1, "{drift:?}");
     assert!(drift[0].1.msg.contains(&format!("`{first}`")), "{}", drift[0].1.msg);

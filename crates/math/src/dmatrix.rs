@@ -14,7 +14,9 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 ///
 /// ```
 /// use gradest_math::DMatrix;
-/// let a = DMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+/// let mut a = DMatrix::zeros(2, 2);
+/// a.row_mut(0).copy_from_slice(&[1.0, 2.0]);
+/// a.row_mut(1).copy_from_slice(&[3.0, 4.0]);
 /// let inv = a.inverse()?;
 /// let id = a.matmul(&inv)?;
 /// assert!((id[(0, 0)] - 1.0).abs() < 1e-12);
@@ -40,29 +42,12 @@ impl DMatrix {
     }
 
     /// Creates an `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
+    fn identity(n: usize) -> Self {
         let mut m = DMatrix::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
         }
         m
-    }
-
-    /// Creates a matrix from row slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows are empty or have differing lengths.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
-        assert!(!rows.is_empty(), "from_rows needs at least one row");
-        let cols = rows[0].len();
-        assert!(cols > 0, "from_rows needs at least one column");
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "all rows must have equal length");
-            data.extend_from_slice(r);
-        }
-        DMatrix { rows: rows.len(), cols, data }
     }
 
     /// Number of rows.
@@ -314,6 +299,10 @@ impl Mul<f64> for &DMatrix {
 mod tests {
     use super::*;
 
+    fn from_rows(rows: &[&[f64]]) -> DMatrix {
+        DMatrix { rows: rows.len(), cols: rows[0].len(), data: rows.concat() }
+    }
+
     fn close(a: &DMatrix, b: &DMatrix, tol: f64) -> bool {
         a.rows() == b.rows()
             && a.cols() == b.cols()
@@ -322,7 +311,7 @@ mod tests {
 
     #[test]
     fn construction_and_indexing() {
-        let m = DMatrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+        let m = from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 3);
         assert_eq!(m[(1, 2)], 6.0);
@@ -331,10 +320,10 @@ mod tests {
 
     #[test]
     fn matmul_known_product() {
-        let a = DMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = DMatrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
+        let a = from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let b = from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
         let c = a.matmul(&b).unwrap();
-        assert!(close(&c, &DMatrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]), 1e-12));
+        assert!(close(&c, &from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]), 1e-12));
     }
 
     #[test]
@@ -346,14 +335,14 @@ mod tests {
 
     #[test]
     fn transpose_round_trip() {
-        let a = DMatrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+        let a = from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(a.transpose().transpose(), a);
         assert_eq!(a.transpose()[(2, 1)], 6.0);
     }
 
     #[test]
     fn inverse_round_trip() {
-        let a = DMatrix::from_rows(&[&[4.0, 2.0, 0.6], &[4.2, -14.0, 1.8], &[0.8, -1.0, 10.0]]);
+        let a = from_rows(&[&[4.0, 2.0, 0.6], &[4.2, -14.0, 1.8], &[0.8, -1.0, 10.0]]);
         let inv = a.inverse().unwrap();
         assert!(close(&a.matmul(&inv).unwrap(), &DMatrix::identity(3), 1e-10));
         assert!(close(&inv.matmul(&a).unwrap(), &DMatrix::identity(3), 1e-10));
@@ -362,20 +351,20 @@ mod tests {
     #[test]
     fn inverse_requires_pivoting() {
         // Zero on the leading diagonal forces a row swap.
-        let a = DMatrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
+        let a = from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
         let inv = a.inverse().unwrap();
         assert!(close(&inv, &a, 1e-12));
     }
 
     #[test]
     fn inverse_singular_rejected() {
-        let a = DMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
+        let a = from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert!(matches!(a.inverse(), Err(MathError::Singular { .. })));
     }
 
     #[test]
     fn cholesky_known_factor() {
-        let a = DMatrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
+        let a = from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
         let l = a.cholesky().unwrap();
         let recon = l.matmul(&l.transpose()).unwrap();
         assert!(close(&recon, &a, 1e-12));
@@ -384,19 +373,19 @@ mod tests {
 
     #[test]
     fn cholesky_rejects_indefinite() {
-        let a = DMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
+        let a = from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
         assert!(matches!(a.cholesky(), Err(MathError::NotPositiveDefinite { .. })));
     }
 
     #[test]
     fn map_applies_per_entry() {
-        let a = DMatrix::from_rows(&[&[1.0, -2.0]]);
+        let a = from_rows(&[&[1.0, -2.0]]);
         assert_eq!(a.map(f64::abs).as_slice(), &[1.0, 2.0]);
     }
 
     #[test]
     fn add_sub_scale() {
-        let a = DMatrix::from_rows(&[&[3.0, 4.0]]);
+        let a = from_rows(&[&[3.0, 4.0]]);
         let b = &a + &a;
         assert_eq!(b.as_slice(), &[6.0, 8.0]);
         let z = &a - &a;
@@ -406,7 +395,7 @@ mod tests {
 
     #[test]
     fn swap_rows_works() {
-        let mut m = DMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
+        let mut m = from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         m.swap_rows(0, 2);
         assert_eq!(m.row(0), &[5.0, 6.0]);
         assert_eq!(m.row(2), &[1.0, 2.0]);

@@ -29,9 +29,6 @@ pub struct Mat2 {
 }
 
 impl Mat2 {
-    /// The zero matrix.
-    pub const ZERO: Mat2 = Mat2 { m: [[0.0; 2]; 2] };
-
     /// Creates a matrix from row-major entries.
     #[inline]
     pub const fn new(m00: f64, m01: f64, m10: f64, m11: f64) -> Self {
@@ -199,7 +196,7 @@ impl Mul<Vec2> for Mat2 {
 ///
 /// ```
 /// use gradest_math::mat::Mat3;
-/// let m = Mat3::diag(2.0, 4.0, 8.0);
+/// let m = Mat3::from_rows([2.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 8.0]);
 /// let inv = m.inverse().expect("diagonal, invertible");
 /// assert!((inv.m[2][2] - 0.125).abs() < 1e-12);
 /// ```
@@ -211,7 +208,7 @@ pub struct Mat3 {
 
 impl Mat3 {
     /// The zero matrix.
-    pub const ZERO: Mat3 = Mat3 { m: [[0.0; 3]; 3] };
+    const ZERO: Mat3 = Mat3 { m: [[0.0; 3]; 3] };
 
     /// Creates a matrix from row-major rows.
     #[inline]
@@ -221,14 +218,8 @@ impl Mat3 {
 
     /// The identity matrix.
     #[inline]
-    pub const fn identity() -> Self {
+    const fn identity() -> Self {
         Mat3::from_rows([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
-    }
-
-    /// A diagonal matrix.
-    #[inline]
-    pub const fn diag(d0: f64, d1: f64, d2: f64) -> Self {
-        Mat3::from_rows([d0, 0.0, 0.0], [0.0, d1, 0.0], [0.0, 0.0, d2])
     }
 
     /// Determinant via cofactor expansion.
@@ -450,13 +441,13 @@ mod tests {
         let a = Mat2::new(1.0, 2.0, 3.0, 4.0);
         assert_eq!(a.trace(), 5.0);
         assert_eq!((a + a).m[1][0], 6.0);
-        assert_eq!((a - a), Mat2::ZERO);
+        assert_eq!((a - a), Mat2::diag(0.0, 0.0));
         assert_eq!((-a).m[0][0], -1.0);
     }
 
     #[test]
     fn mat3_identity_and_diag() {
-        let d = Mat3::diag(1.0, 2.0, 3.0);
+        let d = Mat3::from_rows([1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]);
         assert_eq!(d.det(), 6.0);
         assert_eq!(d.trace(), 6.0);
         assert_eq!(d * Mat3::identity(), d);
@@ -493,7 +484,7 @@ mod tests {
 
     #[test]
     fn mat3_vector_product() {
-        let a = Mat3::diag(2.0, 3.0, 4.0);
+        let a = Mat3::from_rows([2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]);
         let v = a * Vec3::new(1.0, 1.0, 1.0);
         assert_eq!(v, Vec3::new(2.0, 3.0, 4.0));
     }

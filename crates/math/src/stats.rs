@@ -19,19 +19,6 @@ pub fn mean(xs: &[f64]) -> MathResult<f64> {
     Ok(xs.iter().sum::<f64>() / xs.len() as f64)
 }
 
-/// Unbiased sample variance (n−1 denominator).
-///
-/// # Errors
-///
-/// Returns [`MathError::EmptyInput`] for inputs with fewer than 2 samples.
-pub fn variance(xs: &[f64]) -> MathResult<f64> {
-    if xs.len() < 2 {
-        return Err(MathError::EmptyInput { context: "variance needs >= 2 samples" });
-    }
-    let m = mean(xs)?;
-    Ok(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64)
-}
-
 /// Median (average of the two central order statistics for even length).
 ///
 /// # Errors
@@ -68,12 +55,7 @@ pub fn percentile(xs: &[f64], p: f64) -> MathResult<f64> {
 }
 
 /// Mean absolute error between estimates and ground truth.
-///
-/// # Errors
-///
-/// Returns [`MathError::DimensionMismatch`] when lengths differ and
-/// [`MathError::EmptyInput`] for empty input.
-pub fn mae(estimates: &[f64], truth: &[f64]) -> MathResult<f64> {
+fn mae(estimates: &[f64], truth: &[f64]) -> MathResult<f64> {
     check_pair(estimates, truth)?;
     mean(&estimates.iter().zip(truth).map(|(e, t)| (e - t).abs()).collect::<Vec<_>>())
 }
@@ -87,8 +69,9 @@ pub fn mae(estimates: &[f64], truth: &[f64]) -> MathResult<f64> {
 ///
 /// # Errors
 ///
-/// Same as [`mae`], plus [`MathError::InvalidArgument`] if the truth signal
-/// is identically zero.
+/// Returns [`MathError::DimensionMismatch`] when lengths differ,
+/// [`MathError::EmptyInput`] for empty input, and
+/// [`MathError::InvalidArgument`] if the truth signal is identically zero.
 pub fn mre(estimates: &[f64], truth: &[f64]) -> MathResult<f64> {
     check_pair(estimates, truth)?;
     let denom = mean(&truth.iter().map(|t| t.abs()).collect::<Vec<_>>())?;
@@ -202,17 +185,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_variance() {
+    fn mean_of_known_values() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs).unwrap(), 5.0);
-        let v = variance(&xs).unwrap();
-        assert!((v - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_inputs_rejected() {
         assert!(mean(&[]).is_err());
-        assert!(variance(&[1.0]).is_err());
         assert!(median(&[]).is_err());
         assert!(mae(&[], &[]).is_err());
     }

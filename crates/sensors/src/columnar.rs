@@ -27,11 +27,6 @@ pub struct ImuColumns {
 }
 
 impl ImuColumns {
-    /// Creates empty columns (buffers grow on first fill).
-    pub fn new() -> Self {
-        ImuColumns::default()
-    }
-
     /// Transposes `samples` into the columns, reusing the buffers.
     pub fn fill_from(&mut self, samples: &[ImuSample]) {
         self.t.clear();
@@ -46,7 +41,7 @@ impl ImuColumns {
 
     /// Builds columns from a sample slice (allocating convenience).
     pub fn from_samples(samples: &[ImuSample]) -> Self {
-        let mut c = ImuColumns::new();
+        let mut c = ImuColumns::default();
         c.fill_from(samples);
         c
     }

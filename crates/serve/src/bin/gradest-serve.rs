@@ -12,7 +12,7 @@
 //! counters plus the Prometheus exposition.
 
 use gradest_geo::generate::city_network;
-use gradest_obs::{RunRecorder, Tee, TraceRing};
+use gradest_obs::RunRecorder;
 use gradest_serve::server::{start, ServeConfig};
 use std::sync::Arc;
 
@@ -58,7 +58,7 @@ fn main() {
     }
 
     let net = city_network(network_seed);
-    let rec = Arc::new(Tee { a: RunRecorder::new(), b: TraceRing::with_capacity(4096) });
+    let rec = Arc::new(RunRecorder::new());
     let server = match start(&cfg, &addr, &net, Arc::clone(&rec)) {
         Ok(server) => server,
         Err(err) => {
@@ -95,5 +95,5 @@ fn main() {
         report.stats.uploads_acked,
         report.stats.tile_queries
     );
-    print!("{}", rec.a.report().render());
+    print!("{}", rec.report().render());
 }

@@ -100,15 +100,12 @@ pub struct ServeConfig {
     /// Bounded depth of the accepted-connection queue; accepts beyond
     /// it are refused with `BUSY(queue-full)`.
     pub queue_depth: usize,
-    /// Cloud aggregator arc-cell spacing, metres.
+    /// Cloud aggregator arc-cell spacing, metres: finite and positive,
+    /// or [`start`] refuses the config.
     pub grid_ds: f64,
     /// Estimator configuration used for every uploaded trip. Must
     /// match the reference side exactly for bit-identical tiles.
     pub estimator: EstimatorConfig,
-    /// Per-connection socket read/write timeout: a stalled or dead
-    /// client is closed after this long, so it can never wedge a
-    /// worker or the shutdown drain.
-    pub read_timeout: Duration,
     /// Live time-series ring shape (window width × count). Tests and
     /// soaks shrink the window so drift and SLO behaviour plays out in
     /// milliseconds.
@@ -122,11 +119,15 @@ impl Default for ServeConfig {
             queue_depth: 32,
             grid_ds: 5.0,
             estimator: EstimatorConfig::default(),
-            read_timeout: Duration::from_millis(500),
             timeseries: TimeSeriesConfig::default(),
         }
     }
 }
+
+/// Per-connection socket read/write timeout: a stalled or dead client
+/// is closed after this long, so it can never wedge a worker or the
+/// shutdown drain.
+const READ_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Point-in-time operational counters of a running server: the live
 /// ring's totals of the service counters, the same counts `METRICS`
@@ -176,7 +177,6 @@ struct Shared<R> {
     /// The live ring behind `STATUS` and the drift monitors.
     ts: TimeSeriesRecorder,
     estimator: GradientEstimator,
-    read_timeout: Duration,
     started: Instant,
     // sync: single-owner drift state ticked by whichever worker crosses
     // a window boundary first; the tick is cheap and idempotent within
@@ -379,12 +379,22 @@ impl DrainReport {
 /// the spatial index over `net`, and spawns the accept + worker
 /// threads. The server fuses uploads into its own [`CloudAggregator`]
 /// and serves tiles for `net`'s edges.
+///
+/// # Errors
+///
+/// [`std::io::ErrorKind::InvalidInput`] when `cfg.grid_ds` is not
+/// finite and positive, checked before anything is bound; otherwise
+/// the bind or thread-spawn error.
 pub fn start<R: Recorder + Send + Sync + 'static>(
     cfg: &ServeConfig,
     addr: &str,
     net: &RoadNetwork,
     rec: Arc<R>,
 ) -> std::io::Result<ServerHandle<R>> {
+    if !(cfg.grid_ds.is_finite() && cfg.grid_ds > 0.0) {
+        let msg = format!("grid_ds must be finite and positive, got {}", cfg.grid_ds);
+        return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
+    }
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     let build_start = Instant::now();
@@ -399,7 +409,6 @@ pub fn start<R: Recorder + Send + Sync + 'static>(
         inner: rec,
         ts,
         estimator: GradientEstimator::new(cfg.estimator.clone()),
-        read_timeout: cfg.read_timeout,
         started: Instant::now(),
         quality: Mutex::new(QualityMonitors::new()),
     });
@@ -490,7 +499,7 @@ fn accept_loop<R: Recorder + Send + Sync>(
         if shared.gate.stopped() {
             // The drain self-connection (or a late client) — refuse
             // politely and stop accepting.
-            let _ = stream.set_write_timeout(Some(shared.read_timeout));
+            let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
             encode_busy_frame(BUSY_DRAINING, &mut busy_buf);
             let mut stream = stream;
             let _ = stream.write_all(&busy_buf);
@@ -502,8 +511,8 @@ fn accept_loop<R: Recorder + Send + Sync>(
         if shared.rec().enabled() {
             shared.rec().event(TraceEvent::ServiceConnOpened { conn });
         }
-        let _ = stream.set_read_timeout(Some(shared.read_timeout));
-        let _ = stream.set_write_timeout(Some(shared.read_timeout));
+        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+        let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
         match conn_tx.try_send((conn, stream)) {
             Ok(()) => {}
             Err(TrySendError::Full((conn, mut stream))) => {

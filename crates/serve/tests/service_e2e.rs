@@ -511,3 +511,50 @@ fn upload_wire_overhead_is_modest() {
     assert!(wire.len() > HEADER_BYTES);
     assert!(wire.len() < MAX_PAYLOAD_LEN / 8, "300 m trip frame is {} bytes", wire.len());
 }
+
+#[test]
+fn a_grid_spacing_that_is_not_finite_and_positive_is_refused_before_binding() {
+    // The address is taken, so a server that bound first would fail
+    // with `AddrInUse`; the spacing is checked before that.
+    let net = parallel_roads_network(1);
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = taken.local_addr().expect("local addr").to_string();
+    for grid_ds in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+        let cfg = ServeConfig { grid_ds, ..Default::default() };
+        match start(&cfg, &addr, &net, Arc::new(NoopRecorder)) {
+            Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{grid_ds}"),
+            Ok(server) => panic!("grid_ds {grid_ds} started a server on {}", server.addr()),
+        }
+    }
+}
+
+#[test]
+fn a_stalled_client_cannot_wedge_the_worker_or_the_drain() {
+    // One worker, held by a client that sends 2 of the 5 header bytes
+    // and stalls: the read timeout must close that connection, free the
+    // worker for the next client's upload, and leave a clean drain.
+    use std::io::{Read, Write};
+    let net = parallel_roads_network(1);
+    let cfg = ServeConfig { workers: 1, ..Default::default() };
+    let server = start(&cfg, "127.0.0.1:0", &net, Arc::new(NoopRecorder)).expect("bind loopback");
+
+    let mut frame = Vec::new();
+    gradest_serve::protocol::encode_upload_frame(0, &trip_log(&net, 0, 5), &mut frame);
+    // Connections reach the one worker in accept order, so the stalled
+    // one holds it before the second client connects.
+    let mut stalled = std::net::TcpStream::connect(server.addr()).expect("connect");
+    stalled.write_all(&frame[..2]).expect("partial header");
+
+    let mut client = Client::connect(server.addr(), TIMEOUT).expect("connect");
+    match client.upload(0, &trip_log(&net, 0, 6)).expect("upload behind a stalled client") {
+        ServerReply::Ack { road_id } => assert_eq!(road_id, 0),
+        other => panic!("unexpected reply: {other:?}"),
+    }
+    stalled.set_read_timeout(Some(TIMEOUT)).expect("client read timeout");
+    assert_eq!(stalled.read(&mut [0u8; 8]).expect("server closed the stalled conn"), 0);
+
+    drop(client);
+    let report = server.shutdown();
+    assert!(report.is_clean(), "drain after a stalled client: {report:?}");
+    assert_eq!(report.stats.uploads_acked, 1);
+}

@@ -22,7 +22,7 @@ pub enum LaneChangeDirection {
 
 impl LaneChangeDirection {
     /// +1 for left, −1 for right.
-    pub fn sign(self) -> f64 {
+    fn sign(self) -> f64 {
         match self {
             LaneChangeDirection::Left => 1.0,
             LaneChangeDirection::Right => -1.0,
@@ -87,18 +87,6 @@ impl LaneChangeManeuver {
         self.direction.sign() * self.amplitude_rad_per_s * (2.0 * PI * t / self.duration_s).sin()
     }
 
-    /// Accumulated steering angle at `t`:
-    /// `α(t) = ±(A·D/2π)·(1 − cos(2π·t/D))`, clamped to the maneuver span.
-    /// Returns exactly 0 at `t ≥ D` (the vehicle ends parallel to the
-    /// road).
-    pub fn steering_angle(&self, t: f64) -> f64 {
-        if t <= 0.0 || t >= self.duration_s {
-            return 0.0;
-        }
-        let scale = self.amplitude_rad_per_s * self.duration_s / (2.0 * PI);
-        self.direction.sign() * scale * (1.0 - (2.0 * PI * t / self.duration_s).cos())
-    }
-
     /// Small-angle prediction of the final lateral displacement at
     /// constant speed `v` (signed: positive = left).
     pub fn predicted_displacement(&self, v: f64) -> f64 {
@@ -133,18 +121,6 @@ mod tests {
         let r = LaneChangeManeuver::for_displacement(LaneChangeDirection::Right, 3.65, 13.0, 5.0);
         assert!(r.steering_rate(1.25) < 0.0);
         assert!(r.steering_rate(3.75) > 0.0);
-    }
-
-    #[test]
-    fn steering_angle_returns_to_zero() {
-        let m = left(13.0, 5.0);
-        assert_eq!(m.steering_angle(0.0), 0.0);
-        assert_eq!(m.steering_angle(5.0), 0.0);
-        assert_eq!(m.steering_angle(7.0), 0.0);
-        // Peak at mid-maneuver.
-        let peak = m.steering_angle(2.5);
-        assert!((peak - m.amplitude_rad_per_s * m.duration_s / PI).abs() < 1e-12);
-        assert!(peak > 0.0);
     }
 
     #[test]

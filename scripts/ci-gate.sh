@@ -35,10 +35,16 @@
 #                                        links, ambiguous link targets
 #   5. gradest-lint self-test          — --inject-violation seeds a virtual
 #                                        cross-module warm-path allocation and
-#                                        hot-path panic; the gate must catch
-#                                        both with full call chains or this
-#                                        step fails (proves the taint pass is
-#                                        actually wired in, not a no-op)
+#                                        hot-path panic, and an uncalled pub
+#                                        method named like a field in the
+#                                        other seeded file, with the
+#                                        unused-pub audit on over the seeded
+#                                        files; the gate must catch the first
+#                                        two with full call chains and flag
+#                                        the method, or this step fails
+#                                        (proves the taint pass and the
+#                                        audit's role rule are wired in, not
+#                                        no-ops)
 #   6. estimator outputs pinned        — word-wise FNV-1a digests of the batch
 #                                        estimator (four trips, one through
 #                                        the fleet engine's network path),
@@ -186,8 +192,11 @@ if [[ "$MODE" != quick ]]; then
 
   # Linter self-test: seed a virtual cross-module warm-path allocation
   # and a hot-path panic two hops deep, then require the transitive
-  # pass to report both with full call chains. Guards against the
-  # interprocedural gate silently rotting into a no-op.
+  # pass to report both with full call chains. The seeded files also
+  # hold an uncalled pub method named like a field of the other file,
+  # and the unused-pub audit (run over the seeded files too) must flag
+  # it. Guards against the interprocedural gate and the audit's role
+  # rule silently rotting into no-ops.
   run_step "gradest-lint --inject-violation" \
     cargo run --release -q -p gradest-lint -- --inject-violation
 
