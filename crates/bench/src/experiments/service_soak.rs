@@ -31,6 +31,7 @@ use gradest_core::cloud::CloudAggregator;
 use gradest_core::fleet::FleetEngine;
 use gradest_core::pipeline::GradientEstimator;
 use gradest_core::track::GradientTrack;
+use gradest_geo::generate::city_network;
 use gradest_geo::road::{build_from_sections, RoadClass, SectionSpec};
 use gradest_geo::tile::edges_in_tile_into;
 use gradest_geo::{NetworkIndex, QueryScratch, RoadNetwork, Route};
@@ -92,9 +93,11 @@ pub struct ServiceSoakBench {
     pub workers: usize,
     /// Bounded accept-queue depth of the throughput server.
     pub queue_depth: usize,
-    /// `start` with `ServeConfig::default()` on the soak network: index
-    /// build, telemetry ring, worker and accept threads. Each call is
-    /// timed alone; the shutdown after it is not timed.
+    /// `start` with `ServeConfig::default()` on `city_network(3)` (the
+    /// e2ebench `ingest` and `app_sessions` network, 161 edges, so the
+    /// index build is priced at a city's size): index build, telemetry
+    /// ring, worker and accept threads. Each call is timed alone; the
+    /// shutdown after it is not timed.
     pub start: BenchReport,
     /// Wall clock of the upload phase, first send to last ack.
     pub upload_elapsed_ns: u64,
@@ -361,7 +364,7 @@ pub fn run(seed: u64, phones: usize, trips_per_phone: usize) -> ServiceSoakBench
     if alloc_counter::is_installed() {
         install_alloc_probe(alloc_counter::allocations);
     }
-    let start_cost = start_bench(&net);
+    let start_cost = start_bench(&city_network(3));
 
     // ---- Phase 1: throughput + identity -------------------------------
     let cfg = ServeConfig { workers: 2, queue_depth: phones.max(2), ..Default::default() };

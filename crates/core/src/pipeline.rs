@@ -755,8 +755,9 @@ fn fill_speed_series(log: &SensorLog, ts: &mut Vec<f64>, vs: &mut Vec<f64>) {
 
 /// The Eq-1 `v(t)` lookup over staged speed columns: an [`Interpolant`]
 /// borrowing them when they hold two or more samples, else a constant
-/// [`INITIAL_SPEED_MPS`]. A validated log's times are finite, so the
-/// table rejects only a series that does not increase.
+/// [`INITIAL_SPEED_MPS`]. A validated log's speed and GPS times are
+/// finite and strictly increasing, so for it the constant stands in
+/// only for a series of fewer than two samples.
 fn speed_lookup<'a>(ts: &'a [f64], vs: &'a [f64]) -> impl Fn(f64) -> f64 + 'a {
     let table = Interpolant::new(ts, vs).ok().filter(|_| ts.len() >= 2);
     move |t| table.as_ref().map_or(INITIAL_SPEED_MPS, |table| table.at(t))
@@ -1109,7 +1110,7 @@ mod tests {
         // input, a 1-sample log and swapped or NaN IMU times panicked it,
         // and a NaN `accel_long` made every fused θ NaN.
         type Corrupt = fn(&mut SensorLog);
-        let cases: [(InputError, Corrupt); 11] = [
+        let cases: [(InputError, Corrupt); 15] = [
             (InputError::TooFewImuSamples, |log| log.imu.truncate(1)),
             (InputError::ImuTimes, |log| {
                 let mid = log.imu.len() / 2;
@@ -1125,6 +1126,16 @@ mod tests {
             (InputError::GpsFix, |log| mid_valid_fix(log).speed_mps = f64::NAN),
             (InputError::SpeedSample, |log| log.can[100].speed_mps = f64::NAN),
             (InputError::SpeedSample, |log| log.speedometer[0].t = f64::INFINITY),
+            // Times out of order within one stream. These once passed and
+            // changed the trip: one repeated speedometer time made every
+            // Eq-1 lookup use the constant start speed.
+            (InputError::StreamTimes, |log| log.speedometer[100].t = log.speedometer[99].t),
+            (InputError::StreamTimes, |log| log.speedometer.swap(100, 101)),
+            (InputError::StreamTimes, |log| log.can.swap(100, 101)),
+            (InputError::StreamTimes, |log| {
+                let mid = log.gps.len() / 2;
+                log.gps[mid].t = log.gps[mid - 1].t;
+            }),
         ];
         let empty = GradientEstimate { fused: GradientTrack::new("fused"), ..Default::default() };
         let nothing_recorded = gradest_obs::RunRecorder::new().snapshot_string();

@@ -14,8 +14,9 @@
 //!   walk the tree through caller-owned [`QueryScratch`].
 //! * [`SegmentIndex`] — the R-tree specialised to line segments with
 //!   exact closed-form point-to-segment projection at the leaves.
-//! * [`NetworkIndex`] — both trees over a [`RoadNetwork`]: one over
-//!   whole-edge AABBs (bounding-box retrieval for tiles) and one over
+//! * [`EdgeIndex`] — the R-tree over a [`RoadNetwork`]'s whole-edge
+//!   AABBs (bounding-box retrieval for tiles).
+//! * [`NetworkIndex`] — an [`EdgeIndex`] plus a [`SegmentIndex`] over
 //!   every centerline segment (nearest-edge / nearest-arc queries).
 //!
 //! Warm queries are allocation-free: the traversal stacks live in
@@ -24,10 +25,9 @@
 
 use crate::network::RoadNetwork;
 use gradest_math::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned bounding box in the local planar frame (metres).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     /// Minimum x (west edge).
     pub min_x: f64,
@@ -159,8 +159,8 @@ fn hilbert_d(x: u32, y: u32) -> u64 {
     d
 }
 
-/// Reusable traversal state for [`SegmentIndex`] and [`NetworkIndex`]
-/// queries.
+/// Reusable traversal state for [`SegmentIndex`], [`EdgeIndex`] and
+/// [`NetworkIndex`] queries.
 ///
 /// Holds the bounding-box stack and the nearest-query priority stack;
 /// both retain capacity across queries, so a warm query allocates
@@ -201,7 +201,7 @@ impl QueryScratch {
 /// into a single flat `Vec` (leaves first, root last). The tree is
 /// immutable after `PackedRtree::build`; queries are read-only and
 /// allocation-free through a caller [`QueryScratch`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct PackedRtree {
     /// All node boxes: level 0 (leaves, Hilbert order) through the root.
     boxes: Vec<Aabb>,
@@ -436,7 +436,7 @@ fn grid_cells<'a>(items: &'a [Aabb], bounds: &Aabb) -> impl Iterator<Item = (u32
 }
 
 /// Lazy bounding-box query over a packed R-tree (see
-/// [`SegmentIndex::query_bbox`] and [`NetworkIndex::edges_in_bbox`]).
+/// [`SegmentIndex::query_bbox`] and [`EdgeIndex::edges_in_bbox`]).
 /// Borrows the caller's scratch stack, so iteration allocates nothing
 /// once the stack is warm.
 #[derive(Debug)]
@@ -477,7 +477,7 @@ impl Iterator for BboxIter<'_, '_> {
 /// so callers — the oracle property tests in particular — can index
 /// degenerate geometry (zero-length, collinear runs) that `Polyline`
 /// construction rejects; a zero-length segment projects as a point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Start point.
     pub a: Vec2,
@@ -492,7 +492,7 @@ pub struct Segment {
 /// Result of a nearest query against a segment set: the winning
 /// segment, its owning edge, and the exact projection of the query
 /// point onto it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentHit {
     /// Index of the winning segment in build order.
     pub segment: usize,
@@ -529,7 +529,7 @@ pub fn project_point_segment(p: Vec2, a: Vec2, b: Vec2) -> (f64, f64) {
 /// A packed R-tree over line segments with exact point-to-segment
 /// projection at the leaves. Segment data is stored as structure-of-
 /// arrays so the leaf distance sweep reads contiguous memory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SegmentIndex {
     tree: PackedRtree,
     ax: Vec<f64>,
@@ -667,9 +667,61 @@ pub fn network_segments(net: &RoadNetwork) -> Vec<Segment> {
     out
 }
 
-/// The spatial index of a whole [`RoadNetwork`]: a packed R-tree over
-/// whole-edge AABBs (bounding-box retrieval) plus a [`SegmentIndex`]
-/// over every centerline segment (exact nearest queries).
+/// The packed R-tree over a [`RoadNetwork`]'s whole-edge AABBs (item
+/// id = edge index): which edges a box touches, the one question a tile
+/// asks. The edge half of a [`NetworkIndex`], and on its own all the
+/// ingestion server builds.
+///
+/// # Example
+///
+/// ```
+/// use gradest_geo::generate::city_network;
+/// use gradest_geo::index::{EdgeIndex, QueryScratch};
+///
+/// let net = city_network(7);
+/// let index = EdgeIndex::build(&net);
+/// let mut scratch = QueryScratch::new();
+/// let all = index.edges_in_bbox(index.bounds(), &mut scratch).count();
+/// assert_eq!(all, net.edge_count());
+/// ```
+#[derive(Debug, Clone)]
+pub struct EdgeIndex {
+    tree: PackedRtree,
+}
+
+impl EdgeIndex {
+    /// Builds the tree over each edge's centerline AABB.
+    pub fn build(net: &RoadNetwork) -> EdgeIndex {
+        let mut boxes = Vec::with_capacity(net.edge_count());
+        for e in net.edges() {
+            let mut b = Aabb::EMPTY;
+            for p in e.road.centerline().points() {
+                b = b.union(&Aabb::of_corners(*p, *p));
+            }
+            boxes.push(b);
+        }
+        EdgeIndex { tree: PackedRtree::build(&boxes) }
+    }
+
+    /// Bounds of the whole network.
+    pub fn bounds(&self) -> Aabb {
+        self.tree.bounds()
+    }
+
+    /// Edge indices whose AABBs intersect `query`, as a lazy iterator
+    /// reusing caller scratch (traversal order; no allocation warm).
+    pub fn edges_in_bbox<'t, 's>(
+        &'t self,
+        query: Aabb,
+        scratch: &'s mut QueryScratch,
+    ) -> BboxIter<'t, 's> {
+        self.tree.query_bbox(query, scratch)
+    }
+}
+
+/// The spatial index of a whole [`RoadNetwork`]: an [`EdgeIndex`]
+/// (bounding-box retrieval) plus a [`SegmentIndex`] over every
+/// centerline segment (exact nearest queries).
 ///
 /// # Example
 ///
@@ -684,25 +736,17 @@ pub fn network_segments(net: &RoadNetwork) -> Vec<Segment> {
 /// let hit = index.nearest_s_on_network(p, &mut scratch).unwrap();
 /// assert!(hit.dist_m < 1e-6);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkIndex {
-    edge_tree: PackedRtree,
+    edges: EdgeIndex,
     segments: SegmentIndex,
 }
 
 impl NetworkIndex {
     /// Builds both trees from the network's edge centerlines.
     pub fn build(net: &RoadNetwork) -> NetworkIndex {
-        let mut edge_boxes = Vec::with_capacity(net.edge_count());
-        for e in net.edges() {
-            let mut b = Aabb::EMPTY;
-            for p in e.road.centerline().points() {
-                b = b.union(&Aabb::of_corners(*p, *p));
-            }
-            edge_boxes.push(b);
-        }
         NetworkIndex {
-            edge_tree: PackedRtree::build(&edge_boxes),
+            edges: EdgeIndex::build(net),
             segments: SegmentIndex::build(&network_segments(net)),
         }
     }
@@ -714,12 +758,12 @@ impl NetworkIndex {
 
     /// Number of indexed edges.
     pub fn edge_count(&self) -> usize {
-        self.edge_tree.len()
+        self.edges.tree.len()
     }
 
     /// Bounds of the whole network.
     pub fn bounds(&self) -> Aabb {
-        self.edge_tree.bounds()
+        self.edges.bounds()
     }
 
     /// Index of the network edge nearest to `p` (exact: ranked by
@@ -736,14 +780,22 @@ impl NetworkIndex {
         self.segments.nearest(p, scratch)
     }
 
-    /// Edge indices whose AABBs intersect `query`, as a lazy iterator
-    /// reusing caller scratch (traversal order; no allocation warm).
+    /// [`EdgeIndex::edges_in_bbox`] over the network's edge half.
     pub fn edges_in_bbox<'t, 's>(
         &'t self,
         query: Aabb,
         scratch: &'s mut QueryScratch,
     ) -> BboxIter<'t, 's> {
-        self.edge_tree.query_bbox(query, scratch)
+        self.edges.edges_in_bbox(query, scratch)
+    }
+}
+
+/// A [`NetworkIndex`] lends its edge half, so a function over
+/// `impl Into<&EdgeIndex>` ([`crate::tile::edges_in_tile_into`]) takes
+/// either index.
+impl<'a> From<&'a NetworkIndex> for &'a EdgeIndex {
+    fn from(index: &'a NetworkIndex) -> &'a EdgeIndex {
+        &index.edges
     }
 }
 

@@ -54,7 +54,7 @@ pub mod route;
 pub mod terrain;
 pub mod tile;
 
-pub use index::{Aabb, NetworkIndex, QueryScratch, SegmentHit, SegmentIndex};
+pub use index::{Aabb, EdgeIndex, NetworkIndex, QueryScratch, SegmentHit, SegmentIndex};
 pub use latlon::LatLon;
 pub use network::RoadNetwork;
 pub use polyline::Polyline;

@@ -1,6 +1,6 @@
 //! Bbox tile support for the ingestion service: a fixed-width wire
 //! encoding of query bounds and a deterministic edge-set assembly over
-//! [`NetworkIndex::edges_in_bbox`].
+//! [`EdgeIndex::edges_in_bbox`].
 //!
 //! The R-tree's bbox iterator yields edge ids in *traversal* order —
 //! fast, but dependent on tree packing. A served tile must be
@@ -9,7 +9,7 @@
 //! sorts, and dedups the ids into ascending order before anything is
 //! encoded.
 
-use crate::index::{Aabb, NetworkIndex, QueryScratch};
+use crate::index::{Aabb, EdgeIndex, QueryScratch};
 
 /// Appends the 32-byte encoding of `bounds` to `out`: four
 /// little-endian `f64`s (`min_x`, `min_y`, `max_x`, `max_y`).
@@ -52,17 +52,20 @@ pub fn decode_tile_bounds(payload: &[u8]) -> Option<Aabb> {
 
 /// Collects the edge ids intersecting `query` into `out` in ascending
 /// id order (sorted + deduped), clearing any previous contents.
+/// `index` is an [`EdgeIndex`] or a
+/// [`NetworkIndex`](crate::index::NetworkIndex), whose edge half
+/// answers.
 ///
 /// Reuses both the traversal `scratch` and `out`'s capacity, so a warm
 /// call over a previously-seen tile size allocates nothing.
-pub fn edges_in_tile_into(
-    index: &NetworkIndex,
+pub fn edges_in_tile_into<'a>(
+    index: impl Into<&'a EdgeIndex>,
     query: Aabb,
     scratch: &mut QueryScratch,
     out: &mut Vec<u32>,
 ) {
     out.clear();
-    for edge in index.edges_in_bbox(query, scratch) {
+    for edge in index.into().edges_in_bbox(query, scratch) {
         out.push(edge);
     }
     out.sort_unstable();
@@ -73,6 +76,7 @@ pub fn edges_in_tile_into(
 mod tests {
     use super::*;
     use crate::generate::city_network;
+    use crate::index::NetworkIndex;
 
     #[test]
     fn bounds_roundtrip_is_exact() {

@@ -6,13 +6,16 @@
 //! collinear segments the Hilbert sort and projection must not choke
 //! on — and on generated road networks. A warm scratch, whose last hit
 //! bounds the next nearest search, must return exactly the hit of a
-//! fresh scratch.
+//! fresh scratch. An `EdgeIndex` built alone must answer every bbox
+//! query as the edge half of a `NetworkIndex` does.
 
 use gradest_geo::generate::{city_network, country_network};
 use gradest_geo::index::{
-    network_segments, project_point_segment, Aabb, NetworkIndex, QueryScratch, Segment, SegmentHit,
-    SegmentIndex,
+    network_segments, project_point_segment, Aabb, EdgeIndex, NetworkIndex, QueryScratch, Segment,
+    SegmentHit, SegmentIndex,
 };
+use gradest_geo::tile::edges_in_tile_into;
+use gradest_geo::RoadNetwork;
 use gradest_math::Vec2;
 use proptest::prelude::*;
 
@@ -89,6 +92,22 @@ fn lattice_segments(n: usize) -> Vec<Segment> {
     let segment =
         |k: usize, (a, b): (Vec2, Vec2)| Segment { a, b, edge: k as u32 / 3, s0: k as f64 };
     out.into_iter().enumerate().map(|(k, ab)| segment(k, ab)).collect()
+}
+
+/// Ids of the edges whose centerline AABB intersects `query`, by a
+/// linear scan, ascending.
+fn oracle_edges_in_bbox(net: &RoadNetwork, query: &Aabb) -> Vec<u32> {
+    let edge_box = |points: &[Vec2]| Aabb {
+        min_x: points.iter().map(|p| p.x).fold(f64::INFINITY, f64::min),
+        min_y: points.iter().map(|p| p.y).fold(f64::INFINITY, f64::min),
+        max_x: points.iter().map(|p| p.x).fold(f64::NEG_INFINITY, f64::max),
+        max_y: points.iter().map(|p| p.y).fold(f64::NEG_INFINITY, f64::max),
+    };
+    (0u32..)
+        .zip(net.edges())
+        .filter(|(_, e)| edge_box(e.road.centerline().points()).intersects(query))
+        .map(|(id, _)| id)
+        .collect()
 }
 
 proptest! {
@@ -232,6 +251,28 @@ proptest! {
         );
         let edges: Vec<u32> = index.edges_in_bbox(query, &mut scratch).collect();
         prop_assert!(edges.contains(&(hit.edge as u32)));
+        // An `EdgeIndex` built alone answers the snap box, the box from
+        // the probe to the north-west corner and the whole map with the
+        // network index's ids in its traversal order, the linear scan's
+        // set, and one tile list for either argument type.
+        let edge_index = EdgeIndex::build(&net);
+        let bits = |b: Aabb| [b.min_x, b.min_y, b.max_x, b.max_y].map(f64::to_bits);
+        prop_assert_eq!(bits(edge_index.bounds()), bits(b));
+        let corner = Aabb::of_corners(p, Vec2::new(b.min_x, b.max_y));
+        let (mut alone_tile, mut network_tile) = (Vec::new(), Vec::new());
+        for query in [query, corner, b] {
+            let alone: Vec<u32> = edge_index.edges_in_bbox(query, &mut scratch).collect();
+            let network: Vec<u32> = index.edges_in_bbox(query, &mut scratch).collect();
+            prop_assert_eq!(&alone, &network);
+            let oracle = oracle_edges_in_bbox(&net, &query);
+            let mut sorted = alone;
+            sorted.sort_unstable();
+            prop_assert_eq!(&sorted, &oracle);
+            edges_in_tile_into(&edge_index, query, &mut scratch, &mut alone_tile);
+            edges_in_tile_into(&index, query, &mut scratch, &mut network_tile);
+            prop_assert_eq!(&alone_tile, &oracle);
+            prop_assert_eq!(&network_tile, &oracle);
+        }
     }
 
     #[test]

@@ -135,10 +135,12 @@ impl SensorLog {
     }
 
     /// Checks the log against the estimator's accepted domain: at least
-    /// two IMU samples with finite, strictly increasing times, and every
+    /// two IMU samples with finite, strictly increasing times, every
     /// sample in domain by its own predicate ([`ImuSample::is_in_domain`],
-    /// [`GpsSample::is_in_domain`], [`SpeedSample::is_in_domain`]). The
-    /// barometer is not checked: the estimator never reads it.
+    /// [`GpsSample::is_in_domain`], [`SpeedSample::is_in_domain`]), and
+    /// strictly increasing times within each of the GPS, speedometer and
+    /// CAN streams. The barometer is not checked: the estimator never
+    /// reads it.
     ///
     /// # Errors
     ///
@@ -152,7 +154,7 @@ impl SensorLog {
         // infinite.
         let ends_finite =
             imu.first().zip(imu.last()).is_some_and(|(a, b)| a.t.is_finite() && b.t.is_finite());
-        if !ends_finite || !imu.iter().zip(imu.iter().skip(1)).all(|(a, b)| a.t < b.t) {
+        if !ends_finite || !strictly_increasing(imu, |s| s.t) {
             return Err(InputError::ImuTimes);
         }
         if !imu.iter().all(ImuSample::is_in_domain) {
@@ -164,8 +166,19 @@ impl SensorLog {
         if !self.speedometer.iter().chain(&self.can).all(SpeedSample::is_in_domain) {
             return Err(InputError::SpeedSample);
         }
+        if !strictly_increasing(&self.gps, |g| g.t)
+            || !strictly_increasing(&self.speedometer, |s| s.t)
+            || !strictly_increasing(&self.can, |s| s.t)
+        {
+            return Err(InputError::StreamTimes);
+        }
         Ok(())
     }
+}
+
+/// Whether each sample's time `t` is below the next sample's.
+fn strictly_increasing<T>(stream: &[T], t: fn(&T) -> f64) -> bool {
+    stream.iter().zip(stream.iter().skip(1)).all(|(a, b)| t(a) < t(b))
 }
 
 /// The rule a [`SensorLog`] breaks ([`SensorLog::validate`]).
@@ -182,6 +195,9 @@ pub enum InputError {
     GpsFix,
     /// A speedometer or CAN sample with a non-finite time or speed.
     SpeedSample,
+    /// GPS, speedometer or CAN times that are not strictly increasing
+    /// within their own stream.
+    StreamTimes,
 }
 
 impl InputError {
@@ -193,6 +209,7 @@ impl InputError {
             InputError::ImuReading => "imu accel_long or gyro_z not finite",
             InputError::GpsFix => "gps time, or a valid fix's position or speed, not finite",
             InputError::SpeedSample => "speedometer or can time or speed not finite",
+            InputError::StreamTimes => "gps, speedometer or can times not strictly increasing",
         }
     }
 }

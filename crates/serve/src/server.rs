@@ -67,7 +67,7 @@ use gradest_core::pipeline::{
 };
 use gradest_core::track::GradientTrack;
 use gradest_geo::tile::{decode_tile_bounds, edges_in_tile_into};
-use gradest_geo::{NetworkIndex, QueryScratch, RoadNetwork};
+use gradest_geo::{EdgeIndex, QueryScratch, RoadNetwork};
 use gradest_obs::{
     prometheus_text, saturating_ns, slo, Counter, QualityMonitors, Recorder, RunReport, Sample,
     SampleKind, SloState, Span, SpanTimer, Tee, TimeSeriesConfig, TimeSeriesRecorder, TraceEvent,
@@ -169,7 +169,9 @@ struct Stats {
 
 struct Shared<R> {
     cloud: CloudAggregator,
-    index: NetworkIndex,
+    /// Tiles are bbox queries, so the edge tree is the only index the
+    /// server reads.
+    index: EdgeIndex,
     gate: DrainGate,
     stats: Stats,
     /// The caller-supplied recorder.
@@ -376,7 +378,7 @@ impl DrainReport {
 }
 
 /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port), builds
-/// the spatial index over `net`, and spawns the accept + worker
+/// the edge index over `net`, and spawns the accept + worker
 /// threads. The server fuses uploads into its own [`CloudAggregator`]
 /// and serves tiles for `net`'s edges.
 ///
@@ -398,7 +400,7 @@ pub fn start<R: Recorder + Send + Sync + 'static>(
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     let build_start = Instant::now();
-    let index = NetworkIndex::build(net);
+    let index = EdgeIndex::build(net);
     let ts = TimeSeriesRecorder::new(cfg.timeseries);
     Tee::new(&*rec, &ts).record_span(Span::GeoIndexBuild, saturating_ns(build_start));
     let shared = Arc::new(Shared {

@@ -6,7 +6,7 @@
 
 use gradest_math::Vec2;
 use gradest_sensors::samples::{BaroSample, GpsSample, ImuSample, SpeedSample};
-use gradest_sensors::suite::SensorLog;
+use gradest_sensors::suite::{InputError, SensorLog};
 use gradest_serve::protocol::{
     decode_ack, decode_header, decode_tile, decode_upload_into, encode_upload_frame, DecodeError,
     UploadScratch, HEADER_BYTES, MAX_PAYLOAD_LEN, TAG_UPLOAD,
@@ -14,7 +14,8 @@ use gradest_serve::protocol::{
 use proptest::prelude::*;
 
 /// Well-formed logs: IMU times strictly increasing (positive steps
-/// from a random start), every other stream unconstrained.
+/// from a random start), GPS, speedometer and CAN times in order and
+/// distinct, the barometer unconstrained.
 fn log_strategy() -> impl Strategy<Value = SensorLog> {
     let imu = (
         0.0..100.0f64,
@@ -50,8 +51,21 @@ fn log_strategy() -> impl Strategy<Value = SensorLog> {
         0..10,
     );
     (imu, gps, speed.clone(), speed, baro).prop_map(|(imu, gps, speedometer, can, barometer)| {
-        SensorLog { imu, gps, speedometer, can, barometer }
+        SensorLog {
+            imu,
+            gps: in_time_order(gps, |g| g.t),
+            speedometer: in_time_order(speedometer, |s| s.t),
+            can: in_time_order(can, |s| s.t),
+            barometer,
+        }
     })
+}
+
+/// `stream` sorted by time, with repeated times dropped.
+fn in_time_order<T>(mut stream: Vec<T>, t: fn(&T) -> f64) -> Vec<T> {
+    stream.sort_by(|a, b| t(a).total_cmp(&t(b)));
+    stream.dedup_by(|a, b| t(a) == t(b));
+    stream
 }
 
 /// The sample at fraction `at` of `stream`, after pushing `fill` into an
@@ -82,7 +96,9 @@ proptest! {
     /// `Malformed`: IMU times that repeat, go backwards, or are not
     /// finite; a non-finite `accel_long` or `gyro_z`; a GPS fix with a
     /// non-finite time, or a valid one with a non-finite position or
-    /// speed; a speedometer or CAN sample with a non-finite time or speed.
+    /// speed; a speedometer or CAN sample with a non-finite time or
+    /// speed; a GPS, speedometer or CAN time that repeats or goes
+    /// backwards (a copy of one sample appended to its stream).
     #[test]
     fn bad_imu_samples_are_malformed(log in log_strategy(), at in 0.0..1.0f64) {
         let last = log.imu.len() - 1;
@@ -96,7 +112,7 @@ proptest! {
         };
         let nan_xy = Vec2::new(f64::NAN, 0.0);
         let speed = SpeedSample { t: 1.0, speed_mps: 10.0 };
-        for kind in 0..17u8 {
+        for kind in 0..20u8 {
             let mut log = log.clone();
             match kind {
                 0 => log.imu[i + 1].t = log.imu[i].t,
@@ -116,7 +132,19 @@ proptest! {
                 13 => sample_at(&mut log.speedometer, at, speed).t = f64::NAN,
                 14 => sample_at(&mut log.speedometer, at, speed).speed_mps = f64::INFINITY,
                 15 => sample_at(&mut log.can, at, speed).t = f64::NEG_INFINITY,
-                _ => sample_at(&mut log.can, at, speed).speed_mps = f64::NAN,
+                16 => sample_at(&mut log.can, at, speed).speed_mps = f64::NAN,
+                17 => {
+                    let copy = *sample_at(&mut log.gps, at, fix);
+                    log.gps.push(copy);
+                }
+                18 => {
+                    let copy = *sample_at(&mut log.speedometer, at, speed);
+                    log.speedometer.push(copy);
+                }
+                _ => {
+                    let copy = *sample_at(&mut log.can, at, speed);
+                    log.can.push(copy);
+                }
             }
             let mut wire = Vec::new();
             encode_upload_frame(3, &log, &mut wire);
@@ -141,7 +169,7 @@ proptest! {
         let i = ((log.imu.len() - 1) as f64 * at) as usize;
         log.imu[i].accel_lat = f64::NAN;
         log.gps.push(GpsSample {
-            t: 1.0,
+            t: log.gps.last().map_or(1.0, |g| g.t + 1.0),
             position: Vec2::new(f64::NAN, f64::INFINITY),
             speed_mps: f64::NAN,
             heading: f64::NAN,
@@ -283,4 +311,26 @@ fn gps_validity_byte_is_strict() {
         decode_upload_into(&wire[HEADER_BYTES..], &mut scratch),
         Err(DecodeError::Malformed("gps validity byte not 0/1"))
     );
+}
+
+#[test]
+fn a_repeated_speed_time_is_malformed() {
+    // Well formed on the wire; one speedometer sample carries its
+    // predecessor's time with its speed unchanged.
+    let mut log = SensorLog::default();
+    for i in 0..4 {
+        let t = i as f64;
+        log.imu.push(ImuSample { t, accel_long: 0.0, accel_lat: 0.0, gyro_z: 0.0 });
+        log.speedometer.push(SpeedSample { t, speed_mps: 10.0 });
+    }
+    let decode = |log: &SensorLog| {
+        let mut wire = Vec::new();
+        encode_upload_frame(1, log, &mut wire);
+        decode_upload_into(&wire[HEADER_BYTES..], &mut UploadScratch::new())
+    };
+    assert_eq!(decode(&log), Ok(()));
+    log.speedometer[2].t = log.speedometer[1].t;
+    let err = decode(&log).unwrap_err();
+    assert_eq!(err, DecodeError::Malformed(InputError::StreamTimes.reason()));
+    assert_eq!(err.code(), 4);
 }

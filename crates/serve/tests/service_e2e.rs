@@ -8,9 +8,11 @@ use gradest_core::cloud::CloudAggregator;
 use gradest_core::fleet::FleetEngine;
 use gradest_core::pipeline::{EstimatorConfig, GradientEstimator};
 use gradest_core::track::GradientTrack;
+use gradest_geo::generate::city_network;
 use gradest_geo::road::{build_from_sections, RoadClass, SectionSpec};
 use gradest_geo::tile::edges_in_tile_into;
-use gradest_geo::{NetworkIndex, QueryScratch, RoadNetwork, Route};
+use gradest_geo::{Aabb, NetworkIndex, QueryScratch, RoadNetwork, Route};
+use gradest_math::Vec2;
 use gradest_obs::{
     validate_prometheus_text, NoopRecorder, RunRecorder, TimeSeriesConfig, TraceRing,
 };
@@ -42,7 +44,7 @@ fn parallel_roads_network(n: usize) -> RoadNetwork {
         let road = build_from_sections(
             100 + i as u64,
             format!("r{i}"),
-            gradest_math::Vec2::new(0.0, i as f64 * 120.0),
+            Vec2::new(0.0, i as f64 * 120.0),
             0.0,
             &[spec],
             5.0,
@@ -66,27 +68,29 @@ fn trip_log(net: &RoadNetwork, edge: usize, seed: u64) -> SensorLog {
     SensorSuite::new(SensorConfig::default()).run(&traj, seed.wrapping_mul(31).wrapping_add(7))
 }
 
-/// The reference tile: direct fleet aggregation over the same trips,
-/// serialized through the same `TileWriter`.
-fn reference_tile_payload(
-    net: &RoadNetwork,
+/// Direct fleet aggregation over the same trips, fused in upload order
+/// as the server does for one connection: two workers uploading as they
+/// finish would sum each cell in a scheduling-dependent order, and the
+/// tile bytes would follow it.
+fn reference_cloud(
     logs: &[SensorLog],
     road_ids: &[u64],
     config: &EstimatorConfig,
     grid_ds: f64,
-) -> Vec<u8> {
+) -> CloudAggregator {
     let cloud = CloudAggregator::new(grid_ds);
     let engine = FleetEngine::new(GradientEstimator::new(config.clone()), 2);
-    // Fuse in upload order, as the server does for one connection: two
-    // workers uploading as they finish would sum each cell in a
-    // scheduling-dependent order, and the tile bytes would follow it.
     for (est, &road_id) in engine.process_batch(logs, None).iter().zip(road_ids) {
         cloud.upload(road_id, &est.fused);
     }
-    let index = NetworkIndex::build(net);
+    cloud
+}
+
+/// The reference tile of `bounds`: the edge list from a whole
+/// `NetworkIndex`, serialized through the same `TileWriter`.
+fn reference_tile(index: &NetworkIndex, cloud: &CloudAggregator, bounds: Aabb) -> Vec<u8> {
     let mut edges = Vec::new();
-    let mut query = QueryScratch::new();
-    edges_in_tile_into(&index, index.bounds(), &mut query, &mut edges);
+    edges_in_tile_into(index, bounds, &mut QueryScratch::new(), &mut edges);
     let mut payload = Vec::new();
     let mut track = GradientTrack::new("");
     let mut writer = TileWriter::begin(&mut payload);
@@ -128,7 +132,8 @@ fn served_tiles_are_bit_identical_to_direct_aggregation() {
 
     let logs: Vec<SensorLog> = trips.iter().map(|(_, log)| log.clone()).collect();
     let road_ids: Vec<u64> = trips.iter().map(|(id, _)| *id).collect();
-    let reference = reference_tile_payload(&net, &logs, &road_ids, &cfg.estimator, cfg.grid_ds);
+    let cloud = reference_cloud(&logs, &road_ids, &cfg.estimator, cfg.grid_ds);
+    let reference = reference_tile(&index, &cloud, index.bounds());
     assert_eq!(served, reference, "served tile bytes differ from direct aggregation");
 
     let decoded = decode_tile(&served).expect("tile decodes");
@@ -145,6 +150,65 @@ fn served_tiles_are_bit_identical_to_direct_aggregation() {
     assert_eq!(report.stats.frames_rejected, 0);
     let obs = rec.report();
     assert!(obs.spans.iter().any(|s| s.name == "service-frame" && s.count == 13));
+}
+
+#[test]
+fn served_sub_box_tiles_are_bit_identical_to_the_network_index_reference() {
+    // The server lists a tile's edges from its edge tree alone; the
+    // reference lists them from a whole `NetworkIndex`. Each box sits on
+    // a random point of an uploaded ~1 km city edge and spans 0.1–1.2 km
+    // a side, so most boxes cut the edge they sit on.
+    let net = city_network(3);
+    let cfg = ServeConfig::default();
+    let road_ids: Vec<u64> = (0..net.edge_count() as u64).step_by(23).collect();
+    let logs: Vec<SensorLog> =
+        road_ids.iter().map(|&e| trip_log(&net, e as usize, 3000 + e)).collect();
+    let server = start(&cfg, "127.0.0.1:0", &net, Arc::new(NoopRecorder)).expect("bind loopback");
+    let mut client = Client::connect(server.addr(), TIMEOUT).expect("connect");
+    for (&road_id, log) in road_ids.iter().zip(&logs) {
+        match client.upload(road_id, log).expect("upload") {
+            ServerReply::Ack { road_id: acked } => assert_eq!(acked, road_id),
+            other => panic!("unexpected upload reply: {other:?}"),
+        }
+    }
+
+    let index = NetworkIndex::build(&net);
+    let cloud = reference_cloud(&logs, &road_ids, &cfg.estimator, cfg.grid_ds);
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut unit = || {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let inside = |b: &Aabb, p: &Vec2| {
+        (b.min_x..=b.max_x).contains(&p.x) && (b.min_y..=b.max_y).contains(&p.y)
+    };
+    let mut cutting = 0;
+    for k in 0..16 {
+        let road = &net.edges()[road_ids[k % road_ids.len()] as usize].road;
+        let centre = road.point_at(unit() * road.length());
+        let half = Vec2::new(50.0 + 550.0 * unit(), 50.0 + 550.0 * unit());
+        let bounds = Aabb::of_corners(centre - half, centre + half);
+        let served = match client.tile_query(&bounds).expect("tile query") {
+            ServerReply::Tile(payload) => payload,
+            other => panic!("unexpected tile reply: {other:?}"),
+        };
+        assert_eq!(served, reference_tile(&index, &cloud, bounds), "box {bounds:?}");
+        let tile = decode_tile(&served).expect("tile decodes");
+        assert!(!tile.is_empty(), "box {bounds:?} on an uploaded edge served no profile");
+        let cuts = |&(edge, _): &(u32, GradientTrack)| {
+            !net.edges()[edge as usize]
+                .road
+                .centerline()
+                .points()
+                .iter()
+                .all(|p| inside(&bounds, p))
+        };
+        cutting += usize::from(tile.iter().any(cuts));
+    }
+    assert!(cutting >= 12, "only {cutting} of 16 boxes cut a served edge");
+    drop(client);
+    assert!(server.shutdown().is_clean());
 }
 
 #[test]
